@@ -109,8 +109,15 @@ let scan_imports src =
       end
   in
   let is_ident s = Token.lookup_keyword s = None in
+  (* first occurrence wins; the table keeps the dedup linear *)
+  let seen = Hashtbl.create 16 in
   let acc = ref [] in
-  let add m = if not (List.mem m !acc) then acc := m :: !acc in
+  let add m =
+    if not (Hashtbl.mem seen m) then begin
+      Hashtbl.replace seen m ();
+      acc := m :: !acc
+    end
+  in
   let fin = ref false in
   while not !fin do
     match next () with
@@ -487,6 +494,7 @@ type 'r memo = {
   latest_key : (string, string) Hashtbl.t; (* name -> last stored key *)
   mcosts : (string, float) Hashtbl.t; (* key -> recompute cost *)
   mpri : (string, float) Hashtbl.t; (* key -> GreedyDual priority *)
+  persisted : (string, string) Hashtbl.t; (* key -> payload bytes last loaded or saved *)
   mutable ml : float; (* GreedyDual inflation level L *)
   mutable mhits : int;
   mutable mmisses : int;
@@ -502,6 +510,7 @@ let memo ?cap () =
     latest_key = Hashtbl.create 16;
     mcosts = Hashtbl.create 16;
     mpri = Hashtbl.create 16;
+    persisted = Hashtbl.create 16;
     ml = 0.0;
     mhits = 0;
     mmisses = 0;
@@ -514,7 +523,8 @@ let memo ?cap () =
 let memo_drop m key =
   Hashtbl.remove m.modules key;
   Hashtbl.remove m.mcosts key;
-  Hashtbl.remove m.mpri key
+  Hashtbl.remove m.mpri key;
+  Hashtbl.remove m.persisted key
 
 (* GreedyDual eviction: every entry carries priority L + cost (cost =
    the simulated seconds a recompute would take, defaulting to 1.0), a
@@ -612,6 +622,9 @@ let store_module ?(cost = 1.0) m ~name ~key result =
       memo_drop m old_key
   | _ -> ());
   Hashtbl.replace m.modules key result;
+  (* a result stored under a persisted key replaces it: its old bytes
+     must not be written back *)
+  Hashtbl.remove m.persisted key;
   Hashtbl.replace m.latest_key name key;
   Hashtbl.replace m.mcosts key cost;
   Hashtbl.replace m.mpri key (m.ml +. cost);
@@ -664,6 +677,7 @@ let load_memo ?(decode = fun r -> r) t (m : 'r memo) =
                       | exception _ -> ()
                       | r ->
                           Hashtbl.replace m.modules k (decode r);
+                          Hashtbl.replace m.persisted k payload;
                           (* costs are not persisted: loaded entries
                              restart at the uniform (LRU-like) cost *)
                           Hashtbl.replace m.mcosts k 1.0;
@@ -683,18 +697,28 @@ let save_memo ?(encode = fun r -> r) t (m : 'r memo) =
   | Some dir ->
       (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
       Mutex.lock m.mmu;
-      let modules = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.modules [] in
+      let modules =
+        Hashtbl.fold (fun k v acc -> (k, v, Hashtbl.find_opt m.persisted k) :: acc) m.modules []
+      in
       let latest = Hashtbl.fold (fun n k acc -> (n, k) :: acc) m.latest_key [] in
       Mutex.unlock m.mmu;
+      (* an entry loaded or saved before keeps its payload bytes, so only
+         results stored since then are marshaled.  Fresh entries are
+         marshaled one by one so a result that contains an unmarshalable
+         value (a custom block the encoder missed, an exception payload)
+         costs only its own entry *)
+      let fresh = ref [] in
       let modules =
-        (* entries are marshaled one by one so a result that contains an
-           unmarshalable value (a custom block the encoder missed, an
-           exception payload) costs only its own entry *)
         List.filter_map
-          (fun (k, r) ->
-            match Marshal.to_string (encode r) [] with
-            | exception Invalid_argument _ -> None
-            | payload -> Some (k, payload))
+          (fun (k, r, bytes) ->
+            match bytes with
+            | Some payload -> Some (k, payload)
+            | None -> (
+                match Marshal.to_string (encode r) [] with
+                | exception Invalid_argument _ -> None
+                | payload ->
+                    fresh := (k, r, payload) :: !fresh;
+                    Some (k, payload)))
           modules
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
@@ -702,4 +726,13 @@ let save_memo ?(encode = fun r -> r) t (m : 'r memo) =
       let oc = open_out_bin (memo_file dir) in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc (version, modules, latest) [])
+        (fun () -> Marshal.to_channel oc (version, modules, latest) []);
+      (* keep the bytes only while the entry is the one just marshaled *)
+      Mutex.lock m.mmu;
+      List.iter
+        (fun (k, r, payload) ->
+          match Hashtbl.find_opt m.modules k with
+          | Some r' when r' == r -> Hashtbl.replace m.persisted k payload
+          | _ -> ())
+        !fresh;
+      Mutex.unlock m.mmu

@@ -35,8 +35,12 @@ val create : ?dir:string -> ?cap_bytes:int -> unit -> t
     without a [dir]. *)
 val save : t -> unit
 
-(** Direct imports of a source text, by a charge-free re-implementation
-    of the importer's scan, memoized by source digest. *)
+(** Direct imports of a source text, in first-occurrence order without
+    repeats, by a charge-free re-implementation of the importer's scan
+    ([Stream.run_importer]): it never calls [Eff.work]. *)
+val scan_imports : string -> string list
+
+(** {!scan_imports}, memoized by source digest. *)
 val imports_of : t -> string -> string list
 
 (** The hashing work for [len] source bytes, in virtual units. *)
@@ -150,5 +154,8 @@ val load_memo : ?decode:('r -> 'r) -> t -> 'r memo -> unit
 
 (** Persist [memo] next to the interface artifacts; a no-op without a
     directory.  [encode] pre-processes each entry into a marshal-safe
-    form; an entry that still fails to marshal is skipped, not fatal. *)
+    form; an entry that still fails to marshal is skipped, not fatal.
+    An entry loaded or saved before, and not stored over since, is
+    written back from its kept bytes without [encode]: stored results
+    must not be mutated in place. *)
 val save_memo : ?encode:('r -> 'r) -> t -> 'r memo -> unit

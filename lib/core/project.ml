@@ -93,16 +93,12 @@ type result = {
   explain : (string * string) list; (* module -> reuse/rebuild reason, init order *)
 }
 
-let direct_imports ~file src =
-  let acc = ref [] in
-  Stream.run_importer
-    ~rd:(Reader.of_lexer (Lexer.create ~file src))
-    ~on_import:(fun m -> if not (List.mem m !acc) then acc := m :: !acc);
-  List.rev !acc
-
 (* Initialization order: depth-first over imports restricted to modules
-   with implementations, imports sorted for determinism, main last. *)
-let init_order (store : Source_store.t) =
+   with implementations, imports sorted for determinism, main last.
+   [imports] is the charge-free scan fingerprints use, so this query
+   does no virtual work; [compile] passes its cache's memoized copy so
+   each source is scanned once per build. *)
+let order_by ~imports (store : Source_store.t) =
   let visited = Hashtbl.create 8 in
   let order = ref [] in
   let rec visit name =
@@ -111,12 +107,14 @@ let init_order (store : Source_store.t) =
       match Source_store.impl_src store name with
       | None -> ()
       | Some src ->
-          List.iter visit (List.sort compare (direct_imports ~file:(name ^ ".mod") src));
+          List.iter visit (List.sort compare (imports src));
           order := name :: !order
     end
   in
   visit (Source_store.main_name store);
   List.rev !order
+
+let init_order store = order_by ~imports:Build_cache.scan_imports store
 
 let config_tag (c : Driver.config) =
   (* fault specs are part of the tag: a cached result embeds robustness
@@ -136,25 +134,20 @@ let config_tag (c : Driver.config) =
 let marker_missing = "!missing" (* the whole interface had no source *)
 let marker_absent = "!absent" (* the name was probed but not exported *)
 
-let resolve_dep bc store m names =
+(* An interface as it is now: its install digest and a lookup from
+   exported name to slice digest (or marker). *)
+let dep_view bc store m =
   match Source_store.def_src store m with
-  | None ->
-      { dep_name = m; dep_install = None;
-        dep_slices = List.map (fun n -> (n, marker_missing)) names }
+  | None -> (None, fun _ -> marker_missing)
   | Some _ -> (
       match Build_cache.latest_artifact bc m with
       | None ->
           (* reached interfaces always leave an artifact behind; an
              evicted one fails the equality check and forces a rebuild *)
-          { dep_name = m; dep_install = Some marker_absent;
-            dep_slices = List.map (fun n -> (n, marker_absent)) names }
+          (Some marker_absent, fun _ -> marker_absent)
       | Some a ->
-          { dep_name = m; dep_install = Some a.Artifact.a_install;
-            dep_slices =
-              List.map
-                (fun n ->
-                  (n, Option.value ~default:marker_absent (Artifact.slice a n)))
-                names })
+          ( Some a.Artifact.a_install,
+            fun n -> Option.value ~default:marker_absent (Artifact.slice a n) ))
 
 (* The dependency record of a just-compiled module: every interface the
    compilation reached (installed or compiled — their frames and
@@ -162,10 +155,15 @@ let resolve_dep bc store m names =
    digests of the names the compilation probed there. *)
 let deps_of bc store (r : Driver.result) =
   let used = r.Driver.used_slices in
+  (* first binding wins, as with List.assoc_opt *)
+  let names = Hashtbl.create (List.length used) in
+  List.iter (fun (m, ns) -> if not (Hashtbl.mem names m) then Hashtbl.replace names m ns) used;
   let reached = r.Driver.cache_hits @ r.Driver.cache_misses @ List.map fst used in
   List.map
     (fun m ->
-      resolve_dep bc store m (Option.value ~default:[] (List.assoc_opt m used)))
+      let install, slice = dep_view bc store m in
+      let probed = Option.value ~default:[] (Hashtbl.find_opt names m) in
+      { dep_name = m; dep_install = install; dep_slices = List.map (fun n -> (n, slice n)) probed })
     (List.sort_uniq compare reached)
 
 (* Re-check a stored dependency record against the interfaces as they
@@ -177,26 +175,25 @@ let check_deps bc store deps =
   let n = ref 0 in
   let rec go = function
     | [] -> Ok !n
-    | d :: rest ->
-        let now = resolve_dep bc store d.dep_name (List.map fst d.dep_slices) in
-        if now.dep_install <> d.dep_install then
+    | d :: rest -> (
+        let install, slice = dep_view bc store d.dep_name in
+        if install <> d.dep_install then
           Error
             (Printf.sprintf "interface %s changed shape (imports, frame or diagnostics)"
                d.dep_name)
-        else (
+        else
           let bad =
             List.find_opt
               (fun (name, old) ->
                 incr n;
-                List.assoc_opt name now.dep_slices <> Some old)
+                not (String.equal (slice name) old))
               d.dep_slices
           in
           match bad with
           | Some (name, old) ->
               let verb =
                 if String.equal old marker_absent then "appeared"
-                else if List.assoc_opt name now.dep_slices = Some marker_absent then
-                  "was removed"
+                else if String.equal (slice name) marker_absent then "was removed"
                 else "changed"
               in
               Error (Printf.sprintf "used slice %s.%s %s" d.dep_name name verb)
@@ -225,7 +222,11 @@ let slice_delta (old : Artifact.t) (now : Artifact.t) =
 
 let compile ?(config = Driver.default_config) ?(fine = true) ?cache
     (store : Source_store.t) : result =
-  let names = init_order store in
+  let names =
+    match cache with
+    | Some { bc; _ } -> order_by ~imports:(Build_cache.imports_of bc) store
+    | None -> init_order store
+  in
   let reuse_units = ref 0 in
   (* one fingerprint memo for the whole call: sources are fixed *)
   let fp_memo = Hashtbl.create 16 in

@@ -286,7 +286,9 @@ let run ?(capture = false) ?(trace = false) cfg store =
         (* rpc attempt/hedge legs under [fsp], from the outcome's event
            offsets: an attempt leg closes at its timeout, the winner at
            serve time ("ok"), a raced loser "late", a hedge that never
-           answered closes at the fetch's end ("timeout") *)
+           answered closes at the fetch's end ("timeout").  Legs live
+           inside the fetch: a primary retry the planner schedules after
+           a hedge already won is never sent, so it opens no leg *)
         let rpc_legs fsp snote ~base (outcome : Remote.outcome) =
           let open_legs : (int, int) Hashtbl.t = Hashtbl.create 4 in
           (* key: attempt number, 0 = hedge *)
@@ -324,7 +326,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
                       close k at status)
                     (List.sort compare keys)
               | _ -> ())
-            outcome.Remote.events;
+            (List.filter (fun (dt, _) -> dt <= outcome.Remote.elapsed) outcome.Remote.events);
           let keys = Hashtbl.fold (fun k _ acc -> k :: acc) open_legs [] in
           List.iter (fun k -> close k (base +. outcome.Remote.elapsed) "timeout") (List.sort compare keys)
         in

@@ -277,20 +277,19 @@ let test_project_warm_output_runs () =
 
 (* --- on-disk persistence --- *)
 
-let temp_cache_dir () =
-  let f = Filename.temp_file "mcc-cache" "" in
-  Sys.remove f;
-  f (* Build_cache.save creates the directory *)
-
-let test_disk_round_trip () =
-  let dir = temp_cache_dir () in
+let with_cache_dir f =
+  let dir = Filename.temp_file "mcc-cache" "" in
+  Sys.remove dir (* Build_cache.save creates the directory *);
   Fun.protect
     ~finally:(fun () ->
       if Sys.file_exists dir then begin
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
         Sys.rmdir dir
       end)
-    (fun () ->
+    (fun () -> f dir)
+
+let test_disk_round_trip () =
+  with_cache_dir (fun dir ->
       let cold = Driver.compile (sample_store ()) in
       let c1 = Build_cache.create ~dir () in
       ignore (Driver.compile ~cache:c1 (sample_store ()));
@@ -305,7 +304,79 @@ let test_disk_round_trip () =
       Alcotest.(check (list string)) "identical diagnostics"
         (diag_strings cold.Driver.diags) (diag_strings warm.Driver.diags))
 
+(* A result stored over a key that was loaded from disk replaces the
+   loaded entry's payload: the next save must write the new result, not
+   the bytes it was loaded from. *)
+let test_memo_store_over_loaded_key () =
+  with_cache_dir (fun dir ->
+      let bc = Build_cache.create ~dir () in
+      let m1 = Build_cache.memo () in
+      Build_cache.store_module m1 ~name:"M" ~key:"k" "old";
+      Build_cache.save_memo bc m1;
+      let m2 = Build_cache.memo () in
+      Build_cache.load_memo bc m2;
+      Alcotest.(check (option string)) "loaded" (Some "old") (Build_cache.find_module m2 "k");
+      Build_cache.store_module m2 ~name:"M" ~key:"k" "new";
+      Build_cache.save_memo bc m2;
+      let m3 = Build_cache.memo () in
+      Build_cache.load_memo bc m3;
+      Alcotest.(check (option string)) "reloaded entry is the new one" (Some "new")
+        (Build_cache.find_module m3 "k"))
+
+(* Loading and saving again with nothing stored in between (a no-op
+   `m2c build`) rewrites the memo file byte for byte. *)
+let test_memo_resave_identical () =
+  with_cache_dir (fun dir ->
+      let c1 = Project.cache ~dir () in
+      ignore (Project.compile ~cache:c1 (project_store ()));
+      Project.save c1;
+      let file = Filename.concat dir "modules.bin" in
+      let first = Tutil.read_file file in
+      let c2 = Project.cache ~dir () in
+      let r = Project.compile ~cache:c2 (project_store ()) in
+      Alcotest.(check (list string)) "no-op build recompiles nothing" [] r.Project.recompiled;
+      Project.save c2;
+      Alcotest.(check bool) "modules.bin byte-identical" true (String.equal first (Tutil.read_file file)))
+
 (* --- the charge-free import scan agrees with the real importer --- *)
+
+let importer_scan src =
+  let seen = Hashtbl.create 8 and real = ref [] in
+  Mcc_core.Stream.run_importer
+    ~rd:(Mcc_m2.Reader.of_lexer (Mcc_m2.Lexer.create ~file:"x" src))
+    ~on_import:(fun m ->
+      if not (Hashtbl.mem seen m) then begin
+        Hashtbl.replace seen m ();
+        real := m :: !real
+      end);
+  List.rev !real
+
+let test_imports_first_occurrence () =
+  let src =
+    "IMPLEMENTATION MODULE T;\nIMPORT A, B, A; FROM B IMPORT x; IMPORT C;\nBEGIN\nEND T.\n"
+  in
+  let cache = Build_cache.create () in
+  Alcotest.(check (list string)) "imports_of" [ "A"; "B"; "C" ] (Build_cache.imports_of cache src);
+  Alcotest.(check (list string)) "importer agrees" [ "A"; "B"; "C" ] (importer_scan src)
+
+(* every module source under corpus/, edit variants included; expect/
+   holds goldens *)
+let test_scan_matches_importer_corpus () =
+  let rec sources dir =
+    Array.to_list (Sys.readdir dir)
+    |> List.concat_map (fun f ->
+           let path = Filename.concat dir f in
+           if Sys.is_directory path then if f = "expect" then [] else sources path
+           else if Tutil.contains ~sub:".mod" f || Tutil.contains ~sub:".def" f then [ path ]
+           else [])
+  in
+  let files = sources (Lazy.force Tutil.corpus_dir) in
+  Alcotest.(check bool) "corpus has sources" true (List.length files > 20);
+  List.iter
+    (fun path ->
+      let src = Tutil.read_file path in
+      Alcotest.(check (list string)) path (importer_scan src) (Build_cache.scan_imports src))
+    files
 
 let prop_scan_matches_importer =
   QCheck.Test.make ~name:"fingerprint import scan == importer task scan" ~count:10
@@ -335,11 +406,8 @@ let prop_scan_matches_importer =
       in
       List.for_all
         (fun src ->
-          let real = ref [] in
-          Mcc_core.Stream.run_importer
-            ~rd:(Mcc_m2.Reader.of_lexer (Mcc_m2.Lexer.create ~file:"x" src))
-            ~on_import:(fun m -> if not (List.mem m !real) then real := m :: !real);
-          List.rev !real = Build_cache.imports_of cache src)
+          let real = importer_scan src in
+          real = Build_cache.scan_imports src && real = Build_cache.imports_of cache src)
         sources)
 
 let () =
@@ -369,6 +437,16 @@ let () =
           Alcotest.test_case "warm program runs" `Quick test_project_warm_output_runs;
         ] );
       ( "persistence",
-        [ Alcotest.test_case "disk round trip" `Quick test_disk_round_trip ] );
-      ("scanner", [ Tutil.qtest prop_scan_matches_importer ]);
+        [
+          Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
+          Alcotest.test_case "memo store over a loaded key" `Quick test_memo_store_over_loaded_key;
+          Alcotest.test_case "memo resave byte-identical" `Quick test_memo_resave_identical;
+        ] );
+      ( "scanner",
+        [
+          Tutil.qtest prop_scan_matches_importer;
+          Alcotest.test_case "first occurrence, no repeats" `Quick test_imports_first_occurrence;
+          Alcotest.test_case "corpus sources match the importer" `Quick
+            test_scan_matches_importer_corpus;
+        ] );
     ]

@@ -11,13 +11,7 @@
 module Zoo = Mcc_zoo.Zoo
 module Manifest = Mcc_zoo.Manifest
 
-let corpus_dir =
-  lazy
-    (match
-       List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d) [ "../corpus"; "corpus" ]
-     with
-    | Some d -> d
-    | None -> Alcotest.fail "corpus/ not found next to the test directory")
+let corpus_dir = Tutil.corpus_dir
 
 let check_outcome (o : Zoo.outcome) =
   match o.Zoo.o_failures with

@@ -257,27 +257,37 @@ let farm_fault_menu =
     "node-crash:node1@1,node-slow:node0!";
   |]
 
+let farm_fault_forest seed =
+  let cfg =
+    {
+      Farm.default_config with
+      Farm.nodes = 2 + (seed mod 3);
+      faults = Fault.parse_list farm_fault_menu.(seed mod Array.length farm_fault_menu);
+      fault_seed = seed;
+      seed = seed / 7;
+    }
+  in
+  forest_of_farm (farm_traced ~cfg ())
+
 let prop_farm_forest_valid =
   QCheck.Test.make ~name:"farm: span forest valid under random fault plans" ~count:6
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let cfg =
-        {
-          Farm.default_config with
-          Farm.nodes = 2 + (seed mod 3);
-          faults = Fault.parse_list farm_fault_menu.(seed mod Array.length farm_fault_menu);
-          fault_seed = seed;
-          seed = seed / 7;
-        }
-      in
-      let r = farm_traced ~cfg () in
-      let t = forest_of_farm r in
-      match Dtrace.validate t with
+      match Dtrace.validate (farm_fault_forest seed) with
       | Ok () -> true
       | Error e ->
           QCheck.Test.fail_reportf "seed %d (%s): %s" seed
             farm_fault_menu.(seed mod Array.length farm_fault_menu)
             e)
+
+(* Regression: under node-crash:node0@2,msg-drop%30 a hedge wins a fetch
+   while the primary's retry loop still plans attempt 2 after it; that
+   retry is never sent and must not open an rpc leg past the fetch. *)
+let test_farm_hedge_then_retry () =
+  let seed = 312428 in
+  Alcotest.(check string) "fault plan" "node-crash:node0@2,msg-drop%30"
+    farm_fault_menu.(seed mod Array.length farm_fault_menu);
+  check_valid "forest validates" (farm_fault_forest seed)
 
 (* --- chrome nested export ------------------------------------------ *)
 
@@ -310,6 +320,7 @@ let () =
           Alcotest.test_case "critpath sums" `Quick test_farm_critpath_sums;
           Alcotest.test_case "tracing is free" `Quick test_farm_trace_is_free;
           Alcotest.test_case "crash spans" `Quick test_farm_crash_spans;
+          Alcotest.test_case "hedge win cancels later retries" `Quick test_farm_hedge_then_retry;
         ] );
       ( "properties",
         [ Tutil.qtest prop_serve_forest_valid; Tutil.qtest prop_farm_forest_valid ] );

@@ -172,19 +172,8 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let corpus_dir =
-  lazy
-    (match
-       List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d) [ "../corpus"; "corpus" ]
-     with
-    | Some d -> d
-    | None -> Alcotest.fail "corpus/ not found next to the test directory")
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let corpus_dir = Tutil.corpus_dir
+let read_file = Tutil.read_file
 
 let test_golden_fixpoint () =
   let src = Filename.concat (Lazy.force corpus_dir) "signature-edit" in

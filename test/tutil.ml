@@ -51,6 +51,18 @@ let expect_error ?defs ?name src substr =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The repository's corpus/: `dune runtest` runs a test one level below
+   the root, `dune exec` from the root itself. *)
+let corpus_dir =
+  lazy
+    (match
+       List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d) [ "../corpus"; "corpus" ]
+     with
+    | Some d -> d
+    | None -> Alcotest.fail "corpus/ not found next to the test directory")
+
 (* ------------------------------------------------------------------ *)
 (* Parser-callback capture, for pretty round-trip fixpoint tests. *)
 
