@@ -236,6 +236,237 @@ let test_module_body_statements_order () =
   check_out "sequencing" "abc"
     (body "WriteChar('a'); WriteChar('b'); WriteChar('c')")
 
+(* ------------------------------------------------------------------ *)
+(* Pinned observations: every field of [Vm.result] for a fixed set of
+   compiled programs.  A faster machine must leave each one unchanged. *)
+
+let repo_file path = read_file (repo_path path)
+
+let kernel_store name =
+  Mcc_core.Source_store.make ~main_name:name
+    ~main_src:(repo_file ("benchmark/kernels/" ^ name ^ ".mod"))
+    ~defs:[] ()
+
+let sieve_example_store () =
+  Mcc_core.Source_store.make ~main_name:"Sieve" ~main_src:(repo_file "examples/Sieve.mod")
+    ~defs:[ ("MathBits", repo_file "examples/MathBits.def") ]
+    ~impls:[ ("MathBits", repo_file "examples/MathBits.mod") ]
+    ()
+
+(* name, store, ReadInt input, fuel; then the expected output, status,
+   steps and store digest *)
+let pinned () =
+  let finished = "finished" in
+  [
+    ( ("Fib", kernel_store "Fib", [ 15; 1000 ], None),
+      ("610\n", finished, 21707, "e3d551a81c99f393883322c1ee0444c2") );
+    ( ("Sieve", kernel_store "Sieve", [ 3000 ], None),
+      ("430 593823\n", finished, 156669, "04c6c9fb105dfa62a3c0be7df18a6d2a") );
+    ( ("MatMul", kernel_store "MatMul", [ 6; 12345 ], None),
+      ("621510598\n", finished, 9350, "c96bd0ef4021af2df2146eef30832180") );
+    ( ("Lists", kernel_store "Lists", [ 300; 777 ], None),
+      ("22647156 996\n", finished, 26796, "a581029cf2e4bb0b5eb72ed0894a8e38") );
+    ( ("Raise", kernel_store "Raise", [ 300; 17 ], None),
+      ("69044 206 60\n", finished, 11758, "a32d868b8fa06f042adfb4c9df083003") );
+    ( ("Shapes", kernel_store "Shapes", [ 10; 4242 ], None),
+      ("256830 36\n", finished, 39412, "76700d3657ee854d2ddd23bce6807908") );
+    ( ("examples/Sieve", sieve_example_store (), [], None),
+      ( "primes below 64: 18\neven count\nsquare of count: 324\n",
+        finished,
+        3390,
+        "d68f9796046106fd2dfda415cdd3a790" ) );
+    ( ("Sieve past Max", kernel_store "Sieve", [ 40001 ], None),
+      ( "",
+        "trap: array index 40001 out of range [0..40000]",
+        520027,
+        "b74a6672e0e0254102bbd3a42229bbc0" ) );
+    ( ("Fib out of fuel", kernel_store "Fib", [ 25; 1000 ], Some 20_000),
+      ( "",
+        "trap: execution fuel exhausted (possible infinite loop)",
+        20000,
+        "1c6f5a3439906ff27a0272083f6db931" ) );
+  ]
+
+let test_pinned_observations () =
+  List.iter
+    (fun ((name, store, input, fuel), (output, status, steps, digest)) ->
+      let r = Mcc_core.Project.compile store in
+      if not r.Mcc_core.Project.ok then Alcotest.failf "%s does not compile" name;
+      let res = Mcc_vm.Vm.run ?fuel ~input r.Mcc_core.Project.program in
+      let field f = name ^ ": " ^ f in
+      Alcotest.(check string) (field "output") output res.Mcc_vm.Vm.output;
+      Alcotest.(check string) (field "status") status (Mcc_vm.Vm.status_to_string res.Mcc_vm.Vm.status);
+      Alcotest.(check int) (field "steps") steps res.Mcc_vm.Vm.steps;
+      Alcotest.(check string) (field "store_digest") digest res.Mcc_vm.Vm.store_digest)
+    (pinned ())
+
+(* ------------------------------------------------------------------ *)
+(* Stack discipline, on hand-assembled units: every activation owns only
+   the operands it pushed, TRY records restore the right height, and
+   unresolvable references trap only when executed. *)
+
+module I = Mcc_codegen.Instr
+module Vm = Mcc_vm.Vm
+
+let int n = I.Const (Mcc_sem.Value.VInt n)
+let bool b = I.Const (Mcc_sem.Value.VBool b)
+let call key n = I.Call (key, n, I.LinkNone)
+let write_int = I.Builtin (I.OWriteInt, 1)
+
+(* The module "M": its body is the unit "M", its global frame holds one
+   EXCEPTION ("M.e") in slot 0.  Each unit is (key, params, slots, code). *)
+let run_units units =
+  let unit (key, nparams, nslots, code) =
+    {
+      Mcc_codegen.Cunit.u_key = key;
+      u_nparams = nparams;
+      u_nslots = nslots;
+      u_locals = [];
+      u_code = Array.of_list code;
+    }
+  in
+  Vm.run
+    (Mcc_codegen.Cunit.link ~entry:"M"
+       ~frames:[ ("M", [ (0, Mcc_codegen.Tydesc.DExc "M.e") ], 1) ]
+       (List.map unit units))
+
+let expect name ~output ~status units =
+  let r = run_units units in
+  Alcotest.(check string) (name ^ ": status") status (Vm.status_to_string r.Vm.status);
+  Alcotest.(check string) (name ^ ": output") output r.Vm.output
+
+let underflow_in key = "trap: evaluation stack underflow in " ^ key
+
+let test_underflow_names_unit () =
+  expect "pop" ~output:"" ~status:(underflow_in "M") [ ("M", 0, 0, [ I.Pop; I.Ret ]) ];
+  expect "callee cannot pop its caller's operands" ~output:""
+    ~status:(underflow_in "M.P")
+    [ ("M", 0, 0, [ int 1; int 2; call "M.P" 0; I.Ret ]); ("M.P", 0, 0, [ I.Pop; I.Ret ]) ];
+  expect "call with too few arguments" ~output:"" ~status:(underflow_in "M")
+    [ ("M", 0, 0, [ int 1; call "M.P" 2; I.Ret ]); ("M.P", 2, 2, [ I.Ret ]) ];
+  expect "CallPtr with no callee value" ~output:"" ~status:(underflow_in "M")
+    [ ("M", 0, 0, [ int 1; I.CallPtr 1; I.Ret ]) ];
+  expect "dup on empty stack" ~output:"" ~status:"trap: dup on empty stack"
+    [ ("M", 0, 0, [ int 1; call "M.P" 0; I.Ret ]); ("M.P", 0, 0, [ I.Dup; I.Ret ]) ];
+  expect "range check on empty stack" ~output:"" ~status:"trap: range check on empty stack"
+    [ ("M", 0, 0, [ int 1; call "M.P" 0; I.Ret ]); ("M.P", 0, 0, [ I.RangeCheck (0, 9); I.Ret ]) ]
+
+(* [bad] sits behind a branch on [take]; untaken, the program prints 7. *)
+let test_unresolved_traps_when_executed () =
+  let guarded take bad =
+    let skip = I.JumpIfNot (2 + List.length bad) in
+    [ ("M", 0, 0, [ bool take; skip ] @ bad @ [ int 7; write_int; I.Ret ]) ]
+  in
+  List.iter
+    (fun (name, bad, trap) ->
+      expect (name ^ ", branch not taken") ~output:"7" ~status:"finished" (guarded false bad);
+      expect (name ^ ", branch taken") ~output:"" ~status:("trap: " ^ trap) (guarded true bad))
+    [
+      ( "unknown frame",
+        [ I.LoadGlobal ("Nowhere", 0) ],
+        "reference to unknown module frame Nowhere" );
+      ( "unknown frame store",
+        [ int 1; I.StoreGlobal ("Nowhere", 0) ],
+        "reference to unknown module frame Nowhere" );
+      ( "missing callee",
+        [ call "M.Missing" 0 ],
+        "call to external procedure M.Missing (not compiled in this unit)" );
+      ( "missing procedure value target",
+        [ I.ProcConst "M.Gone"; I.CallPtr 0 ],
+        "call through procedure value to external M.Gone" );
+    ]
+
+(* M -> A -> B -> C, each with operands pending, C raises M.e; the TRY in
+   M catches it with exactly M's own operands below the exception. *)
+let test_exception_unwinds_pending_operands () =
+  expect "caught three calls deep" ~output:"1001 20" ~status:"finished"
+    [
+      ( "M",
+        0,
+        0,
+        [
+          int 1000;
+          int 1;
+          I.Try 8;
+          int 5;
+          call "M.A" 0;
+          I.AddI;
+          I.EndTry;
+          I.CaseError;
+          (* 8: handler, stack [1000; 1; exc] *)
+          I.LoadGlobal ("M", 0);
+          I.Cmp I.REq;
+          I.JumpIfNot 7;
+          I.AddI;
+          write_int;
+          I.Const (Mcc_sem.Value.VChar ' ');
+          I.Builtin (I.OWriteChar, 1);
+          int 10;
+          call "M.Dbl" 1;
+          write_int;
+          I.Ret;
+        ] );
+      ("M.A", 0, 0, [ int 2; int 3; call "M.B" 1; I.AddI; I.RetVal ]);
+      ("M.B", 1, 1, [ I.LoadLocal 0; int 4; call "M.C" 0; I.AddI; I.AddI; I.RetVal ]);
+      ("M.C", 0, 0, [ int 9; int 8; I.LoadGlobal ("M", 0); I.RaiseI ]);
+      ("M.Dbl", 1, 1, [ I.LoadLocal 0; I.LoadLocal 0; I.AddI; I.RetVal ]);
+    ]
+
+(* RETURN inside a TRY discards the callee's handler: a later RAISE in
+   the caller reaches the caller's own TRY, or escapes without one. *)
+let test_return_inside_try () =
+  let p = ("M.P", 0, 0, [ I.Try 3; int 42; I.RetVal; I.Pop; int 0; I.RetVal ]) in
+  expect "caller's handler" ~output:"42 7" ~status:"finished"
+    [
+      ( "M",
+        0,
+        0,
+        [
+          I.Try 8;
+          call "M.P" 0;
+          write_int;
+          I.Const (Mcc_sem.Value.VChar ' ');
+          I.Builtin (I.OWriteChar, 1);
+          I.LoadGlobal ("M", 0);
+          I.RaiseI;
+          I.Ret;
+          (* 8: handler *)
+          I.Pop;
+          int 7;
+          write_int;
+          I.Ret;
+        ] );
+      p;
+    ];
+  expect "no handler left" ~output:"42" ~status:"uncaught exception M.e"
+    [ ("M", 0, 0, [ call "M.P" 0; write_int; I.LoadGlobal ("M", 0); I.RaiseI ]); p ]
+
+(* Sum(n) = n + Sum(n - 1): one pending operand per frame, 10k frames. *)
+let test_deep_recursion_grows_stack () =
+  expect "recursion 10000 deep" ~output:"50005000" ~status:"finished"
+    [
+      ("M", 0, 0, [ int 10000; call "M.Sum" 1; write_int; I.Ret ]);
+      ( "M.Sum",
+        1,
+        1,
+        [
+          I.LoadLocal 0;
+          int 0;
+          I.Cmp I.REq;
+          I.JumpIfNot 6;
+          int 0;
+          I.RetVal;
+          (* 6 *)
+          I.LoadLocal 0;
+          I.LoadLocal 0;
+          int 1;
+          I.SubI;
+          call "M.Sum" 1;
+          I.AddI;
+          I.RetVal;
+        ] );
+    ]
+
 let () =
   Alcotest.run "vm_more"
     [
@@ -277,5 +508,16 @@ let () =
           Alcotest.test_case "ABS on subrange" `Quick test_abs_on_subrange;
           Alcotest.test_case "deep recursion" `Quick test_deep_call_chain;
           Alcotest.test_case "body sequencing" `Quick test_module_body_statements_order;
+        ] );
+      ("observations", [ Alcotest.test_case "pinned programs" `Quick test_pinned_observations ]);
+      ( "stack discipline",
+        [
+          Alcotest.test_case "underflow names the unit" `Quick test_underflow_names_unit;
+          Alcotest.test_case "unresolved traps when executed" `Quick
+            test_unresolved_traps_when_executed;
+          Alcotest.test_case "exception unwinds pending operands" `Quick
+            test_exception_unwinds_pending_operands;
+          Alcotest.test_case "RETURN inside TRY" `Quick test_return_inside_try;
+          Alcotest.test_case "deep recursion grows the stack" `Quick test_deep_recursion_grows_stack;
         ] );
     ]

@@ -53,15 +53,14 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* The repository's corpus/: `dune runtest` runs a test one level below
-   the root, `dune exec` from the root itself. *)
-let corpus_dir =
-  lazy
-    (match
-       List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d) [ "../corpus"; "corpus" ]
-     with
-    | Some d -> d
-    | None -> Alcotest.fail "corpus/ not found next to the test directory")
+(* A path from the repository root: `dune runtest` runs a test one level
+   below the root, `dune exec` from the root itself. *)
+let repo_path path =
+  match List.find_opt Sys.file_exists [ Filename.concat ".." path; path ] with
+  | Some p -> p
+  | None -> Alcotest.failf "%s not found next to the test directory" path
+
+let corpus_dir = lazy (repo_path "corpus")
 
 (* ------------------------------------------------------------------ *)
 (* Parser-callback capture, for pretty round-trip fixpoint tests. *)
