@@ -34,6 +34,21 @@ module Ls = Mcc_sem.Lookup_stats
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
+let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt
+
+(* BENCH_SAMPLE=n selects an experiment's reduced configuration. *)
+let sample () = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt
+
+(* Validate a JSON artifact, write it and report its size; a document
+   that fails validation exits nonzero before anything is written. *)
+let write_artifact path doc =
+  let text = Mcc_obs.Json.to_string doc ^ "\n" in
+  (match Mcc_obs.Json.validate text with
+  | Ok () -> ()
+  | Error e -> fail "%s does not validate: %s" path e);
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  say "wrote %s (%d bytes)" path (String.length text)
+
 let header title =
   say "";
   say "================================================================";
@@ -443,7 +458,6 @@ type incr_acc = {
 
 let incr_fine () =
   header "Fine-grained incremental builds (BENCH_incr.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let module J = Mcc_obs.Json in
   let module Gen = Mcc_synth.Gen in
   let all = List.mapi (fun i s -> (i, s)) (Suite.all ()) in
@@ -451,7 +465,7 @@ let incr_fine () =
     List.filter (fun (_, s) -> List.length (Source_store.def_names s) >= 2) all
   in
   let n_programs, edits_per =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
+    match sample () with
     | Some n when n > 0 ->
         say "BENCH_SAMPLE=%d: sampling %d multi-interface programs, 6 edits each" n
           (min n (List.length projects));
@@ -572,12 +586,7 @@ let incr_fine () =
         ("divergences", J.Int !divergences);
       ]
   in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_incr.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_incr.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_incr.json (%d bytes)" (String.length text)
+  write_artifact "BENCH_incr.json" doc
 
 let contains s sub =
   let n = String.length sub and m = String.length s in
@@ -730,10 +739,9 @@ let micro () =
    Schema or invariant failures exit nonzero so CI fails loudly. *)
 let speedup_artifacts () =
   header "Speedup + critical-path artifacts (BENCH_speedup.json, BENCH_critpath.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let all = Suite.all () in
   let stores =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
+    match sample () with
     | Some n when n > 0 && n < List.length all ->
         say "BENCH_SAMPLE=%d: sampling first %d of %d suite programs" n n (List.length all);
         List.filteri (fun i _ -> i < n) all
@@ -786,15 +794,8 @@ let speedup_artifacts () =
         ("profile", Mcc_obs.Profile.to_json_value profile);
       ]
   in
-  List.iter
-    (fun (path, doc) ->
-      let text = J.to_string doc ^ "\n" in
-      (match J.validate text with
-      | Ok () -> ()
-      | Error e -> fail "%s does not validate: %s" path e);
-      Out_channel.with_open_text path (fun oc -> output_string oc text);
-      say "wrote %s (%d bytes)" path (String.length text))
-    [ ("BENCH_speedup.json", speedup_doc); ("BENCH_critpath.json", critpath_doc) ];
+  write_artifact "BENCH_speedup.json" speedup_doc;
+  write_artifact "BENCH_critpath.json" critpath_doc;
   say "attribution tiles end-to-end time: ok"
 
 (* Conformance artifact (BENCH_conformance.json): a clean differential
@@ -805,10 +806,9 @@ let speedup_artifacts () =
    budget for the CI quick configuration. *)
 let conformance () =
   header "Conformance harness (BENCH_conformance.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let module C = Mcc_check.Check in
   let budget =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
+    match sample () with
     | Some n when n > 0 ->
         let b = max 8 n in
         say "BENCH_SAMPLE=%d: clean-pass budget reduced to %d checks" n b;
@@ -865,12 +865,7 @@ let conformance () =
             ] );
       ]
   in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_conformance.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_conformance.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_conformance.json (%d bytes)" (String.length text)
+  write_artifact "BENCH_conformance.json" doc
 
 (* Compile-server benchmark (BENCH_serve.json): sustained throughput and
    tail latency of the long-lived build service.  Four measurements:
@@ -889,13 +884,12 @@ let conformance () =
    Gate failures exit nonzero. *)
 let serve_bench () =
   header "Compile server (BENCH_serve.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let module J = Mcc_obs.Json in
   let module Srv = Mcc_serve.Server in
   let module Traffic = Mcc_serve.Traffic in
   let module Pol = Mcc_serve.Queue in
   let matrix_jobs =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
+    match sample () with
     | Some n when n > 0 ->
         let j = max 24 (min 120 (n * 12)) in
         say "BENCH_SAMPLE=%d: capacity matrix reduced to %d jobs per cell" n j;
@@ -1146,12 +1140,7 @@ let serve_bench () =
         ("eviction", report_json er);
       ]
   in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_serve.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_serve.json (%d bytes)" (String.length text)
+  write_artifact "BENCH_serve.json" doc
 
 (* Sharded build farm benchmark (BENCH_farm.json).  Four measurements
    over one def-heavy suite program: (1) a scaling matrix
@@ -1170,12 +1159,11 @@ let serve_bench () =
    trims the matrices.  Gate failures exit nonzero. *)
 let farm_bench () =
   header "Sharded build farm (BENCH_farm.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let module J = Mcc_obs.Json in
   let module Farm = Mcc_farm.Farm in
   let module Netsim = Mcc_farm.Netsim in
   let scaling_tolerance = 1.35 in
-  let sample = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt <> None in
+  let sample = sample () <> None in
   let rank = if sample then 3 else 17 in
   if sample then say "BENCH_SAMPLE: suite rank %d, reduced matrices" rank;
   let store = Suite.program rank in
@@ -1315,12 +1303,7 @@ let farm_bench () =
         ("determinism", J.Obj [ ("inject", J.Str det_spec); ("identical", J.Bool true) ]);
       ]
   in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_farm.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_farm.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_farm.json (%d bytes)" (String.length text)
+  write_artifact "BENCH_farm.json" doc
 
 (* Distributed tracing benchmark (BENCH_trace.json).  Three gated
    cells.  (1) Serve: a traced server run whose span forest must
@@ -1339,7 +1322,6 @@ let farm_bench () =
    nonzero. *)
 let trace_bench () =
   header "Distributed tracing (BENCH_trace.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let module J = Mcc_obs.Json in
   let module Dtrace = Mcc_obs.Dtrace in
   let module Slo = Mcc_obs.Slo in
@@ -1347,7 +1329,7 @@ let trace_bench () =
   let module Traffic = Mcc_serve.Traffic in
   let module Farm = Mcc_farm.Farm in
   let spu = Mcc_sched.Costs.seconds_per_unit in
-  let sample = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt <> None in
+  let sample = sample () <> None in
   let serve_jobs = if sample then 16 else 48 in
   if sample then say "BENCH_SAMPLE: %d serve jobs, reduced cells" serve_jobs;
   (* --- serve cell: validation + deterministic exports ---------------- *)
@@ -1497,12 +1479,7 @@ let trace_bench () =
             ] );
       ]
   in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_trace.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_trace.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_trace.json (%d bytes)" (String.length text)
+  write_artifact "BENCH_trace.json" doc
 
 (* Workload-zoo benchmark (BENCH_zoo.json).  Four gated sections.
    (1) Corpus: every scenario directory replays clean through its
@@ -1520,12 +1497,11 @@ let trace_bench () =
    the reduced counts. *)
 let zoo_bench () =
   header "Workload zoo: corpus, adversarial shapes, scaling knees (BENCH_zoo.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
   let module J = Mcc_obs.Json in
   let module Zoo = Mcc_zoo.Zoo in
   let module Shapes = Mcc_zoo.Shapes in
   let module Scale = Mcc_zoo.Scale in
-  let sample = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt <> None in
+  let sample = sample () <> None in
   if sample then say "BENCH_SAMPLE: default shapes only, reduced scale counts";
   let check_clean what (o : Zoo.outcome) =
     List.iter (fun f -> say "  %s" (Zoo.failure_to_string f)) o.Zoo.o_failures;
@@ -1620,12 +1596,7 @@ let zoo_bench () =
           J.Obj [ ("scale_identical", J.Bool true); ("shapes_identical", J.Bool true) ] );
       ]
   in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_zoo.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_zoo.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_zoo.json (%d bytes)" (String.length text)
+  write_artifact "BENCH_zoo.json" doc
 
 let experiments =
   [

@@ -1,6 +1,6 @@
 (* The happens-before checker.
 
-   Replays a structured concurrency event log (Mcc_sched.Evlog) captured
+   Replays a structured concurrency event log (Mcc_obs.Evlog) captured
    from a DES run and verifies the ordering invariants the paper's
    correctness argument rests on (§2.3.3).  The DES engine is single-
    threaded, so the log's sequence numbers are the true execution order;
@@ -32,7 +32,7 @@
    The checker is a pure function of the log: it never touches the
    compiler, so it can also be exercised on hand-built logs in tests. *)
 
-open Mcc_sched
+module Evlog = Mcc_obs.Evlog
 
 type violation =
   | Observe_before_publish of { scope : int; scope_name : string; sym : string; observe_seq : int }

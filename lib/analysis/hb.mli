@@ -1,6 +1,6 @@
 (** The happens-before checker.
 
-    Replays a structured concurrency event log ({!Mcc_sched.Evlog})
+    Replays a structured concurrency event log ({!Mcc_obs.Evlog})
     captured from a DES run and verifies the ordering invariants of
     paper §2.3.3: observations follow publications, scopes never publish
     after completing (nor contradict an authoritative miss), DKY blocks
@@ -80,7 +80,7 @@ type report = {
   n_reshards : int;  (** [Farm_reshard] records *)
 }
 
-val check : Mcc_sched.Evlog.record array -> report
+val check : Mcc_obs.Evlog.record array -> report
 val ok : report -> bool
 val violation_to_string : violation -> string
 

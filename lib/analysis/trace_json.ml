@@ -11,6 +11,7 @@
    scaled by Costs.seconds_per_unit). *)
 
 open Mcc_sched
+module Evlog = Mcc_obs.Evlog
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -88,9 +89,10 @@ let export ?(names : (int * string) list = []) ?(log : Evlog.record array = [||]
 
 (* Nested export of an assembled distributed-trace forest.
 
-   The old single-engine [export] cannot see engines run under
-   [Evlog.suspend] at all, and flattening several captured engines into
-   one lane would interleave their restarted clocks.  This export works
+   The single-engine [export] renders one log, but a serve or farm run
+   keeps each inner engine's log apart (every compile records into its
+   own context, on a clock restarted at 0), and flattening several such
+   logs into one lane would interleave those clocks.  This export works
    from the [Dtrace] forest instead, where [Dtrace.assemble] has already
    rebased every inner engine onto the outer virtual-time axis:
 

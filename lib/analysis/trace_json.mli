@@ -13,7 +13,7 @@
     records (injections, retries, quarantines, watchdog rescues) are
     added as global instant events. *)
 val export :
-  ?names:(int * string) list -> ?log:Mcc_sched.Evlog.record array -> Mcc_sched.Trace.t -> string
+  ?names:(int * string) list -> ?log:Mcc_obs.Evlog.record array -> Mcc_sched.Trace.t -> string
 
 (** [export_spans ~sec_per_unit forest] renders an assembled
     distributed-trace forest ([Mcc_obs.Dtrace.assemble]) as correctly

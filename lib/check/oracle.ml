@@ -80,11 +80,9 @@ let run_cell ?input ?plant ~run ~reference store c =
         (match plant with
         | Some (Tamper_cache name) ->
             Build_cache.tamper cache ~name;
-            Build_cache.set_verification false
+            Build_cache.disable_verification cache
         | None -> ());
-        Fun.protect
-          ~finally:(fun () -> Build_cache.set_verification true)
-          (fun () -> Observation.of_driver ?input ~run (Driver.compile ~config ~cache store))
+        Observation.of_driver ?input ~run (Driver.compile ~config ~cache store)
   in
   match Observation.first_diff ~reference obs with
   | None -> None

@@ -31,6 +31,7 @@
 
 open Mcc_m2
 open Mcc_sched
+module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
 (* v3: Driver.result (persisted inside module-memo entries) grew the
@@ -167,6 +168,7 @@ type t = {
   mutable invalidations : int;
   mutable evictions : int; (* entries dropped by the size bound *)
   mutable corrupt : int; (* artifacts dropped by digest verification *)
+  mutable verify : bool; (* probe-time digest verification; see [disable_verification] *)
 }
 
 (* An artifact's charge against the size bound is its marshaled size —
@@ -281,6 +283,7 @@ let create ?dir ?cap_bytes () =
       invalidations = 0;
       evictions = 0;
       corrupt = 0;
+      verify = true;
     }
   in
   Option.iter (load t) dir;
@@ -351,12 +354,11 @@ let interface_fp t ~memo ~store name =
   let fp = go name in
   (fp, !units)
 
-(* Probe-time digest verification can be disabled — only by the
-   conformance harness, which plants a tampered artifact and proves the
-   differential oracle catches what verification would have
+(* Probe-time digest verification can be disabled on one cache — only
+   by the conformance harness, which plants a tampered artifact and
+   proves the differential oracle catches what verification would have
    (test_check.ml's canary).  Production paths never touch this. *)
-let verification = ref true
-let set_verification on = verification := on
+let disable_verification t = t.verify <- false
 
 (* Corrupt the stored artifact for [name] in place: prepend a bogus
    replayed diagnostic without recomputing the payload digest.  With
@@ -398,7 +400,7 @@ let find_interface t ~fp =
     | Some a ->
         let injected = Fault.armed () && Fault.corrupt_artifact ~name:a.Artifact.a_name in
         if
-          !verification
+          t.verify
           && (injected || fp <> a.Artifact.a_fingerprint || not (Artifact.verify a))
         then begin
           if injected && Evlog.enabled () then
@@ -559,7 +561,6 @@ let memo_enforce_cap m ~keep =
               (fun n k -> if k = key then Hashtbl.remove m.latest_key n)
               (Hashtbl.copy m.latest_key);
             m.mevictions <- m.mevictions + 1;
-            if Metrics.enabled () then Metrics.incr "mcc_memo_evict_total";
             continue_ := Hashtbl.length m.modules > cap
       done
 

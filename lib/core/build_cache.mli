@@ -96,11 +96,11 @@ val corrupt_count : t -> int
     Used only by the differential conformance harness ({!Mcc_check}) to
     prove its oracle catches real corruption: {!tamper} plants a bogus
     replayed diagnostic in the stored artifact for [name] without
-    updating the payload digest, and {!set_verification} [false]
-    disables probe-time digest verification so the tampering installs
-    instead of healing.  Always restore verification afterwards. *)
+    updating the payload digest, and {!disable_verification} turns off
+    probe-time digest verification on that one cache so the tampering
+    installs instead of healing. *)
 
-val set_verification : bool -> unit
+val disable_verification : t -> unit
 val tamper : t -> name:string -> unit
 
 (** {1 The module-result memo} *)

@@ -23,6 +23,7 @@ open Mcc_sem
 open Mcc_codegen
 module P = Mcc_parse.Parser
 module A = Mcc_ast.Ast
+module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
 type heading_mode = Alt1 | Alt3
@@ -557,11 +558,13 @@ let finish_program comp ~entry =
   | Some p -> p
   | None -> Cunit.link ~entry ~frames:[] [] (* deadlock: empty program *)
 
-(* Compile on the deterministic simulated multiprocessor.  [~capture]
-   records the structured concurrency event log (see Mcc_sched.Evlog) for
-   the happens-before analyzer; [~telemetry] accumulates the
-   virtual-time metrics registry over the run.  The default path does no
-   logging or metrics work, and neither option perturbs virtual time. *)
+(* Compile on the deterministic simulated multiprocessor.  The engine
+   runs in an observation context of its own (see Mcc_obs.Evlog), so
+   nothing it emits reaches an enclosing capture.  [~capture] records
+   the structured concurrency event log for the happens-before
+   analyzer; [~telemetry] accumulates the virtual-time metrics registry
+   over the run.  The default context records nothing, and neither
+   option perturbs virtual time. *)
 let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?cache
     (store : Source_store.t) : result =
   let m = Source_store.main_name store in
@@ -578,13 +581,8 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     if config.faults = [] then run ()
     else Fault.with_plan (Fault.plan ~seed:config.fault_seed config.faults) run
   in
-  let run_logged () = if capture then Evlog.capture run else (run (), [||]) in
-  let (sim, log), telem =
-    if telemetry then
-      let sim_log, snap = Metrics.with_registry run_logged in
-      (sim_log, Some snap)
-    else (run_logged (), None)
-  in
+  let obs = Evlog.ctx ~log:capture ~metrics:telemetry () in
+  let sim = Evlog.within obs run in
   (* Partition task failures: injected ones are the fault plan's doing
      and are recovered from (contained, or repaired below); real
      exceptions keep their compiler-bug diagnostics. *)
@@ -606,7 +604,11 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
      fault-free concurrent run.  A deadlock with no faults in play
      keeps its genuine diagnostic. *)
   let fallback = comp.program = None && sim.Des_engine.injected > 0 in
-  let seq_result = if fallback then Some (Seq_driver.compile store) else None in
+  let seq_result =
+    (* in an empty context, so its lookups reach no enclosing log *)
+    if fallback then Some (Evlog.within (Evlog.ctx ()) (fun () -> Seq_driver.compile store))
+    else None
+  in
   (match sim.Des_engine.outcome with
   | Des_engine.Completed -> ()
   | Des_engine.Deadlocked _ when fallback || sim.Des_engine.injected > 0 ->
@@ -640,6 +642,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     }
   in
   let n_procs = Hashtbl.length comp.streams in
+  let log = Evlog.log obs in
   {
     program;
     diags;
@@ -660,7 +663,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     used_slices = Lookup_stats.used_slices comp.stats;
     log;
     events_logged = Array.length log;
-    telemetry = telem;
+    telemetry = (if telemetry then Some (Metrics.snapshot obs) else None);
     perturb_seed = config.perturb;
     robustness;
     deadlock =
@@ -704,7 +707,8 @@ let compile_domains ?(config = default_config) ?cache ~domains (store : Source_s
     domain_result =
   let m = Source_store.main_name store in
   let comp, init_tasks = prepare config cache store in
-  let r = Domain_engine.run ~domains init_tasks in
+  (* an empty context: no domain appends to an enclosing log *)
+  let r = Evlog.within (Evlog.ctx ()) (fun () -> Domain_engine.run ~domains init_tasks) in
   let deadlocked = match r.Domain_engine.outcome with Domain_engine.Deadlocked _ -> true | _ -> false in
   if deadlocked then
     Diag.error comp.diags ~file:(Source_store.main_file store) ~loc:Loc.none

@@ -81,7 +81,7 @@ type result = {
       (** per imported interface, the exported names this compilation
           resolved (or failed to resolve) there — the fine-grained
           dependency record slice-level invalidation keys on; sorted *)
-  log : Mcc_sched.Evlog.record array;
+  log : Mcc_obs.Evlog.record array;
       (** the structured concurrency event log ([[||]] unless compiled
           with [~capture:true]) *)
   events_logged : int;  (** [Array.length log] *)
@@ -104,10 +104,12 @@ val long_threshold : int
     whose content fingerprint is already stored are installed from
     their artifacts (paying explicit hash + probe + install charges)
     instead of spawning Lexor/Importer/DefParse streams; interfaces
-    compiled cold are captured into the cache.  [~capture:true] records
-    the structured concurrency event log into [result.log] for the
-    happens-before analyzer ({!Mcc_analysis.Hb}); capture never charges
-    work, so virtual timings are unchanged.
+    compiled cold are captured into the cache.  The compile runs in an
+    observation context of its own ({!Mcc_obs.Evlog.ctx}), so it never
+    writes into an enclosing capture or registry.  [~capture:true]
+    records the structured concurrency event log into [result.log] for
+    the happens-before analyzer ({!Mcc_analysis.Hb}); capture never
+    charges work, so virtual timings are unchanged.
 
     Fault injection and self-healing: with [config.faults] non-empty, a
     deterministic {!Mcc_sched.Fault} plan (seeded by [config.fault_seed])
@@ -119,9 +121,9 @@ val long_threshold : int
     diagnostic — and are never a hang or an uncaught exception.  What
     happened is reported in [result.robustness] and [result.deadlock].
 
-    [~telemetry:true] additionally runs the compilation under a fresh
-    {!Mcc_obs.Metrics} registry and returns its deterministic snapshot
-    in [result.telemetry]; like capture, metrics never charge work. *)
+    [~telemetry:true] additionally keeps a {!Mcc_obs.Metrics} registry
+    in that context and returns its deterministic snapshot in
+    [result.telemetry]; like capture, metrics never charge work. *)
 val compile :
   ?config:config ->
   ?capture:bool ->

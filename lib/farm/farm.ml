@@ -3,13 +3,13 @@
 
    Same composition trick as the compile server: the farm's event loop
    runs in virtual seconds, and every piece of real compilation is an
-   inner [Driver.compile] under [Evlog.suspend] whose simulated
-   [end_seconds] becomes the farm-level service time.  A node builds one
-   sharded interface closure at a time, with its per-node processors
-   live *inside* that task — so 2 nodes x 4 procs and 1 node x 8 procs
-   spend the same processor-seconds, and the difference the benchmark
-   measures is pure distribution overhead: artifact shipping, stealing,
-   and failure recovery.
+   inner [Driver.compile], in its own observation context, whose
+   simulated [end_seconds] becomes the farm-level service time.  A node
+   builds one sharded interface closure at a time, with its per-node
+   processors live *inside* that task — so 2 nodes x 4 procs and 1 node
+   x 8 procs spend the same processor-seconds, and the difference the
+   benchmark measures is pure distribution overhead: artifact shipping,
+   stealing, and failure recovery.
 
    The coordinator's agenda interleaves five event kinds — node-idle
    dispatch, task completion, heartbeats, death detection, partition
@@ -162,17 +162,14 @@ let closure_topo cache store =
   List.iter visit (Build_cache.imports_of cache (Source_store.main_src store));
   List.rev !order
 
-let run ?(capture = false) ?(trace = false) cfg store =
-  if cfg.compile.Driver.faults <> [] then
-    invalid_arg "Farm.run: put the fault plan in the farm config, not the compile config";
-  if cfg.nodes < 1 then invalid_arg "Farm.run: need at least one node";
-  let capture = capture || trace in
+(* One farm run in the installed context: span ids count from its
+   start, and the report's [f_events] is left to [run]. *)
+let simulate ~trace cfg store =
   let trace_id =
     if trace then
       Trace_ctx.trace_id ~domain:"farm" ~seed:cfg.seed ~key:(Source_store.main_name store)
     else ""
   in
-  if trace then Trace_ctx.reset ();
   let root_span = if trace then Trace_ctx.fresh () else -1 in
   let subs = ref [] (* reversed Dtrace.sub list *) in
   let open_task : (int, int) Hashtbl.t = Hashtbl.create 8 (* node -> open task span *) in
@@ -537,13 +534,8 @@ let run ?(capture = false) ?(trace = false) cfg store =
                 fetch_deps n ~at:!now ~note:note_later ?spans:tsp (Hashtbl.find trans iface)
               in
               let probe =
-                if trace then
-                  Driver.compile ~config:compile_config ~capture:true ~cache:n.Node.cache
-                    (probe_store store iface)
-                else
-                  Evlog.suspend (fun () ->
-                      Driver.compile ~config:compile_config ~cache:n.Node.cache
-                        (probe_store store iface))
+                Driver.compile ~config:compile_config ~capture:trace ~cache:n.Node.cache
+                  (probe_store store iface)
               in
               let slowf = if n.Node.slow then Costs.node_slow_factor else 1.0 in
               let service =
@@ -683,11 +675,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
           in
           let fetch_elapsed = fetch_deps home ~at:!now ~note:buffer ?spans:asp topo in
           let final =
-            if trace then
-              Driver.compile ~config:compile_config ~capture:true ~cache:home.Node.cache store
-            else
-              Evlog.suspend (fun () ->
-                  Driver.compile ~config:compile_config ~cache:home.Node.cache store)
+            Driver.compile ~config:compile_config ~capture:trace ~cache:home.Node.cache store
           in
           let slowf = if home.Node.slow then Costs.node_slow_factor else 1.0 in
           let makespan =
@@ -740,15 +728,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
       let plan = Fault.plan ~seed:cfg.fault_seed cfg.faults in
       Fault.with_plan (Fault.of_bytes (Fault.to_bytes plan)) f
   in
-  let events = ref [||] in
-  let seq_fallback, ok, obs, makespan =
-    if capture then begin
-      let r, log = Evlog.capture (fun () -> with_faults run_farm) in
-      events := log;
-      r
-    end
-    else with_faults run_farm
-  in
+  let seq_fallback, ok, obs, makespan = with_faults run_farm in
   {
     f_nodes = cfg.nodes;
     f_procs = cfg.compile.Driver.procs;
@@ -787,10 +767,19 @@ let run ?(capture = false) ?(trace = false) cfg store =
                ns_fetches = n.Node.fetches;
                ns_serves = n.Node.serves;
              });
-    f_events = !events;
+    f_events = [||];
     f_subs = List.rev !subs;
     f_trace = trace_id;
   }
+
+let run ?(capture = false) ?(trace = false) cfg store =
+  if cfg.compile.Driver.faults <> [] then
+    invalid_arg "Farm.run: put the fault plan in the farm config, not the compile config";
+  if cfg.nodes < 1 then invalid_arg "Farm.run: need at least one node";
+  if capture || trace then
+    let r, log = Evlog.capture (fun () -> simulate ~trace cfg store) in
+    { r with f_events = log }
+  else simulate ~trace cfg store
 
 (* ------------------------------------------------------------------ *)
 (* The farm-vs-sequential conformance oracle *)

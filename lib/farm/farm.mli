@@ -4,9 +4,9 @@
 
     Composition: the farm's event loop runs in virtual seconds; each
     node compiles one sharded interface closure at a time by running
-    the real concurrent compiler (at the per-node processor count)
-    under [Evlog.suspend], the inner simulated duration becoming the
-    farm-level service time.  Interface artifacts ship between node
+    the real concurrent compiler (at the per-node processor count) in
+    its own observation context, the inner simulated duration becoming
+    the farm-level service time.  Interface artifacts ship between node
     caches over {!Remote.fetch} (digest-verified by content
     addressing, timeout + capped backoff retry, hedged to a replica).
     Heartbeats in virtual time detect dead nodes; their unfinished

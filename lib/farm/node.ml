@@ -1,7 +1,7 @@
 (* One simulated build-farm node: its own warm interface cache, its own
    processor budget, and the liveness/progress bookkeeping the
    coordinator reads.  The compile work itself runs through the inner
-   DES ([Driver.compile] under [Evlog.suspend]); the node record just
+   DES ([Driver.compile] in its own context); the node record just
    anchors the per-node state between agenda events. *)
 
 type t = {

@@ -18,6 +18,7 @@
    plan, arguments) — unit-testable, and byte-deterministic. *)
 
 open Mcc_sched
+module Evlog = Mcc_obs.Evlog
 
 type outcome = {
   ok : bool;

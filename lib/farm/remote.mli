@@ -19,7 +19,7 @@ type outcome = {
   drops : int;  (** attempts lost to drops/timeouts (either server) *)
   hedged : bool;  (** a duplicate request raced the replica *)
   hedge_won : bool;  (** ...and the replica answered first *)
-  events : (float * Mcc_sched.Evlog.kind) list;
+  events : (float * Mcc_obs.Evlog.kind) list;
       (** RPC lifecycle events, offsets from dispatch, ascending *)
 }
 

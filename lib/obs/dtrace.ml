@@ -2,9 +2,9 @@
 
    A traced serve or farm run brackets every unit of a request's life
    with [Evlog.Span_start]/[Span_end] pairs ([Trace_ctx] ids), and runs
-   each nested [Driver.compile] under its own nested [Evlog.capture]
-   instead of [Evlog.suspend]; the inner log rides along as a [sub]
-   keyed by the owning span.  [assemble] folds the outer log plus the
+   each nested [Driver.compile] with [~capture], in an observation
+   context of its own; the inner log rides along as a [sub] keyed by
+   the owning span.  [assemble] folds the outer log plus the
    sub-logs into one forest of spans on a single virtual-time axis —
    inner task spans are rebased at the owning span's start (and
    stretched by the gray-failure slowdown where the farm applied one),

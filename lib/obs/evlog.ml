@@ -14,8 +14,7 @@
    the scheduler ([Mcc_sched.Des_engine], [Mcc_sched.Supervisor]), the
    symbol tables ([Mcc_sem.Symtab], [Mcc_sem.Modreg]) and the telemetry
    consumers in this library can all reach it without a dependency
-   cycle.  [Mcc_sched.Evlog] re-exports this module unchanged, so
-   existing emitters and analyzers are untouched.
+   cycle.
 
    Every record carries the virtual time at which it was appended: the
    engine stamps the clock with [set_time] at each agenda dispatch, and
@@ -23,14 +22,20 @@
    nondecreasing time order, so a regression is an engine bug, not a
    legal schedule.
 
-   Capture is off by default and every emission site is guarded by
-   [enabled ()] *before* the record is allocated, so the default compile
-   path performs no logging work at all — and no record ever charges
+   All of one run's observation state — the log with its clock, floor
+   and current task, the [Metrics] registry and the [Trace_ctx] span
+   counter — is one [ctx] value.  A run installs its own context with
+   [within]; emitters write to whichever context is installed, so a
+   nested run never touches its encloser's log, and nesting costs one
+   save/restore of the slot.  A context records nothing unless it was
+   made with [~log] (or [~metrics]), and every emission site is guarded
+   by [enabled ()] *before* the record is allocated, so an unobserved
+   compile performs no logging work at all — and no record ever charges
    [Eff.work], so even a captured run's virtual timings are identical to
    an uncaptured one.  The log is only meaningful under the single-
-   threaded DES engine (the domain engine never enables it): records are
-   appended in true execution order, which is exactly the total order
-   the checker needs. *)
+   threaded DES engine (the domain engine runs in an empty context):
+   records are appended in true execution order, which is exactly the
+   total order the checker needs. *)
 
 type kind =
   | Task_spawn of {
@@ -121,73 +126,86 @@ type record = {
   kind : kind;
 }
 
-let enabled_flag = ref false
-let buf : record list ref = ref [] (* reversed *)
-let count = ref 0
-let current = ref (-1)
-let now = ref 0.0
-let floor_time = ref 0.0 (* time of the last appended record *)
+module Vec = Mcc_util.Vec
 
-let enabled () = !enabled_flag
-let set_task id = current := id
-let set_time t = now := t
+(* Metric cells of a context's registry; [Metrics] reads and writes
+   them.  They are declared here so that one context can hold both the
+   event log and the registry. *)
+type histo = {
+  bounds : float array; (* ascending upper bounds; +inf bucket implicit *)
+  counts : int array; (* length = Array.length bounds + 1 *)
+  mutable sum : float;
+  mutable count : int;
+}
+
+type cell = Counter of float ref | Gauge of float ref | Histogram of histo
+type registry = (string * (string * string) list, cell) Hashtbl.t
+
+(* One run's observation state.  [log] and [registry] are [None] when
+   the run does not record them, so an empty context allocates no
+   buffer. *)
+type ctx = {
+  log : record Vec.t option;
+  registry : registry option;
+  mutable now : float; (* virtual clock stamped by the engine *)
+  mutable floor : float; (* time of the last appended record *)
+  mutable task : int; (* task whose code is executing; -1 scheduler *)
+  mutable spans : int; (* last [Trace_ctx] span id allocated *)
+}
+
+let ctx ?(log = false) ?(metrics = false) () =
+  {
+    log =
+      (if log then Some (Vec.create { seq = -1; time = 0.0; task = -1; kind = Net_heal })
+       else None);
+    registry = (if metrics then Some (Hashtbl.create 64) else None);
+    now = 0.0;
+    floor = 0.0;
+    task = -1;
+    spans = 0;
+  }
+
+(* The installed context: the only module-level cell of the observation
+   layer.  Outside every run it is an empty context. *)
+let installed = ref (ctx ())
+
+let current () = !installed
+let registry c = c.registry
+
+(* Install [c] for the extent of [f]; the enclosing context is
+   reinstalled on the way out, exceptions included. *)
+let within c f =
+  let saved = !installed in
+  installed := c;
+  Fun.protect ~finally:(fun () -> installed := saved) f
+
+let enabled () = !installed.log != None
+let set_task id = !installed.task <- id
+let set_time t = !installed.now <- t
 
 let emit kind =
-  if !enabled_flag then begin
-    if !now < !floor_time then
-      invalid_arg
-        (Printf.sprintf "Evlog.emit: virtual time went backwards (%.3f after %.3f)" !now
-           !floor_time);
-    floor_time := !now;
-    buf := { seq = !count; time = !now; task = !current; kind } :: !buf;
-    incr count
-  end
+  let c = !installed in
+  match c.log with
+  | None -> ()
+  | Some buf ->
+      if c.now < c.floor then
+        invalid_arg
+          (Printf.sprintf "Evlog.emit: virtual time went backwards (%.3f after %.3f)" c.now
+             c.floor);
+      c.floor <- c.now;
+      Vec.push buf { seq = Vec.length buf; time = c.now; task = c.task; kind }
 
-let length () = !count
-let iter f = List.iter f (List.rev !buf)
+let next_span () =
+  let c = !installed in
+  c.spans <- c.spans + 1;
+  c.spans
 
-(* Run [f] with capture on and return its captured log.  The previous
-   logging state is saved in full and restored on the way out, even on
-   exceptions — so captures nest: a traced serve/farm run captures its
-   job-lifecycle log while each inner [Driver.compile ~capture:true]
-   takes its own nested capture (fresh clock, fresh buffer) whose log
-   becomes a [Dtrace] sub-trace of the owning span.  The virtual clock
-   restarts at 0: each capture wraps exactly one engine run. *)
+let log c = match c.log with Some buf -> Vec.to_array buf | None -> [||]
+
 let capture f =
-  let saved_enabled = !enabled_flag and saved_buf = !buf in
-  let saved_count = !count and saved_current = !current in
-  let saved_now = !now and saved_floor = !floor_time in
-  enabled_flag := true;
-  buf := [];
-  count := 0;
-  current := -1;
-  now := 0.0;
-  floor_time := 0.0;
-  let restore () =
-    let log = Array.of_list (List.rev !buf) in
-    enabled_flag := saved_enabled;
-    buf := saved_buf;
-    count := saved_count;
-    current := saved_current;
-    now := saved_now;
-    floor_time := saved_floor;
-    log
-  in
-  match f () with
-  | v -> (v, restore ())
-  | exception e ->
-      ignore (restore ());
-      raise e
-
-(* Run [f] with emission off, restoring the flag afterwards.  The
-   compile server wraps each inner [Driver.compile] in this: the inner
-   engine restarts its own clock at 0, which would trip the outer
-   capture's monotonic-time assert, and the server's log records job
-   lifecycle, not intra-compile scheduling. *)
-let suspend f =
-  let saved = !enabled_flag in
-  enabled_flag := false;
-  Fun.protect ~finally:(fun () -> enabled_flag := saved) f
+  let c = ctx ~log:true () in
+  let v = within c f in
+  (v, log c)
 
 let kind_to_string = function
   | Task_spawn { task; name; cls; gate } ->

@@ -9,11 +9,16 @@
     schedules; {!Span} and {!Critpath} reconstruct per-task timelines
     and the end-to-end critical path from the same stream.
 
-    Capture is off by default; emission sites guard on {!enabled}
-    before allocating a record, and no record charges [Eff.work], so
-    default compile timings are unaffected.  DES-only: the single-
-    threaded engine appends records in true execution order (the domain
-    engine never enables capture). *)
+    One run's observation state is one {!ctx}: the log, its virtual
+    clock and current task, the {!Metrics} registry and the
+    {!Trace_ctx} span counter.  Emitters write to the installed
+    context; a run installs its own with {!within}, so runs nest and a
+    nested run never writes into its encloser's log.  A context records
+    nothing unless made with [~log] (or [~metrics]); emission sites
+    guard on {!enabled} before allocating a record, and no record
+    charges [Eff.work], so default compile timings are unaffected.
+    DES-only: the single-threaded engine appends records in true
+    execution order (the domain engine runs in an empty context). *)
 
 type kind =
   | Task_spawn of {
@@ -99,6 +104,36 @@ type record = {
   kind : kind;
 }
 
+(** {1 The observation context} *)
+
+(** One run's observation state. *)
+type ctx
+
+(** A fresh context: virtual clock at 0, no current task, span ids
+    from 1.  [~log] records the event log, [~metrics] keeps a
+    {!Metrics} registry; with neither it records nothing. *)
+val ctx : ?log:bool -> ?metrics:bool -> unit -> ctx
+
+(** [within c f] installs [c] for the extent of [f], then reinstalls
+    the enclosing context (exceptions included). *)
+val within : ctx -> (unit -> 'a) -> 'a
+
+(** The context's records in append order ([[||]] without [~log]). *)
+val log : ctx -> record array
+
+(** [capture f] runs [f] in a fresh logging context and returns
+    [(f (), log)].  A traced serve/farm run captures its job-lifecycle
+    log this way while each inner [Driver.compile ~capture:true] takes
+    its own context, whose log becomes a [Dtrace] sub-trace of the
+    owning span. *)
+val capture : (unit -> 'a) -> 'a * record array
+
+(** The installed context. *)
+val current : unit -> ctx
+
+(** {1 Emission} *)
+
+(** Whether the installed context records the log. *)
 val enabled : unit -> bool
 
 (** Record which task's code is currently executing (set by the DES
@@ -109,37 +144,36 @@ val set_task : int -> unit
     dispatch); subsequent records carry this time. *)
 val set_time : float -> unit
 
-(** Append a record (no-op unless capture is on).  Call sites must
-    guard with {!enabled} so the record is not even allocated on the
-    default path.  Raises [Invalid_argument] if the stamped virtual
-    time is older than the last appended record's: the agenda delivers
-    work in nondecreasing time order, so a regression is an engine
-    bug. *)
+(** Append a record to the installed context's log (no-op without
+    one).  Call sites must guard with {!enabled} so the record is not
+    even allocated on the default path.  Raises [Invalid_argument] if
+    the stamped virtual time is older than the last appended record's:
+    the agenda delivers work in nondecreasing time order, so a
+    regression is an engine bug. *)
 val emit : kind -> unit
 
-(** Number of records appended so far in the live capture. *)
-val length : unit -> int
+(** {1 Registry and span-id storage}
 
-(** Iterate the live capture's records in append order. *)
-val iter : (record -> unit) -> unit
+    The parts of a context that {!Metrics} and {!Trace_ctx} read and
+    write. *)
 
-(** [capture f] runs [f] with logging on and returns [(f (), log)].
-    The previous logging state is saved in full and restored on exit
-    (exceptions included), so captures nest: a traced serve/farm run
-    captures its job-lifecycle log while each inner
-    [Driver.compile ~capture:true] takes its own nested capture whose
-    log becomes a [Dtrace] sub-trace of the owning span.  The virtual
-    clock restarts at 0: one capture wraps one engine run.  (Untraced
-    serve/farm runs wrap inner engines in {!suspend} instead.) *)
-val capture : (unit -> 'a) -> 'a * record array
+type histo = {
+  bounds : float array;  (** ascending upper bounds; +inf bucket implicit *)
+  counts : int array;  (** one per bound, plus the +inf bucket *)
+  mutable sum : float;
+  mutable count : int;
+}
 
-(** [suspend f] runs [f] with emission off, restoring the previous
-    state on exit (exceptions included).  Used by the compile server
-    around inner [Driver.compile] calls: the inner engine restarts its
-    clock at 0, which would trip the capture's monotonic-time assert,
-    and the server's log records job lifecycle, not intra-compile
-    scheduling. *)
-val suspend : (unit -> 'a) -> 'a
+type cell = Counter of float ref | Gauge of float ref | Histogram of histo
+
+(** Cells keyed by metric name and sorted label set. *)
+type registry = (string * (string * string) list, cell) Hashtbl.t
+
+(** The context's registry ([None] without [~metrics]). *)
+val registry : ctx -> registry option
+
+(** Allocate the installed context's next span id. *)
+val next_span : unit -> int
 
 val kind_to_string : kind -> string
 val record_to_string : record -> string

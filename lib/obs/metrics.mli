@@ -1,8 +1,10 @@
 (** The virtual-time metrics registry.
 
-    A process-global registry of counters, gauges and fixed-bucket
-    histograms keyed by metric name + label set, accumulated while the
-    compiler runs on the DES engine.  Values measure {e virtual}
+    Counters, gauges and fixed-bucket histograms keyed by metric name +
+    label set, accumulated while the compiler runs on the DES engine.
+    The registry belongs to the installed {!Evlog.ctx}: a context made
+    with [~metrics:true] records into its own registry, and outside one
+    every recording call is a no-op.  Values measure {e virtual}
     quantities (work units, task counts, probe counts): the registry
     never charges [Eff.work] and allocates nothing while disabled, so a
     run with telemetry on has exactly the virtual timings of a run with
@@ -33,8 +35,7 @@ type snapshot = sample list
 
 (** {1 Recording} *)
 
-(** Whether a registry is live; false outside {!with_registry} unless a
-    caller flips it via recording functions' guards. *)
+(** Whether the installed context keeps a registry. *)
 val enabled : unit -> bool
 
 (** Default histogram buckets for virtual-work-unit durations: spans the
@@ -61,15 +62,12 @@ val observe : ?labels:(string * string) list -> ?bounds:float array -> string ->
 
 (** {1 Lifecycle} *)
 
-(** Deterministic copy of the registry (immune to later mutation). *)
-val snapshot : unit -> snapshot
+(** Deterministic copy of a context's registry (immune to later
+    mutation); [[]] for a context without one. *)
+val snapshot : Evlog.ctx -> snapshot
 
-(** Drop every cell. *)
-val reset : unit -> unit
-
-(** Run [f] under a fresh enabled registry and return its result paired
-    with the final snapshot.  Does not nest; restores the previous
-    registry state on the way out, exceptions included. *)
+(** Run [f] in a fresh context that keeps only a registry and return
+    its result paired with the final snapshot. *)
 val with_registry : (unit -> 'a) -> 'a * snapshot
 
 (** {1 Snapshot accessors (tests and reports)} *)

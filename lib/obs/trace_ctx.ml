@@ -3,12 +3,12 @@
    Distributed-tracing identity with no wall clock and no global
    randomness: a trace id is a 64-bit FNV-1a hash of a (domain, seed,
    key) triple — the same serve/farm run with the same seed names its
-   traces identically, byte for byte — and span ids come from a
-   counter that every traced run resets at its entry point.  Because
-   span allocation order is a pure function of the run's virtual
-   schedule (itself seeded), same-seed runs allocate identical span id
-   sequences, which is what makes the exported traces `cmp`-equal in
-   CI.
+   traces identically, byte for byte — and span ids come from the
+   installed [Evlog] context, so every traced run, which installs its
+   own, numbers its spans from 1.  Because span allocation order is a
+   pure function of the run's virtual schedule (itself seeded),
+   same-seed runs allocate identical span id sequences, which is what
+   makes the exported traces `cmp`-equal in CI.
 
    The record mirrors W3C trace-context / OTLP shape — trace id, span
    id, parent span id — but stays plain ints/strings so the bottom-of-
@@ -16,12 +16,7 @@
 
 type t = { trace : string; span : int; parent : int (* -1 = root *) }
 
-let counter = ref 0
-let reset () = counter := 0
-
-let fresh () =
-  incr counter;
-  !counter
+let fresh = Evlog.next_span
 
 (* FNV-1a, 64-bit: tiny, stable, and good enough to keep distinct
    (domain, seed, key) triples from colliding in practice. *)

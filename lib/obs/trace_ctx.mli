@@ -1,18 +1,16 @@
 (** Deterministic trace-context allocation (no wall clock).
 
     A trace id is a 64-bit FNV-1a hash of (domain, seed, key) rendered
-    as 16 hex digits; span ids come from a counter reset at the entry
-    point of every traced run.  Allocation order is a pure function of
-    the seeded virtual schedule, so same-seed runs produce identical id
-    sequences — the property behind CI's byte-identical export check. *)
+    as 16 hex digits; span ids come from the installed {!Evlog.ctx},
+    which every traced run makes fresh.  Allocation order is a pure
+    function of the seeded virtual schedule, so same-seed runs produce
+    identical id sequences — the property behind CI's byte-identical
+    export check. *)
 
 type t = { trace : string; span : int; parent : int  (** -1 = root *) }
 
-(** Restart span-id allocation at 1.  Call once at the start of each
-    traced serve/farm run, before the first {!fresh}. *)
-val reset : unit -> unit
-
-(** Allocate the next span id (1, 2, 3, ... since the last {!reset}). *)
+(** Allocate the installed context's next span id (1, 2, 3, ... within
+    one context). *)
 val fresh : unit -> int
 
 (** [trace_id ~domain ~seed ~key] — deterministic 16-hex-digit trace

@@ -22,6 +22,7 @@
    saturation (paper §4.1). *)
 
 open Mcc_util
+module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
 type outcome = Completed | Deadlocked of string list

@@ -12,8 +12,8 @@
    fire here?" at their own site, passing the local identity (task name
    and class, event name, module name, scope name).  A site consults the
    plan only when one is armed, so the fault-free path costs one ref
-   read (the [Evlog.enabled] idiom).  Firing never charges [Eff.work]:
-   faults are free to inject, only *recovery* costs virtual time.
+   read.  Firing never charges [Eff.work]: faults are free to inject,
+   only *recovery* costs virtual time.
 
    Spec grammar (comma-separated on the CLI):
 
@@ -206,8 +206,6 @@ let of_bytes s =
 let current : plan option ref = ref None
 
 let armed () = !current <> None
-let install p = current := Some p
-let clear () = current := None
 let fired () = match !current with Some p -> p.n_fired | None -> 0
 
 let with_plan p f =

@@ -84,8 +84,6 @@ val of_bytes : string -> plan
 (** {1 Arming} *)
 
 val armed : unit -> bool
-val install : plan -> unit
-val clear : unit -> unit
 
 (** Faults fired by the currently armed plan (0 when none armed). *)
 val fired : unit -> int

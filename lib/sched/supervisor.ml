@@ -18,6 +18,7 @@
    mutex. *)
 
 open Mcc_util
+module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
 type entry = Fresh of Task.t | Resumed of Task.t * Eff.resumption

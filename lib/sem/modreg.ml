@@ -26,9 +26,9 @@ let intern t name =
   Mutex.unlock t.mu;
   (match r with
   | scope, true ->
-      if Mcc_sched.Evlog.enabled () then
-        Mcc_sched.Evlog.emit
-          (Mcc_sched.Evlog.Scope_intern { scope = scope.Symtab.sid; name = scope.Symtab.sname })
+      if Mcc_obs.Evlog.enabled () then
+        Mcc_obs.Evlog.emit
+          (Mcc_obs.Evlog.Scope_intern { scope = scope.Symtab.sid; name = scope.Symtab.sname })
   | _ -> ());
   r
 

@@ -40,6 +40,7 @@
 
 open Mcc_sched
 module Ls = Lookup_stats
+module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
 type dky = Sequential | Avoidance | Pessimistic | Skeptical | Optimistic

@@ -29,7 +29,6 @@
 
 open Mcc_core
 module Evlog = Mcc_obs.Evlog
-module Metrics = Mcc_obs.Metrics
 module Trace_ctx = Mcc_obs.Trace_ctx
 module Dtrace = Mcc_obs.Dtrace
 module Slo = Mcc_obs.Slo
@@ -135,11 +134,9 @@ let compile_job ~trace cfg cache (j : Request.job) =
   | None ->
       let name = Source_store.main_name j.Request.j_store in
       let run config =
-        (* the inner engine restarts its clock; when tracing, capture it
-           as a nested sub-log ([Evlog.capture] nests safely), otherwise
-           keep it out of the server's job-lifecycle capture *)
-        if trace then Driver.compile ~config ~capture:true ~cache:cache.bc j.Request.j_store
-        else Evlog.suspend (fun () -> Driver.compile ~config ~cache:cache.bc j.Request.j_store)
+        (* the inner compile runs in its own context; when tracing, its
+           log becomes a sub-log of the job's compile span *)
+        Driver.compile ~config ~capture:trace ~cache:cache.bc j.Request.j_store
       in
       let memoize (r : Driver.result) =
         (* only fault-free results enter the shared memo: a result
@@ -204,7 +201,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
   let max_batch = ref 0 in
   let slo = Slo.create () in
   let subs = ref [] (* reversed Dtrace.sub list *) in
-  if trace then Trace_ctx.reset ();
   let tid_of (j : Request.job) =
     Trace_ctx.trace_id ~domain:"serve" ~seed:cfg.fault_seed
       ~key:
@@ -270,7 +266,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
                 (Evlog.Job_admit { job = j.Request.j_id; session = j.Request.j_session })
           | Admission.Shed victim ->
               shed := victim :: !shed;
-              if Metrics.enabled () then Metrics.incr "mcc_serve_shed_total";
               emit_at j.Request.j_arrival
                 (Evlog.Job_shed
                    { job = victim.Request.j_id; session = victim.Request.j_session });
@@ -280,9 +275,7 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
                 ~detail:
                   (Printf.sprintf "admission cap %d: shed by job #%d" cfg.cap j.Request.j_id));
           let depth = Queue.length q in
-          if depth > !max_depth then max_depth := depth;
-          if Metrics.enabled () then
-            Metrics.gauge_max "mcc_serve_queue_depth_max" (float_of_int depth)
+          if depth > !max_depth then max_depth := depth
       | _ -> continue_ := false
     done
   in
@@ -358,10 +351,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
     if retried then
       Slo.trip slo ~job:j.Request.j_id ~cls:(slo_class j) ~trace:(tid_of j) ~reason:Slo.Fault
         ~at:finish ~detail:"fault plan defeated recovery; re-served clean";
-    if Metrics.enabled () then begin
-      Metrics.incr "mcc_serve_jobs_total";
-      Metrics.observe "mcc_serve_sojourn_seconds" (finish -. j.Request.j_arrival)
-    end;
     served :=
       {
         Request.s_job = j;
@@ -381,7 +370,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
   in
   let shed_overdue (j : Request.job) =
     incr deadline_shed;
-    if Metrics.enabled () then Metrics.incr "mcc_serve_deadline_shed_total";
     emit_at !now (Evlog.Job_shed { job = j.Request.j_id; session = j.Request.j_session });
     close_spans ~at:!now ~status:"deadline" j;
     Slo.trip slo ~job:j.Request.j_id ~cls:(slo_class j) ~trace:(tid_of j)
@@ -407,8 +395,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
           incr batches;
           batched_jobs := !batched_jobs + List.length mates;
           max_batch := max !max_batch (1 + List.length mates);
-          if Metrics.enabled () then
-            Metrics.observe "mcc_serve_batch_size" (float_of_int (1 + List.length mates));
           List.iter
             (fun (m : Request.job) ->
               emit_at !now
@@ -535,9 +521,7 @@ let verify cfg report =
     match Hashtbl.find_opt oracles j.Request.j_rank with
     | Some o -> o
     | None ->
-        let r =
-          Evlog.suspend (fun () -> Driver.compile ~config:cfg.compile j.Request.j_store)
-        in
+        let r = Driver.compile ~config:cfg.compile j.Request.j_store in
         let o = Observation.of_driver ~run:false r in
         Hashtbl.replace oracles j.Request.j_rank o;
         o

@@ -4,6 +4,7 @@
    suite seed threading and the Chrome trace export. *)
 
 open Mcc_sched
+module Evlog = Mcc_obs.Evlog
 module Hb = Mcc_analysis.Hb
 module Explorer = Mcc_analysis.Explorer
 module Symtab = Mcc_sem.Symtab

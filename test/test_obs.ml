@@ -1,7 +1,8 @@
 (* Tests for the telemetry subsystem (lib/obs): the metrics registry,
-   the event-log hardening (monotonic virtual time, length/iter), span
-   reconstruction and critical-path attribution on canned logs, the
-   profile report and its exporters (Prometheus text, JSON), the
+   the event-log hardening (monotonic virtual time, append order), the
+   nesting of observation contexts, span reconstruction and
+   critical-path attribution on canned logs, the profile report and
+   its exporters (Prometheus text, JSON), the
    validators' negative cases, the Chrome trace export and the
    WatchTool renderer on canned traces, and end-to-end determinism and
    zero-cost guarantees through the driver. *)
@@ -70,29 +71,83 @@ let test_metrics_deterministic () =
 let test_evlog_monotonic_assert () =
   let raised = ref false in
   let (), _log =
-    Sched.Evlog.capture (fun () ->
-        Sched.Evlog.set_time 5.0;
-        Sched.Evlog.emit (Sched.Evlog.Task_start { task = 1 });
-        Sched.Evlog.set_time 2.0;
-        try Sched.Evlog.emit (Sched.Evlog.Task_finish { task = 1 })
+    Evlog.capture (fun () ->
+        Evlog.set_time 5.0;
+        Evlog.emit (Evlog.Task_start { task = 1 });
+        Evlog.set_time 2.0;
+        try Evlog.emit (Evlog.Task_finish { task = 1 })
         with Invalid_argument _ -> raised := true)
   in
   Alcotest.(check bool) "time regression rejected" true !raised
 
-let test_evlog_length_iter () =
+let times log = Array.to_list (Array.map (fun r -> r.Evlog.time) log)
+
+let test_evlog_append_order () =
+  let (), empty = Evlog.capture (fun () -> ()) in
+  Alcotest.(check int) "fresh capture is empty" 0 (Array.length empty);
   let (), log =
-    Sched.Evlog.capture (fun () ->
-        Alcotest.(check int) "fresh capture is empty" 0 (Sched.Evlog.length ());
-        Sched.Evlog.set_time 1.0;
-        Sched.Evlog.emit (Sched.Evlog.Task_start { task = 7 });
-        Sched.Evlog.set_time 4.0;
-        Sched.Evlog.emit (Sched.Evlog.Task_finish { task = 7 });
-        Alcotest.(check int) "length counts appends" 2 (Sched.Evlog.length ());
-        let times = ref [] in
-        Sched.Evlog.iter (fun r -> times := r.Sched.Evlog.time :: !times);
-        Alcotest.(check (list (float 1e-9))) "iter in append order" [ 1.0; 4.0 ] (List.rev !times))
+    Evlog.capture (fun () ->
+        Evlog.set_time 1.0;
+        Evlog.emit (Evlog.Task_start { task = 7 });
+        Evlog.set_time 4.0;
+        Evlog.emit (Evlog.Task_finish { task = 7 }))
   in
-  Alcotest.(check int) "captured both records" 2 (Array.length log)
+  Alcotest.(check (list int)) "seq counts appends" [ 0; 1 ]
+    (Array.to_list (Array.map (fun r -> r.Evlog.seq) log));
+  Alcotest.(check (list (float 1e-9))) "records in append order" [ 1.0; 4.0 ] (times log)
+
+(* --- nesting: a run's observation context is its own --- *)
+
+let outer_emit t =
+  Evlog.set_time t;
+  Evlog.emit (Evlog.Task_start { task = 0 })
+
+
+let test_nest_uncaptured_compile () =
+  let (), log =
+    Evlog.capture (fun () ->
+        Evlog.set_task 42;
+        outer_emit 100.0;
+        ignore (Driver.compile ~config:Driver.default_config (small_store ()));
+        outer_emit 200.0)
+  in
+  Alcotest.(check int) "only the outer records" 2 (Array.length log);
+  Alcotest.(check (list int)) "the outer task survives the compile" [ 42; 42 ]
+    (Array.to_list (Array.map (fun r -> r.Evlog.task) log))
+
+let test_nest_captured_compile () =
+  let (c : Driver.result), log =
+    Evlog.capture (fun () ->
+        outer_emit 100.0;
+        let c = Driver.compile ~config:Driver.default_config ~capture:true (small_store ()) in
+        outer_emit 200.0;
+        c)
+  in
+  Alcotest.(check bool) "the inner log is non-empty" true (Array.length c.Driver.log > 0);
+  Alcotest.(check (float 1e-9)) "the inner clock starts at 0" 0.0 c.Driver.log.(0).Evlog.time;
+  Alcotest.(check int) "the inner seq starts at 0" 0 c.Driver.log.(0).Evlog.seq;
+  let inner = times c.Driver.log in
+  Alcotest.(check bool) "the inner log is monotone" true (inner = List.sort compare inner);
+  Alcotest.(check (list (float 1e-9))) "the outer log holds only its own records" [ 100.0; 200.0 ]
+    (times log)
+
+let test_nest_telemetry () =
+  let (c : Driver.result), outer =
+    Metrics.with_registry (fun () ->
+        Metrics.incr "outer_total";
+        let c = Driver.compile ~config:Driver.default_config ~telemetry:true (small_store ()) in
+        Metrics.incr "outer_total";
+        c)
+  in
+  let inner = Option.get c.Driver.telemetry in
+  Alcotest.(check bool) "the compile records its own samples" true
+    (Metrics.counter_total inner "mcc_tasks_total" > 0.0);
+  Alcotest.(check (float 1e-9)) "none of the encloser's" 0.0
+    (Metrics.counter_value inner "outer_total");
+  Alcotest.(check (float 1e-9)) "the encloser keeps its count" 2.0
+    (Metrics.counter_value outer "outer_total");
+  Alcotest.(check (float 1e-9)) "and gets none of the compile's" 0.0
+    (Metrics.counter_total outer "mcc_tasks_total")
 
 (* --- span reconstruction and critical path on a canned log --- *)
 
@@ -100,20 +155,20 @@ let test_evlog_length_iter () =
    producer's scope from t=3 until the signal at t=6, then runs to
    t=10.  Written directly as records, independent of the engine. *)
 let canned_log () =
-  let mk seq time task kind = { Sched.Evlog.seq; time; task; kind } in
+  let mk seq time task kind = { Evlog.seq; time; task; kind } in
   [|
-    mk 0 0.0 (-1) (Sched.Evlog.Task_spawn { task = 1; name = "producer"; cls = "defparse"; gate = -1 });
-    mk 1 0.0 (-1) (Sched.Evlog.Task_spawn { task = 2; name = "consumer"; cls = "shortgen"; gate = -1 });
-    mk 2 1.0 (-1) (Sched.Evlog.Task_start { task = 1 });
-    mk 3 2.0 (-1) (Sched.Evlog.Task_start { task = 2 });
-    mk 4 3.0 2 (Sched.Evlog.Dky_block { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
-    mk 5 3.0 2 (Sched.Evlog.Ev_block { ev = 9; name = "M.def.complete"; producer = 1 });
-    mk 6 6.0 1 (Sched.Evlog.Complete { scope = 5; scope_name = "M.def" });
-    mk 7 6.0 1 (Sched.Evlog.Ev_signal { ev = 9; name = "M.def.complete" });
-    mk 8 6.0 1 (Sched.Evlog.Ev_wake { ev = 9; task = 2 });
-    mk 9 6.0 2 (Sched.Evlog.Dky_unblock { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
-    mk 10 6.0 (-1) (Sched.Evlog.Task_finish { task = 1 });
-    mk 11 10.0 (-1) (Sched.Evlog.Task_finish { task = 2 });
+    mk 0 0.0 (-1) (Evlog.Task_spawn { task = 1; name = "producer"; cls = "defparse"; gate = -1 });
+    mk 1 0.0 (-1) (Evlog.Task_spawn { task = 2; name = "consumer"; cls = "shortgen"; gate = -1 });
+    mk 2 1.0 (-1) (Evlog.Task_start { task = 1 });
+    mk 3 2.0 (-1) (Evlog.Task_start { task = 2 });
+    mk 4 3.0 2 (Evlog.Dky_block { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
+    mk 5 3.0 2 (Evlog.Ev_block { ev = 9; name = "M.def.complete"; producer = 1 });
+    mk 6 6.0 1 (Evlog.Complete { scope = 5; scope_name = "M.def" });
+    mk 7 6.0 1 (Evlog.Ev_signal { ev = 9; name = "M.def.complete" });
+    mk 8 6.0 1 (Evlog.Ev_wake { ev = 9; task = 2 });
+    mk 9 6.0 2 (Evlog.Dky_unblock { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
+    mk 10 6.0 (-1) (Evlog.Task_finish { task = 1 });
+    mk 11 10.0 (-1) (Evlog.Task_finish { task = 2 });
   |]
 
 let test_span_canned () =
@@ -261,16 +316,16 @@ let test_trace_json_instants () =
   let log =
     [|
       {
-        Sched.Evlog.seq = 0;
+        Evlog.seq = 0;
         time = 12.0;
         task = -1;
-        kind = Sched.Evlog.Fault_inject { fault = "crash-at-start"; victim = "Gen Main.P" };
+        kind = Evlog.Fault_inject { fault = "crash-at-start"; victim = "Gen Main.P" };
       };
       {
-        Sched.Evlog.seq = 1;
+        Evlog.seq = 1;
         time = 20.0;
         task = -1;
-        kind = Sched.Evlog.Task_retry { task = 2; attempt = 1 };
+        kind = Evlog.Task_retry { task = 2; attempt = 1 };
       };
     |]
   in
@@ -306,7 +361,14 @@ let () =
       ( "evlog",
         [
           Alcotest.test_case "monotonic time asserted" `Quick test_evlog_monotonic_assert;
-          Alcotest.test_case "length and iter" `Quick test_evlog_length_iter;
+          Alcotest.test_case "log in append order" `Quick test_evlog_append_order;
+        ] );
+      ( "nesting",
+        [
+          Alcotest.test_case "uncaptured compile leaves the outer log" `Quick
+            test_nest_uncaptured_compile;
+          Alcotest.test_case "captured compile has its own clock" `Quick test_nest_captured_compile;
+          Alcotest.test_case "telemetry compile has its own registry" `Quick test_nest_telemetry;
         ] );
       ( "span",
         [ Alcotest.test_case "canned producer/consumer" `Quick test_span_canned ] );

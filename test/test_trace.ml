@@ -55,11 +55,20 @@ let test_trace_ids () =
     (a <> Trace_ctx.trace_id ~domain:"serve" ~seed:2 ~key:"s0/1/M03");
   Alcotest.(check bool) "domain matters" true
     (a <> Trace_ctx.trace_id ~domain:"farm" ~seed:1 ~key:"s0/1/M03");
-  Trace_ctx.reset ();
-  let i1 = Trace_ctx.fresh () in
-  let i2 = Trace_ctx.fresh () in
-  let i3 = Trace_ctx.fresh () in
-  Alcotest.(check (list int)) "ids restart at 1" [ 1; 2; 3 ] [ i1; i2; i3 ]
+  let ids, _ =
+    Evlog.capture (fun () ->
+        let i1 = Trace_ctx.fresh () in
+        let inner, _ =
+          Evlog.capture (fun () ->
+              let first = Trace_ctx.fresh () in
+              ignore (Trace_ctx.fresh ());
+              first)
+        in
+        let i2 = Trace_ctx.fresh () in
+        [ i1; inner; i2 ])
+  in
+  Alcotest.(check (list int)) "ids restart at 1 per context and resume after a nested one"
+    [ 1; 1; 2 ] ids
 
 (* --- serve --------------------------------------------------------- *)
 
