@@ -93,7 +93,7 @@ let () =
     (fun (name, (m : Driver.result)) ->
       Printf.printf "  %-6s %2d streams, %3d tasks, %.3f virtual s\n" name m.Driver.n_streams
         m.Driver.n_tasks m.Driver.sim.Mcc_sched.Des_engine.end_seconds)
-    r.Project.modules;
+    r.Project.compiled;
   Printf.printf "linked %d code units\n\n"
     (List.length (Mcc_codegen.Cunit.unit_keys r.Project.program));
   let run = Mcc_vm.Vm.run r.Project.program in

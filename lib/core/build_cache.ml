@@ -11,10 +11,10 @@
      property the test suite checks), so one artifact serves every
      configuration.
    - the *module memo* maps whole-module keys to per-module compilation
-     results (Project's incremental layer).  A module key additionally
-     digests the implementation source and a configuration tag, because
-     a cached Driver.result embeds simulated timings that do depend on
-     the configuration.
+     results (Project's incremental layer, the compile server's warm
+     results).  A module key additionally digests the implementation
+     source and a configuration tag, because a cached Driver.result
+     embeds simulated timings that do depend on the configuration.
 
    Fingerprinting must run inside engine tasks without yielding (the
    caller holds a memo lock, and a cooperative-engine yield under a lock
@@ -24,19 +24,26 @@
    a charge-free re-implementation of Stream.run_importer's FSM on a
    zero-cost word scanner, memoized by source digest.
 
-   Persistence: the interface store (only) can be saved under a cache
-   directory as a single Marshal blob — one blob preserves value
-   sharing between artifacts, and the loader bumps the type-uid counter
-   past every unmarshalled uid so fresh types cannot collide. *)
+   Persistence: both stores can be saved under a cache directory, one
+   file each, behind a header checked before anything is unmarshaled
+   (see "Cache files").  Each value is marshaled, digested and verified
+   once: an artifact keeps the bytes it was marshaled to when stored (or
+   read from its file), a memo entry the bytes it was last loaded or
+   saved as, and a store with nothing new is not rewritten.  The loader
+   bumps the type-uid counter past every unmarshalled uid so fresh
+   types cannot collide. *)
 
 open Mcc_m2
 open Mcc_sched
 module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
-(* v3: Driver.result (persisted inside module-memo entries) grew the
-   cache-eviction counter.  v2 added per-declaration slice digests and
-   the stable install/shape digests fine-grained invalidation compares. *)
+(* The salt of every interface fingerprint and module key.  Changing it
+   changes every key (and with them the serve memo's eviction
+   tie-breaks); the layout of the cache files has its own tag,
+   [format].  v3: Driver.result grew the cache-eviction counter.  v2
+   added per-declaration slice digests and the stable install/shape
+   digests fine-grained invalidation compares. *)
 let version = "mcc-artifact-v3"
 
 (* ------------------------------------------------------------------ *)
@@ -150,51 +157,130 @@ let scan_imports src =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
+(* Cache files
+
+   A cache file is written whole and read back whole:
+
+     tag | body length (8 bytes, little-endian) | MD5 of the body | body
+
+   The tag names the file format, the file and [version]; the body is a
+   Marshal blob.  [read_file] hands no byte to [Marshal] until the tag,
+   the length and the digest all check out, so a torn, truncated,
+   bit-flipped or foreign file is rejected instead of unmarshaled.
+   [write_file] writes a temporary file in the cache directory and
+   renames it into place, so a crash during a save leaves the previous
+   file intact. *)
+
+(* Bump when the layout of a cache file, or the type of anything
+   marshaled into one (Artifact.t, Project's memo entries), changes. *)
+let format = "mcc-cache-1"
+
+let file_tag file = Printf.sprintf "%s %s %s\n" format file version
+
+let write_file dir file body =
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  let len = Bytes.create 8 in
+  Bytes.set_int64_le len 0 (Int64.of_int (String.length body));
+  let tmp, oc = Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:dir file ".tmp" in
+  match
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc (file_tag file);
+        output_bytes oc len;
+        output_string oc (Digest.string body);
+        output_string oc body;
+        close_out oc)
+  with
+  | () -> Sys.rename tmp (Filename.concat dir file)
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
+type contents = Missing | Rejected | Body of string * int (* file bytes, body offset *)
+
+let read_file dir file =
+  match In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all with
+  | exception Sys_error _ -> Missing
+  | s ->
+      let tag = file_tag file in
+      let ofs = String.length tag + 8 + 16 in
+      let n = String.length s - ofs in
+      if
+        n >= 0
+        && String.starts_with ~prefix:tag s
+        && String.get_int64_le s (String.length tag) = Int64.of_int n
+        && String.equal (String.sub s (ofs - 16) 16) (Digest.substring s ofs n)
+      then Body (s, ofs)
+      else Rejected
+
+(* ------------------------------------------------------------------ *)
 (* The interface store *)
+
+(* A stored artifact.  [blob] is its marshaled form, made once when it
+   is stored or kept from the file it was loaded from: its length is the
+   artifact's charge against the size bound, so the bound models a
+   persistent store of that many bytes, and [save] writes it.  [checked]
+   records that the artifact passed verification — at its first probe,
+   at [save], or by arriving in a file whose header checked out.  A
+   replaced artifact is a new entry, so it is verified again. *)
+type entry = { art : Artifact.t; blob : string; mutable checked : bool }
 
 type t = {
   mu : Mutex.t;
   dir : string option;
   cap_bytes : int option; (* store size bound; None = unbounded *)
-  defs : (string, Artifact.t) Hashtbl.t; (* fingerprint -> artifact *)
+  defs : (string, entry) Hashtbl.t; (* fingerprint -> artifact *)
   latest : (string, string) Hashtbl.t; (* name -> last stored fingerprint *)
-  sizes : (string, int) Hashtbl.t; (* fingerprint -> marshaled bytes *)
   lru : (string, int) Hashtbl.t; (* fingerprint -> last-use tick *)
   imports_memo : (string, string list) Hashtbl.t; (* source digest -> imports *)
   mutable tick : int;
-  mutable bytes : int; (* sum of [sizes] *)
+  mutable bytes : int; (* summed entry sizes *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
   mutable evictions : int; (* entries dropped by the size bound *)
-  mutable corrupt : int; (* artifacts dropped by digest verification *)
+  mutable corrupt : int; (* artifacts or files rejected by verification *)
   mutable verify : bool; (* probe-time digest verification; see [disable_verification] *)
+  mutable dirty : bool; (* stored, evicted or dropped since the last load or save *)
 }
 
-(* An artifact's charge against the size bound is its marshaled size —
-   the same bytes [save] would write for it, so the bound models a
-   persistent store of that many bytes. *)
-let artifact_size (a : Artifact.t) = String.length (Marshal.to_string a [])
+let iface_file = "interfaces.bin"
 
-(* All four must run under [t.mu]. *)
+(* All of these must run under [t.mu] once [t] is shared. *)
 
 let touch t fp =
   t.tick <- t.tick + 1;
   Hashtbl.replace t.lru fp t.tick
 
-let forget_sizes t fp =
-  (match Hashtbl.find_opt t.sizes fp with
-  | Some sz -> t.bytes <- t.bytes - sz
+(* Install [e] under [fp] as its interface's latest artifact. *)
+let put t fp e =
+  (match Hashtbl.find_opt t.defs fp with
+  | Some old -> t.bytes <- t.bytes - String.length old.blob
   | None -> ());
-  Hashtbl.remove t.sizes fp;
-  Hashtbl.remove t.lru fp
+  Hashtbl.replace t.defs fp e;
+  Hashtbl.replace t.latest e.art.Artifact.a_name fp;
+  t.bytes <- t.bytes + String.length e.blob
 
-let record_size t fp a =
-  forget_sizes t fp;
-  let sz = artifact_size a in
-  Hashtbl.replace t.sizes fp sz;
-  t.bytes <- t.bytes + sz;
-  touch t fp
+let drop t fp =
+  match Hashtbl.find_opt t.defs fp with
+  | None -> ()
+  | Some e ->
+      let name = e.art.Artifact.a_name in
+      (match Hashtbl.find_opt t.latest name with
+      | Some latest_fp when latest_fp = fp -> Hashtbl.remove t.latest name
+      | _ -> ());
+      Hashtbl.remove t.defs fp;
+      Hashtbl.remove t.lru fp;
+      t.bytes <- t.bytes - String.length e.blob;
+      t.dirty <- true
+
+(* Verify [e] once: the store key must match the artifact's recorded
+   fingerprint and the stored digest a payload recomputation. *)
+let sound fp e =
+  if not e.checked then
+    e.checked <- String.equal fp e.art.Artifact.a_fingerprint && Artifact.verify e.art;
+  e.checked
 
 (* Evict least-recently-used artifacts until the store fits the bound
    again, never evicting [keep] (the entry just stored): the bound is a
@@ -220,50 +306,43 @@ let enforce_cap t ~keep =
         match victim with
         | None -> continue_ := false
         | Some (fp, _) ->
-            (match Hashtbl.find_opt t.defs fp with
-            | Some a -> (
-                match Hashtbl.find_opt t.latest a.Artifact.a_name with
-                | Some latest_fp when latest_fp = fp -> Hashtbl.remove t.latest a.Artifact.a_name
-                | _ -> ())
-            | None -> ());
-            Hashtbl.remove t.defs fp;
-            forget_sizes t fp;
+            drop t fp;
             t.evictions <- t.evictions + 1;
             if Metrics.enabled () then Metrics.incr "mcc_cache_evict_total";
             continue_ := t.bytes > cap
       done
 
-let cache_file dir = Filename.concat dir "interfaces.bin"
-
 (* The hashing work for [len] source bytes, in virtual units. *)
 let hash_units len =
   Costs.hash_block * ((len + Costs.hash_block_bytes - 1) / Costs.hash_block_bytes)
 
+(* A rejected file leaves the store empty; it is counted, and the store
+   is dirty so that [save] replaces the file. *)
+let reject t =
+  t.corrupt <- t.corrupt + 1;
+  t.dirty <- true
+
 let load t dir =
-  match open_in_bin (cache_file dir) with
-  | exception Sys_error _ -> ()
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match (Marshal.from_channel ic : string * (string * Artifact.t) list) with
-          | exception _ -> () (* unreadable or truncated: start empty *)
-          | v, defs when v = version ->
-              let floor = ref 0 in
-              List.iter
-                (fun (fp, a) ->
-                  (* drop artifacts whose stored digest no longer matches
-                     their payload (on-disk bit-rot / tampering) *)
-                  if not (Artifact.verify a) then t.corrupt <- t.corrupt + 1
-                  else begin
-                    Hashtbl.replace t.defs fp a;
-                    Hashtbl.replace t.latest a.Artifact.a_name fp;
-                    record_size t fp a;
-                    floor := max !floor (Artifact.max_uid a)
-                  end)
-                defs;
-              Mcc_sem.Types.bump_uid_floor !floor
-          | _ -> () (* format version changed: start empty *))
+  match read_file dir iface_file with
+  | Missing -> ()
+  | Rejected -> reject t
+  | Body (s, ofs) -> (
+      match
+        List.map
+          (fun (fp, bytes) -> (fp, bytes, (Marshal.from_string bytes 0 : Artifact.t)))
+          (Marshal.from_string s ofs : (string * string) list)
+      with
+      | exception _ -> reject t
+      | defs ->
+          (* the header vouches for every byte: loaded artifacts count as
+             verified *)
+          List.iter
+            (fun (fp, bytes, art) ->
+              put t fp { art; blob = bytes; checked = true };
+              touch t fp)
+            defs;
+          Mcc_sem.Types.bump_uid_floor
+            (List.fold_left (fun m (_, _, a) -> max m (Artifact.max_uid a)) 0 defs))
 
 let create ?dir ?cap_bytes () =
   let t =
@@ -273,7 +352,6 @@ let create ?dir ?cap_bytes () =
       cap_bytes;
       defs = Hashtbl.create 64;
       latest = Hashtbl.create 64;
-      sizes = Hashtbl.create 64;
       lru = Hashtbl.create 64;
       imports_memo = Hashtbl.create 64;
       tick = 0;
@@ -284,6 +362,7 @@ let create ?dir ?cap_bytes () =
       evictions = 0;
       corrupt = 0;
       verify = true;
+      dirty = false;
     }
   in
   Option.iter (load t) dir;
@@ -293,19 +372,33 @@ let create ?dir ?cap_bytes () =
   Mutex.unlock t.mu;
   t
 
+(* Artifacts never probed are verified here, so only verified artifacts
+   reach disk; one that fails is dropped and counted.  A clean store
+   leaves its file as it is. *)
 let save t =
   match t.dir with
   | None -> ()
   | Some dir ->
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+      let exists = Sys.file_exists (Filename.concat dir iface_file) in
       Mutex.lock t.mu;
-      let defs = Hashtbl.fold (fun fp a acc -> (fp, a) :: acc) t.defs [] in
+      let bad = Hashtbl.fold (fun fp e acc -> if sound fp e then acc else fp :: acc) t.defs [] in
+      List.iter
+        (fun fp ->
+          drop t fp;
+          t.corrupt <- t.corrupt + 1)
+        bad;
+      let write = t.dirty || not exists in
+      let defs = if write then Hashtbl.fold (fun fp e acc -> (fp, e.blob) :: acc) t.defs [] else [] in
+      t.dirty <- false;
       Mutex.unlock t.mu;
-      let defs = List.sort (fun (a, _) (b, _) -> compare a b) defs in
-      let oc = open_out_bin (cache_file dir) in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc (version, defs) [])
+      if write then
+        let body = Marshal.to_string (List.sort (fun (a, _) (b, _) -> compare a b) defs) [] in
+        try write_file dir iface_file body
+        with e ->
+          Mutex.lock t.mu;
+          t.dirty <- true;
+          Mutex.unlock t.mu;
+          raise e
 
 let imports_of t src =
   let key = Digest.to_hex (Digest.string src) in
@@ -372,7 +465,7 @@ let tamper t ~name =
   | Some fp -> (
       match Hashtbl.find_opt t.defs fp with
       | None -> ()
-      | Some a ->
+      | Some e ->
           let bogus =
             {
               Diag.file = name ^ ".def";
@@ -381,39 +474,36 @@ let tamper t ~name =
               sev = Diag.Warning;
             }
           in
-          Hashtbl.replace t.defs fp { a with Artifact.a_diags = bogus :: a.Artifact.a_diags }));
+          let art = { e.art with Artifact.a_diags = bogus :: e.art.Artifact.a_diags } in
+          put t fp { art; blob = Marshal.to_string art []; checked = false };
+          t.dirty <- true));
   Mutex.unlock t.mu
 
 (* Probe, verifying before handing the artifact to the install path: the
    store key must match the artifact's recorded fingerprint, and the
-   stored digest must match a payload recomputation (an armed Fault plan
-   can also declare the artifact corrupt).  A verification failure is
-   counted as corruption *and* an invalidation, the entry is evicted,
-   and the probe reports a miss — the caller rebuilds the interface from
-   source and re-stores it, healing the cache. *)
+   stored digest must match a payload recomputation ([sound], once per
+   stored value); an armed Fault plan can also declare the artifact
+   corrupt, on any probe.  A verification failure is counted as
+   corruption *and* an invalidation, the entry is evicted, and the probe
+   reports a miss — the caller rebuilds the interface from source and
+   re-stores it, healing the cache. *)
 let find_interface t ~fp =
   if Metrics.enabled () then Metrics.incr "mcc_cache_probe_total";
   Mutex.lock t.mu;
   let r =
     match Hashtbl.find_opt t.defs fp with
     | None -> None
-    | Some a ->
+    | Some e ->
+        let a = e.art in
         let injected = Fault.armed () && Fault.corrupt_artifact ~name:a.Artifact.a_name in
-        if
-          t.verify
-          && (injected || fp <> a.Artifact.a_fingerprint || not (Artifact.verify a))
-        then begin
+        if t.verify && (injected || not (sound fp e)) then begin
           if injected && Evlog.enabled () then
             Evlog.emit
               (Evlog.Fault_inject { fault = "corrupt-artifact"; victim = a.Artifact.a_name });
           t.corrupt <- t.corrupt + 1;
           if Metrics.enabled () then Metrics.incr "mcc_cache_corrupt_total";
           t.invalidations <- t.invalidations + 1;
-          Hashtbl.remove t.defs fp;
-          forget_sizes t fp;
-          (match Hashtbl.find_opt t.latest a.Artifact.a_name with
-          | Some latest_fp when latest_fp = fp -> Hashtbl.remove t.latest a.Artifact.a_name
-          | _ -> ());
+          drop t fp;
           None
         end
         else begin
@@ -429,23 +519,24 @@ let find_interface t ~fp =
 
 let store_interface t (a : Artifact.t) =
   if Metrics.enabled () then Metrics.incr "mcc_cache_store_total";
+  let fp = a.Artifact.a_fingerprint in
+  let e = { art = a; blob = Marshal.to_string a []; checked = false } in
   Mutex.lock t.mu;
   (match Hashtbl.find_opt t.latest a.Artifact.a_name with
-  | Some old_fp when old_fp <> a.Artifact.a_fingerprint ->
+  | Some old_fp when old_fp <> fp ->
       (* the interface changed: the old artifact can never be hit again *)
       t.invalidations <- t.invalidations + 1;
-      Hashtbl.remove t.defs old_fp;
-      forget_sizes t old_fp
+      drop t old_fp
   | _ -> ());
-  Hashtbl.replace t.defs a.Artifact.a_fingerprint a;
-  Hashtbl.replace t.latest a.Artifact.a_name a.Artifact.a_fingerprint;
-  record_size t a.Artifact.a_fingerprint a;
-  enforce_cap t ~keep:(Some a.Artifact.a_fingerprint);
+  put t fp e;
+  touch t fp;
+  t.dirty <- true;
+  enforce_cap t ~keep:(Some fp);
   Mutex.unlock t.mu
 
 let interfaces t =
   Mutex.lock t.mu;
-  let r = Hashtbl.fold (fun _ a acc -> a :: acc) t.defs [] in
+  let r = Hashtbl.fold (fun _ e acc -> e.art :: acc) t.defs [] in
   Mutex.unlock t.mu;
   List.sort (fun (a : Artifact.t) b -> compare a.Artifact.a_name b.Artifact.a_name) r
 
@@ -457,7 +548,7 @@ let latest_artifact t name =
   let r =
     match Hashtbl.find_opt t.latest name with
     | None -> None
-    | Some fp -> Hashtbl.find_opt t.defs fp
+    | Some fp -> Option.map (fun e -> e.art) (Hashtbl.find_opt t.defs fp)
   in
   Mutex.unlock t.mu;
   r
@@ -492,16 +583,18 @@ let corrupt_count t =
 type 'r memo = {
   mmu : Mutex.t;
   mcap : int option; (* entry-count bound; None = unbounded *)
-  modules : (string, 'r) Hashtbl.t; (* module key -> result *)
-  latest_key : (string, string) Hashtbl.t; (* name -> last stored key *)
-  mcosts : (string, float) Hashtbl.t; (* key -> recompute cost *)
-  mpri : (string, float) Hashtbl.t; (* key -> GreedyDual priority *)
-  persisted : (string, string) Hashtbl.t; (* key -> payload bytes last loaded or saved *)
+  (* the tables are replaced only by [load_memo], sized for a loaded file *)
+  mutable modules : (string, 'r) Hashtbl.t; (* module key -> result *)
+  mutable latest_key : (string, string) Hashtbl.t; (* name -> last stored key *)
+  mutable mcosts : (string, float) Hashtbl.t; (* key -> recompute cost *)
+  mutable mpri : (string, float) Hashtbl.t; (* key -> GreedyDual priority *)
+  mutable persisted : (string, string) Hashtbl.t; (* key -> payload bytes last loaded or saved *)
   mutable ml : float; (* GreedyDual inflation level L *)
   mutable mhits : int;
   mutable mmisses : int;
   mutable minvalidations : int;
   mutable mevictions : int;
+  mutable mdirty : bool; (* stored, evicted or rejected since the last load or save *)
 }
 
 let memo ?cap () =
@@ -518,6 +611,7 @@ let memo ?cap () =
     mmisses = 0;
     minvalidations = 0;
     mevictions = 0;
+    mdirty = false;
   }
 
 (* Both must run under [m.mmu]. *)
@@ -561,6 +655,7 @@ let memo_enforce_cap m ~keep =
               (fun n k -> if k = key then Hashtbl.remove m.latest_key n)
               (Hashtbl.copy m.latest_key);
             m.mevictions <- m.mevictions + 1;
+            m.mdirty <- true;
             continue_ := Hashtbl.length m.modules > cap
       done
 
@@ -617,18 +712,32 @@ let find_latest_module m ~name =
 
 let store_module ?(cost = 1.0) m ~name ~key result =
   Mutex.lock m.mmu;
-  (match Hashtbl.find_opt m.latest_key name with
-  | Some old_key when old_key <> key ->
-      m.minvalidations <- m.minvalidations + 1;
-      memo_drop m old_key
-  | _ -> ());
+  (* bytes kept for this very value (a result re-keyed unchanged) carry
+     over to its new key; any other result stored under a persisted key
+     replaces it, and the old bytes must not be written back *)
+  let kept =
+    match Hashtbl.find_opt m.latest_key name with
+    | None -> None
+    | Some old_key ->
+        let kept =
+          match Hashtbl.find_opt m.modules old_key with
+          | Some r when r == result -> Hashtbl.find_opt m.persisted old_key
+          | _ -> None
+        in
+        if old_key <> key then begin
+          m.minvalidations <- m.minvalidations + 1;
+          memo_drop m old_key
+        end;
+        kept
+  in
   Hashtbl.replace m.modules key result;
-  (* a result stored under a persisted key replaces it: its old bytes
-     must not be written back *)
-  Hashtbl.remove m.persisted key;
+  (match kept with
+  | Some payload -> Hashtbl.replace m.persisted key payload
+  | None -> Hashtbl.remove m.persisted key);
   Hashtbl.replace m.latest_key name key;
   Hashtbl.replace m.mcosts key cost;
   Hashtbl.replace m.mpri key (m.ml +. cost);
+  m.mdirty <- true;
   memo_enforce_cap m ~keep:(Some key);
   Mutex.unlock m.mmu
 
@@ -647,93 +756,108 @@ let memo_eviction_count m =
 (* Memo persistence piggybacks on the cache's directory, so a CLI
    `m2c build` reuses whole-module results across process invocations
    the same way it reuses interface artifacts.  The ['r] payload is
-   marshaled untyped; the [version] tag is the only format guard, so any
-   change to the persisted result type must bump [version] (which also
-   invalidates persisted artifacts — they evolve together). *)
+   marshaled untyped behind the checked header: any change to the
+   persisted result type must bump [format]. *)
 
-let memo_file dir = Filename.concat dir "modules.bin"
+let memo_file = "modules.bin"
 
-let load_memo ?(decode = fun r -> r) t (m : 'r memo) =
+let load_memo t (m : 'r memo) =
   match t.dir with
   | None -> ()
   | Some dir -> (
-      match open_in_bin (memo_file dir) with
-      | exception Sys_error _ -> ()
-      | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              match
-                (Marshal.from_channel ic
-                  : string * (string * string) list * (string * string) list)
-              with
-              | exception _ -> () (* unreadable or truncated: start empty *)
-              | v, modules, latest when v = version ->
-                  Mutex.lock m.mmu;
-                  List.iter
-                    (fun (k, payload) ->
-                      (* a payload that no longer unmarshals is dropped,
-                         not fatal: the module just rebuilds cold *)
-                      match (Marshal.from_string payload 0 : 'r) with
-                      | exception _ -> ()
-                      | r ->
-                          Hashtbl.replace m.modules k (decode r);
-                          Hashtbl.replace m.persisted k payload;
-                          (* costs are not persisted: loaded entries
-                             restart at the uniform (LRU-like) cost *)
-                          Hashtbl.replace m.mcosts k 1.0;
-                          Hashtbl.replace m.mpri k (m.ml +. 1.0))
-                    modules;
-                  List.iter
-                    (fun (n, k) ->
-                      if Hashtbl.mem m.modules k then Hashtbl.replace m.latest_key n k)
-                    latest;
-                  memo_enforce_cap m ~keep:None;
-                  Mutex.unlock m.mmu
-              | _ -> () (* format version changed: start empty *)))
+      let reject () =
+        Mutex.lock t.mu;
+        reject t;
+        Mutex.unlock t.mu;
+        m.mdirty <- true
+      in
+      match read_file dir memo_file with
+      | Missing -> ()
+      | Rejected -> reject ()
+      | Body (s, ofs) -> (
+          match (Marshal.from_string s ofs : (string * string) list * (string * string) list) with
+          | exception _ -> reject ()
+          | modules, latest ->
+              Mutex.lock m.mmu;
+              if Hashtbl.length m.modules = 0 then begin
+                (* size the tables for the entries about to arrive *)
+                let n = List.length modules in
+                m.modules <- Hashtbl.create n;
+                m.latest_key <- Hashtbl.create n;
+                m.mcosts <- Hashtbl.create n;
+                m.mpri <- Hashtbl.create n;
+                m.persisted <- Hashtbl.create n
+              end;
+              List.iter
+                (fun (k, payload) ->
+                  (* a payload that no longer unmarshals is dropped, not
+                     fatal: the module just rebuilds cold *)
+                  match (Marshal.from_string payload 0 : 'r) with
+                  | exception _ -> m.mdirty <- true
+                  | r ->
+                      Hashtbl.replace m.modules k r;
+                      Hashtbl.replace m.persisted k payload;
+                      (* costs are not persisted: loaded entries restart
+                         at the uniform (LRU-like) cost *)
+                      Hashtbl.replace m.mcosts k 1.0;
+                      Hashtbl.replace m.mpri k (m.ml +. 1.0))
+                modules;
+              List.iter
+                (fun (n, k) -> if Hashtbl.mem m.modules k then Hashtbl.replace m.latest_key n k)
+                latest;
+              memo_enforce_cap m ~keep:None;
+              Mutex.unlock m.mmu))
 
-let save_memo ?(encode = fun r -> r) t (m : 'r memo) =
+let save_memo t (m : 'r memo) =
   match t.dir with
   | None -> ()
   | Some dir ->
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+      let exists = Sys.file_exists (Filename.concat dir memo_file) in
       Mutex.lock m.mmu;
+      let write = m.mdirty || not exists in
       let modules =
-        Hashtbl.fold (fun k v acc -> (k, v, Hashtbl.find_opt m.persisted k) :: acc) m.modules []
+        if write then
+          Hashtbl.fold (fun k v acc -> (k, v, Hashtbl.find_opt m.persisted k) :: acc) m.modules []
+        else []
       in
-      let latest = Hashtbl.fold (fun n k acc -> (n, k) :: acc) m.latest_key [] in
+      let latest = if write then Hashtbl.fold (fun n k acc -> (n, k) :: acc) m.latest_key [] else [] in
+      m.mdirty <- false;
       Mutex.unlock m.mmu;
-      (* an entry loaded or saved before keeps its payload bytes, so only
-         results stored since then are marshaled.  Fresh entries are
-         marshaled one by one so a result that contains an unmarshalable
-         value (a custom block the encoder missed, an exception payload)
-         costs only its own entry *)
-      let fresh = ref [] in
-      let modules =
-        List.filter_map
-          (fun (k, r, bytes) ->
-            match bytes with
-            | Some payload -> Some (k, payload)
-            | None -> (
-                match Marshal.to_string (encode r) [] with
-                | exception Invalid_argument _ -> None
-                | payload ->
-                    fresh := (k, r, payload) :: !fresh;
-                    Some (k, payload)))
-          modules
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let latest = List.sort compare latest in
-      let oc = open_out_bin (memo_file dir) in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc (version, modules, latest) []);
-      (* keep the bytes only while the entry is the one just marshaled *)
-      Mutex.lock m.mmu;
-      List.iter
-        (fun (k, r, payload) ->
-          match Hashtbl.find_opt m.modules k with
-          | Some r' when r' == r -> Hashtbl.replace m.persisted k payload
-          | _ -> ())
-        !fresh;
-      Mutex.unlock m.mmu
+      if write then begin
+        (* an entry loaded or saved before keeps its payload bytes, so
+           only results stored since then are marshaled.  Fresh entries
+           are marshaled one by one so a result that contains an
+           unmarshalable value (a custom block, an exception payload)
+           costs only its own entry *)
+        let fresh = ref [] in
+        let modules =
+          List.filter_map
+            (fun (k, r, bytes) ->
+              match bytes with
+              | Some payload -> Some (k, payload)
+              | None -> (
+                  match Marshal.to_string r [] with
+                  | exception Invalid_argument _ -> None
+                  | payload ->
+                      fresh := (k, r, payload) :: !fresh;
+                      Some (k, payload)))
+            modules
+          |> List.sort (fun (a, _) (b, _) -> compare a b)
+        in
+        let body = Marshal.to_string (modules, List.sort compare latest) [] in
+        (try write_file dir memo_file body
+         with e ->
+           Mutex.lock m.mmu;
+           m.mdirty <- true;
+           Mutex.unlock m.mmu;
+           raise e);
+        (* keep the bytes only while the entry is the one just marshaled *)
+        Mutex.lock m.mmu;
+        List.iter
+          (fun (k, r, payload) ->
+            match Hashtbl.find_opt m.modules k with
+            | Some r' when r' == r -> Hashtbl.replace m.persisted k payload
+            | _ -> ())
+          !fresh;
+        Mutex.unlock m.mmu
+      end

@@ -21,18 +21,26 @@
 type t
 
 (** [create ?dir ?cap_bytes ()] makes an empty cache; with [dir],
-    previously {!save}d interface artifacts are loaded from it (missing,
-    stale or unreadable files are ignored) and the type-uid counter is
-    bumped past every unmarshalled uid.  With [cap_bytes], the store is
-    size-bounded: whenever the marshaled sizes of the stored artifacts
-    exceed the bound, least-recently-used entries are evicted (counted
-    by {!eviction_count}, never counted as invalidations) — except the
+    previously {!save}d interface artifacts are loaded from it and the
+    type-uid counter is bumped past every unmarshalled uid.  The file's
+    header (format tag, body length, body digest) is checked before any
+    byte is unmarshaled: a missing file loads nothing, and a torn,
+    truncated, damaged or old-format one loads nothing and counts one
+    {!corrupt_count}.  Artifacts from a file that passed the check count
+    as verified.  With [cap_bytes], the store is size-bounded: whenever
+    the marshaled sizes of the stored artifacts exceed the bound,
+    least-recently-used entries are evicted (counted by
+    {!eviction_count}, never counted as invalidations) — except the
     entry just stored, so one oversized artifact still caches. *)
 val create : ?dir:string -> ?cap_bytes:int -> unit -> t
 
-(** Persist the interface store under the creation [dir] as a single
-    Marshal blob (preserving value sharing between artifacts).  No-op
-    without a [dir]. *)
+(** Persist the interface store under the creation [dir]: each
+    artifact's kept marshaled bytes, behind a checked header, written to
+    a temporary file renamed into place.  Artifacts never probed are
+    verified first; one that fails is dropped and counted in
+    {!corrupt_count}.  A store with nothing stored, evicted or dropped
+    since it was loaded leaves its file untouched.  No-op without a
+    [dir]. *)
 val save : t -> unit
 
 (** Direct imports of a source text, in first-occurrence order without
@@ -58,10 +66,11 @@ val interface_fp :
 (** Look up an artifact by fingerprint; counts a hit or miss.  The
     probe verifies before handing anything to the install path: the key
     must equal the artifact's recorded fingerprint and the stored digest
-    must match a payload recomputation (an armed [Fault] plan can also
-    declare the artifact corrupt).  A failure evicts the entry, counts
-    corruption + an invalidation, and reports a miss, so the caller
-    rebuilds from source and heals the cache. *)
+    must match a payload recomputation — checked once per stored value
+    (an armed [Fault] plan can declare the artifact corrupt on any
+    probe).  A failure evicts the entry, counts corruption + an
+    invalidation, and reports a miss, so the caller rebuilds from source
+    and heals the cache. *)
 val find_interface : t -> fp:string -> Artifact.t option
 
 (** Store an artifact; if the interface's previous fingerprint differs,
@@ -86,9 +95,9 @@ val eviction_count : t -> int
 (** Current marshaled size of the interface store, in bytes. *)
 val total_bytes : t -> int
 
-(** Artifacts dropped by digest verification (on {!find_interface}
-    probes and at load time); each probe-time drop is also counted in
-    the invalidations of {!counters}. *)
+(** Artifacts dropped by verification (on {!find_interface} probes and
+    at {!save}) plus cache files rejected at load; each probe-time drop
+    is also counted in the invalidations of {!counters}. *)
 val corrupt_count : t -> int
 
 (** {1 Conformance-canary hooks}
@@ -143,19 +152,19 @@ val memo_counters : 'r memo -> int * int * int
 val memo_eviction_count : 'r memo -> int
 
 (** Fill [memo] from the cache's directory (written by {!save_memo}); a
-    no-op without a directory, on a missing/unreadable file, or on a
-    format-version mismatch, and entries that fail to unmarshal are
-    dropped individually.  [decode] post-processes each loaded entry
-    (e.g. re-arming locks stripped for serialization).  The payload is
-    marshaled untyped — the version tag is the only format guard, so the
-    persisted result type must only change together with a version
-    bump. *)
-val load_memo : ?decode:('r -> 'r) -> t -> 'r memo -> unit
+    no-op without a directory or on a missing file.  As for {!create},
+    the header is checked before anything is unmarshaled and a rejected
+    file loads nothing and counts one {!corrupt_count}; an entry that
+    fails to unmarshal is dropped on its own.  The payload is marshaled
+    untyped, so the persisted result type must only change together
+    with the file format tag. *)
+val load_memo : t -> 'r memo -> unit
 
-(** Persist [memo] next to the interface artifacts; a no-op without a
-    directory.  [encode] pre-processes each entry into a marshal-safe
-    form; an entry that still fails to marshal is skipped, not fatal.
-    An entry loaded or saved before, and not stored over since, is
-    written back from its kept bytes without [encode]: stored results
-    must not be mutated in place. *)
-val save_memo : ?encode:('r -> 'r) -> t -> 'r memo -> unit
+(** Persist [memo] next to the interface artifacts, as {!save} does; a
+    no-op without a directory, and without a rewrite when nothing was
+    stored or evicted since the memo was loaded or saved.  An entry
+    that fails to marshal is skipped, not fatal.  An entry loaded or
+    saved before, and not replaced by a different value since (a result
+    re-stored under a new key keeps them), is written back from its kept
+    bytes: stored results must not be mutated in place. *)
+val save_memo : t -> 'r memo -> unit

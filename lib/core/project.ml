@@ -32,9 +32,11 @@
      cached ones: an identical shape is an {e early cutoff} —
      invalidation stops there and downstream modules reuse.
 
-   Because one artifact serves every configuration but a cached
-   Driver.result embeds simulated timings, the module key includes a
-   configuration tag while interface fingerprints do not. *)
+   One artifact serves every configuration, but the module key includes
+   a configuration tag ([config_tag], shared with the compile server,
+   whose cached Driver.results embed simulated timings).  A memo entry
+   keeps only what reuse consumes (code, frames, diagnostics, verdict,
+   dependency record), not the compilation's trace or task lists. *)
 
 open Mcc_m2
 open Mcc_sched
@@ -50,39 +52,37 @@ type dep = {
   dep_slices : (string * string) list; (* probed exported name -> digest or marker *)
 }
 
+(* A memoized per-module compilation: only what reuse consumes — the
+   module's code units and frames for the link, its diagnostics and
+   verdict, the implementation source digest it was built from and its
+   dependency record.  Marshal-safe as it is. *)
 type entry = {
-  e_result : Driver.result;
-  e_src_digest : string; (* the implementation source this result was built from *)
+  e_units : Cunit.t list;
+  e_frames : (string * (int * Tydesc.t) list * int) list;
+  e_diags : Diag.d list;
+  e_ok : bool;
+  e_src_digest : string;
   e_deps : dep list;
 }
 
 type cache = { bc : Build_cache.t; memo : entry Build_cache.memo }
 
-(* [Driver.result] embeds one custom block Marshal rejects — the
-   lookup-stats lock — so persisted entries strip it on the way out and
-   re-arm it on the way in. *)
-let entry_encode e =
-  { e with e_result = { e.e_result with Driver.stats = Mcc_sem.Lookup_stats.unsynced e.e_result.Driver.stats } }
-
-let entry_decode e =
-  ignore (Mcc_sem.Lookup_stats.resync e.e_result.Driver.stats);
-  e
-
 let cache ?dir () =
   let bc = Build_cache.create ?dir () in
   let memo = Build_cache.memo () in
-  Build_cache.load_memo ~decode:entry_decode bc memo;
+  Build_cache.load_memo bc memo;
   { bc; memo }
 
 let save { bc; memo } =
   Build_cache.save bc;
-  Build_cache.save_memo ~encode:entry_encode bc memo
+  Build_cache.save_memo bc memo
 
 type result = {
   program : Cunit.program;
   diags : Diag.d list;
   ok : bool;
-  modules : (string * Driver.result) list; (* in initialization order *)
+  modules : string list; (* initialization order *)
+  compiled : (string * Driver.result) list; (* modules compiled this call, in init order *)
   total_units : float; (* summed virtual compile time across modules *)
   reused : string list; (* modules restored from the cache, in init order *)
   recompiled : string list; (* modules compiled this call, in init order *)
@@ -282,10 +282,25 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
           stale
       end
   | _ -> ());
+  (* The slim memo entry of a fresh result. *)
+  let entry_of ~src_digest ~deps (r : Driver.result) =
+    {
+      e_units = Hashtbl.fold (fun _ u acc -> u :: acc) r.Driver.program.Cunit.p_units [];
+      e_frames = r.Driver.program.Cunit.p_frames;
+      e_diags = r.Driver.diags;
+      e_ok = r.Driver.ok;
+      e_src_digest = src_digest;
+      e_deps = deps;
+    }
+  in
+  (* per module: its entry, its full result if compiled this call, and
+     its reuse verdict (None without a cache) *)
   let compile_one name =
     let focused = Source_store.focus store name in
     match cache with
-    | None -> (name, Driver.compile ~config focused, None)
+    | None ->
+        let r = Driver.compile ~config focused in
+        (name, entry_of ~src_digest:"" ~deps:[] r, Some r, None)
     | Some { bc; memo } -> (
         let mname = tag ^ "|" ^ name in
         let key, units = Build_cache.module_key bc ~memo:fp_memo ~config_tag:tag focused in
@@ -308,48 +323,48 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
                     | Error why -> `Rebuild why))
         in
         match verdict with
-        | `Reuse (e, why) -> (name, e.e_result, Some (true, why))
+        | `Reuse (e, why) -> (name, e, None, Some (true, why))
         | `Cutoff (prev, nslices) ->
             (* re-key the entry under the new whole-module key so the
                next unchanged build coarse-hits without re-checking *)
             Build_cache.store_module memo ~name:mname ~key prev;
             ( name,
-              prev.e_result,
-              Some (true, Printf.sprintf "early cutoff: all %d used slices unchanged" nslices)
-            )
+              prev,
+              None,
+              Some (true, Printf.sprintf "early cutoff: all %d used slices unchanged" nslices) )
         | `Rebuild why ->
             let shape_before =
               Option.map (fun a -> a.Artifact.a_shape) (Build_cache.latest_artifact bc name)
             in
             let r = Driver.compile ~config ~cache:bc focused in
+            let e = entry_of ~src_digest ~deps:(deps_of bc store r) r in
             (* prune per (configuration, module): an edit invalidates a
                module's stale result without evicting the same module's
                still-valid results under other configurations *)
-            Build_cache.store_module memo ~name:mname ~key
-              { e_result = r; e_src_digest = src_digest; e_deps = deps_of bc store r };
+            Build_cache.store_module memo ~name:mname ~key e;
             (match (shape_before, Build_cache.latest_artifact bc name) with
             | Some s0, Some a when fine && String.equal a.Artifact.a_shape s0 ->
                 (* the rebuilt module's own regenerated interface came
                    out byte-identical: importers need not rebuild *)
                 if not (List.mem name !cutoffs) then cutoffs := name :: !cutoffs
             | _ -> ());
-            (name, r, Some (false, why)))
+            (name, e, Some r, Some (false, why)))
   in
-  let compiled = List.map compile_one names in
-  let modules = List.map (fun (name, r, _) -> (name, r)) compiled in
+  let built = List.map compile_one names in
+  let compiled = List.filter_map (fun (n, _, r, _) -> Option.map (fun r -> (n, r)) r) built in
   (* merge: units are unique by construction (each implementation is
      compiled exactly once); interface frames repeat across compilations
      with identical layouts and are deduplicated by key *)
   let units = ref [] and frames = Hashtbl.create 16 and diags = ref [] in
   List.iter
-    (fun (_, (r : Driver.result)) ->
-      diags := r.Driver.diags :: !diags;
-      Hashtbl.iter (fun _ u -> units := u :: !units) r.Driver.program.Cunit.p_units;
+    (fun (_, e, _, _) ->
+      diags := e.e_diags :: !diags;
+      units := e.e_units @ !units;
       List.iter
         (fun ((key, _, _) as frame) ->
           if not (Hashtbl.mem frames key) then Hashtbl.replace frames key frame)
-        r.Driver.program.Cunit.p_frames)
-    modules;
+        e.e_frames)
+    built;
   let frames = Hashtbl.fold (fun _ f acc -> f :: acc) frames [] in
   let program =
     Cunit.link ~init:names ~entry:(Source_store.main_name store) ~frames !units
@@ -360,28 +375,28 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
   {
     program;
     diags;
-    ok = List.for_all (fun (_, (r : Driver.result)) -> r.Driver.ok) modules;
-    modules;
+    ok = List.for_all (fun (_, e, _, _) -> e.e_ok) built;
+    modules = names;
+    compiled;
     total_units =
       (* reused modules are not re-simulated: they contribute only the
          reuse check's work, not their cached end-to-end compile time *)
       List.fold_left
-        (fun acc (_, (r : Driver.result), st) ->
-          if is_reused st then acc else acc +. r.Driver.sim.Mcc_sched.Des_engine.end_time)
+        (fun acc (_, (r : Driver.result)) -> acc +. r.Driver.sim.Mcc_sched.Des_engine.end_time)
         (reuse_units +. !refresh_units) compiled;
-    reused = List.filter_map (fun (n, _, st) -> if is_reused st then Some n else None) compiled;
+    reused = List.filter_map (fun (n, _, _, st) -> if is_reused st then Some n else None) built;
     recompiled =
-      List.filter_map (fun (n, _, st) -> if is_reused st then None else Some n) compiled;
+      List.filter_map (fun (n, _, _, st) -> if is_reused st then None else Some n) built;
     reuse_units;
     refresh_units = !refresh_units;
     cutoffs = List.sort_uniq compare !cutoffs;
     iface_changes = List.sort (fun (a, _) (b, _) -> compare a b) !iface_changes;
     explain =
       List.map
-        (fun (n, _, st) ->
+        (fun (n, _, _, st) ->
           match st with
           | None -> (n, "compiled (no cache)")
           | Some (true, why) -> (n, "reused: " ^ why)
           | Some (false, why) -> (n, "recompiled: " ^ why))
-        compiled;
+        built;
   }

@@ -34,11 +34,15 @@ type dep = {
   dep_slices : (string * string) list;
 }
 
-(** A memoized per-module compilation: the result, the digest of the
-    implementation source it was built from, and its fine-grained
-    dependency record. *)
+(** A memoized per-module compilation, holding only what reuse
+    consumes: the module's code units and global frames, its
+    diagnostics and verdict, the digest of the implementation source it
+    was built from, and its fine-grained dependency record. *)
 type entry = {
-  e_result : Driver.result;
+  e_units : Cunit.t list;
+  e_frames : (string * (int * Tydesc.t) list * int) list;
+  e_diags : Diag.d list;
+  e_ok : bool;
   e_src_digest : string;
   e_deps : dep list;
 }
@@ -53,14 +57,17 @@ type cache = { bc : Build_cache.t; memo : entry Build_cache.memo }
 val cache : ?dir:string -> unit -> cache
 
 (** Persist the interface store and the module memo to the cache's
-    directory (a no-op for an in-memory cache). *)
+    directory (a no-op for an in-memory cache, and a file whose store is
+    unchanged since it was loaded is not rewritten). *)
 val save : cache -> unit
 
 type result = {
   program : Cunit.program;
   diags : Diag.d list;
   ok : bool;
-  modules : (string * Driver.result) list;  (** per-module results, in init order *)
+  modules : string list;  (** every module of the program, in init order *)
+  compiled : (string * Driver.result) list;
+      (** full results of the modules compiled this call, in init order *)
   total_units : float;
       (** summed virtual compile time across recompiled modules plus
           [reuse_units] and [refresh_units] — equals the cacheless total

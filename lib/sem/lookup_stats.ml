@@ -17,9 +17,7 @@ type scope_class = CSelf | COther | COuter | CWith | CBuiltin
 type completeness = Complete | Incomplete
 
 type t = {
-  mutable mu : Mutex.t option;
-      (* [None] only on a marshal-safe view ([unsynced]) or a value just
-         unmarshaled from a cache; [resync] re-arms it *)
+  mu : Mutex.t;
   counts : (kind * found_when * scope_class * completeness, int) Hashtbl.t;
   mutable never_simple : int;
   mutable never_qualified : int;
@@ -33,7 +31,7 @@ type t = {
 
 let create () =
   {
-    mu = Some (Mutex.create ());
+    mu = Mutex.create ();
     counts = Hashtbl.create 64;
     never_simple = 0;
     never_qualified = 0;
@@ -43,18 +41,8 @@ let create () =
     uses = Hashtbl.create 16;
   }
 
-let lock t = match t.mu with Some m -> Mutex.lock m | None -> ()
-let unlock t = match t.mu with Some m -> Mutex.unlock m | None -> ()
-
-(* A marshal-safe view for cache persistence: [Mutex.t] is a custom
-   block [Marshal] rejects.  [unsynced] shares the tables — marshal the
-   copy right away, before any concurrent recording can race the
-   serializer.  [resync] re-arms a just-unmarshaled value. *)
-let unsynced t = { t with mu = None }
-
-let resync t =
-  (match t.mu with None -> t.mu <- Some (Mutex.create ()) | Some _ -> ());
-  t
+let lock t = Mutex.lock t.mu
+let unlock t = Mutex.unlock t.mu
 
 let record t ~kind ~found ~scope ~compl =
   lock t;

@@ -48,15 +48,6 @@ val used_in : t -> import:string -> string list
 (** Accumulate [src] into [into]. *)
 val merge : into:t -> t -> unit
 
-(** A marshal-safe view sharing [t]'s tables ([Mutex.t] is a custom
-    block [Marshal] rejects); serialize it immediately, before further
-    recording can race the serializer. *)
-val unsynced : t -> t
-
-(** Re-arm the lock of a value unmarshaled from a cache (in place;
-    returns its argument).  A no-op on live values. *)
-val resync : t -> t
-
 val get : t -> kind:kind -> found:found_when -> scope:scope_class -> compl:completeness -> int
 val never : t -> kind:kind -> int
 val dky_blocks : t -> int

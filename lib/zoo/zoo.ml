@@ -273,7 +273,7 @@ let program_record ~input (p : Project.result) =
   in
   {
     Golden.g_ok = p.Project.ok;
-    g_modules = List.map fst p.Project.modules;
+    g_modules = p.Project.modules;
     g_diags = List.sort compare (List.map Mcc_m2.Diag.to_string p.Project.diags);
     g_vm_status = vm_status;
     g_stdout = vm_out;

@@ -338,6 +338,183 @@ let test_memo_resave_identical () =
       Project.save c2;
       Alcotest.(check bool) "modules.bin byte-identical" true (String.equal first (Tutil.read_file file)))
 
+(* --- crash-safe, verify-once saves --- *)
+
+let cache_files = [ "interfaces.bin"; "modules.bin" ]
+
+(* One `m2c build` step against [dir]. *)
+let build_step ?main_body dir =
+  let c = Project.cache ~dir () in
+  let r = Project.compile ~cache:c (project_store ?main_body ()) in
+  Project.save c;
+  r
+
+(* Saves replace a file by renaming a complete new one over it, and a
+   store with nothing new is not rewritten at all. *)
+let test_atomic_saves () =
+  with_cache_dir (fun dir ->
+      let inodes () = List.map (fun f -> (Unix.stat (Filename.concat dir f)).Unix.st_ino) cache_files in
+      ignore (build_step dir);
+      let before = inodes () in
+      let r = build_step dir in
+      Alcotest.(check (list string)) "no-op build recompiles nothing" [] r.Project.recompiled;
+      Alcotest.(check (list int)) "clean saves leave both files in place" before (inodes ());
+      let r = build_step ~main_body:"a := Lib.Bump() + 1; WriteInt(a)" dir in
+      Alcotest.(check (list string)) "body-only edit recompiles Main" [ "Main" ] r.Project.recompiled;
+      (match (before, inodes ()) with
+      | [ i0; m0 ], [ i1; m1 ] ->
+          Alcotest.(check int) "interfaces.bin unchanged: not rewritten" i0 i1;
+          Alcotest.(check bool) "modules.bin rewritten: a new file renamed into place" true (m0 <> m1)
+      | _ -> assert false);
+      Alcotest.(check (list string)) "no temporary file left behind" cache_files
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
+
+(* Two processes building over one cache directory at once: each save
+   renames a complete file into place, so every load, in either process
+   and after both, finds whole files. *)
+let test_two_processes () =
+  with_cache_dir (fun dir ->
+      let builder op =
+        match Unix.fork () with
+        | 0 -> (
+            try
+              for i = 1 to 20 do
+                let c = Project.cache ~dir () in
+                if Build_cache.corrupt_count c.Project.bc <> 0 then Unix._exit 2;
+                let main_body = Printf.sprintf "a := Lib.Bump() %s %d; WriteInt(a)" op i in
+                ignore (Project.compile ~cache:c (project_store ~main_body ()));
+                Project.save c
+              done;
+              Unix._exit 0
+            with _ -> Unix._exit 1)
+        | pid -> pid
+      in
+      List.iter
+        (fun pid ->
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _ -> Alcotest.fail "a builder process failed")
+        [ builder "+"; builder "-" ];
+      let c = Project.cache ~dir () in
+      Alcotest.(check int) "both files load cleanly" 0 (Build_cache.corrupt_count c.Project.bc);
+      let r = Project.compile ~cache:c (project_store ()) in
+      let cold = Project.compile (project_store ()) in
+      Alcotest.(check string) "the next build equals a cold build" (dis cold.Project.program)
+        (dis r.Project.program))
+
+(* A stored artifact that was never probed is verified at save time: a
+   tampered one is dropped and counted, and never reaches disk. *)
+let test_save_drops_unverified () =
+  with_cache_dir (fun dir ->
+      let c = Build_cache.create ~dir () in
+      ignore (Driver.compile ~cache:c (sample_store ()));
+      let a = List.hd (Build_cache.interfaces c) in
+      Build_cache.store_interface c { a with Artifact.a_digest = String.make 32 '0' };
+      let corrupt0 = Build_cache.corrupt_count c in
+      Build_cache.save c;
+      Alcotest.(check int) "the tampered artifact is counted" (corrupt0 + 1)
+        (Build_cache.corrupt_count c);
+      let c2 = Build_cache.create ~dir () in
+      Alcotest.(check int) "the saved file is sound" 0 (Build_cache.corrupt_count c2);
+      Alcotest.(check int) "the tampered artifact is absent" 0
+        (List.length (Build_cache.interfaces c2)))
+
+(* --- hostile cache files: rejected before unmarshaling, never fatal --- *)
+
+let observation (r : Project.result) = (dis r.Project.program, diag_strings r.Project.diags)
+let cold = lazy (observation (Project.compile (project_store ())))
+
+(* The two files of a freshly saved cache, and the old headerless
+   encodings of their contents (a bare Marshal blob, the format tag
+   being the artifact version). *)
+let pristine =
+  lazy
+    (with_cache_dir (fun dir ->
+         let c = Project.cache ~dir () in
+         ignore (Project.compile ~cache:c (project_store ()));
+         Project.save c;
+         let files = List.map (fun f -> (f, Tutil.read_file (Filename.concat dir f))) cache_files in
+         let v = "mcc-artifact-v3" in
+         let arts = List.map (fun a -> (a.Artifact.a_fingerprint, a)) (Build_cache.interfaces c.Project.bc) in
+         let entries =
+           List.filter_map
+             (fun n ->
+               Build_cache.find_latest_module c.Project.memo
+                 ~name:(Project.config_tag Driver.default_config ^ "|" ^ n))
+             [ "Lib"; "Main" ]
+         in
+         let headerless =
+           [
+             ("interfaces.bin", Marshal.to_string (v, arts) []);
+             ( "modules.bin",
+               Marshal.to_string
+                 (v, List.map (fun (k, e) -> (k, Marshal.to_string e [])) entries, [ ("Main", "k") ])
+                 [] );
+           ]
+         in
+         (files, headerless)))
+
+(* A cache directory holding the pristine files with [file] replaced by
+   [bytes]: loading it must not raise and must count one rejection, the
+   next build must equal a cold build, and its save must heal the
+   directory. *)
+let load_damaged ~what file bytes =
+  with_cache_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      List.iter
+        (fun (f, s) ->
+          Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+              output_string oc (if f = file then bytes else s)))
+        (fst (Lazy.force pristine));
+      let c = Project.cache ~dir () in
+      let rejected = Build_cache.corrupt_count c.Project.bc = 1 in
+      let r = Project.compile ~cache:c (project_store ()) in
+      Project.save c;
+      let healed = Project.cache ~dir () in
+      let again = Project.compile ~cache:healed (project_store ()) in
+      if not rejected then Alcotest.failf "%s: %s not rejected" what file;
+      observation r = Lazy.force cold
+      && Build_cache.corrupt_count healed.Project.bc = 0
+      && again.Project.recompiled = [])
+
+let test_hostile_files () =
+  let rng = Random.State.make [| 15 |] in
+  let files, headerless = Lazy.force pristine in
+  List.iter
+    (fun (file, good) ->
+      let n = String.length good in
+      let flip pos =
+        String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x5a) else c) good
+      in
+      let cases =
+        List.map
+          (fun k -> (Printf.sprintf "truncated at %d" k, String.sub good 0 k))
+          (List.sort_uniq compare [ 0; 1; 12; 30; 40; n / 2; n - 1 ])
+        @ [
+            (let pos = Random.State.int rng n in
+             (Printf.sprintf "byte %d flipped" pos, flip pos));
+            ("garbage", String.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)));
+            ("old headerless format", List.assoc file headerless);
+          ]
+      in
+      List.iter
+        (fun (what, bytes) ->
+          Alcotest.(check bool) (file ^ " " ^ what ^ ": cold output, healed") true
+            (load_damaged ~what file bytes))
+        cases)
+    files
+
+let prop_byte_flips =
+  QCheck.Test.make ~name:"any single byte flip is rejected and healed" ~count:40
+    QCheck.(triple bool (int_bound 1_000_000) (int_range 1 255))
+    (fun (memo_file, pos, mask) ->
+      let file, good = List.nth (fst (Lazy.force pristine)) (if memo_file then 1 else 0) in
+      let pos = pos mod String.length good in
+      let bytes =
+        String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor mask) else c) good
+      in
+      load_damaged ~what:(Printf.sprintf "byte %d ^ %d" pos mask) file bytes)
+
 (* --- the charge-free import scan agrees with the real importer --- *)
 
 let importer_scan src =
@@ -441,6 +618,11 @@ let () =
           Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
           Alcotest.test_case "memo store over a loaded key" `Quick test_memo_store_over_loaded_key;
           Alcotest.test_case "memo resave byte-identical" `Quick test_memo_resave_identical;
+          Alcotest.test_case "atomic saves, clean saves skipped" `Quick test_atomic_saves;
+          Alcotest.test_case "two processes, one cache directory" `Quick test_two_processes;
+          Alcotest.test_case "save drops unverified artifacts" `Quick test_save_drops_unverified;
+          Alcotest.test_case "hostile files rejected" `Quick test_hostile_files;
+          Tutil.qtest prop_byte_flips;
         ] );
       ( "scanner",
         [
