@@ -21,8 +21,13 @@
      farm      (extra)  - sharded build farm: scaling, node-loss recovery (BENCH_farm.json)
      zoo       (extra)  - workload zoo: corpus, shapes, scaling knees (BENCH_zoo.json)
      faults    (extra)  - fault injection x rate x strategy x procs recovery matrix
-     micro     (extra)  - bechamel microbenchmarks of compiler phases
+     speedup   (extra)  - suite speedup + critical-path profile (BENCH_speedup/critpath.json)
+     conformance (extra) - differential conformance + planted canary (BENCH_conformance.json)
      all       everything above
+
+   Every check goes through [gate]: a pass prints its line, a failure
+   prints "FAIL: ..." and exits 1.  Wall-clock measurements of the
+   compiler's phases live in benchmark/ (see its README).
 
    Usage: dune exec bench/main.exe [-- <experiment> ...] *)
 
@@ -36,16 +41,57 @@ let say fmt = Printf.printf (fmt ^^ "\n%!")
 
 let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt
 
-(* BENCH_SAMPLE=n selects an experiment's reduced configuration. *)
-let sample () = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt
+(* The one verdict path: unless [ok], print "FAIL: <message>" and exit
+   1; otherwise print the [pass] line, if any. *)
+let gate ?pass ok fmt =
+  Printf.ksprintf (fun msg -> if not ok then fail "%s" msg; Option.iter (say "%s") pass) fmt
+
+(* [gate] on a result: an [Error e] fails with "<message>: e". *)
+let gate_ok ?pass r fmt =
+  let err = match r with Error e -> e | Ok _ -> "" in
+  Printf.ksprintf (fun msg -> gate ?pass (Result.is_ok r) "%s: %s" msg err) fmt
+
+(* "Same output" is the canonical observation of a compilation. *)
+module Obs = Mcc_check.Observation
+
+let observe_driver r = Obs.of_driver ~run:false r
+
+let observe_project (r : Project.result) =
+  Obs.make ~run:false ~ok:r.Project.ok ~diags:r.Project.diags r.Project.program
+
+(* The first labelled (label, reference, actual) observation pair that
+   differs, with its first differing field. *)
+let first_divergence pairs =
+  List.find_map
+    (fun (label, reference, actual) ->
+      Option.map
+        (fun (field, r, a) -> Printf.sprintf "%s: %s differs (%s vs %s)" label field r a)
+        (Obs.first_diff ~reference actual))
+    pairs
+
+let gate_same ?pass pairs fmt =
+  let d = first_divergence pairs in
+  Printf.ksprintf (fun msg -> gate ?pass (d = None) "%s: %s" msg (Option.value d ~default:"")) fmt
+
+(* Same seed, same bytes: run [f] twice from scratch and [gate] on both
+   results serializing identically.  Returns the first result. *)
+let deterministic ?pass ~serialize f fmt =
+  let a = f () in
+  let same = serialize a = serialize (f ()) in
+  Printf.ksprintf (fun msg -> gate ?pass same "%s" msg; a) fmt
+
+(* BENCH_SAMPLE=n (n > 0) selects an experiment's reduced configuration,
+   [reduced n]; unset, it runs [full]. *)
+let sampled ~full reduced =
+  match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
+  | Some n when n > 0 -> reduced n
+  | _ -> full
 
 (* Validate a JSON artifact, write it and report its size; a document
    that fails validation exits nonzero before anything is written. *)
 let write_artifact path doc =
   let text = Mcc_obs.Json.to_string doc ^ "\n" in
-  (match Mcc_obs.Json.validate text with
-  | Ok () -> ()
-  | Error e -> fail "%s does not validate: %s" path e);
+  gate_ok (Mcc_obs.Json.validate text) "%s does not validate" path;
   Out_channel.with_open_text path (fun oc -> output_string oc text);
   say "wrote %s (%d bytes)" path (String.length text)
 
@@ -224,17 +270,11 @@ let heading () =
   say "  alternative 3 is %+.2f%% slower   (paper: about 3%% slower)"
     (100.0 *. (a3 -. a1) /. a1);
   let store = Suite.program 20 in
-  let d1 =
-    Mcc_codegen.Cunit.disassemble
-      (Driver.compile ~config:{ Driver.default_config with Driver.heading = Driver.Alt1 } store)
-        .Driver.program
+  let obs heading =
+    observe_driver (Driver.compile ~config:{ Driver.default_config with Driver.heading } store)
   in
-  let d3 =
-    Mcc_codegen.Cunit.disassemble
-      (Driver.compile ~config:{ Driver.default_config with Driver.heading = Driver.Alt3 } store)
-        .Driver.program
-  in
-  say "  identical generated code under both alternatives: %b" (String.equal d1 d3)
+  gate_same ~pass:"  identical generated code under both alternatives: true"
+    [ ("suite program 20", obs Driver.Alt1, obs Driver.Alt3) ] "alternative 3 output differs"
 
 let sched_ablation () =
   header "Extra ablation: Supervisor priority scheduling vs naive FIFO (paper 2.3.4)";
@@ -272,9 +312,10 @@ let sched_ablation () =
       ~strategies:[ Mcc_sem.Symtab.Skeptical ] ~procs_list:[ 4 ]
       ~inject_early_publish:"M01L0.def" (Suite.program 1)
   in
-  say "  %d violations across %d runs — %s" fault.Mcc_analysis.Explorer.total_violations
-    fault.Mcc_analysis.Explorer.schedules_explored
-    (if fault.Mcc_analysis.Explorer.total_violations > 0 then "DETECTED" else "MISSED (BUG)");
+  let violations = fault.Mcc_analysis.Explorer.total_violations in
+  let runs = fault.Mcc_analysis.Explorer.schedules_explored in
+  gate (violations > 0) "early-publish bug MISSED across %d runs" runs
+    ~pass:(Printf.sprintf "  %d violations across %d runs — DETECTED" violations runs);
   List.iter (fun s -> say "    %s" s) fault.Mcc_analysis.Explorer.violation_samples
 
 let barrier () =
@@ -287,9 +328,12 @@ let barrier () =
       let handled =
         end_time (Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store)
       in
-      Mcc_m2.Tokq.set_default_barrier true;
-      let cb = Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store in
-      Mcc_m2.Tokq.set_default_barrier false;
+      let cb =
+        Mcc_m2.Tokq.set_default_barrier true;
+        Fun.protect
+          ~finally:(fun () -> Mcc_m2.Tokq.set_default_barrier false)
+          (fun () -> Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store)
+      in
       let barrier_t = end_time cb in
       let wait_time =
         List.fold_left
@@ -332,6 +376,8 @@ let sensitivity () =
   say "";
   say "-- token-block granularity (the paper uses 64-token blocks) --";
   let store = Suite.program 20 in
+  let old = !Mcc_m2.Tokq.block_size in
+  Fun.protect ~finally:(fun () -> Mcc_m2.Tokq.set_block_size old) @@ fun () ->
   List.iter
     (fun bs ->
       Mcc_m2.Tokq.set_block_size bs;
@@ -341,8 +387,7 @@ let sensitivity () =
       let t8 = end_time (Driver.compile ~config:Driver.default_config store) in
       say "  block=%3d tokens: concurrent@1 %9.0f units, @8 %9.0f units (speedup %.2f)" bs t1 t8
         (t1 /. t8))
-    [ 8; 16; 64; 256; 1024 ];
-  Mcc_m2.Tokq.set_block_size 64
+    [ 8; 16; 64; 256; 1024 ]
 
 let incr () =
   header "Extra: incremental builds with the content-addressed interface cache";
@@ -400,39 +445,26 @@ let incr () =
   say "  cold (no cache) %12.0f   warm %12.0f units (%d module results reused)"
     t_pcold t_pwarm reused;
   let savings = 100.0 *. (t_pcold -. t_pwarm) /. t_pcold in
-  say "  >= 30%% warm whole-suite saving: %s (%.1f%%)"
-    (if savings >= 30.0 then "PASS" else "FAIL") savings;
-  let p_equal =
-    List.for_all2
-      (fun (c : Project.result) (w : Project.result) ->
-        String.equal
-          (Mcc_codegen.Cunit.disassemble c.Project.program)
-          (Mcc_codegen.Cunit.disassemble w.Project.program))
-      p_cold p_warm
+  gate (savings >= 30.0) "warm whole-suite saving %.1f%% is under 30%%" savings
+    ~pass:(Printf.sprintf "  >= 30%% warm whole-suite saving: PASS (%.1f%%)" savings);
+  let pairs obs colds warms =
+    List.mapi (fun i (c, w) -> (Printf.sprintf "program %d" i, obs c, obs w))
+      (List.combine colds warms)
   in
-  say "  warm build output byte-identical to cold: %s" (if p_equal then "PASS" else "FAIL");
-  (* cold/warm equivalence over the whole suite: byte-identical programs
-     and identical diagnostics *)
-  let equal =
-    List.for_all2
-      (fun (c : Driver.result) (w : Driver.result) ->
-        String.equal
-          (Mcc_codegen.Cunit.disassemble c.Driver.program)
-          (Mcc_codegen.Cunit.disassemble w.Driver.program)
-        && List.map Mcc_m2.Diag.to_string c.Driver.diags
-           = List.map Mcc_m2.Diag.to_string w.Driver.diags)
-      cold8 warm8
-  in
-  say "  warm output byte-identical to cold (all %d programs): %s" (List.length stores)
-    (if equal then "PASS" else "FAIL");
+  gate_same ~pass:"  warm build output byte-identical to cold: PASS"
+    (pairs observe_project p_cold p_warm) "warm Project.compile differs from cold";
+  (* cold/warm equivalence over the whole suite: identical programs and
+     diagnostics *)
+  gate_same (pairs observe_driver cold8 warm8) "warm 8-processor compile differs from cold"
+    ~pass:
+      (Printf.sprintf "  warm output byte-identical to cold (all %d programs): PASS"
+         (List.length stores));
   (* speedup-figure invariance: with the cache off, timings are exactly
      what they were before any cache existed in the process *)
   let again8 = List.map (compile ~procs:8) stores in
-  let invariant =
-    List.for_all2 (fun a b -> Float.equal (end_time a) (end_time b)) cold8 again8
-  in
-  say "  cache-off timings unchanged after cache use (fig2/fig3/table3 invariance): %s"
-    (if invariant then "PASS" else "FAIL")
+  let moved = List.filter (fun (a, b) -> end_time a <> end_time b) (List.combine cold8 again8) in
+  gate (moved = []) "cache-off timings of %d programs changed after cache use" (List.length moved)
+    ~pass:"  cache-off timings unchanged after cache use (fig2/fig3/table3 invariance): PASS"
 
 (* Fine-grained incremental artifact (BENCH_incr.json): declaration-level
    invalidation with early cutoff, measured over seeded edit streams on
@@ -465,12 +497,10 @@ let incr_fine () =
     List.filter (fun (_, s) -> List.length (Source_store.def_names s) >= 2) all
   in
   let n_programs, edits_per =
-    match sample () with
-    | Some n when n > 0 ->
+    sampled ~full:(min 8 (List.length projects), 12) (fun n ->
         say "BENCH_SAMPLE=%d: sampling %d multi-interface programs, 6 edits each" n
           (min n (List.length projects));
-        (min n (List.length projects), 6)
-    | _ -> (min 8 (List.length projects), 12)
+        (min n (List.length projects), 6))
   in
   let projects = List.filteri (fun i _ -> i < n_programs) projects in
   say "%d multi-interface suite programs, %d single-declaration edits each (seed 42)"
@@ -486,9 +516,12 @@ let incr_fine () =
         })
     classes;
   let divergences = ref 0 in
-  let observation (r : Project.result) =
-    ( Mcc_codegen.Cunit.disassemble r.Project.program,
-      List.map Mcc_m2.Diag.to_string r.Project.diags )
+  let diverge what reference actual =
+    Option.iter
+      (fun d ->
+        divergences := !divergences + 1;
+        say "  DIVERGENCE: program %s" d)
+      (first_divergence [ (what, observe_project reference, observe_project actual) ])
   in
   List.iter
     (fun (rank, s0) ->
@@ -501,11 +534,9 @@ let incr_fine () =
         (fun (e : Gen.edit) ->
           let rf = Project.compile ~cache:fine_cache e.Gen.e_store in
           let rc = Project.compile ~fine:false ~cache:coarse_cache e.Gen.e_store in
-          if observation rf <> observation rc then begin
-            divergences := !divergences + 1;
-            say "  DIVERGENCE: program %d, %s edit of %s" rank
-              (Gen.class_name e.Gen.e_class) e.Gen.e_target
-          end;
+          diverge
+            (Printf.sprintf "%d, %s edit of %s" rank (Gen.class_name e.Gen.e_class) e.Gen.e_target)
+            rc rf;
           let a = Hashtbl.find acc e.Gen.e_class in
           a.ia_edits <- a.ia_edits + 1;
           a.ia_fine_rebuilt <- a.ia_fine_rebuilt + List.length rf.Project.recompiled;
@@ -521,10 +552,7 @@ let incr_fine () =
       let final = (List.nth edits (List.length edits - 1)).Gen.e_store in
       let warm = Project.compile ~cache:fine_cache final in
       let cold = Project.compile final in
-      if observation warm <> observation cold then begin
-        divergences := !divergences + 1;
-        say "  DIVERGENCE: program %d, warm end-of-stream vs cold build" rank
-      end)
+      diverge (Printf.sprintf "%d, warm end-of-stream vs cold build" rank) cold warm)
     projects;
   say "";
   say "  %-15s %5s %14s %14s %8s %8s" "edit class" "edits" "rebuilt (fine)" "rebuilt (whole)"
@@ -557,23 +585,22 @@ let incr_fine () =
   in
   (* acceptance gates *)
   let body = Hashtbl.find acc Gen.Body_only in
-  if body.ia_fine_max > 1 then
-    fail "a body-only edit rebuilt %d modules (must be at most the edited one)" body.ia_fine_max;
-  if body.ia_edits > 0 && body.ia_cutoffs < 1 then
-    fail "body-only edits recorded no early-cutoff event";
+  gate (body.ia_fine_max <= 1)
+    "a body-only edit rebuilt %d modules (must be at most the edited one)" body.ia_fine_max;
+  gate (body.ia_edits = 0 || body.ia_cutoffs >= 1) "body-only edits recorded no early-cutoff event";
   say "  body-only edits: worst case %d module per edit, %d cutoff events: PASS"
     body.ia_fine_max body.ia_cutoffs;
   let sigp = Hashtbl.find acc Gen.Sig_preserving in
   if sigp.ia_edits > 0 then begin
-    if sigp.ia_fine_rebuilt >= sigp.ia_coarse_rebuilt then
-      fail "sig-preserving edits: fine rebuilt %d modules, whole-module %d — no strict win"
-        sigp.ia_fine_rebuilt sigp.ia_coarse_rebuilt;
-    if sigp.ia_fine_units >= sigp.ia_coarse_units then
-      fail "sig-preserving edits: fine cost %.0f units >= whole-module %.0f"
-        sigp.ia_fine_units sigp.ia_coarse_units;
+    gate (sigp.ia_fine_rebuilt < sigp.ia_coarse_rebuilt)
+      "sig-preserving edits: fine rebuilt %d modules, whole-module %d — no strict win"
+      sigp.ia_fine_rebuilt sigp.ia_coarse_rebuilt;
+    gate (sigp.ia_fine_units < sigp.ia_coarse_units)
+      "sig-preserving edits: fine cost %.0f units >= whole-module %.0f"
+      sigp.ia_fine_units sigp.ia_coarse_units;
     say "  sig-preserving edits strictly beat whole-module invalidation: PASS"
   end;
-  if !divergences > 0 then fail "%d observation divergence(s) over the edit streams" !divergences;
+  gate (!divergences = 0) "%d observation divergence(s) over the edit streams" !divergences;
   say "  fine/whole-module/cold observation equivalence: PASS (0 divergences)";
   let doc =
     J.Obj
@@ -599,10 +626,6 @@ let faults () =
   say " recover with output byte-identical to the fault-free baseline, a permanent";
   say " one must degrade to a precise diagnostic — never a hang)";
   let store = Suite.program 1 in
-  let fp (r : Driver.result) =
-    ( Mcc_codegen.Cunit.disassemble r.Driver.program,
-      List.map Mcc_m2.Diag.to_string r.Driver.diags )
-  in
   let strategies = [ Mcc_sem.Symtab.Skeptical; Mcc_sem.Symtab.Optimistic ] in
   let procs_list = [ 2; 8 ] in
   let baselines = Hashtbl.create 8 in
@@ -613,7 +636,7 @@ let faults () =
         let r =
           Driver.compile ~config:{ Driver.default_config with Driver.strategy; procs } store
         in
-        let b = (fp r, end_time r) in
+        let b = (observe_driver r, end_time r) in
         Hashtbl.replace baselines (strategy, procs) b;
         b
   in
@@ -639,7 +662,7 @@ let faults () =
             (fun procs ->
               (* [incr] here is the cache experiment above, not Stdlib.incr *)
               rows := !rows + 1;
-              let bfp, bt = base strategy procs in
+              let bobs, bt = base strategy procs in
               let config =
                 {
                   Driver.default_config with
@@ -651,7 +674,7 @@ let faults () =
               in
               let r = Driver.compile ~config store in
               let rb = r.Driver.robustness in
-              let identical = fp r = bfp in
+              let identical = Obs.first_diff ~reference:bobs (observe_driver r) = None in
               let pass =
                 match expect with
                 | `Identical -> identical
@@ -682,55 +705,15 @@ let faults () =
       Driver.fault_seed = 7;
     }
   in
-  let a = Driver.compile ~config store and b = Driver.compile ~config store in
-  let deterministic =
-    a.Driver.robustness = b.Driver.robustness
-    && Float.equal (end_time a) (end_time b)
-    && fp a = fp b
-  in
   say "";
-  say "  recovery expectations met: %s (%d/%d rows)"
-    (if !failures = 0 then "PASS" else "FAIL")
-    (!rows - !failures) !rows;
-  say "  replayed plan deterministic (counters, timing, output): %s"
-    (if deterministic then "PASS" else "FAIL")
-
-let micro () =
-  header "Microbenchmarks (bechamel, real time per run)";
-  let open Bechamel in
-  let store = Suite.program 5 in
-  let src = Source_store.main_src store in
-  let run_store =
-    Gen.generate
-      { (List.nth Suite.shapes 0) with Gen.runnable = true; n_defs = 0; name = "R"; pad = 0 }
-  in
-  let prog = (Seq_driver.compile run_store).Seq_driver.program in
-  let tests =
-    [
-      Test.make ~name:"lexer: lex M05.mod"
-        (Staged.stage (fun () -> ignore (Mcc_m2.Lexer.all ~file:"x" src)));
-      Test.make ~name:"sequential compile M05"
-        (Staged.stage (fun () -> ignore (Seq_driver.compile store)));
-      Test.make ~name:"DES compile M05 (8 procs)"
-        (Staged.stage (fun () -> ignore (Driver.compile ~config:Driver.default_config store)));
-      Test.make ~name:"VM: run compiled program"
-        (Staged.stage (fun () -> ignore (Mcc_vm.Vm.run prog)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-      let instances = [ Toolkit.Instance.monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in
-      let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> say "  %-40s %14.1f ns/run" name est
-          | _ -> say "  %-40s (no estimate)" name)
-        results)
-    tests
+  gate (!failures = 0) "recovery expectations missed in %d/%d rows (marked FAIL above)" !failures
+    !rows ~pass:(Printf.sprintf "  recovery expectations met: PASS (%d/%d rows)" !rows !rows);
+  deterministic
+    ~serialize:(fun r -> Marshal.to_string (r.Driver.robustness, end_time r, observe_driver r) [])
+    (fun () -> Driver.compile ~config store)
+    "replayed plan is not deterministic (counters, timing or output differ)"
+    ~pass:"  replayed plan deterministic (counters, timing, output): PASS"
+  |> ignore
 
 (* Machine-readable artifacts for CI: the suite speedup summary and the
    critical-path profile of the best-case program, as validated JSON.
@@ -741,11 +724,12 @@ let speedup_artifacts () =
   header "Speedup + critical-path artifacts (BENCH_speedup.json, BENCH_critpath.json)";
   let all = Suite.all () in
   let stores =
-    match sample () with
-    | Some n when n > 0 && n < List.length all ->
-        say "BENCH_SAMPLE=%d: sampling first %d of %d suite programs" n n (List.length all);
-        List.filteri (fun i _ -> i < n) all
-    | _ -> all
+    sampled ~full:all (fun n ->
+        if n >= List.length all then all
+        else begin
+          say "BENCH_SAMPLE=%d: sampling first %d of %d suite programs" n n (List.length all);
+          List.filteri (fun i _ -> i < n) all
+        end)
   in
   let sweeps = List.map Speedup.sweep stores in
   let synth = Speedup.sweep (Suite.synth_best ()) in
@@ -785,8 +769,8 @@ let speedup_artifacts () =
       ~metrics:(Option.value ~default:[] c.Driver.telemetry)
       c.Driver.log
   in
-  if not (Mcc_obs.Profile.tiles_end profile) then
-    fail "critical-path attribution does not sum to the end-to-end time";
+  gate (Mcc_obs.Profile.tiles_end profile)
+    "critical-path attribution does not sum to the end-to-end time";
   let critpath_doc =
     J.Obj
       [
@@ -808,36 +792,31 @@ let conformance () =
   header "Conformance harness (BENCH_conformance.json)";
   let module C = Mcc_check.Check in
   let budget =
-    match sample () with
-    | Some n when n > 0 ->
+    sampled ~full:60 (fun n ->
         let b = max 8 n in
         say "BENCH_SAMPLE=%d: clean-pass budget reduced to %d checks" n b;
-        b
-    | _ -> 60
+        b)
   in
   let clean = C.run { C.default_config with C.budget; seed = 42 } in
   say "clean pass: %d checks (%d oracle, %d morph) over %d programs — %d divergences"
     clean.C.checks_run clean.C.oracle_checks clean.C.morph_checks clean.C.programs
     (List.length clean.C.divergences);
-  if not (C.ok clean) then begin
-    List.iter
-      (fun d -> say "  divergence: %s %s %s (%s)" d.C.program d.C.cell d.C.field d.C.replay)
-      clean.C.divergences;
-    fail "clean conformance pass found %d divergence(s)" (List.length clean.C.divergences)
-  end;
+  List.iter
+    (fun d -> say "  divergence: %s %s %s (%s)" d.C.program d.C.cell d.C.field d.C.replay)
+    clean.C.divergences;
+  gate (C.ok clean) "clean conformance pass found %d divergence(s)"
+    (List.length clean.C.divergences);
   let planted = C.run { C.default_config with C.budget = 6; seed = 42; plant = true } in
-  if not planted.C.planted_detected then fail "planted cache-tamper canary was NOT detected";
-  say "planted canary: detected";
+  gate planted.C.planted_detected ~pass:"planted canary: detected"
+    "planted cache-tamper canary was NOT detected";
   let orig, min_b, steps =
-    match List.find_opt (fun d -> d.C.shrunk <> None) planted.C.divergences with
-    | Some { C.shrunk = Some (o, m, s); _ } -> (o, m, s)
-    | _ ->
-        say "FAIL: no divergence carried a shrink result";
-        exit 1
+    match List.find_map (fun d -> d.C.shrunk) planted.C.divergences with
+    | Some shrunk -> shrunk
+    | None -> fail "no divergence carried a shrink result"
   in
   let ratio = float_of_int min_b /. float_of_int (max 1 orig) in
   say "shrinker: %d -> %d bytes in %d steps (ratio %.2f)" orig min_b steps ratio;
-  if ratio > 0.25 then fail "shrink ratio %.2f exceeds the 0.25 budget" ratio;
+  gate (ratio <= 0.25) "shrink ratio %.2f exceeds the 0.25 budget" ratio;
   let module J = Mcc_obs.Json in
   let doc =
     J.Obj
@@ -889,12 +868,10 @@ let serve_bench () =
   let module Traffic = Mcc_serve.Traffic in
   let module Pol = Mcc_serve.Queue in
   let matrix_jobs =
-    match sample () with
-    | Some n when n > 0 ->
+    sampled ~full:120 (fun n ->
         let j = max 24 (min 120 (n * 12)) in
         say "BENCH_SAMPLE=%d: capacity matrix reduced to %d jobs per cell" n j;
-        j
-    | _ -> 120
+        j)
   in
   let cfg ?(policy = Pol.Fair) ?(cap = 100_000) ?(faults = []) ?(fault_seed = 0) procs =
     {
@@ -906,11 +883,7 @@ let serve_bench () =
       fault_seed;
     }
   in
-  let check_conformance name c r =
-    match Srv.verify c r with
-    | Ok _ -> ()
-    | Error e -> fail "%s: conformance: %s" name e
-  in
+  let check_conformance name c r = gate_ok (Srv.verify c r) "%s: conformance" name in
   let session_json (s : Srv.session_stats) =
     J.Obj
       [
@@ -989,19 +962,18 @@ let serve_bench () =
             let warm = Srv.serve ~cache c trace in
             check_conformance (name ^ " cold") c cold;
             check_conformance (name ^ " warm") c warm;
-            if cold.Srv.r_shed > 0 || warm.Srv.r_shed > 0 then
-              fail "%s: unexpected shedding in an uncapped cell" name;
-            if cold.Srv.r_served <> matrix_jobs then
-              fail "%s: served %d of %d jobs" name cold.Srv.r_served matrix_jobs;
-            if warm.Srv.r_warm <> matrix_jobs then
-              fail "%s: warm pass answered only %d of %d jobs from the memo" name
-                warm.Srv.r_warm matrix_jobs;
+            gate (cold.Srv.r_shed = 0 && warm.Srv.r_shed = 0)
+              "%s: unexpected shedding in an uncapped cell" name;
+            gate (cold.Srv.r_served = matrix_jobs) "%s: served %d of %d jobs" name
+              cold.Srv.r_served matrix_jobs;
+            gate (warm.Srv.r_warm = matrix_jobs)
+              "%s: warm pass answered only %d of %d jobs from the memo" name warm.Srv.r_warm
+              matrix_jobs;
             let ratio = warm.Srv.r_throughput /. cold.Srv.r_throughput in
             say "  %-6s %5d %12.3f %12.3f %6.1fx %9.2f %9.2f"
               (Pol.policy_to_string policy) procs cold.Srv.r_throughput
               warm.Srv.r_throughput ratio cold.Srv.r_p99 warm.Srv.r_p99;
-            if ratio < 2.0 then
-              fail "%s: warm throughput only %.2fx cold (gate: >= 2x)" name ratio;
+            gate (ratio >= 2.0) "%s: warm throughput only %.2fx cold (gate: >= 2x)" name ratio;
             ((policy, procs, cold),
              J.Obj
                [
@@ -1023,20 +995,16 @@ let serve_bench () =
         | Some ((_, _, cold), _) -> cold.Srv.r_throughput
         | None -> fail "missing %s/%d matrix cell" (Pol.policy_to_string policy) procs
       in
-      if thr 8 <= thr 1 then
-        fail "%s: cold throughput does not scale (8 procs %.3f <= 1 proc %.3f)"
-          (Pol.policy_to_string policy) (thr 8) (thr 1))
+      gate (thr 8 > thr 1) "%s: cold throughput does not scale (8 procs %.3f <= 1 proc %.3f)"
+        (Pol.policy_to_string policy) (thr 8) (thr 1))
     [ Pol.Fifo; Pol.Fair ];
   say "  warm >= 2x cold in every cell; 8-proc cold throughput beats 1-proc: PASS";
   (* --- determinism: same seed, fresh caches, byte-identical report -- *)
-  let det_cell () =
-    let c = cfg ~policy:Pol.Fair 8 in
-    let r = Srv.serve ~cache:(Srv.cache ()) c trace in
-    J.to_string (report_json r)
-  in
-  let d1 = det_cell () and d2 = det_cell () in
-  if d1 <> d2 then fail "same-seed fair/8 reports differ — server is nondeterministic";
-  say "determinism: fair/8 re-run from scratch is byte-identical: PASS";
+  deterministic ~serialize:(fun r -> J.to_string (report_json r))
+    (fun () -> Srv.serve ~cache:(Srv.cache ()) (cfg ~policy:Pol.Fair 8) trace)
+    "same-seed fair/8 reports differ — server is nondeterministic"
+    ~pass:"determinism: fair/8 re-run from scratch is byte-identical: PASS"
+  |> ignore;
   (* --- skewed load: DRR must protect the victims ------------------- *)
   let skew_traffic =
     {
@@ -1054,9 +1022,8 @@ let serve_bench () =
     let c = cfg ~policy ~cap:16 8 in
     let r = Srv.serve ~cache:(Srv.cache ~memo_cap:2 ()) c skew_trace in
     check_conformance (Pol.policy_to_string policy ^ " skew") c r;
-    if r.Srv.r_shed = 0 then
-      fail "%s skew: no shedding at cap 16 — load too light to gate on"
-        (Pol.policy_to_string policy);
+    gate (r.Srv.r_shed > 0) "%s skew: no shedding at cap 16 — load too light to gate on"
+      (Pol.policy_to_string policy);
     r
   in
   let sfifo = run_skew Pol.Fifo and sfair = run_skew Pol.Fair in
@@ -1080,14 +1047,13 @@ let serve_bench () =
   in
   List.iter
     (fun (name, fifo_p99, fair_p99) ->
-      if fair_p99 >= fifo_p99 then
-        fail "victim %s: fair p99 %.2f does not beat fifo p99 %.2f" name fair_p99 fifo_p99)
+      gate (fair_p99 < fifo_p99) "victim %s: fair p99 %.2f does not beat fifo p99 %.2f" name
+        fair_p99 fifo_p99)
     victims;
   let fair_p99s = List.map (fun (_, _, p) -> p) victims in
   let vmax = List.fold_left Float.max 0.0 fair_p99s in
   let vmin = List.fold_left Float.min infinity fair_p99s in
-  if vmax > 2.0 *. vmin then
-    fail "fair victim p99 spread %.2f..%.2f exceeds the 2x bound" vmin vmax;
+  gate (vmax <= 2.0 *. vmin) "fair victim p99 spread %.2f..%.2f exceeds the 2x bound" vmin vmax;
   say "  every victim p99 improves under fair; spread %.2f..%.2f within 2x: PASS" vmin vmax;
   (* --- fault isolation under load ---------------------------------- *)
   let fault_spec = "task-crash:procparse!,corrupt-artifact@1" in
@@ -1097,10 +1063,10 @@ let serve_bench () =
   let fc = cfg ~faults:(Mcc_sched.Fault.parse_list fault_spec) ~fault_seed:3 8 in
   let fr = Srv.serve ~cache:(Srv.cache ~memo_cap:3 ()) fc (Traffic.generate fault_traffic) in
   check_conformance "faults" fc fr;
-  if fr.Srv.r_served <> 40 then fail "faults: served %d of 40" fr.Srv.r_served;
-  if fr.Srv.r_failed > 0 then fail "faults: %d jobs failed outright" fr.Srv.r_failed;
-  if fr.Srv.r_iface_invalidations = 0 then
-    fail "faults: corrupt-artifact plan never tripped an invalidation";
+  gate (fr.Srv.r_served = 40) "faults: served %d of 40" fr.Srv.r_served;
+  gate (fr.Srv.r_failed = 0) "faults: %d jobs failed outright" fr.Srv.r_failed;
+  gate (fr.Srv.r_iface_invalidations > 0)
+    "faults: corrupt-artifact plan never tripped an invalidation";
   say "faults (%s): 40/40 served, %d invalidations healed, %d retried, conformant: PASS"
     fault_spec fr.Srv.r_iface_invalidations fr.Srv.r_retried;
   (* --- eviction under a tight cache -------------------------------- *)
@@ -1113,8 +1079,8 @@ let serve_bench () =
   in
   let er = Srv.serve ~cache:ecache ec (Traffic.generate ev_traffic) in
   check_conformance "eviction" ec er;
-  if er.Srv.r_iface_evictions = 0 then fail "eviction: 8 KiB interface cache never evicted";
-  if er.Srv.r_memo_evictions = 0 then fail "eviction: 2-entry memo never evicted";
+  gate (er.Srv.r_iface_evictions > 0) "eviction: 8 KiB interface cache never evicted";
+  gate (er.Srv.r_memo_evictions > 0) "eviction: 2-entry memo never evicted";
   say "eviction: %d interface + %d memo evictions under an 8 KiB / 2-entry cache, conformant: PASS"
     er.Srv.r_iface_evictions er.Srv.r_memo_evictions;
   (* --- artifact ----------------------------------------------------- *)
@@ -1163,7 +1129,7 @@ let farm_bench () =
   let module Farm = Mcc_farm.Farm in
   let module Netsim = Mcc_farm.Netsim in
   let scaling_tolerance = 1.35 in
-  let sample = sample () <> None in
+  let sample = sampled ~full:false (fun _ -> true) in
   let rank = if sample then 3 else 17 in
   if sample then say "BENCH_SAMPLE: suite rank %d, reduced matrices" rank;
   let store = Suite.program rank in
@@ -1178,10 +1144,8 @@ let farm_bench () =
   in
   let checked name c =
     let r = Farm.run c store in
-    if not r.Farm.f_ok then fail "%s: farm compile reported failure" name;
-    (match Farm.verify store r with
-    | Ok () -> ()
-    | Error e -> fail "%s: oracle divergence: %s" name e);
+    gate r.Farm.f_ok "%s: farm compile reported failure" name;
+    gate_ok (Farm.verify store r) "%s: oracle divergence" name;
     r
   in
   let report_json (r : Farm.report) =
@@ -1239,9 +1203,9 @@ let farm_bench () =
     | None -> fail "missing scaling cell %dx%d/%s" nodes procs net_name
   in
   let wide = makespan 4 2 "zero" and tall = makespan 1 8 "zero" in
-  if wide > scaling_tolerance *. tall then
-    fail "4x2 zero-latency makespan %.3f exceeds %.2fx the 1x8 makespan %.3f" wide
-      scaling_tolerance tall;
+  gate (wide <= scaling_tolerance *. tall)
+    "4x2 zero-latency makespan %.3f exceeds %.2fx the 1x8 makespan %.3f" wide scaling_tolerance
+    tall;
   say "  4x2 zero-latency within %.2fx of 1x8 (%.3f vs %.3f): PASS" scaling_tolerance wide tall;
   (* --- node-loss recovery matrix ------------------------------------ *)
   let stages = if sample then [ 1 ] else [ 1; 4 ] in
@@ -1256,9 +1220,9 @@ let farm_bench () =
           (fun stage ->
             let spec = Printf.sprintf "node-crash:node%d@%d" victim stage in
             let r = checked spec (cfg ~faults:spec ()) in
-            if r.Farm.f_crashes <> 1 then fail "%s: crash did not fire" spec;
-            if r.Farm.f_detects < 1 then fail "%s: dead node never detected" spec;
-            if r.Farm.f_seq_fallback then fail "%s: survivors failed to converge" spec;
+            gate (r.Farm.f_crashes = 1) "%s: crash did not fire" spec;
+            gate (r.Farm.f_detects >= 1) "%s: dead node never detected" spec;
+            gate (not r.Farm.f_seq_fallback) "%s: survivors failed to converge" spec;
             say "  %-22s detects=%d reshards=%d makespan=%.3f oracle=ok" spec r.Farm.f_detects
               r.Farm.f_reshards r.Farm.f_makespan;
             (spec, r))
@@ -1269,21 +1233,22 @@ let farm_bench () =
   (* --- partition/heal and hedged fetch ------------------------------ *)
   let part_spec = "partition@1" in
   let part = checked part_spec (cfg ~faults:part_spec ()) in
-  if part.Farm.f_partitions < 1 then fail "partition cell: partition never fired";
-  if part.Farm.f_seq_fallback then fail "partition cell: failed to converge";
+  gate (part.Farm.f_partitions >= 1) "partition cell: partition never fired";
+  gate (not part.Farm.f_seq_fallback) "partition cell: failed to converge";
   say "partition/heal: %d partition(s), converged, oracle=ok" part.Farm.f_partitions;
   let hedge_spec = "node-slow:node1!" in
   let hedge = checked hedge_spec (cfg ~faults:hedge_spec ()) in
-  if hedge.Farm.f_slow_nodes < 1 then fail "hedge cell: gray failure never armed";
-  if hedge.Farm.f_hedges < 1 then fail "hedge cell: no fetch ever hedged";
+  gate (hedge.Farm.f_slow_nodes >= 1) "hedge cell: gray failure never armed";
+  gate (hedge.Farm.f_hedges >= 1) "hedge cell: no fetch ever hedged";
   say "hedged fetch: %d slow node(s), %d hedge(s), %d won, oracle=ok" hedge.Farm.f_slow_nodes
     hedge.Farm.f_hedges hedge.Farm.f_hedge_wins;
   (* --- determinism --------------------------------------------------- *)
   let det_spec = "node-crash:node1@1,msg-drop%20" in
-  let det_cell () = J.to_string (report_json (checked det_spec (cfg ~faults:det_spec ()))) in
-  if det_cell () <> det_cell () then
-    fail "same-seed faulted farm runs serialize differently — farm is nondeterministic";
-  say "determinism: same-seed faulted cell re-run is byte-identical: PASS";
+  deterministic ~serialize:(fun r -> J.to_string (report_json r))
+    (fun () -> checked det_spec (cfg ~faults:det_spec ()))
+    "same-seed faulted farm runs serialize differently — farm is nondeterministic"
+    ~pass:"determinism: same-seed faulted cell re-run is byte-identical: PASS"
+  |> ignore;
   (* --- artifact ------------------------------------------------------ *)
   let doc =
     J.Obj
@@ -1329,7 +1294,7 @@ let trace_bench () =
   let module Traffic = Mcc_serve.Traffic in
   let module Farm = Mcc_farm.Farm in
   let spu = Mcc_sched.Costs.seconds_per_unit in
-  let sample = sample () <> None in
+  let sample = sampled ~full:false (fun _ -> true) in
   let serve_jobs = if sample then 16 else 48 in
   if sample then say "BENCH_SAMPLE: %d serve jobs, reduced cells" serve_jobs;
   (* --- serve cell: validation + deterministic exports ---------------- *)
@@ -1340,14 +1305,21 @@ let trace_bench () =
   let serve_run ~trace () =
     Srv.serve ~trace ~cache:(Srv.cache ()) serve_cfg (Traffic.generate serve_traffic)
   in
-  let r1 = serve_run ~trace:true () in
+  let exports r =
+    let t = Dtrace.assemble ~subs:r.Srv.r_subs r.Srv.r_events in
+    ( J.to_string (Dtrace.to_otlp ~sec_per_unit:spu t),
+      Dtrace.waterfall ~sec_per_unit:spu t,
+      Mcc_analysis.Trace_json.export_spans ~sec_per_unit:spu t )
+  in
+  let r1 =
+    deterministic ~serialize:exports (serve_run ~trace:true)
+      "serve cell: same-seed OTLP/waterfall/Chrome exports differ"
+  in
   let t1 = Dtrace.assemble ~subs:r1.Srv.r_subs r1.Srv.r_events in
-  (match Dtrace.validate t1 with
-  | Ok () -> ()
-  | Error e -> fail "serve cell: span forest does not validate: %s" e);
+  gate_ok (Dtrace.validate t1) "serve cell: span forest does not validate";
   let n_roots = List.length (Dtrace.roots t1) in
-  if n_roots <> r1.Srv.r_submitted then
-    fail "serve cell: %d root spans for %d submitted jobs" n_roots r1.Srv.r_submitted;
+  gate (n_roots = r1.Srv.r_submitted) "serve cell: %d root spans for %d submitted jobs" n_roots
+    r1.Srv.r_submitted;
   say "serve cell: %d jobs, %d spans, every sojourn exactly tiled (0 gaps/overlaps/orphans)"
     serve_jobs (List.length t1.Dtrace.spans);
   let span_secs =
@@ -1356,44 +1328,29 @@ let trace_bench () =
   in
   let mean, p50, p95, _, maxv = Mcc_util.Quantile.summarize span_secs in
   say "  job-span durations: mean %.2f s, p50 %.2f, p95 %.2f, max %.2f" mean p50 p95 maxv;
-  let exports r =
-    let t = Dtrace.assemble ~subs:r.Srv.r_subs r.Srv.r_events in
-    ( J.to_string (Dtrace.to_otlp ~sec_per_unit:spu t),
-      Dtrace.waterfall ~sec_per_unit:spu t,
-      Mcc_analysis.Trace_json.export_spans ~sec_per_unit:spu t )
-  in
-  let o1, w1, c1 = exports r1 in
-  let o2, w2, c2 = exports (serve_run ~trace:true ()) in
-  if o1 <> o2 then fail "serve cell: same-seed OTLP exports differ";
-  if w1 <> w2 then fail "serve cell: same-seed waterfalls differ";
-  if c1 <> c2 then fail "serve cell: same-seed Chrome exports differ";
-  (match J.validate o1 with
-  | Ok () -> ()
-  | Error e -> fail "serve cell: OTLP export is not valid JSON: %s" e);
-  say "  same-seed OTLP/waterfall/Chrome exports byte-identical across runs: PASS";
+  let otlp, _, _ = exports r1 in
+  gate_ok (J.validate otlp) "serve cell: OTLP export is not valid JSON"
+    ~pass:"  same-seed OTLP/waterfall/Chrome exports byte-identical across runs: PASS";
   let plain = serve_run ~trace:false () in
-  if plain.Srv.r_end_seconds <> r1.Srv.r_end_seconds then
-    fail "serve cell: tracing changed the virtual end time (%.6f vs %.6f)"
-      plain.Srv.r_end_seconds r1.Srv.r_end_seconds;
-  say "  tracing is free: traced and untraced end times identical: PASS";
+  gate (plain.Srv.r_end_seconds = r1.Srv.r_end_seconds)
+    "serve cell: tracing changed the virtual end time (%.6f vs %.6f)" plain.Srv.r_end_seconds
+    r1.Srv.r_end_seconds ~pass:"  tracing is free: traced and untraced end times identical: PASS";
   (* --- farm cell: critical path tiles the makespan ------------------- *)
   let farm_rank = if sample then 3 else 17 in
   let store = Suite.program farm_rank in
   let farm_cfg = { Farm.default_config with Farm.compile = Driver.default_config } in
   let fr = Farm.run ~trace:true farm_cfg store in
   let ft = Dtrace.assemble ~subs:fr.Farm.f_subs fr.Farm.f_events in
-  (match Dtrace.validate ft with
-  | Ok () -> ()
-  | Error e -> fail "farm cell: span forest does not validate: %s" e);
+  gate_ok (Dtrace.validate ft) "farm cell: span forest does not validate";
   let cr = Dtrace.critpath ft in
   let c_end_s = cr.Dtrace.c_end *. spu in
   let eps = 1e-6 *. Float.max 1.0 fr.Farm.f_makespan in
-  if Float.abs (c_end_s -. fr.Farm.f_makespan) > eps then
-    fail "farm cell: critical path end %.6f s != makespan %.6f s" c_end_s fr.Farm.f_makespan;
+  gate (Float.abs (c_end_s -. fr.Farm.f_makespan) <= eps)
+    "farm cell: critical path end %.6f s != makespan %.6f s" c_end_s fr.Farm.f_makespan;
   let total_s = Dtrace.crit_total cr *. spu in
-  if Float.abs (total_s -. c_end_s) > eps then
-    fail "farm cell: bucket totals %.6f s leak from end-to-end %.6f s" total_s c_end_s;
-  if cr.Dtrace.c_critical_node < 0 then fail "farm cell: no critical node attributed";
+  gate (Float.abs (total_s -. c_end_s) <= eps)
+    "farm cell: bucket totals %.6f s leak from end-to-end %.6f s" total_s c_end_s;
+  gate (cr.Dtrace.c_critical_node >= 0) "farm cell: no critical node attributed";
   say "farm cell: suite rank %d, critpath %.3f s tiles makespan %.3f s; critical node node%d%s"
     farm_rank c_end_s fr.Farm.f_makespan cr.Dtrace.c_critical_node
     (if cr.Dtrace.c_critical_rpc = "" then ""
@@ -1420,16 +1377,15 @@ let trace_bench () =
   in
   let hr = Srv.serve ~trace:true ~cache:(Srv.cache ()) hot_cfg (Traffic.generate hot_traffic) in
   let ht = Dtrace.assemble ~subs:hr.Srv.r_subs hr.Srv.r_events in
-  (match Dtrace.validate ht with
-  | Ok () -> ()
-  | Error e -> fail "recorder cell: span forest does not validate: %s" e);
+  gate_ok (Dtrace.validate ht) "recorder cell: span forest does not validate";
   let slo = hr.Srv.r_slo in
-  if Slo.trip_count slo = 0 then fail "recorder cell: overload produced no trips";
+  gate (Slo.trip_count slo > 0) "recorder cell: overload produced no trips";
   List.iter
     (fun (tr : Slo.trip) ->
-      if Dtrace.bundle ht ~trace:tr.Slo.t_trace = [] then
-        fail "recorder cell: trip for job #%d (%s) has an empty post-mortem bundle" tr.Slo.t_job
-          (Slo.reason_name tr.Slo.t_reason))
+      gate
+        (Dtrace.bundle ht ~trace:tr.Slo.t_trace <> [])
+        "recorder cell: trip for job #%d (%s) has an empty post-mortem bundle" tr.Slo.t_job
+        (Slo.reason_name tr.Slo.t_reason))
     (Slo.trips slo);
   let n_trips = Slo.trip_count slo in
   say "recorder cell: %d trips, every trace id resolves to a non-empty post-mortem bundle"
@@ -1501,12 +1457,12 @@ let zoo_bench () =
   let module Zoo = Mcc_zoo.Zoo in
   let module Shapes = Mcc_zoo.Shapes in
   let module Scale = Mcc_zoo.Scale in
-  let sample = sample () <> None in
+  let sample = sampled ~full:false (fun _ -> true) in
   if sample then say "BENCH_SAMPLE: default shapes only, reduced scale counts";
   let check_clean what (o : Zoo.outcome) =
     List.iter (fun f -> say "  %s" (Zoo.failure_to_string f)) o.Zoo.o_failures;
-    if o.Zoo.o_failures <> [] then
-      fail "%s %s diverged (%d failure(s))" what o.Zoo.o_scenario (List.length o.Zoo.o_failures);
+    gate (o.Zoo.o_failures = [])
+      "%s %s diverged (%d failure(s))" what o.Zoo.o_scenario (List.length o.Zoo.o_failures);
     say "  %-24s [%s] clean: %s" o.Zoo.o_scenario o.Zoo.o_kind
       (String.concat ", " o.Zoo.o_oracles)
   in
@@ -1531,7 +1487,7 @@ let zoo_bench () =
       (Zoo.scenario_dirs ~dir:corpus_dir)
     @ Zoo.run_repros ~dir:corpus_dir
   in
-  if corpus = [] then fail "corpus/ holds no scenario directories";
+  gate (corpus <> []) "corpus/ holds no scenario directories";
   List.iter (check_clean "corpus scenario") corpus;
   say "corpus: %d workload(s) oracle-clean: PASS" (List.length corpus);
   (* --- shapes -------------------------------------------------------- *)
@@ -1544,8 +1500,7 @@ let zoo_bench () =
   let specs = Shapes.default_zoo @ extremes in
   let shapes = List.map (fun sp -> Zoo.run_spec ~seed:0 sp) specs in
   List.iter (check_clean "shape") shapes;
-  let fingerprint sp =
-    let st = Shapes.generate ~seed:0 sp in
+  let sources st =
     String.concat "\x00"
       ((Source_store.main_src st
        :: List.filter_map (Source_store.def_src st) (Source_store.def_names st))
@@ -1553,35 +1508,37 @@ let zoo_bench () =
   in
   List.iter
     (fun sp ->
-      if fingerprint sp <> fingerprint sp then
-        fail "shape %s: same-seed regeneration differs" (Shapes.name sp))
+      deterministic ~serialize:sources (fun () -> Shapes.generate ~seed:0 sp)
+        "shape %s: same-seed regeneration differs" (Shapes.name sp)
+      |> ignore)
     specs;
   say "shapes: %d generated shape(s) oracle-clean, same-seed regeneration byte-identical%s: PASS"
     (List.length shapes)
     (if sample then "" else " (including the 10k-line and 10k-procedure extremes)");
   (* --- scale --------------------------------------------------------- *)
   let counts = if sample then Scale.sample_counts else Scale.default_counts in
-  let sweep () = Scale.run ~seed:0 ~counts ~sample ~log:(fun m -> say "  %s" m) () in
-  let r = sweep () in
-  List.iter (fun l -> say "%s" l) (Scale.render r);
+  (* the sweep's progress log is kept with its result and printed once *)
+  let sweep () =
+    let log = ref [] in
+    let r = Scale.run ~seed:0 ~counts ~sample ~log:(fun m -> log := m :: !log) () in
+    (r, List.rev !log)
+  in
+  let r, log =
+    deterministic ~serialize:(fun (r, _) -> J.to_string (Scale.to_json r)) sweep
+      "same-seed scale sweeps serialize differently — the sweep is nondeterministic"
+  in
+  List.iter (say "  %s") log;
+  List.iter (say "%s") (Scale.render r);
   List.iter
     (fun (p : Scale.point) ->
-      if not p.Scale.p_warm_cold_ok then fail "scale n=%d: warm/cold observations diverge" p.Scale.p_n;
-      if not p.Scale.p_farm_ok then fail "scale n=%d: farm run failed" p.Scale.p_n)
+      gate p.Scale.p_warm_cold_ok "scale n=%d: warm/cold observations diverge" p.Scale.p_n;
+      gate p.Scale.p_farm_ok "scale n=%d: farm run failed" p.Scale.p_n)
     r.Scale.s_points;
-  (match r.Scale.s_scheduler_knee with
-  | Some _ -> ()
-  | None -> fail "scale sweep located no scheduler knee");
-  (match r.Scale.s_cache_knee with
-  | Some _ -> ()
-  | None -> fail "scale sweep located no cache knee");
-  if r.Scale.s_serve_verified <= 0 then fail "serve oracle verified no jobs";
-  if not r.Scale.s_farm_verified then fail "farm oracle failed at the largest farm count";
+  gate (r.Scale.s_scheduler_knee <> None) "scale sweep located no scheduler knee";
+  gate (r.Scale.s_cache_knee <> None) "scale sweep located no cache knee";
+  gate (r.Scale.s_serve_verified > 0) "serve oracle verified no jobs";
+  gate r.Scale.s_farm_verified "farm oracle failed at the largest farm count";
   say "scale: warm≡cold at every point, serve and farm oracles verified, both knees found: PASS";
-  (* --- determinism --------------------------------------------------- *)
-  let render_scale r = J.to_string (Scale.to_json r) in
-  if render_scale r <> render_scale (Scale.run ~seed:0 ~counts ~sample ()) then
-    fail "same-seed scale sweeps serialize differently — the sweep is nondeterministic";
   say "determinism: same-seed scale sweep re-run is byte-identical: PASS";
   (* --- artifact ------------------------------------------------------ *)
   let doc =
@@ -1608,7 +1565,6 @@ let experiments =
     ("trace", trace_bench);
     ("zoo", zoo_bench);
     ("faults", faults);
-    ("micro", micro);
     ("speedup", speedup_artifacts); ("conformance", conformance);
   ]
 

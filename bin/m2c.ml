@@ -947,8 +947,8 @@ let farm_cmd =
           across nodes, interface artifacts shipped over a content-addressed remote cache \
           (timeout, capped backoff retry, hedged fetch to a replica), idle nodes stealing \
           runnable work, and virtual-time heartbeats driving crash detection and re-sharding.  \
-          Farm fault kinds for $(b,--inject): $(b,node-crash:node1\\@2), $(b,node-slow:node2!), \
-          $(b,msg-drop%10), $(b,partition\\@5).")
+          Farm fault kinds for $(b,--inject): $(b,node-crash:node1@2), $(b,node-slow:node2!), \
+          $(b,msg-drop%10), $(b,partition@5).")
     term
 
 let trace_cmd =

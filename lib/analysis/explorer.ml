@@ -62,11 +62,8 @@ let with_injection scope_name f =
       in
       Fault.with_plan (Fault.plan [ spec ]) f
 
-(* What "same output" means: the canonical disassembly (sorted unit keys
-   and frames, so it is insertion-order independent) plus the sorted
-   diagnostics. *)
-let fingerprint (r : Driver.result) =
-  (Mcc_codegen.Cunit.disassemble r.Driver.program, List.map Mcc_m2.Diag.to_string r.Driver.diags)
+(* What "same output" means: the canonical observation of a compile. *)
+let fingerprint r = Mcc_check.Observation.of_driver ~run:false r
 
 let run_one ~config ~inject store =
   with_injection inject (fun () -> Driver.compile ~config ~capture:true store)
@@ -102,7 +99,8 @@ let explore ?(schedules = 8) ?(seed = 1) ?(strategies = Symtab.all_concurrent)
               {
                 perturb_seed = seed_opt;
                 hb;
-                equivalent = fingerprint r = base_fp;
+                equivalent =
+                  Mcc_check.Observation.first_diff ~reference:base_fp (fingerprint r) = None;
                 deadlocked =
                   (match r.Driver.sim.Mcc_sched.Des_engine.outcome with
                   | Mcc_sched.Des_engine.Deadlocked _ -> true

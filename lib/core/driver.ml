@@ -435,7 +435,13 @@ let spawn_proc_parse comp (ps : Stream.proc_stream) =
             ~registry:comp.registry ~frame_key:"" ~path:ps.Stream.ps_path ~is_module_level:false
             ~is_def:false
         in
-        let p = P.create ~cb:(callbacks comp) (Tokq.reader ps.Stream.ps_q) in
+        let cb = callbacks comp in
+        let cb =
+          (* a redeclared procedure is parsed for its diagnostics, but
+             the first declaration of its path owns the code unit *)
+          if ps.Stream.ps_redeclared then { cb with P.cb_body = (fun _ -> release comp) } else cb
+        in
+        let p = P.create ~cb (Tokq.reader ps.Stream.ps_q) in
         let heading =
           match comp.cfg.heading with
           | Alt1 -> ps.Stream.ps_heading (* gate guarantees presence *)

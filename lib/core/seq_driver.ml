@@ -36,6 +36,10 @@ type comp = {
   registry : Modreg.t;
   missing : (string, unit) Hashtbl.t;
   mutable jobs : P.gen_job list; (* reversed *)
+  keys : (string, unit) Hashtbl.t;
+      (* the keys in [jobs]: a redeclared procedure's block repeats the
+         key of the first declaration, which owns the code unit (as the
+         concurrent Splitter decides) *)
   mutable frames : (string * (int * Tydesc.t) list * int) list;
 }
 
@@ -81,7 +85,10 @@ and callbacks comp : P.callbacks =
            in
            comp.frames <- (fk, slots, size) :: comp.frames
          end);
-        comp.jobs <- gj :: comp.jobs);
+        if not (Hashtbl.mem comp.keys gj.P.gj_key) then begin
+          Hashtbl.replace comp.keys gj.P.gj_key ();
+          comp.jobs <- gj :: comp.jobs
+        end);
   }
 
 let compile (store : Source_store.t) : result =
@@ -94,6 +101,7 @@ let compile (store : Source_store.t) : result =
       registry = Modreg.create ();
       missing = Hashtbl.create 8;
       jobs = [];
+      keys = Hashtbl.create 64;
       frames = [];
     }
   in

@@ -39,6 +39,7 @@ type proc_stream = {
   ps_scope : Symtab.t;
   ps_gate : Event.t; (* avoided event: heading processed in the parent scope *)
   ps_depth : int; (* procedure nesting depth, 1 = top level *)
+  ps_redeclared : bool; (* an earlier stream has this path *)
   mutable ps_heading : D.heading_info option; (* set by the parent parser *)
 }
 
@@ -78,12 +79,16 @@ let run_splitter ~rd ~out ~root_scope ~root_path ~next_id ~on_stream =
       | _ -> ())
     done
   in
+  (* paths split so far: the first declaration of a path owns its code *)
+  let split = Hashtbl.create 16 in
   let rec extract_proc ~parent_q ~parent_scope ~parent_path ~depth ~proc_tok =
     let name =
       match (Reader.peek rd).Token.kind with Token.Ident n -> n | _ -> "<anonymous>"
     in
     let id = next_id () in
     let path = parent_path ^ "." ^ name in
+    let redeclared = Hashtbl.mem split path in
+    Hashtbl.replace split path ();
     let ps =
       {
         ps_id = id;
@@ -93,6 +98,7 @@ let run_splitter ~rd ~out ~root_scope ~root_path ~next_id ~on_stream =
         ps_scope = Symtab.create ~parent:parent_scope (Symtab.KProc path);
         ps_gate = Event.create ~kind:Event.Avoided ("heading:" ^ path);
         ps_depth = depth;
+        ps_redeclared = redeclared;
         ps_heading = None;
       }
     in

@@ -28,6 +28,9 @@ type proc_stream = {
   ps_scope : Symtab.t;
   ps_gate : Mcc_sched.Event.t;
   ps_depth : int;  (** procedure nesting depth, 1 = top level *)
+  ps_redeclared : bool;
+      (** an earlier stream already has this path: the procedure is a
+          redeclaration (its heading is rejected) and emits no code *)
   mutable ps_heading : D.heading_info option;  (** set by the parent parser *)
 }
 

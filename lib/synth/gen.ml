@@ -230,6 +230,7 @@ type penv = {
   for_depth : int ref;
   loop_var : string; (* the outermost FOR variable (also used in array indexes) *)
   scratch : string; (* a dedicated local for bounded WHILE loops *)
+  while_depth : int ref; (* enclosing WHILE loops, all counting [scratch] *)
 }
 
 let rec int_expr st rng env depth =
@@ -286,19 +287,20 @@ let rec stmt st rng env ~budget =
         line st "END;"
     | 7 when !(env.for_depth) < List.length env.loop_vars ->
         let v = List.nth env.loop_vars !(env.for_depth) in
-        line st "FOR %s := 0 TO %d DO" v (Prng.range rng 3 12);
-        incr env.for_depth;
-        nest st (fun () -> stmt_seq st rng env ~budget ~n:(Prng.range rng 1 3));
-        decr env.for_depth;
-        line st "END;"
+        let bound = Prng.range rng 3 12 in
+        looped st ~depth:env.for_depth ~shares_counter:(v = env.scratch && !(env.while_depth) > 0)
+          ~header:[ Printf.sprintf "FOR %s := 0 TO %d DO" v bound ]
+          (fun () -> stmt_seq st rng env ~budget ~n:(Prng.range rng 1 3))
     | 8 ->
         (* a bounded WHILE: terminates in both modes *)
-        line st "%s := %d;" env.scratch (Prng.range rng 2 9);
-        line st "WHILE %s > 0 DO" env.scratch;
-        nest st (fun () ->
-            stmt_seq st rng env ~budget ~n:(Prng.range rng 1 2);
-            line st "%s := %s - 1;" env.scratch env.scratch);
-        line st "END;"
+        let count = Prng.range rng 2 9 in
+        let active_fors = List.filteri (fun i _ -> i < !(env.for_depth)) env.loop_vars in
+        looped st ~depth:env.while_depth ~shares_counter:(List.mem env.scratch active_fors)
+          ~header:
+            [ Printf.sprintf "%s := %d;" env.scratch count;
+              Printf.sprintf "WHILE %s > 0 DO" env.scratch ]
+          ~footer:[ Printf.sprintf "%s := %s - 1;" env.scratch env.scratch ]
+          (fun () -> stmt_seq st rng env ~budget ~n:(Prng.range rng 1 2))
     | 9 ->
         line st "CASE (%s) MOD 4 OF" (int_expr st rng env 1);
         nest st (fun () ->
@@ -350,6 +352,24 @@ let rec stmt st rng env ~budget =
         line st "%s := %s;" (Prng.choose rng env.int_lvalues) (int_expr st rng env 2)
     | _ -> line st "%s := %s;" env.loop_var (int_expr st rng env 1)
   end
+
+(* A loop around [body], one level deeper in [depth]: [header] lines,
+   the indented body, [footer] lines (still inside the loop), END.
+   Nested procedures count FOR and WHILE loops in one local, so a FOR
+   inside a WHILE (or the reverse) would reset the outer loop's counter
+   forever; in a runnable program such a loop ([shares_counter]) emits
+   its body once, unlooped.  The random draws are the same either way. *)
+and looped st ~depth ~shares_counter ~header ?(footer = []) body =
+  incr depth;
+  if shares_counter && st.shape.runnable then body ()
+  else begin
+    List.iter (line st "%s") header;
+    nest st (fun () ->
+        body ();
+        List.iter (line st "%s") footer);
+    line st "END;"
+  end;
+  decr depth
 
 and stmt_seq st rng env ~budget ~n =
   for _ = 1 to n do
@@ -420,6 +440,7 @@ let gen_proc st rng ~(defs : def_info list) ~from_imports ~globals ~index ~neste
                   exception_name = None;
                   loop_vars = [ "u" ];
                   for_depth = ref 0;
+                  while_depth = ref 0;
                   loop_var = "u";
                   scratch = "u";
                 }
@@ -475,6 +496,7 @@ let gen_proc st rng ~(defs : def_info list) ~from_imports ~globals ~index ~neste
           exception_name = Some "gExc";
           loop_vars = [ "i"; "i2"; "i3" ];
           for_depth = ref 0;
+          while_depth = ref 0;
           loop_var = "i";
           scratch = "lc";
         }

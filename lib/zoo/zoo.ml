@@ -42,21 +42,6 @@ let read_file path = Option.get (Golden.read_file path)
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
-let imports_of src =
-  let strip tok = String.trim (String.concat "" (String.split_on_char ';' tok)) in
-  List.concat_map
-    (fun line ->
-      let line = String.trim line in
-      if starts_with ~prefix:"FROM " line then
-        match String.split_on_char ' ' line with _ :: m :: _ -> [ strip m ] | _ -> []
-      else if starts_with ~prefix:"IMPORT " line then
-        String.sub line 7 (String.length line - 7)
-        |> String.split_on_char ','
-        |> List.map strip
-        |> List.filter (fun s -> s <> "")
-      else [])
-    (String.split_on_char '\n' src)
-
 let source_files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.filter (fun f -> not (Sys.is_directory (Filename.concat dir f)))
@@ -73,7 +58,7 @@ let main_of_dir dir =
     List.concat_map
       (fun f ->
         if Filename.check_suffix f ".mod" || Filename.check_suffix f ".def" then
-          imports_of (read_file (Filename.concat dir f))
+          Build_cache.scan_imports (read_file (Filename.concat dir f))
         else [])
       files
   in
@@ -428,7 +413,7 @@ let has_def_cycle store =
   let defs = Source_store.def_names store in
   let edges d =
     match Source_store.def_src store d with
-    | Some src -> List.filter (fun i -> List.mem i defs) (imports_of src)
+    | Some src -> List.filter (fun i -> List.mem i defs) (Build_cache.scan_imports src)
     | None -> []
   in
   let state = Hashtbl.create 16 in

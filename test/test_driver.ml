@@ -257,34 +257,44 @@ let prop_generated_equivalence =
              c.Driver.ok && String.equal (dis seq.Seq_driver.program) (dis c.Driver.program))
            Symtab.all_concurrent)
 
+let runnable_same_output seed =
+  let shape =
+    {
+      Mcc_synth.Gen.seed;
+      name = "R";
+      n_defs = 0;
+      depth = 1;
+      n_procs = 4;
+      nested_per_proc = 1;
+      stmts_lo = 4;
+      stmts_hi = 10;
+      module_vars = 3;
+      def_size = 1;
+      pad = 0;
+      runnable = true;
+    }
+  in
+  let st = Mcc_synth.Gen.generate shape in
+  let seq = Seq_driver.compile st in
+  let conc = Driver.compile ~config:Driver.default_config st in
+  let r1 = Mcc_vm.Vm.run seq.Seq_driver.program in
+  let r2 = Mcc_vm.Vm.run conc.Driver.program in
+  seq.Seq_driver.ok && conc.Driver.ok
+  && r1.Mcc_vm.Vm.output = r2.Mcc_vm.Vm.output
+  && r1.Mcc_vm.Vm.status = Mcc_vm.Vm.Finished
+
 let prop_runnable_same_output =
   QCheck.Test.make ~name:"runnable programs: identical VM output via both compilers" ~count:6
     QCheck.(int_bound 10_000)
+    runnable_same_output
+
+(* seeds whose nested procedures once nested a FOR and a WHILE over
+   their one shared counter, looping forever *)
+let test_runnable_fixed_seeds () =
+  List.iter
     (fun seed ->
-      let shape =
-        {
-          Mcc_synth.Gen.seed;
-          name = "R";
-          n_defs = 0;
-          depth = 1;
-          n_procs = 4;
-          nested_per_proc = 1;
-          stmts_lo = 4;
-          stmts_hi = 10;
-          module_vars = 3;
-          def_size = 1;
-          pad = 0;
-          runnable = true;
-        }
-      in
-      let st = Mcc_synth.Gen.generate shape in
-      let seq = Seq_driver.compile st in
-      let conc = Driver.compile ~config:Driver.default_config st in
-      let r1 = Mcc_vm.Vm.run seq.Seq_driver.program in
-      let r2 = Mcc_vm.Vm.run conc.Driver.program in
-      seq.Seq_driver.ok && conc.Driver.ok
-      && r1.Mcc_vm.Vm.output = r2.Mcc_vm.Vm.output
-      && r1.Mcc_vm.Vm.status = Mcc_vm.Vm.Finished)
+      Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (runnable_same_output seed))
+    [ 26; 27; 43; 48; 140 ]
 
 (* stress: repeated domain-parallel compilations of suite programs must
    stay deterministic in output and never deadlock *)
@@ -316,6 +326,7 @@ let () =
           Alcotest.test_case "domain engine stress" `Slow test_domain_stress;
           Tutil.qtest prop_generated_equivalence;
           Tutil.qtest prop_runnable_same_output;
+          Alcotest.test_case "runnable programs: fixed seeds" `Quick test_runnable_fixed_seeds;
         ] );
       ( "simulation",
         [

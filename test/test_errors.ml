@@ -171,6 +171,93 @@ let test_errors_do_not_hang_concurrent () =
         | _ -> false))
     Mcc_sem.Symtab.all_concurrent
 
+(* A redeclared procedure is reported once and emits no second code
+   unit: every driver links [Dup] and the first [Dup.P] only. *)
+let test_duplicate_procedure () =
+  let src = "MODULE Dup; PROCEDURE P; BEGIN END P; PROCEDURE P; BEGIN END P; BEGIN P END Dup." in
+  let st = store ~name:"Dup" src in
+  let check what ~diags program =
+    let msgs = diag_strings diags in
+    Alcotest.(check int) (what ^ ": one diagnostic") 1 (List.length msgs);
+    Alcotest.(check bool)
+      (what ^ ": P is already declared") true
+      (contains ~sub:"P is already declared" (List.hd msgs));
+    Alcotest.(check (list string)) (what ^ ": units") [ "Dup"; "Dup.P" ]
+      (Mcc_codegen.Cunit.unit_keys program)
+  in
+  let seq = Mcc_core.Seq_driver.compile st in
+  check "seq" ~diags:seq.Mcc_core.Seq_driver.diags seq.Mcc_core.Seq_driver.program;
+  List.iter
+    (fun procs ->
+      List.iter
+        (fun heading ->
+          let c =
+            Mcc_core.Driver.compile
+              ~config:{ Mcc_core.Driver.default_config with Mcc_core.Driver.procs; heading }
+              st
+          in
+          check (Printf.sprintf "driver %d procs" procs) ~diags:c.Mcc_core.Driver.diags
+            c.Mcc_core.Driver.program;
+          Alcotest.(check string) "same code as seq" (dis seq.Mcc_core.Seq_driver.program)
+            (dis c.Mcc_core.Driver.program))
+        [ Mcc_core.Driver.Alt1; Mcc_core.Driver.Alt3 ])
+    [ 1; 8 ];
+  let d = Mcc_core.Driver.compile_domains ~domains:1 st in
+  check "domains" ~diags:d.Mcc_core.Driver.d_diags d.Mcc_core.Driver.d_program
+
+(* The same with nested procedures: the redeclared P's nested Q is
+   dropped along with it, its new nested R is kept. *)
+let test_duplicate_nested_procedure () =
+  let src =
+    "MODULE Dup;\nPROCEDURE P; PROCEDURE Q; BEGIN END Q; BEGIN Q END P;\n\
+     PROCEDURE P; PROCEDURE Q; BEGIN END Q; PROCEDURE R; BEGIN END R; BEGIN R END P;\n\
+     BEGIN P END Dup.\n"
+  in
+  let st = store ~name:"Dup" src in
+  let seq = Mcc_core.Seq_driver.compile st in
+  let c = Mcc_core.Driver.compile st in
+  Alcotest.(check (list string)) "seq units" [ "Dup"; "Dup.P"; "Dup.P.Q"; "Dup.P.R" ]
+    (Mcc_codegen.Cunit.unit_keys seq.Mcc_core.Seq_driver.program);
+  Alcotest.(check string) "driver code == seq code" (dis seq.Mcc_core.Seq_driver.program)
+    (dis c.Mcc_core.Driver.program);
+  Alcotest.(check (list string)) "same diagnostics" (diag_strings seq.Mcc_core.Seq_driver.diags)
+    (diag_strings c.Mcc_core.Driver.diags)
+
+(* Hostile bytes: a suite program with a few bytes flipped never makes
+   either driver raise or report a failed compiler task. *)
+let prop_flipped_bytes =
+  let base = Mcc_synth.Suite.program 2 in
+  let files =
+    ("main", Mcc_core.Source_store.main_src base)
+    :: List.map
+         (fun d -> (d, Option.get (Mcc_core.Source_store.def_src base d)))
+         (Mcc_core.Source_store.def_names base)
+  in
+  QCheck.Test.make ~name:"byte-flipped suite sources: no escaped exception or failed task"
+    ~count:30
+    QCheck.(list_of_size Gen.(1 -- 4) (triple small_nat int (int_range 1 255)))
+    (fun flips ->
+      let files = Array.of_list (List.map (fun (n, s) -> (n, Bytes.of_string s)) files) in
+      List.iter
+        (fun (f, pos, mask) ->
+          let _, b = files.(f mod Array.length files) in
+          let i = abs pos mod Bytes.length b in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+        flips;
+      let files = Array.to_list (Array.map (fun (n, b) -> (n, Bytes.to_string b)) files) in
+      let st =
+        Mcc_core.Source_store.make
+          ~main_name:(Mcc_core.Source_store.main_name base)
+          ~main_src:(List.assoc "main" files)
+          ~defs:(List.filter (fun (n, _) -> n <> "main") files)
+          ()
+      in
+      let no_failed_task diags =
+        not (List.exists (contains ~sub:"compiler task failed") (diag_strings diags))
+      in
+      no_failed_task (Mcc_core.Seq_driver.compile st).Mcc_core.Seq_driver.diags
+      && no_failed_task (Mcc_core.Driver.compile st).Mcc_core.Driver.diags)
+
 (* ------------------------------------------------------------------ *)
 (* CLI argument validation (Cliopt): every failure mode is an error
    that names the offending value or file — no silent clamping. *)
@@ -281,6 +368,9 @@ let () =
           Alcotest.test_case "locations" `Quick test_locations_reported;
           Alcotest.test_case "all errors reported" `Quick test_many_errors_all_reported;
           Alcotest.test_case "no hangs on errors" `Quick test_errors_do_not_hang_concurrent;
+          Alcotest.test_case "duplicate procedure" `Quick test_duplicate_procedure;
+          Alcotest.test_case "duplicate nested procedure" `Quick test_duplicate_nested_procedure;
+          qtest prop_flipped_bytes;
         ] );
       ( "cli",
         [

@@ -229,6 +229,33 @@ let test_missing_golden_fails () =
             (Tutil.contains ~sub:"--update-golden" f.Zoo.f_expected)
       | fs -> Alcotest.failf "expected exactly the missing-golden failure, got %d" (List.length fs))
 
+(* The main module is auto-detected from real import lists: one that
+   continues onto a second line still imports its second module, and a
+   comment line starting with IMPORT imports nothing. *)
+let test_main_detected_across_lines () =
+  let dir = temp_dir "mcc-zoo-main" in
+  let files =
+    [
+      ("manifest", "oracles: conformance\n");
+      ("App.mod", "MODULE App;\nIMPORT A,\n  B;\nBEGIN\n  WriteInt(A.k + B.k)\nEND App.\n");
+      ("A.def", "DEFINITION MODULE A;\nCONST k = 1;\nEND A.\n");
+      ( "A.mod",
+        "IMPLEMENTATION MODULE A;\n(* A must not\nIMPORT App; that would be a cycle *)\nEND A.\n" );
+      ("B.def", "DEFINITION MODULE B;\nCONST k = 2;\nEND B.\n");
+      ("B.mod", "IMPLEMENTATION MODULE B;\nEND B.\n");
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun (f, text) ->
+          Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc text))
+        files;
+      let o = Zoo.run_dir dir in
+      Alcotest.(check (list string)) "App detected as main, conformant" []
+        (List.map Zoo.failure_to_string o.Zoo.o_failures))
+
 (* --- generated-shape outcomes --------------------------------------- *)
 
 let test_default_zoo_clean () =
@@ -342,6 +369,8 @@ let () =
           Alcotest.test_case "first-line diff" `Quick test_first_line_diff;
           Alcotest.test_case "update-golden reaches a fixpoint" `Quick test_golden_fixpoint;
           Alcotest.test_case "missing golden fails with remedy" `Quick test_missing_golden_fails;
+          Alcotest.test_case "main detected across a multi-line import list" `Quick
+            test_main_detected_across_lines;
         ] );
       ("scale", [ Alcotest.test_case "toy sweep: knees, oracles, determinism" `Quick test_scale_smoke ]);
       ( "check-save",
