@@ -329,10 +329,9 @@ let barrier () =
         end_time (Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store)
       in
       let cb =
-        Mcc_m2.Tokq.set_default_barrier true;
-        Fun.protect
-          ~finally:(fun () -> Mcc_m2.Tokq.set_default_barrier false)
-          (fun () -> Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store)
+        Driver.compile
+          ~config:{ Driver.default_config with Driver.procs = n; tokq_barrier = true }
+          store
       in
       let barrier_t = end_time cb in
       let wait_time =
@@ -376,17 +375,17 @@ let sensitivity () =
   say "";
   say "-- token-block granularity (the paper uses 64-token blocks) --";
   let store = Suite.program 20 in
-  let old = !Mcc_m2.Tokq.block_size in
-  Fun.protect ~finally:(fun () -> Mcc_m2.Tokq.set_block_size old) @@ fun () ->
   List.iter
-    (fun bs ->
-      Mcc_m2.Tokq.set_block_size bs;
+    (fun tokq_block ->
       let t1 =
-        end_time (Driver.compile ~config:{ Driver.default_config with Driver.procs = 1 } store)
+        end_time
+          (Driver.compile ~config:{ Driver.default_config with Driver.procs = 1; tokq_block } store)
       in
-      let t8 = end_time (Driver.compile ~config:Driver.default_config store) in
-      say "  block=%3d tokens: concurrent@1 %9.0f units, @8 %9.0f units (speedup %.2f)" bs t1 t8
-        (t1 /. t8))
+      let t8 =
+        end_time (Driver.compile ~config:{ Driver.default_config with Driver.tokq_block } store)
+      in
+      say "  block=%3d tokens: concurrent@1 %9.0f units, @8 %9.0f units (speedup %.2f)" tokq_block
+        t1 t8 (t1 /. t8))
     [ 8; 16; 64; 256; 1024 ]
 
 let incr () =

@@ -51,22 +51,17 @@ type report = {
 
 let sample_cap = 8
 
-(* A fresh plan per run: the occurrence counter must rewind so every
-   schedule sees the same early completion at its first matching entry. *)
-let with_injection scope_name f =
-  match scope_name with
-  | None -> f ()
+(* The deliberate early-publish bug, armed through the config: each
+   compile makes a fresh plan from it, so every schedule sees the same
+   early completion at its first matching entry. *)
+let injection = function
+  | None -> []
   | Some s ->
-      let spec =
-        { Fault.kind = Fault.Early_complete; target = Some s; at = Some 1; rate = None; permanent = false }
-      in
-      Fault.with_plan (Fault.plan [ spec ]) f
+      Fault.
+        [ { kind = Early_complete; target = Some s; at = Some 1; rate = None; permanent = false } ]
 
 (* What "same output" means: the canonical observation of a compile. *)
 let fingerprint r = Mcc_check.Observation.of_driver ~run:false r
-
-let run_one ~config ~inject store =
-  with_injection inject (fun () -> Driver.compile ~config ~capture:true store)
 
 let explore ?(schedules = 8) ?(seed = 1) ?(strategies = Symtab.all_concurrent)
     ?(procs_list = [ 1; 2; 4; 8 ]) ?inject_early_publish (store : Mcc_core.Source_store.t) : report
@@ -89,9 +84,16 @@ let explore ?(schedules = 8) ?(seed = 1) ?(strategies = Symtab.all_concurrent)
         List.map
           (fun procs ->
             let config =
-              { Driver.default_config with Driver.strategy; procs; perturb = None }
+              {
+                Driver.default_config with
+                Driver.strategy;
+                procs;
+                perturb = None;
+                faults = injection inject_early_publish;
+              }
             in
-            let base = run_one ~config ~inject:inject_early_publish store in
+            let run_one ~config = Driver.compile ~config ~capture:true store in
+            let base = run_one ~config in
             let base_fp = fingerprint base in
             let mk_run seed_opt (r : Driver.result) =
               let hb = Hb.check r.Driver.log in
@@ -112,7 +114,7 @@ let explore ?(schedules = 8) ?(seed = 1) ?(strategies = Symtab.all_concurrent)
               List.init schedules (fun _ ->
                   let s = Prng.int master 0x3FFFFFFF in
                   let config = { config with Driver.perturb = Some s } in
-                  mk_run (Some s) (run_one ~config ~inject:inject_early_publish store))
+                  mk_run (Some s) (run_one ~config))
             in
             let runs = baseline :: perturbed in
             {

@@ -495,7 +495,7 @@ let find_interface t ~fp =
     | None -> None
     | Some e ->
         let a = e.art in
-        let injected = Fault.armed () && Fault.corrupt_artifact ~name:a.Artifact.a_name in
+        let injected = Fault.armed () && Fault.fires Fault.Corrupt_artifact a.Artifact.a_name in
         if t.verify && (injected || not (sound fp e)) then begin
           if injected && Evlog.enabled () then
             Evlog.emit

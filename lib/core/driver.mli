@@ -23,17 +23,21 @@ type config = {
   procs : int;  (** simulated processors *)
   beta : float;  (** memory-bus contention coefficient *)
   fifo_sched : bool;  (** ablation: disable the Supervisor's priorities (paper §2.3.4) *)
+  tokq_block : int;  (** tokens per token-queue block (the paper's 64) *)
+  tokq_barrier : bool;
+      (** ablation: barrier token-queue availability events, the paper's
+          choice (paper §2.3.3); handled events by default *)
   perturb : int option;
       (** schedule-exploration seed: randomize ready-queue tie-breaking
           (see {!Mcc_sched.Supervisor.create}); [None] = canonical *)
   faults : Mcc_sched.Fault.spec list;
-      (** fault plan armed around the engine run; [[]] = no injection
-          (an externally armed plan, e.g. the explorer's, stays armed) *)
+      (** fault plan armed around the engine run; [[]] = none of its
+          own (the enclosing run's plan, e.g. the farm's, stays armed) *)
   fault_seed : int;  (** seed deriving the plan's firing decisions *)
 }
 
 (** 8 processors, skeptical handling, alternative 1, calibrated beta,
-    no faults. *)
+    64-token blocks under handled events, no faults. *)
 val default_config : config
 
 (** Robustness counters: what the recovery layer did about injected (or

@@ -119,10 +119,10 @@ let init_order store = order_by ~imports:Build_cache.scan_imports store
 let config_tag (c : Driver.config) =
   (* fault specs are part of the tag: a cached result embeds robustness
      counters and simulated timings, both of which injection changes *)
-  Printf.sprintf "%s|%s|%d|%g|%b|%s|%d"
+  Printf.sprintf "%s|%s|%d|%g|%b|%d|%b|%s|%d"
     (Mcc_sem.Symtab.dky_name c.Driver.strategy)
     (match c.Driver.heading with Driver.Alt1 -> "alt1" | Driver.Alt3 -> "alt3")
-    c.Driver.procs c.Driver.beta c.Driver.fifo_sched
+    c.Driver.procs c.Driver.beta c.Driver.fifo_sched c.Driver.tokq_block c.Driver.tokq_barrier
     (String.concat "," (List.map Mcc_sched.Fault.spec_to_string c.Driver.faults))
     c.Driver.fault_seed
 

@@ -105,12 +105,8 @@ let compile (store : Source_store.t) : result =
       frames = [];
     }
   in
-  Eff.reset_direct_total ();
-  let saved = !Eff.mode in
-  Eff.mode := Eff.Direct;
-  Fun.protect
-    ~finally:(fun () -> Eff.mode := saved)
-    (fun () ->
+  (* a fresh run: nothing charged by an earlier compile or scan counts *)
+  Eff.within Eff.Direct (fun () ->
       let own_def = if Source_store.has_def store m then ensure_def comp m else None in
       let main_scope = Symtab.create ?parent:own_def (Symtab.KMain m) in
       let mod_ctx =

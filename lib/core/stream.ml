@@ -94,7 +94,7 @@ let run_splitter ~rd ~out ~root_scope ~root_path ~next_id ~on_stream =
         ps_id = id;
         ps_name = name;
         ps_path = path;
-        ps_q = Tokq.create ~name:("proc:" ^ path) ();
+        ps_q = Tokq.sibling out ~name:("proc:" ^ path);
         ps_scope = Symtab.create ~parent:parent_scope (Symtab.KProc path);
         ps_gate = Event.create ~kind:Event.Avoided ("heading:" ^ path);
         ps_depth = depth;

@@ -3,7 +3,7 @@
    Deterministic from (seed, draw order): every transfer pays one-way
    latency with a small seeded jitter plus payload bytes over the link
    bandwidth, and every message is lost with the configured probability
-   (on top of any armed [Fault.msg_drop] plan, which is consulted by the
+   (on top of any armed [Fault.Msg_drop] plan, which is consulted by the
    protocol layer, not here).  The DES processes events in one global
    time order, so the draw order — and with it every latency and loss
    decision — is a pure function of the farm seed. *)

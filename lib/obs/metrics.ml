@@ -37,7 +37,7 @@ type value =
 type sample = { s_name : string; s_labels : (string * string) list; s_value : value }
 type snapshot = sample list
 
-let enabled () = Evlog.registry (Evlog.current ()) != None
+let enabled () = Evlog.registry (Evlog.run ()).obs != None
 
 (* Default histogram buckets for virtual-work-unit durations: spans the
    cost table from a single dispatch (~15 units) to a whole long
@@ -49,7 +49,7 @@ let key name labels = (name, List.sort compare labels)
 (* The installed registry's cell for [name] + [labels], made on first
    use; [None] outside a registry. *)
 let cell name labels make =
-  match Evlog.registry (Evlog.current ()) with
+  match Evlog.registry (Evlog.run ()).obs with
   | None -> None
   | Some tbl -> (
       let k = key name labels in
@@ -125,7 +125,7 @@ let snapshot (c : Evlog.ctx) : snapshot =
 
 let with_registry f =
   let c = Evlog.ctx ~metrics:true () in
-  let v = Evlog.within c f in
+  let v = Evlog.within ~obs:c f in
   (v, snapshot c)
 
 (* Snapshot accessors, for tests and reports. *)

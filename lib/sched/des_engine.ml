@@ -133,7 +133,7 @@ let do_signal st t (ev : Event.t) =
     (* injected dropped wake: the signal lands (the event is marked, the
        gate opens) but the handled waiters' wake-ups are lost — they stay
        parked in [st.waiting] for the stall watchdog to find *)
-    let dropped = Fault.armed () && Fault.drop_wake ~ev:ev.Event.name in
+    let dropped = Fault.armed () && Fault.fires Fault.Dropped_wake ev.Event.name in
     if dropped && Evlog.enabled () then
       Evlog.emit (Evlog.Fault_inject { fault = "dropped-wake"; victim = ev.Event.name });
     (* wake handled waiters: their continuations go back to the ready
@@ -271,7 +271,7 @@ let inject_at_start st t p (task : Task.t) =
   else begin
     let name = task.Task.name and cls = Task.cls_name task.Task.cls in
     let count tbl = Option.value ~default:0 (Hashtbl.find_opt tbl task.Task.id) in
-    if Fault.crash ~name ~cls then begin
+    if Fault.fires Fault.Task_crash ~aux:cls name then begin
       if Evlog.enabled () then
         Evlog.emit (Evlog.Fault_inject { fault = "task-crash"; victim = name });
       let n = 1 + count st.attempts in
@@ -285,7 +285,7 @@ let inject_at_start st t p (task : Task.t) =
       else quarantine st t p task;
       true
     end
-    else if count st.stalled < Costs.retry_limit && Fault.stall ~name ~cls then begin
+    else if count st.stalled < Costs.retry_limit && Fault.fires Fault.Stall ~aux:cls name then begin
       if Evlog.enabled () then Evlog.emit (Evlog.Fault_inject { fault = "stall"; victim = name });
       Hashtbl.replace st.stalled task.Task.id (1 + count st.stalled);
       if Metrics.enabled () then Metrics.incr "mcc_fault_stall_total";
@@ -420,13 +420,8 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
       beta;
     }
   in
-  let fired0 = Fault.fired () in
-  let saved_mode = !Eff.mode in
-  Eff.mode := Eff.Engine;
-  Eff.acc := 0;
-  Fun.protect
-    ~finally:(fun () -> Eff.mode := saved_mode)
-    (fun () ->
+  Eff.within Eff.Engine (fun () ->
+      let fired0 = Fault.fired () in
       let logging = Evlog.enabled () in
       if logging then begin
         Evlog.set_time 0.0;
@@ -477,7 +472,7 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
                 if logging then Evlog.set_task task.Task.id;
                 if
                   Fault.armed ()
-                  && Fault.crash ~name:task.Task.name ~cls:(Task.cls_name task.Task.cls)
+                  && Fault.fires Fault.Task_crash ~aux:(Task.cls_name task.Task.cls) task.Task.name
                 then begin
                   (* crash at a resume point: the body already ran partway
                      (it may have published symbols), so a re-run is

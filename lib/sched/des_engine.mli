@@ -43,10 +43,12 @@ type result = {
     — every perturbed run is still a legal Supervisor schedule (used by
     the schedule explorer; see {!Supervisor.create}).
 
-    When a {!Fault} plan is armed, dispatches consult it: a crash before
-    a task's body ran retries after a virtual-time backoff (then
-    quarantines); a crash at a resume point quarantines immediately
-    (partial effects make re-runs unsafe); dropped wakes leave waiters
-    parked for the virtual-time stall watchdog, which re-delivers the
-    lost wake-ups at quiescence instead of reporting a deadlock. *)
+    The simulation is a fresh run ({!Eff.within}) in the enclosing
+    run's context and plan.  When a {!Fault} plan is armed, dispatches
+    consult it: a crash before a task's body ran retries after a
+    virtual-time backoff (then quarantines); a crash at a resume point
+    quarantines immediately (partial effects make re-runs unsafe);
+    dropped wakes leave waiters parked for the virtual-time stall
+    watchdog, which re-delivers the lost wake-ups at quiescence instead
+    of reporting a deadlock. *)
 val run : ?beta:float -> ?fifo:bool -> ?perturb:int -> procs:int -> Task.t list -> result

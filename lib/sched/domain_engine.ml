@@ -163,16 +163,11 @@ let run ~domains tasks =
       failures = [];
     }
   in
-  List.iter (Supervisor.submit st.sup) tasks;
-  let saved_mode = !Eff.mode and saved_acct = !Eff.accounting in
-  Eff.mode := Eff.Engine;
-  Eff.accounting := false;
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      Eff.mode := saved_mode;
-      Eff.accounting := saved_acct)
-    (fun () ->
+  (* a fresh run in an empty context (no domain appends to an enclosing
+     log) that charges no work *)
+  Eff.within ~obs:(Mcc_obs.Evlog.ctx ()) ~accounting:false Eff.Engine (fun () ->
+      List.iter (Supervisor.submit st.sup) tasks;
+      let t0 = Unix.gettimeofday () in
       let workers = List.init (domains - 1) (fun _ -> Domain.spawn (worker st)) in
       worker st ();
       List.iter Domain.join workers;

@@ -5,8 +5,9 @@
     [domains] workers sharing one Supervisor under a mutex.  A blocked
     task's continuation parks on the awaited event and the worker takes
     other work; continuations migrate freely between domains (the
-    capability the paper's Topaz threads lacked).  Work accounting is
-    disabled — real time is real. *)
+    capability the paper's Topaz threads lacked).  Each run is a fresh
+    run in an empty observation context with work accounting off —
+    real time is real. *)
 
 type outcome =
   | Completed

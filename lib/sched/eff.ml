@@ -39,38 +39,34 @@ type mode = Direct | Engine
    workers and restore it after joining them). *)
 let mode = ref Direct
 
-(* Work-unit accumulator.  In [Engine] mode only one task executes
-   between two effect performs (the DES is single-threaded, and the
-   domain engine disables accounting — real time is real there), so a
-   global accumulator is sound. *)
-let acc = ref 0
+(* The accumulator, the direct-mode total and the accounting switch are
+   the installed run's ([Evlog.run]).  In [Engine] mode one task runs
+   between two effect performs (the DES is single-threaded; domain runs
+   charge nothing), so one accumulator per run is sound. *)
+module Evlog = Mcc_obs.Evlog
 
-(* When false, [work] is a no-op: set by the domain engine, whose tasks
-   are measured in wall-clock time. *)
-let accounting = ref true
+let within ?obs ?accounting m f =
+  let saved = !mode in
+  mode := m;
+  Fun.protect ~finally:(fun () -> mode := saved) (fun () -> Evlog.within ?obs ?accounting f)
 
-(* Total units charged while in [Direct] mode: this is the sequential
-   compiler's virtual execution time. *)
-let direct_total = ref 0.0
-
-let reset_direct_total () = direct_total := 0.0
-let get_direct_total () = !direct_total
-
-let in_engine () = !mode = Engine
+let get_direct_total () = (Evlog.run ()).direct_total
 
 let flush () =
-  if !acc > 0 then begin
-    let c = !acc in
-    acc := 0;
+  let r = Evlog.run () in
+  if r.acc > 0 then begin
+    let c = r.acc in
+    r.acc <- 0;
     match !mode with
     | Engine -> Effect.perform (Work c)
-    | Direct -> direct_total := !direct_total +. float_of_int c
+    | Direct -> r.direct_total <- r.direct_total +. float_of_int c
   end
 
 let work n =
-  if !accounting then begin
-    acc := !acc + n;
-    if !acc >= Costs.quantum then flush ()
+  let r = Evlog.run () in
+  if r.accounting then begin
+    r.acc <- r.acc + n;
+    if r.acc >= Costs.quantum then flush ()
   end
 
 let wait ev =
@@ -121,12 +117,13 @@ let handler : (unit, step) Effect.Deep.handler =
   {
     retc =
       (fun () ->
-        let c = !acc in
-        acc := 0;
+        let r = Evlog.run () in
+        let c = r.acc in
+        r.acc <- 0;
         Finished c);
     exnc =
       (fun e ->
-        acc := 0;
+        (Evlog.run ()).acc <- 0;
         (* drop residue: the task is aborting anyway *)
         Failed (e, Printexc.get_raw_backtrace ()));
     effc =

@@ -7,7 +7,9 @@
     interprets [Wait]/[Signal] with parked continuations on real
     parallelism; outside any engine ("direct mode", the sequential
     compiler and unit tests) work accumulates into a running total and
-    waits must already be satisfied.
+    waits must already be satisfied.  The accumulator, the total and
+    the accounting switch belong to the installed run
+    ({!Mcc_obs.Evlog.run}).
 
     Work charges are batched to [Costs.quantum] so effect-handling
     overhead stays negligible while event timing keeps fine virtual
@@ -27,23 +29,19 @@ exception Deadlock_in_direct_mode of string
 
 type mode = Direct | Engine
 
-(** Current execution mode; set by engines around a run.  Exposed for
+(** Current execution mode; set by {!within} around a run.  Exposed for
     engines and tests — compiler code never touches it. *)
 val mode : mode ref
 
-(** The work-unit accumulator (engine-internal). *)
-val acc : int ref
+(** [within ?obs ?accounting m f] runs [f] as a fresh run
+    ({!Mcc_obs.Evlog.within}) in mode [m]: nothing charged yet, so no
+    earlier run's leftover work reaches this one.  Engine entry points
+    and the sequential compiler start their runs this way. *)
+val within : ?obs:Mcc_obs.Evlog.ctx -> ?accounting:bool -> mode -> (unit -> 'a) -> 'a
 
-(** When false, [work] is a no-op — set by the domain engine, whose tasks
-    are measured in wall-clock time. *)
-val accounting : bool ref
-
-(** Reset/read the total charged in direct mode: the sequential
-    compiler's virtual execution time. *)
-val reset_direct_total : unit -> unit
-
+(** The installed run's direct-mode total: the sequential compiler's
+    virtual execution time. *)
 val get_direct_total : unit -> float
-val in_engine : unit -> bool
 
 (** Charge [n] work units (batched). *)
 val work : int -> unit

@@ -138,7 +138,7 @@ let mark_complete t =
    caller signals it outside the lock) when an optimistic placeholder is
    being replaced by the real declaration.
 
-   The [Fault.early_complete] consultation is the deliberate
+   The [Fault.Early_complete] consultation is the deliberate
    early-publish bug for the happens-before analyzer: when an armed
    plan fires on this scope while it is incomplete but already holds a
    symbol, the scope completes prematurely, so this (and every later)
@@ -149,7 +149,7 @@ let enter t (sym : Symbol.t) =
     Fault.armed ()
     && (not t.complete)
     && Hashtbl.length t.tbl > 0
-    && Fault.early_complete ~scope:t.sname
+    && Fault.fires Fault.Early_complete t.sname
   then mark_complete t;
   Mutex.lock t.mu;
   let r =

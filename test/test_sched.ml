@@ -378,7 +378,7 @@ let test_perturb_reproducible () =
 (* --- fault injection and self-healing (engine level) --- *)
 
 let with_specs ?(seed = 0) specs f =
-  Fault.with_plan (Fault.plan ~seed (List.map Fault.parse specs)) f
+  Mcc_obs.Evlog.within ~faults:(Fault.plan ~seed (List.map Fault.parse specs)) f
 
 let test_start_crash_retried () =
   (* a crash before the body ran is retryable: the engine redispatches
@@ -511,11 +511,11 @@ let test_engine_fault_replay_deterministic () =
 (* --- cost accounting in direct mode --- *)
 
 let test_direct_mode_accumulates () =
-  Eff.reset_direct_total ();
-  Eff.work 1234;
-  Eff.work 766;
-  Eff.flush ();
-  Alcotest.(check (float 0.0)) "total" 2000.0 (Eff.get_direct_total ())
+  Eff.within Eff.Direct (fun () ->
+      Eff.work 1234;
+      Eff.work 766;
+      Eff.flush ();
+      Alcotest.(check (float 0.0)) "total" 2000.0 (Eff.get_direct_total ()))
 
 let test_direct_wait_on_unoccurred_raises () =
   let ev = Event.create ~kind:Event.Handled "e" in
