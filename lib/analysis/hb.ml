@@ -19,6 +19,8 @@
      is signaled;
    - the instantaneous wait-for graph (blocked task -> expected producer)
      is acyclic at every step — the deadlock detector.
+   - no global frame reaches the merger after the merge task started
+     (the linked program would lack it).
 
    Recovery invariants (fault injection, ISSUE 3): every retry record is
    paired with a preceding un-consumed crash injection on the same task
@@ -66,6 +68,7 @@ type violation =
   | Serve_without_fetch of { node : int; peer : int; iface : string; serve_seq : int }
   | Task_lost of { iface : string; node : int }
   | Task_done_twice of { iface : string; first : int; second : int }
+  | Frame_after_merge of { key : string; frame_seq : int; merge_seq : int }
 
 type report = {
   violations : violation list;
@@ -134,6 +137,9 @@ let violation_to_string = function
         iface peer serve_seq
   | Task_lost { iface; node } ->
       Printf.sprintf "task-lost-on-crash: closure %s (last on node#%d) never completed" iface node
+  | Frame_after_merge { key; frame_seq; merge_seq } ->
+      Printf.sprintf "frame-after-merge: frame %s added at #%d, merge started at #%d" key frame_seq
+        merge_seq
   | Task_done_twice { iface; first; second } ->
       Printf.sprintf "task-done-twice: closure %s completed at #%d and again at #%d" iface first
         second
@@ -155,6 +161,9 @@ let check (log : Evlog.record array) : report =
   let gates : (int, int) Hashtbl.t = Hashtbl.create 64 in
   (* recovery-invariant state *)
   let task_names : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  (* merge tasks, and the seq at which the first of them started *)
+  let merges : (int, unit) Hashtbl.t = Hashtbl.create 2 in
+  let merge_start = ref None in
   (* un-consumed crash injections, by victim name; each is consumed by
      the retry or quarantine the engine pairs with it *)
   let crash_pending : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -206,11 +215,13 @@ let check (log : Evlog.record array) : report =
   Array.iter
     (fun (r : Evlog.record) ->
       match r.Evlog.kind with
-      | Evlog.Task_spawn { task; name; gate; _ } ->
+      | Evlog.Task_spawn { task; name; cls; gate } ->
           incr n_spawned;
           Hashtbl.replace task_names task name;
+          if cls = "merge" then Hashtbl.replace merges task ();
           if gate >= 0 then Hashtbl.replace gates task gate
       | Evlog.Task_start { task } -> (
+          if Hashtbl.mem merges task && !merge_start = None then merge_start := Some r.Evlog.seq;
           match Hashtbl.find_opt gates task with
           | Some gate when not (Hashtbl.mem signals gate) ->
               flag (Start_before_gate { task; gate; start_seq = r.Evlog.seq })
@@ -234,6 +245,10 @@ let check (log : Evlog.record array) : report =
           Hashtbl.remove waits task
       | Evlog.Gate_release _ -> ()
       | Evlog.Scope_intern _ -> ()
+      | Evlog.Frame_add { key } -> (
+          match !merge_start with
+          | Some merge_seq -> flag (Frame_after_merge { key; frame_seq = r.Evlog.seq; merge_seq })
+          | None -> ())
       | Evlog.Publish { scope; scope_name; sym } ->
           incr n_publishes;
           let key = (scope, sym) in

@@ -5,8 +5,9 @@
     paper §2.3.3: observations follow publications, scopes never publish
     after completing (nor contradict an authoritative miss), DKY blocks
     pair with unblocks, engine blocks pair with post-signal wakes, gated
-    tasks start after their gates, and the instantaneous wait-for graph
-    stays acyclic (the deadlock detector).
+    tasks start after their gates, the instantaneous wait-for graph
+    stays acyclic (the deadlock detector), and no global frame is added
+    after the merge task starts.
 
     Recovery invariants (fault injection): every [Task_retry] pairs with
     a preceding un-consumed crash [Fault_inject] on the same task, and
@@ -52,6 +53,9 @@ type violation =
           the no-task-lost-on-crash invariant *)
   | Task_done_twice of { iface : string; first : int; second : int }
       (** a closure completed on two nodes — stealing or re-sharding duplicated work *)
+  | Frame_after_merge of { key : string; frame_seq : int; merge_seq : int }
+      (** a global frame reached the merger after the merge task started:
+          the linked program lacks it (the 2-domain merge race) *)
 
 type report = {
   violations : violation list;  (** sorted by rendering; empty = clean *)

@@ -14,6 +14,7 @@
    completed, a property the test suite verifies. *)
 
 open Mcc_util
+module Evlog = Mcc_obs.Evlog
 
 type t = {
   u_key : string;
@@ -112,6 +113,7 @@ let add_unit m u =
   Mutex.unlock m.mu
 
 let add_frame m key slots size =
+  if Evlog.enabled () then Evlog.emit (Evlog.Frame_add { key });
   Mutex.lock m.mu;
   m.frames <- (key, slots, size) :: m.frames;
   Mutex.unlock m.mu

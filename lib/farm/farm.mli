@@ -73,7 +73,7 @@ type report = {
   f_ok : bool;
   f_obs : Mcc_check.Observation.t;  (** of the final program *)
   f_node_stats : node_stats list;
-  f_events : Mcc_obs.Evlog.record array;  (** empty unless [capture] *)
+  f_events : Mcc_obs.Evlog.record array;  (** empty unless [trace] *)
   f_subs : Mcc_obs.Dtrace.sub list;
       (** nested compile captures, one per task/assembly compute span;
           empty unless [trace] *)
@@ -81,18 +81,18 @@ type report = {
 }
 
 (** Run the farm to completion.  Deterministic: a function of (config,
-    store) only.  [capture] records the farm-level event log (node,
-    RPC and task lifecycle; inner compiles are suspended) for
-    {!Mcc_analysis.Hb}.  [trace] (implies [capture]) additionally
-    brackets the run with distributed-trace spans — one root "farm"
-    span, per-closure "task" spans tiled by "fetch" + "compute"
+    store) only.  [trace] records the farm-level event log (node, RPC
+    and task lifecycle; inner compiles are suspended) for
+    {!Mcc_analysis.Hb} into [f_events], and brackets the run with
+    distributed-trace spans — one root "farm" span, per-closure "task"
+    spans tiled by "fetch" + "compute"
     children (rpc attempt/hedge legs as annotations), and a final
     "assembly" span — captures each inner engine run into [f_subs]
     (gray-node captures carry the slowdown as [sub_scale]), and closes
     crash-interrupted task spans as ["crashed"]; feed [f_events] and
     [f_subs] to [Mcc_obs.Dtrace.assemble].  Virtual times and results
     are identical with tracing on or off. *)
-val run : ?capture:bool -> ?trace:bool -> config -> Source_store.t -> report
+val run : ?trace:bool -> config -> Source_store.t -> report
 
 (** Gate: the farm's final program must be observationally identical to
     a one-shot sequential compile, whatever faults the run absorbed. *)

@@ -108,7 +108,7 @@ type report = {
   r_sessions : session_stats list; (* name-sorted *)
   r_served_jobs : Request.served list; (* in completion order *)
   r_shed_jobs : Request.job list; (* in shed order *)
-  r_events : Evlog.record array; (* empty unless [capture] *)
+  r_events : Evlog.record array; (* empty unless [trace] *)
   r_subs : Dtrace.sub list; (* nested compile captures; empty unless [trace] *)
   r_slo : Slo.t; (* the always-on flight recorder *)
 }
@@ -174,8 +174,7 @@ let compile_job ~trace cfg cache (j : Request.job) =
           true )
       end
 
-let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job list) =
-  let capture = capture || trace in
+let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
   if cfg.compile.Driver.faults <> [] then
     invalid_arg "Server.serve: put the fault plan in the server config, not the compile config";
   let jobs =
@@ -423,7 +422,7 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
     admit_until 0.0;
     loop ()
   in
-  if capture then begin
+  if trace then begin
     let (), log = Evlog.capture run in
     events := log
   end

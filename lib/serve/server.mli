@@ -89,7 +89,7 @@ type report = {
   r_sessions : session_stats list;  (** name-sorted *)
   r_served_jobs : Request.served list;  (** in completion order *)
   r_shed_jobs : Request.job list;  (** in shed order *)
-  r_events : Mcc_obs.Evlog.record array;  (** empty unless [capture] *)
+  r_events : Mcc_obs.Evlog.record array;  (** empty unless [trace] *)
   r_subs : Mcc_obs.Dtrace.sub list;
       (** nested compile captures, one per cold/retry segment span;
           empty unless [trace] *)
@@ -99,18 +99,16 @@ type report = {
 }
 
 (** Run the server over a job trace (sorted internally by arrival).
-    Pass the same [cache] again to serve warm.  [capture] records the
+    Pass the same [cache] again to serve warm.  [trace] records the
     job-lifecycle event log ([Job_enqueue]/[Job_admit]/[Job_shed]/
-    [Job_batch]/[Job_done]) into [r_events].  [trace] (implies
-    [capture]) additionally brackets every job with distributed-trace
-    spans — job / queue / service / probe / compile / retry — captures
-    each inner engine run into [r_subs], and stamps trips with trace
-    ids; feed [r_events] and [r_subs] to [Mcc_obs.Dtrace.assemble].
+    [Job_batch]/[Job_done]) into [r_events], brackets every job with
+    distributed-trace spans — job / queue / service / probe / compile /
+    retry — captures each inner engine run into [r_subs], and stamps
+    trips with trace ids; feed [r_events] and [r_subs] to [Mcc_obs.Dtrace.assemble].
     Virtual times and results are identical with tracing on or off.
     @raise Invalid_argument when the base compile config carries a
     fault plan (put it in the server config). *)
-val serve :
-  ?capture:bool -> ?trace:bool -> cache:cache -> config -> Request.job list -> report
+val serve : ?trace:bool -> cache:cache -> config -> Request.job list -> report
 
 (** The seq-vs-server conformance oracle: every served job's output
     must be observationally identical to a one-shot cacheless compile

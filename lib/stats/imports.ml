@@ -2,17 +2,10 @@
 
    Provides the "Imported Interfaces" and "Import Nesting Depth"
    attributes of Table 1: interfaces reachable from the main module, and
-   the longest import chain.  The scan reuses the Importer's lexical
-   recognition over each file directly (no engine involved). *)
+   the longest import chain.  Each file is scanned with the build
+   cache's charge-free import scanner (no engine, no work charged). *)
 
-open Mcc_m2
 open Mcc_core
-
-let direct_imports ~file src =
-  let acc = ref [] in
-  let rd = Reader.of_lexer (Lexer.create ~file src) in
-  Stream.run_importer ~rd ~on_import:(fun m -> if not (List.mem m !acc) then acc := m :: !acc);
-  List.rev !acc
 
 (* All interfaces reachable from the main module (directly or
    indirectly), and the maximum import nesting depth: the length of the
@@ -30,15 +23,13 @@ let analyze (store : Source_store.t) =
           | None -> 0
           | Some src ->
               Hashtbl.replace visited name ();
-              let imps = direct_imports ~file:(Source_store.def_file name) src in
+              let imps = Build_cache.scan_imports src in
               1 + List.fold_left (fun acc m -> max acc (depth_of m)) 0 imps
         in
         Hashtbl.replace memo_depth name d;
         d
   in
-  let main_imports =
-    direct_imports ~file:(Source_store.main_file store) (Source_store.main_src store)
-  in
+  let main_imports = Build_cache.scan_imports (Source_store.main_src store) in
   let depth = List.fold_left (fun acc m -> max acc (depth_of m)) 0 main_imports in
   (* depth_of visited everything reachable *)
   let interfaces = Hashtbl.length visited in

@@ -3,9 +3,6 @@
 
 open Mcc_core
 
-(** Direct imports of one source, in first-occurrence order. *)
-val direct_imports : file:string -> string -> string list
-
 (** [(reachable interfaces, longest import chain)] from the main
     module; cycle-safe. *)
 val analyze : Source_store.t -> int * int

@@ -255,6 +255,52 @@ let test_explorer_detects_injected_fault () =
   let clean = Driver.compile ~capture:true (Suite.program 0) in
   Alcotest.(check bool) "clean afterwards" true (Hb.ok (Hb.check clean.Driver.log))
 
+(* --- the merge sees every frame --- *)
+
+let test_hb_frame_after_merge () =
+  let log frame_first =
+    let frame = (3, Evlog.Frame_add { key = "M!def" }) in
+    let start = (2, Evlog.Task_start { task = 2 }) in
+    mk_log
+      ([ (0, Evlog.Task_spawn { task = 2; name = "merge:M"; cls = "merge"; gate = -1 }) ]
+      @ if frame_first then [ frame; start ] else [ start; frame ])
+  in
+  Alcotest.(check int) "frame before merge is clean" 0 (n_violations (log true));
+  Alcotest.(check bool) "frame after merge detected" true
+    (has_violation
+       (function
+         | Hb.Frame_after_merge { key = "M!def"; frame_seq = 2; merge_seq = 1 } -> true
+         | _ -> false)
+       (log false))
+
+(* Every global frame of a real DES compile reaches the merger before
+   the merge task starts, at every processor count and DKY strategy. *)
+let test_suite_frames_before_merge () =
+  List.iter
+    (fun rank ->
+      let store = Suite.program rank in
+      List.iter
+        (fun (strategy, procs) ->
+          let config = { Driver.default_config with Driver.strategy; procs } in
+          let r = Driver.compile ~config ~capture:true store in
+          let frames =
+            Array.fold_left
+              (fun n (x : Evlog.record) ->
+                match x.Evlog.kind with Evlog.Frame_add _ -> n + 1 | _ -> n)
+              0 r.Driver.log
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "program %d: one frame per interface and the body" rank)
+            (r.Driver.n_def_streams + 1) frames;
+          let hb = Hb.check r.Driver.log in
+          if not (Hb.ok hb) then
+            Alcotest.failf "program %d, %s at %d: %s" rank (Symtab.dky_name strategy) procs
+              (String.concat "; " (List.map Hb.violation_to_string hb.Hb.violations)))
+        [
+          (Symtab.Skeptical, 1); (Symtab.Skeptical, 8); (Symtab.Optimistic, 2); (Symtab.Avoidance, 4);
+        ])
+    [ 0; 1; 2 ]
+
 (* --- suite seed threading --- *)
 
 let test_gen_seed_override () =
@@ -308,6 +354,8 @@ let () =
           Alcotest.test_case "retry without fault" `Quick test_hb_retry_without_fault;
           Alcotest.test_case "quarantine observed" `Quick test_hb_quarantine_observed;
           Alcotest.test_case "watchdog recovery clean" `Quick test_hb_watchdog_recovery_clean;
+          Alcotest.test_case "frame after merge" `Quick test_hb_frame_after_merge;
+          Alcotest.test_case "suite frames before merge" `Quick test_suite_frames_before_merge;
         ] );
       ( "capture",
         [

@@ -52,6 +52,18 @@ let test_imports_analyze () =
   Alcotest.(check int) "reachable interfaces" 3 interfaces;
   Alcotest.(check int) "chain depth" 3 depth
 
+(* A sequential compile's virtual time is its own: work charged before it
+   in direct mode — an import scan, or any sub-quantum charge left in
+   the accumulator — must not reach its [cost_units] (Table 1's
+   "Seq. Compile Time"). *)
+let test_seq_time_no_residue () =
+  let store = small_store () in
+  let alone = (Seq_driver.compile store).Seq_driver.cost_units in
+  ignore (Imports.analyze store);
+  Mcc_sched.Eff.work (Mcc_sched.Costs.quantum - 1);
+  let after = (Seq_driver.compile store).Seq_driver.cost_units in
+  Alcotest.(check (float 0.0)) "same cost units" alone after
+
 let test_table1_renders () =
   let attrs = List.map Tables.measure_attrs [ Mcc_synth.Suite.program 0; Mcc_synth.Suite.program 3 ] in
   let s = Tables.table1 attrs in
@@ -159,7 +171,11 @@ let () =
           Alcotest.test_case "quartiles" `Quick test_quartiles;
           Alcotest.test_case "best" `Quick test_best;
         ] );
-      ("imports", [ Alcotest.test_case "analyze" `Quick test_imports_analyze ]);
+      ( "imports",
+        [
+          Alcotest.test_case "analyze" `Quick test_imports_analyze;
+          Alcotest.test_case "no residue in seq time" `Quick test_seq_time_no_residue;
+        ] );
       ( "tables",
         [
           Alcotest.test_case "table1" `Quick test_table1_renders;
