@@ -90,9 +90,9 @@ let () =
   let r = Project.compile store in
   List.iter (fun d -> print_endline (Mcc_m2.Diag.to_string d)) r.Project.diags;
   List.iter
-    (fun (name, (m : Driver.result)) ->
-      Printf.printf "  %-6s %2d streams, %3d tasks, %.3f virtual s\n" name m.Driver.n_streams
-        m.Driver.n_tasks m.Driver.sim.Mcc_sched.Des_engine.end_seconds)
+    (fun (name, (m : Project.summary)) ->
+      Printf.printf "  %-6s %2d streams, %3d tasks, %.3f virtual s\n" name m.Project.streams
+        m.Project.tasks m.Project.seconds)
     r.Project.compiled;
   Printf.printf "linked %d code units\n\n"
     (List.length (Mcc_codegen.Cunit.unit_keys r.Project.program));

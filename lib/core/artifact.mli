@@ -71,6 +71,6 @@ val capture :
     interfaces contribute their frames as they would cold. *)
 val install : t -> scope:Symtab.t -> merger:Cunit.merger -> diags:Diag.t -> unit
 
-(** The largest type uid reachable from the artifact's symbols — the
-    loader's input to {!Types.bump_uid_floor}. *)
+(** The largest type uid reachable from the artifact's symbols: what the
+    type-uid floor of a cache file holding the artifact must cover. *)
 val max_uid : t -> int

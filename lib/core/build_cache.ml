@@ -22,16 +22,20 @@
    Eff.work: the hashing work is returned as units for the caller to
    charge explicitly.  For the same reason the import scan used here is
    a charge-free re-implementation of Stream.run_importer's FSM on a
-   zero-cost word scanner, memoized by source digest.
+   zero-cost word scanner.  Each source text is digested and scanned
+   once per cache ([source]), and everything that needs a source's
+   digest or imports asks that table.
 
    Persistence: both stores can be saved under a cache directory, one
-   file each, behind a header checked before anything is unmarshaled
-   (see "Cache files").  Each value is marshaled, digested and verified
-   once: an artifact keeps the bytes it was marshaled to when stored (or
-   read from its file), a memo entry the bytes it was last loaded or
-   saved as, and a store with nothing new is not rewritten.  The loader
-   bumps the type-uid counter past every unmarshalled uid so fresh
-   types cannot collide. *)
+   file each, behind a header checked before anything is read (see
+   "Cache files").  Each value is marshaled, digested and verified once:
+   an artifact keeps the bytes it was marshaled to when stored (or read
+   from its file), a memo entry the bytes it was last loaded or saved
+   as, and a store with nothing new is not rewritten.  Loading decodes
+   nothing: the files carry each entry's index fields beside its bytes,
+   and a value is unmarshaled at its first use.  The interface file
+   also records a type-uid floor, which the loader raises the uid
+   counter past so fresh types cannot collide with stored ones. *)
 
 open Mcc_m2
 open Mcc_sched
@@ -164,20 +168,42 @@ let scan_imports src =
      tag | body length (8 bytes, little-endian) | MD5 of the body | body
 
    The tag names the file format, the file and [version]; the body is a
-   Marshal blob.  [read_file] hands no byte to [Marshal] until the tag,
-   the length and the digest all check out, so a torn, truncated,
-   bit-flipped or foreign file is rejected instead of unmarshaled.
-   [write_file] writes a temporary file in the cache directory and
-   renames it into place, so a crash during a save leaves the previous
-   file intact. *)
+   sequence of fields, each its length as a base-128 varint (low group
+   first) and that many bytes.  [read_file] hands back no field until
+   the tag, the length and the digest all check out and the fields tile
+   the body exactly, so a torn, truncated, bit-flipped or foreign file
+   is rejected instead of decoded.  [write_file] writes a temporary file in
+   the cache directory and renames it into place, so a crash during a
+   save leaves the previous file intact.
+
+   interfaces.bin: the type-uid floor (decimal), then per artifact its
+   fingerprint, its interface name and its marshaled bytes.
+   modules.bin: the entry count (decimal), then per entry its key and
+   its marshaled result, then per module name the position of its
+   latest entry (decimal). *)
 
 (* Bump when the layout of a cache file, or the type of anything
-   marshaled into one (Artifact.t, Project's memo entries), changes. *)
-let format = "mcc-cache-1"
+   marshaled into one (Artifact.t, Project's memo entries), changes.
+   2: field bodies, decoded on first use. *)
+let format = "mcc-cache-2"
 
 let file_tag file = Printf.sprintf "%s %s %s\n" format file version
 
-let write_file dir file body =
+let write_file dir file fields =
+  let b = Buffer.create (List.fold_left (fun n f -> n + 4 + String.length f) 0 fields) in
+  List.iter
+    (fun f ->
+      let rec varint n =
+        if n < 0x80 then Buffer.add_char b (Char.chr n)
+        else begin
+          Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+          varint (n lsr 7)
+        end
+      in
+      varint (String.length f);
+      Buffer.add_string b f)
+    fields;
+  let body = Buffer.contents b in
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   let len = Bytes.create 8 in
   Bytes.set_int64_le len 0 (Int64.of_int (String.length body));
@@ -197,12 +223,33 @@ let write_file dir file body =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-type contents = Missing | Rejected | Body of string * int (* file bytes, body offset *)
+type contents = Missing | Rejected | Fields of string list
+
+(* The fields from [ofs] to the end of [s], or [None] if they do not
+   tile it exactly. *)
+let fields s ofs =
+  let n = String.length s in
+  let rec varint pos shift acc =
+    if pos >= n || shift > 56 then None
+    else
+      let c = Char.code s.[pos] in
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c < 0x80 then Some (acc, pos + 1) else varint (pos + 1) (shift + 7) acc
+  in
+  let rec go pos acc =
+    if pos = n then Some (List.rev acc)
+    else
+      match varint pos 0 0 with
+      | Some (len, pos) when len >= 0 && len <= n - pos ->
+          go (pos + len) (String.sub s pos len :: acc)
+      | _ -> None
+  in
+  go ofs []
 
 let read_file dir file =
   match In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all with
   | exception Sys_error _ -> Missing
-  | s ->
+  | s -> (
       let tag = file_tag file in
       let ofs = String.length tag + 8 + 16 in
       let n = String.length s - ofs in
@@ -211,8 +258,8 @@ let read_file dir file =
         && String.starts_with ~prefix:tag s
         && String.get_int64_le s (String.length tag) = Int64.of_int n
         && String.equal (String.sub s (ofs - 16) 16) (Digest.substring s ofs n)
-      then Body (s, ofs)
-      else Rejected
+      then match fields s ofs with Some fs -> Fields fs | None -> Rejected
+      else Rejected)
 
 (* ------------------------------------------------------------------ *)
 (* The interface store *)
@@ -220,11 +267,20 @@ let read_file dir file =
 (* A stored artifact.  [blob] is its marshaled form, made once when it
    is stored or kept from the file it was loaded from: its length is the
    artifact's charge against the size bound, so the bound models a
-   persistent store of that many bytes, and [save] writes it.  [checked]
-   records that the artifact passed verification — at its first probe,
-   at [save], or by arriving in a file whose header checked out.  A
-   replaced artifact is a new entry, so it is verified again. *)
-type entry = { art : Artifact.t; blob : string; mutable checked : bool }
+   persistent store of that many bytes, and [save] writes it.  [art] is
+   the decoded artifact, [None] for a loaded one until its first use.
+   [checked] records that the artifact passed verification — at its
+   first probe, at [save], or by arriving in a file whose header checked
+   out.  A replaced artifact is a new entry, so it is verified again. *)
+type entry = {
+  name : string; (* the interface, as recorded beside the bytes *)
+  blob : string;
+  mutable art : Artifact.t option;
+  mutable checked : bool;
+}
+
+(* A source text's digest (hex) and direct imports. *)
+type source = { digest : string; imports : string list }
 
 type t = {
   mu : Mutex.t;
@@ -233,7 +289,7 @@ type t = {
   defs : (string, entry) Hashtbl.t; (* fingerprint -> artifact *)
   latest : (string, string) Hashtbl.t; (* name -> last stored fingerprint *)
   lru : (string, int) Hashtbl.t; (* fingerprint -> last-use tick *)
-  imports_memo : (string, string list) Hashtbl.t; (* source digest -> imports *)
+  sources : (string, source) Hashtbl.t; (* source text -> digest and imports *)
   mutable tick : int;
   mutable bytes : int; (* summed entry sizes *)
   mutable hits : int;
@@ -259,28 +315,50 @@ let put t fp e =
   | Some old -> t.bytes <- t.bytes - String.length old.blob
   | None -> ());
   Hashtbl.replace t.defs fp e;
-  Hashtbl.replace t.latest e.art.Artifact.a_name fp;
+  Hashtbl.replace t.latest e.name fp;
   t.bytes <- t.bytes + String.length e.blob
 
 let drop t fp =
   match Hashtbl.find_opt t.defs fp with
   | None -> ()
   | Some e ->
-      let name = e.art.Artifact.a_name in
-      (match Hashtbl.find_opt t.latest name with
-      | Some latest_fp when latest_fp = fp -> Hashtbl.remove t.latest name
+      (match Hashtbl.find_opt t.latest e.name with
+      | Some latest_fp when latest_fp = fp -> Hashtbl.remove t.latest e.name
       | _ -> ());
       Hashtbl.remove t.defs fp;
       Hashtbl.remove t.lru fp;
       t.bytes <- t.bytes - String.length e.blob;
       t.dirty <- true
 
-(* Verify [e] once: the store key must match the artifact's recorded
-   fingerprint and the stored digest a payload recomputation. *)
+(* The artifact of [e], unmarshaled at its first use; [None] if its
+   bytes do not decode to an artifact of the recorded name. *)
+let decode e =
+  match e.art with
+  | Some _ as a -> a
+  | None -> (
+      match (Marshal.from_string e.blob 0 : Artifact.t) with
+      | a when String.equal a.Artifact.a_name e.name ->
+          e.art <- Some a;
+          e.art
+      | _ | (exception _) -> None)
+
+(* Verify [e] once: its bytes must decode, the store key must match the
+   artifact's recorded fingerprint and the stored digest a payload
+   recomputation. *)
 let sound fp e =
   if not e.checked then
-    e.checked <- String.equal fp e.art.Artifact.a_fingerprint && Artifact.verify e.art;
+    e.checked <-
+      (match decode e with
+      | Some a -> String.equal fp a.Artifact.a_fingerprint && Artifact.verify a
+      | None -> false);
   e.checked
+
+(* Drop an entry whose bytes failed to decode or verify, counting it as
+   corruption. *)
+let drop_corrupt t fp =
+  t.corrupt <- t.corrupt + 1;
+  if Metrics.enabled () then Metrics.incr "mcc_cache_corrupt_total";
+  drop t fp
 
 (* Evict least-recently-used artifacts until the store fits the bound
    again, never evicting [keep] (the entry just stored): the bound is a
@@ -322,27 +400,27 @@ let reject t =
   t.corrupt <- t.corrupt + 1;
   t.dirty <- true
 
+(* Index a file's artifacts by fingerprint and name, decoding none of
+   them; the header vouches for every byte, so they count as verified. *)
 let load t dir =
+  let rec triples acc = function
+    | [] -> Some (List.rev acc)
+    | fp :: name :: blob :: rest -> triples ((fp, name, blob) :: acc) rest
+    | _ -> None
+  in
   match read_file dir iface_file with
   | Missing -> ()
-  | Rejected -> reject t
-  | Body (s, ofs) -> (
-      match
-        List.map
-          (fun (fp, bytes) -> (fp, bytes, (Marshal.from_string bytes 0 : Artifact.t)))
-          (Marshal.from_string s ofs : (string * string) list)
-      with
-      | exception _ -> reject t
-      | defs ->
-          (* the header vouches for every byte: loaded artifacts count as
-             verified *)
+  | Fields (floor :: defs) -> (
+      match (int_of_string_opt floor, triples [] defs) with
+      | Some floor, Some defs ->
           List.iter
-            (fun (fp, bytes, art) ->
-              put t fp { art; blob = bytes; checked = true };
+            (fun (fp, name, blob) ->
+              put t fp { name; blob; art = None; checked = true };
               touch t fp)
             defs;
-          Mcc_sem.Types.bump_uid_floor
-            (List.fold_left (fun m (_, _, a) -> max m (Artifact.max_uid a)) 0 defs))
+          Mcc_sem.Types.bump_uid_floor floor
+      | _ -> reject t)
+  | Rejected | Fields [] -> reject t
 
 let create ?dir ?cap_bytes () =
   let t =
@@ -353,7 +431,7 @@ let create ?dir ?cap_bytes () =
       defs = Hashtbl.create 64;
       latest = Hashtbl.create 64;
       lru = Hashtbl.create 64;
-      imports_memo = Hashtbl.create 64;
+      sources = Hashtbl.create 64;
       tick = 0;
       bytes = 0;
       hits = 0;
@@ -388,31 +466,43 @@ let save t =
           t.corrupt <- t.corrupt + 1)
         bad;
       let write = t.dirty || not exists in
-      let defs = if write then Hashtbl.fold (fun fp e acc -> (fp, e.blob) :: acc) t.defs [] else [] in
+      let defs = if write then Hashtbl.fold (fun fp e acc -> (fp, e) :: acc) t.defs [] else [] in
       t.dirty <- false;
       Mutex.unlock t.mu;
       if write then
-        let body = Marshal.to_string (List.sort (fun (a, _) (b, _) -> compare a b) defs) [] in
-        try write_file dir iface_file body
+        (* every uid a stored artifact holds was allocated in this
+           process or lies under a floor it loaded *)
+        let fields =
+          string_of_int (Mcc_sem.Types.uid_floor ())
+          :: List.concat_map
+               (fun (fp, e) -> [ fp; e.name; e.blob ])
+               (List.sort (fun (a, _) (b, _) -> compare a b) defs)
+        in
+        try write_file dir iface_file fields
         with e ->
           Mutex.lock t.mu;
           t.dirty <- true;
           Mutex.unlock t.mu;
           raise e
 
-let imports_of t src =
-  let key = Digest.to_hex (Digest.string src) in
+(* A source's digest and imports, computed at its first sight by this
+   cache.  The text itself is the key: hashing it costs less than the
+   digest a digest-keyed table would need for every lookup. *)
+let source t src =
   Mutex.lock t.mu;
-  let memo = Hashtbl.find_opt t.imports_memo key in
+  let known = Hashtbl.find_opt t.sources src in
   Mutex.unlock t.mu;
-  match memo with
-  | Some imports -> imports
+  match known with
+  | Some s -> s
   | None ->
-      let imports = scan_imports src in
+      let s = { digest = Digest.to_hex (Digest.string src); imports = scan_imports src } in
       Mutex.lock t.mu;
-      Hashtbl.replace t.imports_memo key imports;
+      Hashtbl.replace t.sources src s;
       Mutex.unlock t.mu;
-      imports
+      s
+
+let imports_of t src = (source t src).imports
+let source_digest t src = (source t src).digest
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints *)
@@ -435,11 +525,10 @@ let interface_fp t ~memo ~store name =
           | None -> Digest.to_hex (Digest.string (version ^ "|missing|" ^ name))
           | Some src ->
               units := !units + hash_units (String.length src);
-              let subs = List.map go (imports_of t src) in
+              let s = source t src in
+              let subs = List.map go s.imports in
               Digest.to_hex
-                (Digest.string
-                   (String.concat "|"
-                      (version :: name :: Digest.to_hex (Digest.string src) :: subs)))
+                (Digest.string (String.concat "|" (version :: name :: s.digest :: subs)))
         in
         Hashtbl.replace memo name fp;
         fp
@@ -463,9 +552,9 @@ let tamper t ~name =
   (match Hashtbl.find_opt t.latest name with
   | None -> ()
   | Some fp -> (
-      match Hashtbl.find_opt t.defs fp with
+      match Option.bind (Hashtbl.find_opt t.defs fp) decode with
       | None -> ()
-      | Some e ->
+      | Some a ->
           let bogus =
             {
               Diag.file = name ^ ".def";
@@ -474,42 +563,38 @@ let tamper t ~name =
               sev = Diag.Warning;
             }
           in
-          let art = { e.art with Artifact.a_diags = bogus :: e.art.Artifact.a_diags } in
-          put t fp { art; blob = Marshal.to_string art []; checked = false };
+          let art = { a with Artifact.a_diags = bogus :: a.Artifact.a_diags } in
+          put t fp { name; blob = Marshal.to_string art []; art = Some art; checked = false };
           t.dirty <- true));
   Mutex.unlock t.mu
 
-(* Probe, verifying before handing the artifact to the install path: the
-   store key must match the artifact's recorded fingerprint, and the
-   stored digest must match a payload recomputation ([sound], once per
-   stored value); an armed Fault plan can also declare the artifact
-   corrupt, on any probe.  A verification failure is counted as
-   corruption *and* an invalidation, the entry is evicted, and the probe
-   reports a miss — the caller rebuilds the interface from source and
-   re-stores it, healing the cache. *)
+(* Probe, decoding the artifact at its first use and verifying it before
+   handing it to the install path: the store key must match the
+   artifact's recorded fingerprint, and the stored digest must match a
+   payload recomputation ([sound], once per stored value); an armed
+   Fault plan can also declare the artifact corrupt, on any probe.  A
+   payload that fails to decode or verify is counted as corruption *and*
+   an invalidation, the entry is evicted, and the probe reports a miss —
+   the caller rebuilds the interface from source and re-stores it,
+   healing the cache. *)
 let find_interface t ~fp =
   if Metrics.enabled () then Metrics.incr "mcc_cache_probe_total";
   Mutex.lock t.mu;
   let r =
     match Hashtbl.find_opt t.defs fp with
     | None -> None
-    | Some e ->
-        let a = e.art in
-        let injected = Fault.armed () && Fault.fires Fault.Corrupt_artifact a.Artifact.a_name in
-        if t.verify && (injected || not (sound fp e)) then begin
-          if injected && Evlog.enabled () then
-            Evlog.emit
-              (Evlog.Fault_inject { fault = "corrupt-artifact"; victim = a.Artifact.a_name });
-          t.corrupt <- t.corrupt + 1;
-          if Metrics.enabled () then Metrics.incr "mcc_cache_corrupt_total";
-          t.invalidations <- t.invalidations + 1;
-          drop t fp;
-          None
-        end
-        else begin
-          touch t fp;
-          Some a
-        end
+    | Some e -> (
+        let injected = Fault.armed () && Fault.fires Fault.Corrupt_artifact e.name in
+        match decode e with
+        | Some a when not (t.verify && (injected || not (sound fp e))) ->
+            touch t fp;
+            Some a
+        | _ ->
+            if injected && Evlog.enabled () then
+              Evlog.emit (Evlog.Fault_inject { fault = "corrupt-artifact"; victim = e.name });
+            t.invalidations <- t.invalidations + 1;
+            drop_corrupt t fp;
+            None)
   in
   (match r with None -> t.misses <- t.misses + 1 | Some _ -> t.hits <- t.hits + 1);
   Mutex.unlock t.mu;
@@ -520,7 +605,9 @@ let find_interface t ~fp =
 let store_interface t (a : Artifact.t) =
   if Metrics.enabled () then Metrics.incr "mcc_cache_store_total";
   let fp = a.Artifact.a_fingerprint in
-  let e = { art = a; blob = Marshal.to_string a []; checked = false } in
+  let e =
+    { name = a.Artifact.a_name; blob = Marshal.to_string a []; art = Some a; checked = false }
+  in
   Mutex.lock t.mu;
   (match Hashtbl.find_opt t.latest a.Artifact.a_name with
   | Some old_fp when old_fp <> fp ->
@@ -534,9 +621,19 @@ let store_interface t (a : Artifact.t) =
   enforce_cap t ~keep:(Some fp);
   Mutex.unlock t.mu
 
+(* The artifact under [fp], decoded at its first use; one whose bytes
+   fail to decode is dropped as corrupt.  Under [t.mu]. *)
+let artifact t fp =
+  match Hashtbl.find_opt t.defs fp with
+  | None -> None
+  | Some e ->
+      let a = decode e in
+      if Option.is_none a then drop_corrupt t fp;
+      a
+
 let interfaces t =
   Mutex.lock t.mu;
-  let r = Hashtbl.fold (fun _ e acc -> e.art :: acc) t.defs [] in
+  let r = List.filter_map (artifact t) (Hashtbl.fold (fun fp _ acc -> fp :: acc) t.defs []) in
   Mutex.unlock t.mu;
   List.sort (fun (a : Artifact.t) b -> compare a.Artifact.a_name b.Artifact.a_name) r
 
@@ -545,11 +642,15 @@ let interfaces t =
    No counter traffic: this is bookkeeping, not a cache probe. *)
 let latest_artifact t name =
   Mutex.lock t.mu;
-  let r =
-    match Hashtbl.find_opt t.latest name with
-    | None -> None
-    | Some fp -> Option.map (fun e -> e.art) (Hashtbl.find_opt t.defs fp)
-  in
+  let r = Option.bind (Hashtbl.find_opt t.latest name) (artifact t) in
+  Mutex.unlock t.mu;
+  r
+
+(* The fingerprint [latest_artifact] would answer with, read from the
+   index: it decodes nothing. *)
+let latest_fingerprint t name =
+  Mutex.lock t.mu;
+  let r = Hashtbl.find_opt t.latest name in
   Mutex.unlock t.mu;
   r
 
@@ -584,7 +685,9 @@ type 'r memo = {
   mmu : Mutex.t;
   mcap : int option; (* entry-count bound; None = unbounded *)
   (* the tables are replaced only by [load_memo], sized for a loaded file *)
-  mutable modules : (string, 'r) Hashtbl.t; (* module key -> result *)
+  mutable modules : (string, 'r option) Hashtbl.t;
+      (* module key -> result; [None] until a loaded entry's first use,
+         when its bytes are still only in [persisted] *)
   mutable latest_key : (string, string) Hashtbl.t; (* name -> last stored key *)
   mutable mcosts : (string, float) Hashtbl.t; (* key -> recompute cost *)
   mutable mpri : (string, float) Hashtbl.t; (* key -> GreedyDual priority *)
@@ -622,6 +725,31 @@ let memo_drop m key =
   Hashtbl.remove m.mpri key;
   Hashtbl.remove m.persisted key
 
+(* Drop [key] and every name whose latest result it is. *)
+let memo_forget m key =
+  memo_drop m key;
+  Hashtbl.iter
+    (fun n k -> if k = key then Hashtbl.remove m.latest_key n)
+    (Hashtbl.copy m.latest_key);
+  m.mdirty <- true
+
+(* The result under [key], unmarshaled from its kept bytes at its first
+   use; a payload that no longer decodes is dropped, not fatal: the
+   module just rebuilds cold.  The payload is untyped (see "Memo
+   persistence" below). *)
+let memo_value m key : 'r option =
+  match Hashtbl.find_opt m.modules key with
+  | None -> None
+  | Some (Some _ as r) -> r
+  | Some None -> (
+      match Marshal.from_string (Hashtbl.find m.persisted key) 0 with
+      | r ->
+          Hashtbl.replace m.modules key (Some r);
+          Some r
+      | exception _ ->
+          memo_forget m key;
+          None)
+
 (* GreedyDual eviction: every entry carries priority L + cost (cost =
    the simulated seconds a recompute would take, defaulting to 1.0), a
    hit refreshes the entry back to the current L + cost, and evicting
@@ -650,12 +778,8 @@ let memo_enforce_cap m ~keep =
         | None -> continue_ := false
         | Some (key, pri) ->
             m.ml <- Float.max m.ml pri;
-            memo_drop m key;
-            Hashtbl.iter
-              (fun n k -> if k = key then Hashtbl.remove m.latest_key n)
-              (Hashtbl.copy m.latest_key);
+            memo_forget m key;
             m.mevictions <- m.mevictions + 1;
-            m.mdirty <- true;
             continue_ := Hashtbl.length m.modules > cap
       done
 
@@ -666,28 +790,26 @@ let memo_enforce_cap m ~keep =
    module-focused store (its main source is the implementation). *)
 let module_key t ~memo ~config_tag store =
   let name = Source_store.main_name store in
-  let src = Source_store.main_src store in
-  let units = ref (hash_units (String.length src)) in
+  let main = Source_store.main_src store in
+  let src = source t main in
+  let units = ref (hash_units (String.length main)) in
   let fp m =
     let fp, u = interface_fp t ~memo ~store m in
     units := !units + u;
     fp
   in
   let own = fp name in
-  let subs = List.map fp (imports_of t src) in
+  let subs = List.map fp src.imports in
   let key =
     Digest.to_hex
       (Digest.string
-         (String.concat "|"
-            (version :: config_tag :: name
-            :: Digest.to_hex (Digest.string src)
-            :: own :: subs)))
+         (String.concat "|" (version :: config_tag :: name :: src.digest :: own :: subs)))
   in
   (key, !units)
 
 let find_module m key =
   Mutex.lock m.mmu;
-  let r = Hashtbl.find_opt m.modules key in
+  let r = memo_value m key in
   (match r with
   | None -> m.mmisses <- m.mmisses + 1
   | Some _ ->
@@ -705,7 +827,7 @@ let find_latest_module m ~name =
   let r =
     match Hashtbl.find_opt m.latest_key name with
     | None -> None
-    | Some key -> Option.map (fun v -> (key, v)) (Hashtbl.find_opt m.modules key)
+    | Some key -> Option.map (fun v -> (key, v)) (memo_value m key)
   in
   Mutex.unlock m.mmu;
   r
@@ -721,7 +843,7 @@ let store_module ?(cost = 1.0) m ~name ~key result =
     | Some old_key ->
         let kept =
           match Hashtbl.find_opt m.modules old_key with
-          | Some r when r == result -> Hashtbl.find_opt m.persisted old_key
+          | Some (Some r) when r == result -> Hashtbl.find_opt m.persisted old_key
           | _ -> None
         in
         if old_key <> key then begin
@@ -730,7 +852,7 @@ let store_module ?(cost = 1.0) m ~name ~key result =
         end;
         kept
   in
-  Hashtbl.replace m.modules key result;
+  Hashtbl.replace m.modules key (Some result);
   (match kept with
   | Some payload -> Hashtbl.replace m.persisted key payload
   | None -> Hashtbl.remove m.persisted key);
@@ -756,8 +878,9 @@ let memo_eviction_count m =
 (* Memo persistence piggybacks on the cache's directory, so a CLI
    `m2c build` reuses whole-module results across process invocations
    the same way it reuses interface artifacts.  The ['r] payload is
-   marshaled untyped behind the checked header: any change to the
-   persisted result type must bump [format]. *)
+   marshaled untyped behind the checked header and unmarshaled at the
+   entry's first use ([memo_value]): any change to the persisted result
+   type must bump [format]. *)
 
 let memo_file = "modules.bin"
 
@@ -771,13 +894,36 @@ let load_memo t (m : 'r memo) =
         Mutex.unlock t.mu;
         m.mdirty <- true
       in
+      let rec pairs acc = function
+        | [] -> Some (List.rev acc)
+        | a :: b :: rest -> pairs ((a, b) :: acc) rest
+        | [ _ ] -> None
+      in
+      (* [n] (key, payload) pairs, then (name, position) pairs *)
+      let parse = function
+        | count :: rest -> (
+            match (int_of_string_opt count, pairs [] rest) with
+            | Some n, Some ps when n >= 0 && n <= List.length ps ->
+                let modules = Array.of_list (List.filteri (fun i _ -> i < n) ps) in
+                let latest =
+                  List.filteri (fun i _ -> i >= n) ps
+                  |> List.map (fun (name, i) ->
+                         match int_of_string_opt i with
+                         | Some i when i >= 0 && i < n -> Some (name, fst modules.(i))
+                         | _ -> None)
+                in
+                if List.mem None latest then None
+                else Some (Array.to_list modules, List.filter_map Fun.id latest)
+            | _ -> None)
+        | [] -> None
+      in
       match read_file dir memo_file with
       | Missing -> ()
       | Rejected -> reject ()
-      | Body (s, ofs) -> (
-          match (Marshal.from_string s ofs : (string * string) list * (string * string) list) with
-          | exception _ -> reject ()
-          | modules, latest ->
+      | Fields fs -> (
+          match parse fs with
+          | None -> reject ()
+          | Some (modules, latest) ->
               Mutex.lock m.mmu;
               if Hashtbl.length m.modules = 0 then begin
                 (* size the tables for the entries about to arrive *)
@@ -790,17 +936,12 @@ let load_memo t (m : 'r memo) =
               end;
               List.iter
                 (fun (k, payload) ->
-                  (* a payload that no longer unmarshals is dropped, not
-                     fatal: the module just rebuilds cold *)
-                  match (Marshal.from_string payload 0 : 'r) with
-                  | exception _ -> m.mdirty <- true
-                  | r ->
-                      Hashtbl.replace m.modules k r;
-                      Hashtbl.replace m.persisted k payload;
-                      (* costs are not persisted: loaded entries restart
-                         at the uniform (LRU-like) cost *)
-                      Hashtbl.replace m.mcosts k 1.0;
-                      Hashtbl.replace m.mpri k (m.ml +. 1.0))
+                  Hashtbl.replace m.modules k None;
+                  Hashtbl.replace m.persisted k payload;
+                  (* costs are not persisted: loaded entries restart at
+                     the uniform (LRU-like) cost *)
+                  Hashtbl.replace m.mcosts k 1.0;
+                  Hashtbl.replace m.mpri k (m.ml +. 1.0))
                 modules;
               List.iter
                 (fun (n, k) -> if Hashtbl.mem m.modules k then Hashtbl.replace m.latest_key n k)
@@ -833,9 +974,10 @@ let save_memo t (m : 'r memo) =
         let modules =
           List.filter_map
             (fun (k, r, bytes) ->
-              match bytes with
-              | Some payload -> Some (k, payload)
-              | None -> (
+              match (bytes, r) with
+              | Some payload, _ -> Some (k, payload)
+              | None, None -> None (* unreachable: an undecoded entry keeps its bytes *)
+              | None, Some r -> (
                   match Marshal.to_string r [] with
                   | exception Invalid_argument _ -> None
                   | payload ->
@@ -844,8 +986,16 @@ let save_memo t (m : 'r memo) =
             modules
           |> List.sort (fun (a, _) (b, _) -> compare a b)
         in
-        let body = Marshal.to_string (modules, List.sort compare latest) [] in
-        (try write_file dir memo_file body
+        let position = Hashtbl.create (List.length modules) in
+        List.iteri (fun i (k, _) -> Hashtbl.replace position k (string_of_int i)) modules;
+        let latest =
+          List.filter_map
+            (fun (n, k) -> Option.map (fun i -> (n, i)) (Hashtbl.find_opt position k))
+            (List.sort compare latest)
+        in
+        let pairs l = List.concat_map (fun (a, b) -> [ a; b ]) l in
+        let fields = (string_of_int (List.length modules) :: pairs modules) @ pairs latest in
+        (try write_file dir memo_file fields
          with e ->
            Mutex.lock m.mmu;
            m.mdirty <- true;
@@ -856,7 +1006,7 @@ let save_memo t (m : 'r memo) =
         List.iter
           (fun (k, r, payload) ->
             match Hashtbl.find_opt m.modules k with
-            | Some r' when r' == r -> Hashtbl.replace m.persisted k payload
+            | Some (Some r') when r' == r -> Hashtbl.replace m.persisted k payload
             | _ -> ())
           !fresh;
         Mutex.unlock m.mmu

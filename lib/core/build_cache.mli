@@ -21,11 +21,15 @@
 type t
 
 (** [create ?dir ?cap_bytes ()] makes an empty cache; with [dir],
-    previously {!save}d interface artifacts are loaded from it and the
-    type-uid counter is bumped past every unmarshalled uid.  The file's
+    previously {!save}d interface artifacts are loaded from it.  Loading
+    decodes nothing: the file stores each artifact's fingerprint, name
+    and marshaled bytes plus a type-uid floor, so the load indexes the
+    artifacts by fingerprint and name and bumps the type-uid counter
+    past the floor; each artifact is unmarshaled at its first use
+    ({!find_interface}, {!latest_artifact}, {!interfaces}).  The file's
     header (format tag, body length, body digest) is checked before any
-    byte is unmarshaled: a missing file loads nothing, and a torn,
-    truncated, damaged or old-format one loads nothing and counts one
+    field is read: a missing file loads nothing, and a torn, truncated,
+    damaged or old-format one loads nothing and counts one
     {!corrupt_count}.  Artifacts from a file that passed the check count
     as verified.  With [cap_bytes], the store is size-bounded: whenever
     the marshaled sizes of the stored artifacts exceed the bound,
@@ -35,12 +39,14 @@ type t
 val create : ?dir:string -> ?cap_bytes:int -> unit -> t
 
 (** Persist the interface store under the creation [dir]: each
-    artifact's kept marshaled bytes, behind a checked header, written to
-    a temporary file renamed into place.  Artifacts never probed are
-    verified first; one that fails is dropped and counted in
-    {!corrupt_count}.  A store with nothing stored, evicted or dropped
-    since it was loaded leaves its file untouched.  No-op without a
-    [dir]. *)
+    artifact's fingerprint, name and kept marshaled bytes, and the
+    process's type-uid floor ({!Mcc_sem.Types.uid_floor}), behind a
+    checked header, written to a temporary file renamed into place.
+    Artifacts stored and never probed are verified first (loaded ones
+    already count as verified, and are written without decoding); one
+    that fails is dropped and counted in {!corrupt_count}.  A store with
+    nothing stored, evicted or dropped since it was loaded leaves its
+    file untouched.  No-op without a [dir]. *)
 val save : t -> unit
 
 (** Direct imports of a source text, in first-occurrence order without
@@ -48,8 +54,15 @@ val save : t -> unit
     ([Stream.run_importer]): it never calls [Eff.work]. *)
 val scan_imports : string -> string list
 
-(** {!scan_imports}, memoized by source digest. *)
+(** {!scan_imports} of a source text, computed once per cache: the
+    cache keeps one table, keyed by the text, of each source's digest
+    and imports, which fingerprints, module keys and [Project]'s init
+    order all read.  A cache lives for one build step, so the table
+    does too. *)
 val imports_of : t -> string -> string list
+
+(** The hex MD5 of a source text, from the same table as {!imports_of}. *)
+val source_digest : t -> string -> string
 
 (** The hashing work for [len] source bytes, in virtual units. *)
 val hash_units : int -> int
@@ -70,7 +83,9 @@ val interface_fp :
     (an armed [Fault] plan can declare the artifact corrupt on any
     probe).  A failure evicts the entry, counts corruption + an
     invalidation, and reports a miss, so the caller rebuilds from source
-    and heals the cache. *)
+    and heals the cache.  A loaded artifact is unmarshaled here at its
+    first probe; bytes that fail to decode count as corruption and a
+    miss, the same way. *)
 val find_interface : t -> fp:string -> Artifact.t option
 
 (** Store an artifact; if the interface's previous fingerprint differs,
@@ -82,8 +97,13 @@ val interfaces : t -> Artifact.t list
 
 (** The most recently stored artifact for an interface name — the
     fine-grained reuse check's view of the interface as it is now.
-    Counter-free. *)
+    Counter-free, except that an artifact whose bytes fail to decode at
+    its first use is dropped and counted in {!corrupt_count}. *)
 val latest_artifact : t -> string -> Artifact.t option
+
+(** The fingerprint of {!latest_artifact}'s answer, from the store's
+    index: decodes nothing, counter-free. *)
+val latest_fingerprint : t -> string -> string option
 
 (** (hits, misses, invalidations) of the interface store. *)
 val counters : t -> int * int * int
@@ -132,7 +152,10 @@ val memo : ?cap:int -> unit -> 'r memo
 val module_key :
   t -> memo:(string, string) Hashtbl.t -> config_tag:string -> Source_store.t -> string * int
 
-(** Look up a module result by key; counts a hit or miss. *)
+(** Look up a module result by key; counts a hit or miss.  A loaded
+    result is unmarshaled at its first use (here or in
+    {!find_latest_module}); one that fails to decode is dropped and
+    counts as a miss. *)
 val find_module : 'r memo -> string -> 'r option
 
 (** The module's most recently stored (key, result) regardless of key —
@@ -153,11 +176,12 @@ val memo_eviction_count : 'r memo -> int
 
 (** Fill [memo] from the cache's directory (written by {!save_memo}); a
     no-op without a directory or on a missing file.  As for {!create},
-    the header is checked before anything is unmarshaled and a rejected
-    file loads nothing and counts one {!corrupt_count}; an entry that
-    fails to unmarshal is dropped on its own.  The payload is marshaled
-    untyped, so the persisted result type must only change together
-    with the file format tag. *)
+    the header is checked before any field is read, a rejected file
+    loads nothing and counts one {!corrupt_count}, and no result is
+    unmarshaled until its first use; an entry that then fails to decode
+    is dropped on its own.  The payload is marshaled untyped, so the
+    persisted result type must only change together with the file
+    format tag. *)
 val load_memo : t -> 'r memo -> unit
 
 (** Persist [memo] next to the interface artifacts, as {!save} does; a

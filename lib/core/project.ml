@@ -36,7 +36,9 @@
    a configuration tag ([config_tag], shared with the compile server,
    whose cached Driver.results embed simulated timings).  A memo entry
    keeps only what reuse consumes (code, frames, diagnostics, verdict,
-   dependency record), not the compilation's trace or task lists. *)
+   dependency record), not the compilation's trace or task lists, and
+   the build's result keeps only a summary of each fresh compilation:
+   a Driver.result is dropped as soon as its module is done. *)
 
 open Mcc_m2
 open Mcc_sched
@@ -77,12 +79,14 @@ let save { bc; memo } =
   Build_cache.save bc;
   Build_cache.save_memo bc memo
 
+type summary = { streams : int; tasks : int; units : float; seconds : float }
+
 type result = {
   program : Cunit.program;
   diags : Diag.d list;
   ok : bool;
   modules : string list; (* initialization order *)
-  compiled : (string * Driver.result) list; (* modules compiled this call, in init order *)
+  compiled : (string * summary) list; (* modules compiled this call, in init order *)
   total_units : float; (* summed virtual compile time across modules *)
   reused : string list; (* modules restored from the cache, in init order *)
   recompiled : string list; (* modules compiled this call, in init order *)
@@ -96,7 +100,7 @@ type result = {
 (* Initialization order: depth-first over imports restricted to modules
    with implementations, imports sorted for determinism, main last.
    [imports] is the charge-free scan fingerprints use, so this query
-   does no virtual work; [compile] passes its cache's memoized copy so
+   does no virtual work; [compile] passes its cache's source table so
    each source is scanned once per build. *)
 let order_by ~imports (store : Source_store.t) =
   let visited = Hashtbl.create 8 in
@@ -246,12 +250,14 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
       let stale =
         List.filter_map
           (fun n ->
-            match Build_cache.latest_artifact bc n with
+            match Build_cache.latest_fingerprint bc n with
             | None -> None (* nothing cached: no propagation to cut off *)
-            | Some old ->
+            | Some old_fp ->
                 let fp, units = Build_cache.interface_fp bc ~memo:fp_memo ~store n in
                 reuse_units := !reuse_units + units;
-                if String.equal fp old.Artifact.a_fingerprint then None else Some (n, old))
+                (* only a stale artifact is decoded *)
+                if String.equal fp old_fp then None
+                else Option.map (fun old -> (n, old)) (Build_cache.latest_artifact bc n))
           (Source_store.def_names store)
       in
       if stale <> [] then begin
@@ -282,30 +288,37 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
           stale
       end
   | _ -> ());
-  (* The slim memo entry of a fresh result. *)
+  (* The slim memo entry and the summary of a fresh result: nothing else
+     of it outlives its module. *)
   let entry_of ~src_digest ~deps (r : Driver.result) =
-    {
-      e_units = Hashtbl.fold (fun _ u acc -> u :: acc) r.Driver.program.Cunit.p_units [];
-      e_frames = r.Driver.program.Cunit.p_frames;
-      e_diags = r.Driver.diags;
-      e_ok = r.Driver.ok;
-      e_src_digest = src_digest;
-      e_deps = deps;
-    }
+    ( {
+        e_units = Hashtbl.fold (fun _ u acc -> u :: acc) r.Driver.program.Cunit.p_units [];
+        e_frames = r.Driver.program.Cunit.p_frames;
+        e_diags = r.Driver.diags;
+        e_ok = r.Driver.ok;
+        e_src_digest = src_digest;
+        e_deps = deps;
+      },
+      {
+        streams = r.Driver.n_streams;
+        tasks = r.Driver.n_tasks;
+        units = r.Driver.sim.Des_engine.end_time;
+        seconds = r.Driver.sim.Des_engine.end_seconds;
+      } )
   in
-  (* per module: its entry, its full result if compiled this call, and
-     its reuse verdict (None without a cache) *)
+  (* per module: its entry, its summary if compiled this call, and its
+     reuse verdict (None without a cache) *)
   let compile_one name =
     let focused = Source_store.focus store name in
     match cache with
     | None ->
-        let r = Driver.compile ~config focused in
-        (name, entry_of ~src_digest:"" ~deps:[] r, Some r, None)
+        let e, summary = entry_of ~src_digest:"" ~deps:[] (Driver.compile ~config focused) in
+        (name, e, Some summary, None)
     | Some { bc; memo } -> (
         let mname = tag ^ "|" ^ name in
         let key, units = Build_cache.module_key bc ~memo:fp_memo ~config_tag:tag focused in
         reuse_units := !reuse_units + units + Costs.cache_probe;
-        let src_digest = Digest.to_hex (Digest.string (Source_store.main_src focused)) in
+        let src_digest = Build_cache.source_digest bc (Source_store.main_src focused) in
         let verdict =
           match Build_cache.find_module memo key with
           | Some e -> `Reuse (e, "unchanged inputs (whole-module key hit)")
@@ -337,7 +350,7 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
               Option.map (fun a -> a.Artifact.a_shape) (Build_cache.latest_artifact bc name)
             in
             let r = Driver.compile ~config ~cache:bc focused in
-            let e = entry_of ~src_digest ~deps:(deps_of bc store r) r in
+            let e, summary = entry_of ~src_digest ~deps:(deps_of bc store r) r in
             (* prune per (configuration, module): an edit invalidates a
                module's stale result without evicting the same module's
                still-valid results under other configurations *)
@@ -348,10 +361,10 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
                    out byte-identical: importers need not rebuild *)
                 if not (List.mem name !cutoffs) then cutoffs := name :: !cutoffs
             | _ -> ());
-            (name, e, Some r, Some (false, why)))
+            (name, e, Some summary, Some (false, why)))
   in
   let built = List.map compile_one names in
-  let compiled = List.filter_map (fun (n, _, r, _) -> Option.map (fun r -> (n, r)) r) built in
+  let compiled = List.filter_map (fun (n, _, s, _) -> Option.map (fun s -> (n, s)) s) built in
   (* merge: units are unique by construction (each implementation is
      compiled exactly once); interface frames repeat across compilations
      with identical layouts and are deduplicated by key *)
@@ -381,9 +394,7 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
     total_units =
       (* reused modules are not re-simulated: they contribute only the
          reuse check's work, not their cached end-to-end compile time *)
-      List.fold_left
-        (fun acc (_, (r : Driver.result)) -> acc +. r.Driver.sim.Mcc_sched.Des_engine.end_time)
-        (reuse_units +. !refresh_units) compiled;
+      List.fold_left (fun acc (_, s) -> acc +. s.units) (reuse_units +. !refresh_units) compiled;
     reused = List.filter_map (fun (n, _, _, st) -> if is_reused st then Some n else None) built;
     recompiled =
       List.filter_map (fun (n, _, _, st) -> if is_reused st then None else Some n) built;

@@ -61,13 +61,18 @@ val cache : ?dir:string -> unit -> cache
     unchanged since it was loaded is not rewritten). *)
 val save : cache -> unit
 
+(** What a build keeps of a module it compiled: the compilation's
+    stream and task counts and its virtual compile time, in work units
+    and in seconds ([Des_engine.result]'s [end_time]/[end_seconds]). *)
+type summary = { streams : int; tasks : int; units : float; seconds : float }
+
 type result = {
   program : Cunit.program;
   diags : Diag.d list;
   ok : bool;
   modules : string list;  (** every module of the program, in init order *)
-  compiled : (string * Driver.result) list;
-      (** full results of the modules compiled this call, in init order *)
+  compiled : (string * summary) list;
+      (** summaries of the modules compiled this call, in init order *)
   total_units : float;
       (** summed virtual compile time across recompiled modules plus
           [reuse_units] and [refresh_units] — equals the cacheless total

@@ -47,6 +47,10 @@ let rec bump_uid_floor floor =
   if cur <= floor && not (Atomic.compare_and_set next_uid cur (floor + 1))
   then bump_uid_floor floor
 
+(* Every uid allocated so far, or ensured by [bump_uid_floor], is at
+   most this. *)
+let uid_floor () = Atomic.get next_uid - 1
+
 (* Maximum set element range: sets are compiled to a 62-bit mask. *)
 let max_set_bits = 62
 

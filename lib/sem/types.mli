@@ -42,6 +42,10 @@ val fresh_uid : unit -> int
     process, so fresh types cannot collide with unmarshalled ones. *)
 val bump_uid_floor : int -> unit
 
+(** The largest uid allocated so far (or ensured by {!bump_uid_floor}):
+    the floor a saved cache file records for every type it holds. *)
+val uid_floor : unit -> int
+
 (** Sets compile to a 62-bit mask: the maximum element range. *)
 val max_set_bits : int
 

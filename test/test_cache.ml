@@ -424,9 +424,17 @@ let test_save_drops_unverified () =
 let observation (r : Project.result) = (dis r.Project.program, diag_strings r.Project.diags)
 let cold = lazy (observation (Project.compile (project_store ())))
 
-(* The two files of a freshly saved cache, and the old headerless
-   encodings of their contents (a bare Marshal blob, the format tag
-   being the artifact version). *)
+(* [body] behind the checked header of the previous file format,
+   mcc-cache-1, whose body was one Marshal blob. *)
+let format1 file body =
+  let len = Bytes.create 8 in
+  Bytes.set_int64_le len 0 (Int64.of_int (String.length body));
+  Printf.sprintf "mcc-cache-1 %s mcc-artifact-v3\n" file
+  ^ Bytes.to_string len ^ Digest.string body ^ body
+
+(* The two files of a freshly saved cache, and older encodings of their
+   contents: mcc-cache-1 files, and headerless ones (a bare Marshal
+   blob, the format tag being the artifact version). *)
 let pristine =
   lazy
     (with_cache_dir (fun dir ->
@@ -443,16 +451,25 @@ let pristine =
                  ~name:(Project.config_tag Driver.default_config ^ "|" ^ n))
              [ "Lib"; "Main" ]
          in
-         let headerless =
+         let payloads = List.map (fun (k, e) -> (k, Marshal.to_string e [])) entries in
+         let old =
            [
-             ("interfaces.bin", Marshal.to_string (v, arts) []);
+             ("interfaces.bin", "old headerless format", Marshal.to_string (v, arts) []);
              ( "modules.bin",
-               Marshal.to_string
-                 (v, List.map (fun (k, e) -> (k, Marshal.to_string e [])) entries, [ ("Main", "k") ])
-                 [] );
+               "old headerless format",
+               Marshal.to_string (v, payloads, [ ("Main", "k") ]) [] );
+             ( "interfaces.bin",
+               "format mcc-cache-1",
+               format1 "interfaces.bin"
+                 (Marshal.to_string
+                    (List.map (fun (fp, a) -> (fp, Marshal.to_string a [])) arts)
+                    []) );
+             ( "modules.bin",
+               "format mcc-cache-1",
+               format1 "modules.bin" (Marshal.to_string (payloads, [ ("Main", "k") ]) []) );
            ]
          in
-         (files, headerless)))
+         (files, old)))
 
 (* A cache directory holding the pristine files with [file] replaced by
    [bytes]: loading it must not raise and must count one rejection, the
@@ -479,7 +496,7 @@ let load_damaged ~what file bytes =
 
 let test_hostile_files () =
   let rng = Random.State.make [| 15 |] in
-  let files, headerless = Lazy.force pristine in
+  let files, old = Lazy.force pristine in
   List.iter
     (fun (file, good) ->
       let n = String.length good in
@@ -494,8 +511,10 @@ let test_hostile_files () =
             (let pos = Random.State.int rng n in
              (Printf.sprintf "byte %d flipped" pos, flip pos));
             ("garbage", String.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)));
-            ("old headerless format", List.assoc file headerless);
           ]
+        @ List.filter_map
+            (fun (f, what, bytes) -> if f = file then Some (what, bytes) else None)
+            old
       in
       List.iter
         (fun (what, bytes) ->
@@ -514,6 +533,138 @@ let prop_byte_flips =
         String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor mask) else c) good
       in
       load_damaged ~what:(Printf.sprintf "byte %d ^ %d" pos mask) file bytes)
+
+(* --- a save killed partway through --- *)
+
+(* Read [n] bytes from [fd]; false at an early end of file. *)
+let really_read fd n =
+  let b = Bytes.create n in
+  let rec go k = k >= n || match Unix.read fd b k (n - k) with 0 -> false | r -> go (k + r) in
+  go 0
+
+(* A child process builds and saves a 300-interface cache in a loop,
+   switching between two versions of one interface so that each save
+   rewrites both files, and announces each save on a pipe.  At a seeded
+   save, the second to the fourth (the first may find the files
+   current), the parent waits a seeded delay of up to 1 ms, about as
+   long as writing both files takes, and kills the child with SIGKILL.
+   Whatever the kill interrupted, the directory loads cleanly: a file
+   is only ever replaced by renaming a complete one over it.  Temporary
+   files a kill leaves behind stay in the directory for the later
+   loads, which must ignore them. *)
+let test_killed_saves () =
+  let base = Mcc_zoo.Scale.flat_store 300 in
+  let version k =
+    let def n =
+      if n = "Sc00000" then
+        Printf.sprintf "DEFINITION MODULE %s;\nCONST c00000 = %d;\nEND %s.\n" n k n
+      else Option.get (Source_store.def_src base n)
+    in
+    Source_store.make ~main_name:(Source_store.main_name base)
+      ~main_src:(Source_store.main_src base)
+      ~defs:(List.map (fun n -> (n, def n)) (Source_store.def_names base))
+      ()
+  in
+  let cold = dis (Project.compile (version 0)).Project.program in
+  let rng = Random.State.make [| 19 |] in
+  with_cache_dir (fun dir ->
+      for kill = 1 to 8 do
+        let saves = 2 + Random.State.int rng 3 and delay = Random.State.float rng 0.001 in
+        let saving_r, saving_w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+            Unix.close saving_r;
+            (try
+               for k = 1 to 1000 do
+                 let c = Project.cache ~dir () in
+                 ignore (Project.compile ~cache:c (version (k mod 2)));
+                 ignore (Unix.write_substring saving_w "s" 0 1);
+                 Project.save c
+               done
+             with _ -> ());
+            Unix._exit 0
+        | pid ->
+            Unix.close saving_w;
+            let announced = really_read saving_r saves in
+            Unix.sleepf delay;
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Unix.close saving_r;
+            if not announced then Alcotest.fail "the saving process stopped before its saves";
+            let what = Printf.sprintf "kill %d, %.2f ms into save %d" kill (delay *. 1e3) saves in
+            let c = Project.cache ~dir () in
+            Alcotest.(check int) (what ^ ": the directory loads cleanly") 0
+              (Build_cache.corrupt_count c.Project.bc);
+            let r = Project.compile ~cache:c (version 0) in
+            Alcotest.(check string) (what ^ ": the next build equals a cold build") cold
+              (dis r.Project.program)
+      done)
+
+(* --- decode on first use --- *)
+
+(* Interfaces that declare types, so their artifacts hold type uids. *)
+let typed_store () =
+  store ~name:"Main"
+    ~defs:
+      [
+        ( "Geo",
+          "DEFINITION MODULE Geo;\nTYPE Color = (Red, Green, Blue);\nTYPE Pt = RECORD x, y: INTEGER END;\nVAR origin: Pt;\nPROCEDURE Shift(VAR p: Pt; d: INTEGER);\nEND Geo.\n"
+        );
+      ]
+    ~impls:
+      [
+        ( "Geo",
+          "IMPLEMENTATION MODULE Geo;\nPROCEDURE Shift(VAR p: Pt; d: INTEGER);\nBEGIN p.x := p.x + d END Shift;\nEND Geo.\n"
+        );
+      ]
+    "IMPLEMENTATION MODULE Main;\nIMPORT Geo;\nVAR p: Geo.Pt;\nBEGIN\n  p.x := 1; Geo.Shift(p, 3); WriteInt(p.x)\nEND Main.\n"
+
+(* A load decodes no artifact, yet must raise the uid counter past every
+   uid the saved artifacts hold.  The checking process is forked before
+   the parent builds, so its counter lies below every uid the parent
+   then allocates; it loads the parent's cache once the parent has
+   saved it. *)
+let test_lazy_load_uid_floor () =
+  with_cache_dir (fun dir ->
+      let saved_r, saved_w = Unix.pipe () in
+      match Unix.fork () with
+      | 0 ->
+          Unix.close saved_w;
+          let code =
+            try
+              ignore (input_line (Unix.in_channel_of_descr saved_r));
+              let floor0 = Mcc_sem.Types.uid_floor () in
+              let c = Project.cache ~dir () in
+              let next = Mcc_sem.Types.fresh_uid () in
+              let warm = Project.compile ~cache:c (typed_store ()) in
+              let top =
+                List.fold_left
+                  (fun m a -> max m (Artifact.max_uid a))
+                  0 (Build_cache.interfaces c.Project.bc)
+              in
+              if floor0 >= top then 2
+              else if next <= top then 3
+              else if warm.Project.recompiled <> [] then 4
+              else if observation warm <> observation (Project.compile (typed_store ())) then 5
+              else 0
+            with _ -> 1
+          in
+          Unix._exit code
+      | pid -> (
+          Unix.close saved_r;
+          let c = Project.cache ~dir () in
+          let r = Project.compile ~cache:c (typed_store ()) in
+          Alcotest.(check bool) "the typed project compiles" true r.Project.ok;
+          Project.save c;
+          ignore (Unix.write_substring saved_w "saved\n" 0 6);
+          Unix.close saved_w;
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _, Unix.WEXITED 2 -> Alcotest.fail "the child's uid counter was not below the stored uids"
+          | _, Unix.WEXITED 3 -> Alcotest.fail "a fresh uid does not exceed a stored artifact's uids"
+          | _, Unix.WEXITED 4 -> Alcotest.fail "the warm build recompiled a module"
+          | _, Unix.WEXITED 5 -> Alcotest.fail "the warm build differs from a cold build"
+          | _ -> Alcotest.fail "the checking process failed"))
 
 (* --- the charge-free import scan agrees with the real importer --- *)
 
@@ -623,6 +774,8 @@ let () =
           Alcotest.test_case "save drops unverified artifacts" `Quick test_save_drops_unverified;
           Alcotest.test_case "hostile files rejected" `Quick test_hostile_files;
           Tutil.qtest prop_byte_flips;
+          Alcotest.test_case "saves killed partway through" `Quick test_killed_saves;
+          Alcotest.test_case "lazy load bumps the uid floor" `Quick test_lazy_load_uid_floor;
         ] );
       ( "scanner",
         [
