@@ -181,11 +181,12 @@ let fig2 () =
   say "measured Synth DKY blockages: %d" (Ls.dky_blocks c.Driver.stats)
 
 let render_one store label =
-  let c = Driver.compile ~config:Driver.default_config store in
+  let c = Driver.compile ~config:Driver.default_config ~capture:true store in
+  let trace = Mcc_sched.Trace.of_log c.Driver.log in
   say "--- %s: %d streams, %d tasks, end %.2f virtual s ---" label c.Driver.n_streams
     c.Driver.n_tasks c.Driver.sim.Des.end_seconds;
-  say "%s" (Watchtool.render c.Driver.sim.Des.trace ~procs:8);
-  say "%s" (Watchtool.summary c.Driver.sim.Des.trace ~procs:8)
+  say "%s" (Watchtool.render trace ~procs:8);
+  say "%s" (Watchtool.summary trace ~procs:8)
 
 let fig4 () =
   header "Figure 4: WatchTool Snapshots (one program per quartile + Synth, 8 processors)";
@@ -331,7 +332,7 @@ let barrier () =
       let cb =
         Driver.compile
           ~config:{ Driver.default_config with Driver.procs = n; tokq_barrier = true }
-          store
+          ~capture:true store
       in
       let barrier_t = end_time cb in
       let wait_time =
@@ -341,7 +342,7 @@ let barrier () =
               acc +. (s.Mcc_sched.Trace.t1 -. s.Mcc_sched.Trace.t0)
             else acc)
           0.0
-          (Mcc_sched.Trace.segments cb.Driver.sim.Des.trace)
+          (Mcc_sched.Trace.of_log cb.Driver.log).Mcc_sched.Trace.segs
       in
       say "  N=%d: handled %10.0f units, barrier %10.0f (%+.1f%%), barrier-wait share %.1f%% of processor time"
         n handled barrier_t

@@ -211,9 +211,9 @@ let compile_cmd =
         if r.Driver.d_ok then `Ok () else `Error (false, "compilation failed")
     | None ->
         let config = { base_config with Driver.faults; Driver.fault_seed } in
-        (* --trace-json needs the event log for its fault-instant rows:
-           asking for the export implies capturing *)
-        let r = Driver.compile ~config ~capture:(trace_json <> None) ?cache store in
+        (* --watch and --trace-json draw the processor activity the
+           event log records: asking for either implies capturing *)
+        let r = Driver.compile ~config ~capture:(watch || trace_json <> None) ?cache store in
         report_diags r.Driver.diags;
         finish_cache ();
         Printf.printf
@@ -224,9 +224,10 @@ let compile_cmd =
           procs (Symtab.dky_name strategy);
         report_robustness r;
         if watch then begin
+          let trace = Mcc_sched.Trace.of_log r.Driver.log in
           print_endline Mcc_stats.Watchtool.legend;
-          print_string (Mcc_stats.Watchtool.render r.Driver.sim.Mcc_sched.Des_engine.trace ~procs);
-          print_endline (Mcc_stats.Watchtool.summary r.Driver.sim.Mcc_sched.Des_engine.trace ~procs)
+          print_string (Mcc_stats.Watchtool.render trace ~procs);
+          print_endline (Mcc_stats.Watchtool.summary trace ~procs)
         end;
         if stats then print_endline (Mcc_stats.Tables.table2 r.Driver.stats);
         if dump_tasks then print_string (Driver.dump_tasks r);
@@ -234,10 +235,7 @@ let compile_cmd =
         (match trace_json with
         | None -> ()
         | Some path -> (
-            let json =
-              Mcc_analysis.Trace_json.export ~names:r.Driver.task_index ~log:r.Driver.log
-                r.Driver.sim.Mcc_sched.Des_engine.trace
-            in
+            let json = Mcc_analysis.Trace_json.export r.Driver.log in
             try
               Out_channel.with_open_text path (fun oc -> output_string oc json);
               Printf.printf "trace: %s\n" path

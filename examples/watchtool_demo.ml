@@ -16,12 +16,13 @@ let () =
   let store = Suite.program 24 in
   Printf.printf "module %s (%d bytes)\n\n" (Source_store.main_name store)
     (String.length (Source_store.main_src store));
-  let c = Driver.compile ~config:Driver.default_config store in
+  let c = Driver.compile ~config:Driver.default_config ~capture:true store in
+  let trace = Mcc_sched.Trace.of_log c.Driver.log in
   Printf.printf "%d streams, %d tasks, %.2f virtual seconds on 8 processors\n\n"
     c.Driver.n_streams c.Driver.n_tasks c.Driver.sim.Mcc_sched.Des_engine.end_seconds;
   print_endline Watchtool.legend;
-  print_endline (Watchtool.render c.Driver.sim.Mcc_sched.Des_engine.trace ~procs:8);
-  print_endline (Watchtool.summary c.Driver.sim.Mcc_sched.Des_engine.trace ~procs:8);
+  print_endline (Watchtool.render trace ~procs:8);
+  print_endline (Watchtool.summary trace ~procs:8);
   print_endline "\n--- self-relative speedup ---";
   let sweep = Speedup.sweep store in
   List.iter

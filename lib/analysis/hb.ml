@@ -356,8 +356,9 @@ let check (log : Evlog.record array) : report =
       | Evlog.Node_start _ | Evlog.Node_detect _ | Evlog.Heartbeat _ | Evlog.Rpc_timeout _
       | Evlog.Farm_replicate _ | Evlog.Net_partition _ | Evlog.Net_heal
       (* trace spans annotate the same lifecycle this checker derives
-         its orderings from; they carry no extra happens-before edges *)
-      | Evlog.Span_start _ | Evlog.Span_end _ -> ())
+         its orderings from, and processor activity only places it in
+         time; neither carries happens-before edges *)
+      | Evlog.Span_start _ | Evlog.Span_end _ | Evlog.Busy _ -> ())
     log;
   (* no-task-lost-on-crash: every closure ever assigned (initially, by
      steal or by re-shard) completed *)

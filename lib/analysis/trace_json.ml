@@ -1,9 +1,11 @@
 (* Chrome trace_event export.
 
-   Renders a DES execution trace as the Chrome tracing / Perfetto JSON
-   format ("trace event format", JSON-array flavor): one "X" (complete)
-   duration event per trace segment, with the simulated processor as the
-   thread id, plus thread_name metadata rows.  Load the output in
+   Renders the processor activity of a captured DES event log as the
+   Chrome tracing / Perfetto JSON format ("trace event format",
+   JSON-array flavor): one "X" (complete) duration event per segment
+   [Trace.of_log] rebuilds, with the simulated processor as the thread
+   id and the task's [Task_spawn] name as the event name, plus
+   thread_name metadata rows.  Load the output in
    chrome://tracing or ui.perfetto.dev for the WatchTool-style activity
    view of paper Figures 4 and 7.
 
@@ -13,39 +15,37 @@
 open Mcc_sched
 module Evlog = Mcc_obs.Evlog
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+module Json = Mcc_obs.Json
+
+(* The one document writer: the JSON-array flavor of the trace event
+   format, one event per line.  [body emit] emits the events in order. *)
+let document body =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"traceEvents\":[";
+  let first = ref true in
+  body (fun line ->
+      if not !first then Buffer.add_string buf ",\n";
+      first := false;
+      Buffer.add_string buf line);
+  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
 let micros units = Costs.to_seconds units *. 1e6
 
-let export ?(names : (int * string) list = []) ?(log : Evlog.record array = [||]) (trace : Trace.t)
-    : string =
-  let name_tbl = Hashtbl.create 64 in
-  List.iter (fun (id, n) -> Hashtbl.replace name_tbl id n) names;
+let export (log : Evlog.record array) : string =
+  let names = Hashtbl.create 64 in
+  Array.iter
+    (fun (r : Evlog.record) ->
+      match r.Evlog.kind with
+      | Evlog.Task_spawn { task; name; _ } -> Hashtbl.replace names task name
+      | _ -> ())
+    log;
   let task_name id =
-    match Hashtbl.find_opt name_tbl id with Some n -> n | None -> Printf.sprintf "task#%d" id
+    match Hashtbl.find_opt names id with Some n -> n | None -> Printf.sprintf "task#%d" id
   in
-  let segs = Trace.segments trace in
+  let segs = (Trace.of_log log).Trace.segs in
   let procs = List.fold_left (fun acc (s : Trace.seg) -> max acc (s.Trace.proc + 1)) 0 segs in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit line =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf line
-  in
+  document @@ fun emit ->
   for p = 0 to procs - 1 do
     emit
       (Printf.sprintf
@@ -59,22 +59,22 @@ let export ?(names : (int * string) list = []) ?(log : Evlog.record array = [||]
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"task\":%d,\"kind\":\"%s\"}}"
-           (escape (task_name s.Trace.task_id))
-           (escape (Task.cls_name s.Trace.cls))
+           (Json.escape (task_name s.Trace.task_id))
+           (Json.escape (Task.cls_name s.Trace.cls))
            (micros s.Trace.t0)
            (micros (s.Trace.t1 -. s.Trace.t0))
            s.Trace.proc s.Trace.task_id kind))
     segs;
-  (* fault-recovery records from the captured event log become global
-     instant ("i") events, so injections, retries and watchdog rescues
-     are visible against the activity lanes *)
+  (* fault-recovery records become global instant ("i") events, so
+     injections, retries and watchdog rescues are visible against the
+     activity lanes *)
   Array.iter
     (fun (r : Evlog.record) ->
       let instant name detail =
         emit
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%.3f,\"pid\":0,\"args\":{\"detail\":\"%s\"}}"
-             (escape name) (micros r.Evlog.time) (escape detail))
+             (Json.escape name) (micros r.Evlog.time) (Json.escape detail))
       in
       match r.Evlog.kind with
       | Evlog.Fault_inject { fault; victim } -> instant ("inject:" ^ fault) victim
@@ -83,9 +83,7 @@ let export ?(names : (int * string) list = []) ?(log : Evlog.record array = [||]
       | Evlog.Task_quarantine { name; _ } -> instant "quarantine" name
       | Evlog.Watchdog_fire { task; _ } -> instant "watchdog" (task_name task)
       | _ -> ())
-    log;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+    log
 
 (* Nested export of an assembled distributed-trace forest.
 
@@ -118,21 +116,14 @@ let export_spans ~sec_per_unit (t : Mcc_obs.Dtrace.t) : string =
       | Some p -> root_of p
       | None -> s.D.d_span
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit line =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf line
-  in
+  document @@ fun emit ->
   List.iter
     (fun (r : D.span) ->
       emit
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s \
             [%s]\"}}"
-           r.D.d_span (escape r.D.d_name) (escape r.D.d_trace)))
+           r.D.d_span (Json.escape r.D.d_name) (Json.escape r.D.d_trace)))
     (D.roots t);
   (* parents before children at equal start times, so same-lane X
      events nest instead of fighting for the slot *)
@@ -156,14 +147,14 @@ let export_spans ~sec_per_unit (t : Mcc_obs.Dtrace.t) : string =
                 engine of span #%d%s\"}}"
                s.D.d_parent s.D.d_parent
                (match Hashtbl.find_opt by_id s.D.d_parent with
-               | Some p -> escape (" · " ^ p.D.d_name)
+               | Some p -> Json.escape (" · " ^ p.D.d_name)
                | None -> ""));
         Hashtbl.replace inner_count s.D.d_parent (k + 1);
         Hashtbl.replace inner_tid s.D.d_span k;
         emit
           (Printf.sprintf
              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-             s.D.d_parent k (escape s.D.d_name))
+             s.D.d_parent k (Json.escape s.D.d_name))
       end)
     ordered;
   List.iter
@@ -171,23 +162,24 @@ let export_spans ~sec_per_unit (t : Mcc_obs.Dtrace.t) : string =
       let args =
         Printf.sprintf
           "{\"span\":%d,\"kind\":\"%s\",\"status\":\"%s\",\"node\":%d,\"trace\":\"%s\"}"
-          s.D.d_span (escape s.D.d_kind) (escape s.D.d_status) s.D.d_node (escape s.D.d_trace)
+          s.D.d_span (Json.escape s.D.d_kind) (Json.escape s.D.d_status) s.D.d_node
+          (Json.escape s.D.d_trace)
       in
       match s.D.d_kind with
       | "rpc" ->
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"rpc\",\"ph\":\"b\",\"id\":%d,\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":%s}"
-               (escape s.D.d_name) s.D.d_span (micros s.D.d_t0) (root_of s) args);
+               (Json.escape s.D.d_name) s.D.d_span (micros s.D.d_t0) (root_of s) args);
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"rpc\",\"ph\":\"e\",\"id\":%d,\"ts\":%.3f,\"pid\":0,\"tid\":%d}"
-               (escape s.D.d_name) s.D.d_span (micros s.D.d_t1) (root_of s))
+               (Json.escape s.D.d_name) s.D.d_span (micros s.D.d_t1) (root_of s))
       | "inner-task" ->
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"inner\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":%s}"
-               (escape s.D.d_name) (micros s.D.d_t0)
+               (Json.escape s.D.d_name) (micros s.D.d_t0)
                (micros (s.D.d_t1 -. s.D.d_t0))
                s.D.d_parent
                (Option.value ~default:0 (Hashtbl.find_opt inner_tid s.D.d_span))
@@ -196,9 +188,7 @@ let export_spans ~sec_per_unit (t : Mcc_obs.Dtrace.t) : string =
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":%s}"
-               (escape s.D.d_name) (escape s.D.d_kind) (micros s.D.d_t0)
+               (Json.escape s.D.d_name) (Json.escape s.D.d_kind) (micros s.D.d_t0)
                (micros (s.D.d_t1 -. s.D.d_t0))
                (root_of s) args))
-    ordered;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+    ordered

@@ -1,19 +1,16 @@
-(** Chrome trace_event export of a DES execution trace.
+(** Chrome trace_event export of a captured DES event log.
 
-    One ["X"] (complete) duration event per trace segment — the
-    simulated processor is the thread id — plus thread_name metadata.
-    Load in chrome://tracing or ui.perfetto.dev for the WatchTool-style
-    activity view (paper Figures 4 and 7).  Timestamps are microseconds
-    of simulated time. *)
+    One ["X"] (complete) duration event per processor-activity segment
+    ({!Mcc_sched.Trace.of_log}) — the simulated processor is the thread
+    id — plus thread_name metadata.  Load in chrome://tracing or
+    ui.perfetto.dev for the WatchTool-style activity view (paper
+    Figures 4 and 7).  Timestamps are microseconds of simulated time. *)
 
-(** [export ~names ~log trace] renders the JSON document.  [names] maps
-    task ids to display names (e.g.
-    [Mcc_core.Driver.result.task_index]); unmapped ids render as
-    ["task#N"].  When [log] is a captured event log, its fault-recovery
-    records (injections, retries, quarantines, watchdog rescues) are
-    added as global instant events. *)
-val export :
-  ?names:(int * string) list -> ?log:Mcc_obs.Evlog.record array -> Mcc_sched.Trace.t -> string
+(** [export log] renders the JSON document.  Events are named after
+    their task's [Task_spawn] record ("task#N" for a task without
+    one); the log's fault-recovery records (injections, retries,
+    quarantines, watchdog rescues) become global instant events. *)
+val export : Mcc_obs.Evlog.record array -> string
 
 (** [export_spans ~sec_per_unit forest] renders an assembled
     distributed-trace forest ([Mcc_obs.Dtrace.assemble]) as correctly

@@ -100,7 +100,6 @@ type result = {
   n_tasks : int;
   tokens : int; (* tokens lexed across all files *)
   task_list : (string * string) list; (* (class, name) per instantiated task, Fig. 5 *)
-  task_index : (int * string) list; (* task id -> name, for trace/log rendering *)
   cache_hits : string list; (* interfaces installed from the build cache, sorted *)
   cache_misses : string list; (* interfaces fingerprinted but compiled cold, sorted *)
   cache_evictions : int; (* size-bound evictions in the shared cache during this run *)
@@ -147,7 +146,7 @@ type comp = {
   mutable next_stream : int;
   mutable n_defs : int;
   mutable n_tasks : int;
-  mutable task_names : (int * string * string) list; (* reversed (id, class, name) *)
+  mutable task_names : (string * string) list; (* reversed (class, name) *)
   tasks_mu : Mutex.t;
   (* completion accounting: splitter hold + module body + per procedure
      stream + per definition-module stream; 0 => signal all_done *)
@@ -181,7 +180,7 @@ let drop comp = if unhold comp && not (Event.occurred comp.all_done) then Eff.si
 let record_task comp (task : Task.t) =
   Mutex.lock comp.tasks_mu;
   comp.n_tasks <- comp.n_tasks + 1;
-  comp.task_names <- (task.Task.id, Task.cls_name task.Task.cls, task.Task.name) :: comp.task_names;
+  comp.task_names <- (Task.cls_name task.Task.cls, task.Task.name) :: comp.task_names;
   Mutex.unlock comp.tasks_mu;
   if Metrics.enabled () then
     Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_tasks_total"
@@ -681,8 +680,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     n_streams = 1 + n_procs + comp.n_defs;
     n_tasks = comp.n_tasks;
     tokens = comp.total_tokens;
-    task_list = List.rev_map (fun (_, cls, name) -> (cls, name)) comp.task_names;
-    task_index = List.rev_map (fun (id, _, name) -> (id, name)) comp.task_names;
+    task_list = List.rev comp.task_names;
     cache_hits = List.sort compare comp.cache_hits;
     cache_misses = List.sort compare comp.cache_misses;
     cache_evictions =

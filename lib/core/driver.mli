@@ -70,8 +70,6 @@ type result = {
   n_tasks : int;
   tokens : int;  (** tokens lexed across all files *)
   task_list : (string * string) list;  (** (class, name) per instantiated task *)
-  task_index : (int * string) list;
-      (** task id -> name for every spawned task, for trace/log rendering *)
   cache_hits : string list;
       (** interfaces installed from the build cache instead of spawning
           their streams, sorted (empty without a cache) *)
@@ -112,8 +110,10 @@ val long_threshold : int
     observation context of its own ({!Mcc_obs.Evlog.ctx}), so it never
     writes into an enclosing capture or registry.  [~capture:true]
     records the structured concurrency event log into [result.log] for
-    the happens-before analyzer ({!Mcc_analysis.Hb}); capture never
-    charges work, so virtual timings are unchanged.
+    the happens-before analyzer ({!Mcc_analysis.Hb}), with the
+    processor activity WatchTool and the Chrome export draw
+    ({!Mcc_sched.Trace.of_log}); capture never charges work, so
+    virtual timings are unchanged.
 
     Fault injection and self-healing: with [config.faults] non-empty, a
     deterministic {!Mcc_sched.Fault} plan (seeded by [config.fault_seed])

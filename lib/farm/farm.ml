@@ -562,7 +562,6 @@ let simulate ~trace cfg store =
                         sub_t0 = (!now +. fetch_elapsed) /. Costs.seconds_per_unit;
                         sub_scale = slowf;
                         sub_log = probe.Driver.log;
-                        sub_names = probe.Driver.task_index;
                       }
                       :: !subs
               | None -> ());
@@ -701,7 +700,6 @@ let simulate ~trace cfg store =
                     sub_t0 = (!now +. fetch_elapsed) /. Costs.seconds_per_unit;
                     sub_scale = slowf;
                     sub_log = final.Driver.log;
-                    sub_names = final.Driver.task_index;
                   }
                   :: !subs;
               buffer makespan (Evlog.Span_end { span = csp; status = "ok" });

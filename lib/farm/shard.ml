@@ -92,9 +92,6 @@ let create ~nodes ~assignment ~topo ~deps =
 let n_tasks t = Array.length t.topo
 let name_of t i = t.topo.(i)
 
-let state_of t iface =
-  match Hashtbl.find_opt t.index iface with None -> None | Some i -> Some (t.state.(i))
-
 let ready t i = List.for_all (fun d -> match t.state.(d) with Done _ -> true | _ -> false) t.deps.(i)
 
 let pending_count t node = List.length !(t.queues.(node))

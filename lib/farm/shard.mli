@@ -42,7 +42,6 @@ val create :
 
 val n_tasks : tracker -> int
 val name_of : tracker -> int -> string
-val state_of : tracker -> string -> state option
 
 (** All direct imports Done? *)
 val ready : tracker -> int -> bool

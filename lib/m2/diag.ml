@@ -30,7 +30,6 @@ let error t ~file ~loc msg = add t ~file ~loc ~sev:Error msg
 let warning t ~file ~loc msg = add t ~file ~loc ~sev:Warning msg
 
 let has_errors t = t.n_errors > 0
-let error_count t = t.n_errors
 
 let compare_d a b =
   match String.compare a.file b.file with

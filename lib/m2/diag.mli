@@ -21,7 +21,6 @@ val add_d : t -> d -> unit
 val error : t -> file:string -> loc:Loc.t -> string -> unit
 val warning : t -> file:string -> loc:Loc.t -> string -> unit
 val has_errors : t -> bool
-val error_count : t -> int
 
 (** The (file, offset, message) ordering used by {!sorted}. *)
 val compare_d : d -> d -> int

@@ -49,7 +49,6 @@ type sub = {
   sub_t0 : float;
   sub_scale : float;
   sub_log : Evlog.record array;
-  sub_names : (int * string) list;
 }
 
 type t = {
@@ -166,8 +165,6 @@ let assemble ?(subs = []) (log : Evlog.record array) : t =
         match Hashtbl.find_opt closed sub.sub_owner with
         | None -> []
         | Some owner ->
-            let names = Hashtbl.create 32 in
-            List.iter (fun (id, n) -> Hashtbl.replace names id n) sub.sub_names;
             List.map
               (fun (sp : Span.t) ->
                 incr next;
@@ -182,10 +179,7 @@ let assemble ?(subs = []) (log : Evlog.record array) : t =
                   d_span = !next;
                   d_parent = owner.d_span;
                   d_trace = owner.d_trace;
-                  d_name =
-                    (match Hashtbl.find_opt names sp.Span.sp_task with
-                    | Some n -> n
-                    | None -> sp.Span.sp_name);
+                  d_name = sp.Span.sp_name;
                   d_kind = "inner-task";
                   d_node = owner.d_node;
                   d_t0 = t0;

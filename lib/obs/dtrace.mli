@@ -29,7 +29,6 @@ type sub = {
   sub_t0 : float;
   sub_scale : float;
   sub_log : Evlog.record array;
-  sub_names : (int * string) list;
 }
 
 type t = {

@@ -3,12 +3,15 @@
    A single, globally ordered record stream of every synchronization-
    relevant action the compiler performs while running on the DES engine:
    symbol publishes, scope completions, DKY blocks/unblocks, event
-   signal/block/wake, gated-task releases, task spawn/start/finish.  The
-   happens-before checker ([Mcc_analysis.Hb]) replays this log to verify
-   the DKY ordering invariants the paper's correctness argument (§2.3.3)
-   rests on, across many perturbed schedules; the telemetry layer
-   ([Span], [Critpath]) reconstructs per-task timelines from the same
-   stream.
+   signal/block/wake, gated-task releases, task spawn/start/finish, and
+   the processor activity ([Busy]) that is the DES's only recording of
+   what ran when.  The happens-before checker ([Mcc_analysis.Hb])
+   replays this log to verify the DKY ordering invariants the paper's
+   correctness argument (§2.3.3) rests on, across many perturbed
+   schedules; the telemetry layer ([Span], [Critpath]) reconstructs
+   per-task timelines from the same stream, and [Mcc_sched.Trace]
+   rebuilds the per-processor segments WatchTool and the Chrome export
+   draw.
 
    The log lives here, at the bottom of the dependency stack, so that
    the scheduler ([Mcc_sched.Des_engine], [Mcc_sched.Supervisor]), the
@@ -47,6 +50,10 @@ type kind =
     }
   | Task_start of { task : int }
   | Task_finish of { task : int }
+  | Busy of { proc : int; task : int; t0 : float; t1 : float; barrier : bool }
+      (* processor [proc] ran [task] over [t0, t1] or, [barrier], held
+         it bound through a barrier wait: the DES's one record of what
+         ran when, emitted as the segment is scheduled *)
   | Ev_signal of { ev : int; name : string }
   | Ev_block of { ev : int; name : string; producer : int (* task id; -1 unknown *) }
   | Ev_wake of { ev : int; task : int (* the woken task *) }
@@ -221,68 +228,3 @@ let capture f =
   let obs = ctx ~log:true () in
   let v = within ~obs f in
   (v, log obs)
-
-let kind_to_string = function
-  | Task_spawn { task; name; cls; gate } ->
-      Printf.sprintf "spawn task#%d %s [%s]%s" task name cls
-        (if gate >= 0 then Printf.sprintf " gated-on event#%d" gate else "")
-  | Task_start { task } -> Printf.sprintf "start task#%d" task
-  | Task_finish { task } -> Printf.sprintf "finish task#%d" task
-  | Ev_signal { ev; name } -> Printf.sprintf "signal event#%d %s" ev name
-  | Ev_block { ev; name; producer } ->
-      Printf.sprintf "block-on event#%d %s (producer task#%d)" ev name producer
-  | Ev_wake { ev; task } -> Printf.sprintf "wake task#%d from event#%d" task ev
-  | Gate_release { ev; task } -> Printf.sprintf "gate-release task#%d (event#%d)" task ev
-  | Scope_intern { scope; name } -> Printf.sprintf "intern scope#%d %s" scope name
-  | Frame_add { key } -> Printf.sprintf "add frame %s" key
-  | Publish { scope_name; sym; _ } -> Printf.sprintf "publish %s in %s" sym scope_name
-  | Complete { scope_name; _ } -> Printf.sprintf "complete %s" scope_name
-  | Observe { scope_name; sym; complete; _ } ->
-      Printf.sprintf "observe %s in %s (%s)" sym scope_name
-        (if complete then "complete" else "incomplete")
-  | Auth_miss { scope_name; sym; _ } ->
-      Printf.sprintf "authoritative miss of %s in %s" sym scope_name
-  | Dky_block { scope_name; sym; ev; _ } ->
-      Printf.sprintf "DKY-block on %s in %s (event#%d)" sym scope_name ev
-  | Dky_unblock { scope_name; sym; ev; _ } ->
-      Printf.sprintf "DKY-unblock on %s in %s (event#%d)" sym scope_name ev
-  | Fault_inject { fault; victim } -> Printf.sprintf "inject %s on %s" fault victim
-  | Task_retry { task; attempt } -> Printf.sprintf "retry task#%d (attempt %d)" task attempt
-  | Task_quarantine { task; name } -> Printf.sprintf "quarantine task#%d %s" task name
-  | Watchdog_fire { ev; task } ->
-      Printf.sprintf "watchdog re-delivers event#%d to task#%d" ev task
-  | Job_enqueue { job; session } -> Printf.sprintf "enqueue job#%d from %s" job session
-  | Job_admit { job; session } -> Printf.sprintf "admit job#%d from %s" job session
-  | Job_shed { job; session } -> Printf.sprintf "shed job#%d from %s" job session
-  | Job_batch { job; leader; size } ->
-      Printf.sprintf "batch job#%d with leader job#%d (batch of %d)" job leader size
-  | Job_done { job; warm } ->
-      Printf.sprintf "done job#%d (%s)" job (if warm then "warm" else "cold")
-  | Node_start { node; procs } -> Printf.sprintf "node#%d up (%d procs)" node procs
-  | Node_dead { node } -> Printf.sprintf "node#%d dead" node
-  | Node_detect { node } -> Printf.sprintf "node#%d detected dead (missed heartbeats)" node
-  | Heartbeat { node } -> Printf.sprintf "heartbeat node#%d" node
-  | Rpc_fetch { node; peer; iface; attempt } ->
-      Printf.sprintf "fetch %s: node#%d -> node#%d (attempt %d)" iface node peer attempt
-  | Rpc_timeout { node; peer; iface; attempt } ->
-      Printf.sprintf "timeout %s: node#%d -> node#%d (attempt %d)" iface node peer attempt
-  | Rpc_hedge { node; replica; iface } ->
-      Printf.sprintf "hedge %s: node#%d -> replica node#%d" iface node replica
-  | Rpc_serve { node; peer; iface } ->
-      Printf.sprintf "serve %s: node#%d -> node#%d" iface node peer
-  | Farm_assign { node; iface } -> Printf.sprintf "assign %s to node#%d" iface node
-  | Farm_steal { node; victim; iface } ->
-      Printf.sprintf "steal %s: node#%d from node#%d" iface node victim
-  | Farm_reshard { node; iface } -> Printf.sprintf "reshard %s to node#%d" iface node
-  | Farm_task_done { node; iface } -> Printf.sprintf "done %s on node#%d" iface node
-  | Farm_replicate { node; replica; iface } ->
-      Printf.sprintf "replicate %s: node#%d -> node#%d" iface node replica
-  | Net_partition { spec } -> Printf.sprintf "partition (%s)" spec
-  | Net_heal -> "heal"
-  | Span_start { span; parent; trace; name; kind; node } ->
-      Printf.sprintf "span-start #%d %s [%s] parent #%d trace %s%s" span name kind parent trace
-        (if node >= 0 then Printf.sprintf " node#%d" node else "")
-  | Span_end { span; status } -> Printf.sprintf "span-end #%d (%s)" span status
-
-let record_to_string r =
-  Printf.sprintf "#%-6d t=%-10.1f task#%-4d %s" r.seq r.time r.task (kind_to_string r.kind)

@@ -1,13 +1,23 @@
 (** The structured concurrency event log.
 
     A globally ordered record stream of every synchronization-relevant
-    action performed while compiling on the DES engine: symbol
+    action performed while compiling on the DES engine — symbol
     publishes, scope completions, DKY blocks/unblocks, event
-    signal/block/wake, gated-task releases, task spawn/start/finish.
-    The happens-before checker ([Mcc_analysis.Hb]) replays it to verify
-    the DKY ordering invariants of paper §2.3.3 across perturbed
-    schedules; {!Span} and {!Critpath} reconstruct per-task timelines
-    and the end-to-end critical path from the same stream.
+    signal/block/wake, gated-task releases, task spawn/start/finish —
+    and of processor activity: one [Busy] record per stretch a
+    simulated processor ran a task or held it through a barrier wait.
+    It is the one recording of what ran when.  Its readers:
+    - the happens-before checker ([Mcc_analysis.Hb]) replays it to
+      verify the DKY ordering invariants of paper §2.3.3 across
+      perturbed schedules;
+    - {!Span} and {!Critpath} reconstruct per-task timelines and the
+      end-to-end critical path;
+    - [Mcc_sched.Trace.of_log] rebuilds the per-processor segments
+      that WatchTool (paper Figs. 4/7), utilization and the Chrome
+      export ([Mcc_analysis.Trace_json]) draw; task names and classes
+      come from the [Task_spawn] records;
+    - {!Dtrace} folds serve/farm captures, with their inner engines'
+      logs, into span forests.
 
     One run's observation state is one {!ctx}: the log, its virtual
     clock and current task, the {!Metrics} registry and the
@@ -30,6 +40,10 @@ type kind =
     }
   | Task_start of { task : int }
   | Task_finish of { task : int }
+  | Busy of { proc : int; task : int; t0 : float; t1 : float; barrier : bool }
+      (** processor [proc] ran [task] over [t0, t1] or, [barrier], held
+          it bound through a barrier wait; emitted as the segment is
+          scheduled, so its stamp is [t0] (a run) or [t1] (a wait) *)
   | Ev_signal of { ev : int; name : string }
   | Ev_block of { ev : int; name : string; producer : int  (** expected signaler, -1 unknown *) }
   | Ev_wake of { ev : int; task : int  (** the woken task *) }
@@ -192,6 +206,3 @@ val registry : ctx -> registry option
 
 (** Allocate the installed context's next span id. *)
 val next_span : unit -> int
-
-val kind_to_string : kind -> string
-val record_to_string : record -> string

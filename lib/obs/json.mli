@@ -18,6 +18,10 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(** The body of a JSON string literal holding [s]: quotes, backslashes
+    and control characters escaped. *)
+val escape : string -> string
+
 (** Serialize compactly (no whitespace).  Object fields print in
     construction order; integral floats print without a fraction, the
     rest with six decimals — total and deterministic. *)

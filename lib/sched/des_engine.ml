@@ -30,7 +30,6 @@ type outcome = Completed | Deadlocked of string list
 type result = {
   end_time : float; (* virtual work units *)
   end_seconds : float; (* end_time scaled by Costs.seconds_per_unit *)
-  trace : Trace.t;
   outcome : outcome;
   tasks_run : int;
   failures : (string * exn) list; (* task name, exception *)
@@ -54,7 +53,6 @@ type item =
 type state = {
   sup : Supervisor.t;
   agenda : item Heap.t;
-  trace : Trace.t;
   waiting : (int, (Task.t * Eff.resumption) list) Hashtbl.t;
   barrier_waiting : (int, (int * float * Task.t * Eff.resumption) list) Hashtbl.t;
   events_seen : (int, Event.t) Hashtbl.t;
@@ -95,6 +93,13 @@ let take_free st =
       Some p
 
 let add_free st p = st.free <- List.sort compare (p :: st.free)
+
+(* Processor [p] ran [task] over [t0, t1] or, [barrier], held it bound
+   through a barrier wait: the engine's only record of what ran when
+   ([Trace.of_log] reads it back). *)
+let busy_record p (task : Task.t) ~t0 ~t1 ~barrier =
+  if Evlog.enabled () then
+    Evlog.emit (Evlog.Busy { proc = p; task = task.Task.id; t0; t1; barrier })
 
 let schedule_entry st t p entry =
   let t' = t +. Costs.dispatch_cost in
@@ -161,8 +166,7 @@ let do_signal st t (ev : Event.t) =
             st.barrier_count <- st.barrier_count - 1;
             if Evlog.enabled () then
               Evlog.emit (Evlog.Ev_wake { ev = ev.Event.id; task = task.Task.id });
-            Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t_block ~t1:t
-              ~kind:Trace.Waitbar;
+            busy_record p task ~t0:t_block ~t1:t ~barrier:true;
             Heap.push st.agenda t (Continue (p, task, k)))
           waiters);
     try_assign st t
@@ -178,16 +182,14 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
         Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
         Metrics.gauge_max "mcc_sched_busy_procs_peak" (float_of_int (busy st))
       end;
-      Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t ~t1:(t +. dur)
-        ~kind:Trace.Run;
+      busy_record p task ~t0:t ~t1:(t +. dur) ~barrier:false;
       Heap.push st.agenda (t +. dur) (Continue (p, task, k))
   | Eff.Finished residue ->
       if residue > 0 then begin
         let dur = scale st residue in
         if Metrics.enabled () then
           Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
-        Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t ~t1:(t +. dur)
-          ~kind:Trace.Run;
+        busy_record p task ~t0:t ~t1:(t +. dur) ~barrier:false;
         Heap.push st.agenda (t +. dur) (Complete (p, task))
       end
       else finish_task st t p task
@@ -385,8 +387,7 @@ let watchdog_sweep st t =
             Evlog.emit (Evlog.Watchdog_fire { ev = ev_id; task = task.Task.id });
             Evlog.emit (Evlog.Ev_wake { ev = ev_id; task = task.Task.id })
           end;
-          Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t_block ~t1:t
-            ~kind:Trace.Waitbar;
+          busy_record p task ~t0:t_block ~t1:t ~barrier:true;
           Heap.push st.agenda t (Continue (p, task, k)))
         waiters)
     (stale st.barrier_waiting);
@@ -399,7 +400,6 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
     {
       sup = Supervisor.create ~fifo ?perturb:(Option.map Prng.create perturb) ();
       agenda = Heap.create dummy_item;
-      trace = Trace.create ();
       waiting = Hashtbl.create 64;
       barrier_waiting = Hashtbl.create 64;
       events_seen = Hashtbl.create 64;
@@ -506,11 +506,12 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
       in
       drive ();
       let stuck = deadlock_report st in
-      let end_time = max !last_t (Trace.horizon st.trace) in
+      (* every segment ends at an agenda time, so the last one is the
+         makespan *)
+      let end_time = !last_t in
       {
         end_time;
         end_seconds = Costs.to_seconds end_time;
-        trace = st.trace;
         outcome = (if stuck = [] then Completed else Deadlocked stuck);
         tasks_run = st.n_finished;
         failures = List.rev st.failures;

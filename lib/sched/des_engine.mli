@@ -20,7 +20,6 @@ type outcome =
 type result = {
   end_time : float;  (** virtual work units *)
   end_seconds : float;  (** [end_time] scaled by {!Costs.seconds_per_unit} *)
-  trace : Trace.t;
   outcome : outcome;
   tasks_run : int;
   failures : (string * exn) list;  (** tasks that raised, with their exception *)
@@ -44,7 +43,10 @@ type result = {
     the schedule explorer; see {!Supervisor.create}).
 
     The simulation is a fresh run ({!Eff.within}) in the enclosing
-    run's context and plan.  When a {!Fault} plan is armed, dispatches
+    run's context and plan.  When that context records the event log,
+    each stretch of processor activity becomes a [Busy] record there,
+    the only recording of what ran when ({!Trace.of_log} reads it
+    back).  When a {!Fault} plan is armed, dispatches
     consult it: a crash before a task's body ran retries after a
     virtual-time backoff (then quarantines); a crash at a resume point
     quarantines immediately (partial effects make re-runs unsafe);

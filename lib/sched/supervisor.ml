@@ -30,7 +30,6 @@ type t = {
   gated : (int, Task.t list) Hashtbl.t; (* event id -> parked tasks *)
   mutable n_ready : int;
   mutable n_gated : int;
-  mutable submitted : int;
   fifo : bool;
       (* ablation: ignore class priorities and size ordering, treating
          the ready list as one FIFO queue (gating still applies) *)
@@ -50,14 +49,12 @@ let create ?(fifo = false) ?perturb () =
     gated = Hashtbl.create 64;
     n_ready = 0;
     n_gated = 0;
-    submitted = 0;
     fifo;
     perturb;
   }
 
 let n_ready t = t.n_ready
 let n_gated t = t.n_gated
-let total_submitted t = t.submitted
 
 let enqueue_ready t entry =
   let task = entry_task entry in
@@ -75,7 +72,6 @@ let enqueue_ready t entry =
 (* Submit a fresh task.  If it is gated on an unoccurred avoided event it
    is parked; otherwise it becomes ready. *)
 let submit t task =
-  t.submitted <- t.submitted + 1;
   if Metrics.enabled () then begin
     Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_sup_submit_total";
     Metrics.gauge_max "mcc_sup_ready_peak" (float_of_int (t.n_ready + 1))

@@ -24,7 +24,6 @@ type t
 val create : ?fifo:bool -> ?perturb:Mcc_util.Prng.t -> unit -> t
 val n_ready : t -> int
 val n_gated : t -> int
-val total_submitted : t -> int
 
 (** Submit a fresh task; parks it if its gate has not occurred. *)
 val submit : t -> Task.t -> unit

@@ -44,6 +44,9 @@ let cls_priority = function
 
 let n_classes = 10
 
+let classes =
+  [ Lexor; Splitter; Importer; DefParse; ModParse; ProcParse; LongGen; ShortGen; Merge; Aux ]
+
 let cls_name = function
   | Lexor -> "lexor"
   | Splitter -> "splitter"

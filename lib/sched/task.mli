@@ -23,6 +23,9 @@ val cls_priority : cls -> int
 (** Number of priority classes. *)
 val n_classes : int
 
+(** Every class, in priority order: [cls_priority c] is [c]'s index. *)
+val classes : cls list
+
 val cls_name : cls -> string
 
 type state = Pending | Running | Blocked | Done

@@ -1,11 +1,11 @@
-(* Execution traces from the simulated multiprocessor.
+(* Per-processor activity segments, rebuilt from a captured event log.
 
-   The DES engine records one segment per contiguous stretch of activity
-   on a simulated processor.  The trace is the raw material for the
-   WatchTool-style activity views (paper Figures 4 and 7) and for
-   utilization statistics. *)
+   The DES engine records one [Busy] record per stretch of activity on a
+   simulated processor; this module reads them back into segments for
+   the WatchTool-style activity views (paper Figures 4 and 7), the
+   Chrome export and utilization statistics. *)
 
-open Mcc_util
+module Evlog = Mcc_obs.Evlog
 
 type seg_kind =
   | Run (* executing compiler work *)
@@ -20,54 +20,48 @@ type seg = {
   kind : seg_kind;
 }
 
-type t = { segs : seg Vec.t; mutable horizon : float }
+type t = { segs : seg list; horizon : float }
 
-let dummy_seg = { proc = 0; task_id = 0; cls = Task.Aux; t0 = 0.0; t1 = 0.0; kind = Run }
+let of_log (log : Evlog.record array) =
+  let classes = Hashtbl.create 64 in
+  let segs = ref [] and horizon = ref 0.0 in
+  Array.iter
+    (fun (r : Evlog.record) ->
+      match r.Evlog.kind with
+      | Evlog.Task_spawn { task; cls; _ } ->
+          Hashtbl.replace classes task (List.find (fun c -> Task.cls_name c = cls) Task.classes)
+      | Evlog.Busy { proc; task; t0; t1; barrier } ->
+          let kind = if barrier then Waitbar else Run in
+          (* contiguous same-task activity on the same processor merges
+             into the previous segment, to keep traces compact *)
+          if t1 > t0 then
+            segs :=
+              (match !segs with
+              | last :: rest
+                when last.proc = proc && last.task_id = task && last.kind = kind && last.t1 = t0 ->
+                  { last with t1 } :: rest
+              | l -> { proc; task_id = task; cls = Hashtbl.find classes task; t0; t1; kind } :: l);
+          if t1 > !horizon then horizon := t1
+      | _ -> ())
+    log;
+  { segs = List.rev !segs; horizon = !horizon }
 
-let create () = { segs = Vec.create dummy_seg; horizon = 0.0 }
-
-let add t ~proc ~task_id ~cls ~t0 ~t1 ~kind =
-  if t1 > t0 then begin
-    (* merge with the previous segment when it is contiguous same-task
-       activity on the same processor, to keep traces compact *)
-    let merged =
-      Vec.length t.segs > 0
-      &&
-      let last = Vec.last t.segs in
-      if last.proc = proc && last.task_id = task_id && last.kind = kind && last.t1 = t0 then begin
-        Vec.set t.segs (Vec.length t.segs - 1) { last with t1 };
-        true
-      end
-      else false
-    in
-    if not merged then Vec.push t.segs { proc; task_id; cls; t0; t1; kind }
-  end;
-  if t1 > t.horizon then t.horizon <- t1
-
-let horizon t = t.horizon
-let segments t = Vec.to_list t.segs
-let n_segments t = Vec.length t.segs
-
-(* Total busy time per processor (Run segments only). *)
-let busy_per_proc t ~procs =
-  let busy = Array.make procs 0.0 in
-  Vec.iter
-    (fun s -> if s.kind = Run && s.proc < procs then busy.(s.proc) <- busy.(s.proc) +. (s.t1 -. s.t0))
-    t.segs;
-  busy
-
-(* Mean processor utilization over the makespan. *)
+(* Busy (Run) time summed per processor, over [procs] x the makespan. *)
 let utilization t ~procs =
   if t.horizon <= 0.0 then 0.0
   else begin
-    let busy = busy_per_proc t ~procs in
+    let busy = Array.make procs 0.0 in
+    List.iter
+      (fun s ->
+        if s.kind = Run && s.proc < procs then busy.(s.proc) <- busy.(s.proc) +. (s.t1 -. s.t0))
+      t.segs;
     Array.fold_left ( +. ) 0.0 busy /. (t.horizon *. float_of_int procs)
   end
 
 (* Busy time per task class, across all processors. *)
 let busy_per_class t =
   let busy = Array.make Task.n_classes 0.0 in
-  Vec.iter
+  List.iter
     (fun s ->
       if s.kind = Run then
         let i = Task.cls_priority s.cls in

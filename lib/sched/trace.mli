@@ -1,6 +1,8 @@
-(** Execution traces from the simulated multiprocessor: the raw material
-    for the WatchTool activity views (paper Figs. 4 and 7) and for
-    utilization statistics. *)
+(** Per-processor activity segments, rebuilt from a captured event log:
+    the raw material for the WatchTool activity views (paper Figs. 4
+    and 7), utilization statistics and the Chrome export.  The DES
+    records what ran when only as [Busy] records in the
+    {!Mcc_obs.Evlog}; this module reads them back. *)
 
 type seg_kind =
   | Run  (** executing compiler work *)
@@ -9,28 +11,23 @@ type seg_kind =
 type seg = {
   proc : int;
   task_id : int;
-  cls : Task.cls;
+  cls : Task.cls;  (** from the task's [Task_spawn] record *)
   t0 : float;
   t1 : float;
   kind : seg_kind;
 }
 
-type t
+type t = {
+  segs : seg list;  (** in recording order *)
+  horizon : float;  (** latest segment end *)
+}
 
-val create : unit -> t
-
-(** Record a segment; contiguous same-task segments merge. *)
-val add :
-  t -> proc:int -> task_id:int -> cls:Task.cls -> t0:float -> t1:float -> kind:seg_kind -> unit
-
-(** Latest segment end time seen. *)
-val horizon : t -> float
-
-val segments : t -> seg list
-val n_segments : t -> int
-
-(** Total busy (Run) time per processor. *)
-val busy_per_proc : t -> procs:int -> float array
+(** The segments of a log's [Busy] records, in order; a segment
+    contiguous with the previous one (same processor, task and kind)
+    extends it.  Each task's [Task_spawn] record must come before its
+    first [Busy] record, as the DES emits them.  Empty for a log
+    captured without the DES. *)
+val of_log : Mcc_obs.Evlog.record array -> t
 
 (** Mean processor utilization over the makespan, in [0, 1]. *)
 val utilization : t -> procs:int -> float

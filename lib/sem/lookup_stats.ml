@@ -94,15 +94,6 @@ let used_slices t =
   unlock t;
   List.sort compare r
 
-let used_in t ~import =
-  lock t;
-  let r =
-    match Hashtbl.find_opt t.uses import with
-    | None -> []
-    | Some set -> List.sort compare (Hashtbl.fold (fun n () ns -> n :: ns) set [])
-  in
-  unlock t;
-  r
 
 let merge ~into src =
   lock src;

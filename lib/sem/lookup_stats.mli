@@ -42,9 +42,6 @@ val record_use : t -> import:string -> name:string -> unit
     there)], sorted by module name.  Deterministic. *)
 val used_slices : t -> (string * string list) list
 
-(** Names looked up in one imported module, sorted. *)
-val used_in : t -> import:string -> string list
-
 (** Accumulate [src] into [into]. *)
 val merge : into:t -> t -> unit
 

@@ -324,7 +324,6 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
                       sub_t0 = !t /. Costs.seconds_per_unit;
                       sub_scale = 1.0;
                       sub_log = r.Driver.log;
-                      sub_names = r.Driver.task_index;
                     }
                     :: !subs
               | _ -> ());

@@ -2,7 +2,8 @@
 
    Reproduces the paper's Figures 4 and 7 — "processor activity (vertical
    axis) as a function of time (horizontal axis)" with bars for the
-   different kinds of compiler activity — from the DES trace.  Each
+   different kinds of compiler activity — from the segments
+   [Trace.of_log] rebuilds out of a captured event log.  Each
    processor is one row; each column is a time bucket painted with the
    character of the task class that was busiest in that bucket:
 
@@ -34,7 +35,7 @@ let legend =
 
 (* Render the trace as one row per processor and [width] time buckets. *)
 let render ?(width = 100) (trace : Trace.t) ~procs =
-  let horizon = Trace.horizon trace in
+  let horizon = trace.Trace.horizon in
   if horizon <= 0.0 then "(empty trace)"
   else begin
     (* per processor, per bucket: busy time per class (+1 row for waits) *)
@@ -57,7 +58,7 @@ let render ?(width = 100) (trace : Trace.t) ~procs =
               buckets.(s.Trace.proc).(b).(cls_idx) <- buckets.(s.Trace.proc).(b).(cls_idx) +. overlap
           done
         end)
-      (Trace.segments trace);
+      trace.Trace.segs;
     let buf = Buffer.create (procs * (width + 16)) in
     for p = 0 to procs - 1 do
       Buffer.add_string buf (Printf.sprintf "P%d |" p);
@@ -75,13 +76,7 @@ let render ?(width = 100) (trace : Trace.t) ~procs =
           if !best < 0 || !best_t < bucket_w *. 0.05 then ' '
           else if !best = Task.n_classes then '~'
           else
-            let cls =
-              List.find
-                (fun c -> Task.cls_priority c = !best)
-                [ Task.Lexor; Task.Splitter; Task.Importer; Task.DefParse; Task.ModParse;
-                  Task.ProcParse; Task.LongGen; Task.ShortGen; Task.Merge; Task.Aux ]
-            in
-            class_char cls
+            class_char (List.nth Task.classes !best)
         in
         Buffer.add_char buf ch
       done;

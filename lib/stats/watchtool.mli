@@ -1,5 +1,6 @@
 (** WatchTool: ASCII rendering of processor activity over time,
-    reproducing the paper's Figures 4 and 7 from a DES trace — one row
+    reproducing the paper's Figures 4 and 7 from the processor activity
+    in a captured event log ({!Mcc_sched.Trace.of_log}) — one row
     per processor, one column per time bucket, painted with the
     character of the busiest task class in the bucket. *)
 

@@ -324,8 +324,8 @@ let test_suite_seed () =
 
 let test_trace_json () =
   let store = Suite.program 0 in
-  let r = Driver.compile store in
-  let json = Mcc_analysis.Trace_json.export ~names:r.Driver.task_index r.Driver.sim.Des_engine.trace in
+  let r = Driver.compile ~capture:true store in
+  let json = Mcc_analysis.Trace_json.export r.Driver.log in
   let contains needle =
     let nl = String.length needle and hl = String.length json in
     let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in
@@ -334,7 +334,10 @@ let test_trace_json () =
   Alcotest.(check bool) "traceEvents" true (contains "\"traceEvents\":[");
   Alcotest.(check bool) "complete events" true (contains "\"ph\":\"X\"");
   Alcotest.(check bool) "thread metadata" true (contains "\"thread_name\"");
-  Alcotest.(check bool) "task names resolved" true (contains "lexor:")
+  Alcotest.(check bool) "task names resolved" true (contains "lexor:");
+  (* every task, bootstrap included, is named by its Task_spawn record *)
+  Alcotest.(check bool) "bootstrap named" true (contains "{\"name\":\"bootstrap\"");
+  Alcotest.(check bool) "no unnamed task" false (contains "{\"name\":\"task#")
 
 let () =
   Alcotest.run "analysis"

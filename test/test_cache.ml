@@ -163,10 +163,10 @@ let test_erroneous_interface_replays_diags () =
 
 (* Task ids vary across runs (global counter); the schedule is compared
    by the engine-assigned (processor, class, interval, kind) segments. *)
-let normalize_trace (sim : Des.result) =
+let normalize_trace (r : Driver.result) =
   List.map
     (fun (s : Trace.seg) -> (s.Trace.proc, s.Trace.cls, s.Trace.t0, s.Trace.t1, s.Trace.kind))
-    (Trace.segments sim.Des.trace)
+    (Trace.of_log r.Driver.log).Trace.segs
 
 let test_warm_runs_deterministic () =
   List.iter
@@ -174,13 +174,13 @@ let test_warm_runs_deterministic () =
       let config = config ~strategy ~procs:5 in
       let cache = Build_cache.create () in
       ignore (Driver.compile ~config ~cache (sample_store ()));
-      let w1 = Driver.compile ~config ~cache (sample_store ()) in
-      let w2 = Driver.compile ~config ~cache (sample_store ()) in
+      let w1 = Driver.compile ~config ~capture:true ~cache (sample_store ()) in
+      let w2 = Driver.compile ~config ~capture:true ~cache (sample_store ()) in
       let tag = Symtab.dky_name strategy in
       Alcotest.(check (float 0.0)) (tag ^ ": same end time") w1.Driver.sim.Des.end_time
         w2.Driver.sim.Des.end_time;
       Alcotest.(check bool) (tag ^ ": identical schedule") true
-        (normalize_trace w1.Driver.sim = normalize_trace w2.Driver.sim))
+        (normalize_trace w1 = normalize_trace w2))
     Symtab.all_concurrent
 
 (* --- Project: incremental whole-program builds --- *)

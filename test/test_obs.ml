@@ -4,7 +4,8 @@
    critical-path attribution on canned logs, the profile report and
    its exporters (Prometheus text, JSON), the
    validators' negative cases, the Chrome trace export and the
-   WatchTool renderer on canned traces, and end-to-end determinism and
+   WatchTool renderer on a canned log, the processor-activity records
+   against the run-units histogram, and end-to-end determinism and
    zero-cost guarantees through the driver. *)
 
 open Mcc_obs
@@ -295,17 +296,22 @@ let test_prom_validate () =
       | Error _ -> ())
     [ "9bad 1\n"; "x{cls=lexor} 1\n"; "x 1 2 3\n"; "x{cls=\"a\" 1\n"; "x notanumber\n" ]
 
-(* --- Chrome trace export and WatchTool on canned inputs --- *)
+(* --- Chrome trace export and WatchTool on a canned log --- *)
 
-let canned_trace () =
-  let tr = Sched.Trace.create () in
-  Sched.Trace.add tr ~proc:0 ~task_id:1 ~cls:Sched.Task.Lexor ~t0:0.0 ~t1:40.0 ~kind:Sched.Trace.Run;
-  Sched.Trace.add tr ~proc:1 ~task_id:2 ~cls:Sched.Task.ShortGen ~t0:10.0 ~t1:50.0
-    ~kind:Sched.Trace.Run;
-  tr
+let canned_log extra =
+  Array.mapi
+    (fun seq (time, kind) -> { Evlog.seq; time; task = -1; kind })
+    (Array.append
+       [|
+         (0.0, Evlog.Task_spawn { task = 1; name = "Lex Main"; cls = "lexor"; gate = -1 });
+         (0.0, Evlog.Task_spawn { task = 2; name = "Gen Main.P"; cls = "shortgen"; gate = -1 });
+         (0.0, Evlog.Busy { proc = 0; task = 1; t0 = 0.0; t1 = 40.0; barrier = false });
+         (10.0, Evlog.Busy { proc = 1; task = 2; t0 = 10.0; t1 = 50.0; barrier = false });
+       |]
+       extra)
 
 let test_trace_json_export () =
-  let s = Trace_json.export ~names:[ (1, "Lex Main"); (2, "Gen Main.P") ] (canned_trace ()) in
+  let s = Trace_json.export (canned_log [||]) in
   (match Json.validate s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "trace export is not valid JSON: %s" e);
@@ -314,22 +320,13 @@ let test_trace_json_export () =
 
 let test_trace_json_instants () =
   let log =
-    [|
-      {
-        Evlog.seq = 0;
-        time = 12.0;
-        task = -1;
-        kind = Evlog.Fault_inject { fault = "crash-at-start"; victim = "Gen Main.P" };
-      };
-      {
-        Evlog.seq = 1;
-        time = 20.0;
-        task = -1;
-        kind = Evlog.Task_retry { task = 2; attempt = 1 };
-      };
-    |]
+    canned_log
+      [|
+        (12.0, Evlog.Fault_inject { fault = "crash-at-start"; victim = "Gen Main.P" });
+        (20.0, Evlog.Task_retry { task = 2; attempt = 1 });
+      |]
   in
-  let s = Trace_json.export ~names:[ (2, "Gen Main.P") ] ~log (canned_trace ()) in
+  let s = Trace_json.export log in
   (match Json.validate s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "trace export with instants is not valid JSON: %s" e);
@@ -337,7 +334,9 @@ let test_trace_json_instants () =
   Alcotest.(check bool) "retry instant present" true (Tutil.contains ~sub:"retry" s)
 
 let test_watchtool_canned () =
-  let tr = canned_trace () in
+  let tr = Sched.Trace.of_log (canned_log [||]) in
+  Alcotest.(check (list (pair int (float 0.0)))) "segments in order" [ (0, 40.0); (1, 50.0) ]
+    (List.map (fun s -> (s.Sched.Trace.proc, s.Sched.Trace.t1)) tr.Sched.Trace.segs);
   let s = Mcc_stats.Watchtool.render tr ~procs:2 in
   let rows =
     List.filter
@@ -348,6 +347,55 @@ let test_watchtool_canned () =
   Alcotest.(check bool) "lexing painted" true (Tutil.contains ~sub:"L" s);
   let summary = Mcc_stats.Watchtool.summary tr ~procs:2 in
   Alcotest.(check bool) "summary has utilization" true (Tutil.contains ~sub:"utilization" summary)
+
+(* --- processor activity against the run-units histogram --- *)
+
+(* The engine observes [mcc_task_run_units] at the points where it
+   emits a Run [Busy] record, so per-class busy time rebuilt from the
+   log must equal the histogram's per-class sum (to rounding: the
+   segments merge before they are summed). *)
+let test_busy_matches_run_units () =
+  let check label config store =
+    let r = Driver.compile ~config ~capture:true ~telemetry:true store in
+    let busy = Sched.Trace.busy_per_class (Sched.Trace.of_log r.Driver.log) in
+    let snap = Option.get r.Driver.telemetry in
+    List.iter
+      (fun cls ->
+        let units =
+          let labels = [ ("cls", Sched.Task.cls_name cls) ] in
+          match Metrics.find snap ~labels "mcc_task_run_units" with
+          | Some { Metrics.s_value = Metrics.VHistogram { h_sum; _ }; _ } -> h_sum
+          | _ -> 0.0
+        in
+        let b = busy.(Sched.Task.cls_priority cls) in
+        if Float.abs (b -. units) > 1e-9 *. Float.max 1.0 units then
+          Alcotest.failf "%s, %s: busy %.6f vs run units %.6f" label (Sched.Task.cls_name cls) b
+            units)
+      Sched.Task.classes;
+    r
+  in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun procs ->
+          ignore
+            (check
+               (Printf.sprintf "program %d on %d" i procs)
+               { Driver.default_config with Driver.procs }
+               (Mcc_synth.Suite.program i)))
+        [ 1; 8 ])
+    [ 2; 7; 19 ];
+  let crashed =
+    check "task-crash@1"
+      {
+        Driver.default_config with
+        Driver.faults = [ Sched.Fault.parse "task-crash@1" ];
+        fault_seed = 1;
+      }
+      (Mcc_synth.Suite.program 1)
+  in
+  Alcotest.(check bool) "the crash plan retried" true
+    (crashed.Driver.robustness.Driver.r_retries > 0)
 
 let () =
   Alcotest.run "obs"
@@ -396,4 +444,6 @@ let () =
         ] );
       ( "watchtool",
         [ Alcotest.test_case "canned trace" `Quick test_watchtool_canned ] );
+      ( "busy",
+        [ Alcotest.test_case "matches run-units histogram" `Quick test_busy_matches_run_units ] );
     ]

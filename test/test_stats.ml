@@ -98,19 +98,20 @@ let test_lookup_stats_merge () =
   Alcotest.(check int) "merged never" 1 (Ls.never a ~kind:Ls.Simple)
 
 let test_watchtool_renders () =
-  let c = Driver.compile ~config:Driver.default_config (small_store ()) in
-  let s = Watchtool.render c.Driver.sim.Mcc_sched.Des_engine.trace ~procs:8 in
+  let c = Driver.compile ~config:Driver.default_config ~capture:true (small_store ()) in
+  let trace = Mcc_sched.Trace.of_log c.Driver.log in
+  let s = Watchtool.render trace ~procs:8 in
   let lines = String.split_on_char '\n' s in
   Alcotest.(check bool) "eight processor rows" true
     (List.length (List.filter (fun l -> String.length l > 2 && l.[0] = 'P') lines) = 8);
   Alcotest.(check bool) "activity shown" true
     (List.exists (fun l -> Tutil.contains ~sub:"L" l || Tutil.contains ~sub:"g" l) lines);
-  let summary = Watchtool.summary c.Driver.sim.Mcc_sched.Des_engine.trace ~procs:8 in
+  let summary = Watchtool.summary trace ~procs:8 in
   Alcotest.(check bool) "summary has utilization" true (Tutil.contains ~sub:"utilization" summary)
 
 let test_trace_utilization_bounds () =
-  let c = Driver.compile ~config:Driver.default_config (small_store ()) in
-  let u = Mcc_sched.Trace.utilization c.Driver.sim.Mcc_sched.Des_engine.trace ~procs:8 in
+  let c = Driver.compile ~config:Driver.default_config ~capture:true (small_store ()) in
+  let u = Mcc_sched.Trace.utilization (Mcc_sched.Trace.of_log c.Driver.log) ~procs:8 in
   Alcotest.(check bool) "0 < u <= 1" true (u > 0.0 && u <= 1.0)
 
 (* The paper's headline qualitative claims, asserted as regression
