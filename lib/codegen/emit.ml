@@ -1237,24 +1237,20 @@ and gen_try env body handlers fin =
 (* Entry point: generate the code unit for one statement part. *)
 
 let local_descriptors (scope : Symtab.t) ~key =
-  List.filter_map
-    (fun (sym : S.t) ->
+  Symtab.select scope (fun (sym : S.t) ->
       match sym.S.skind with
       | S.SVar (S.HLocal slot, ty) ->
           Some (slot, Tydesc.of_ty ~exc_key:(key ^ "#" ^ sym.S.sname) ty)
       | _ -> None)
-    (Symtab.entries scope)
 
 (* Global frame layout for a module-level scope. *)
 let frame_layout (scope : Symtab.t) ~frame_key ~size =
   let slots =
-    List.filter_map
-      (fun (sym : S.t) ->
+    Symtab.select scope (fun (sym : S.t) ->
         match sym.S.skind with
-        | S.SVar (S.HGlobal (fk, slot), ty) when fk = frame_key ->
+        | S.SVar (S.HGlobal (fk, slot), ty) when String.equal fk frame_key ->
             Some (slot, Tydesc.of_ty ~exc_key:(frame_key ^ "#" ^ sym.S.sname) ty)
         | _ -> None)
-      (Symtab.entries scope)
   in
   (frame_key, slots, size)
 

@@ -13,8 +13,14 @@
    - real literals: digits '.' digits [E [+|-] digits];
    - strings in double or single quotes, no escapes, must not span lines.
 
+   Scanning runs on a local cursor over the source string; [t.pos],
+   [t.line] and [t.bol] are stored back once per token (and per newline).
+
    Work accounting: [Costs.lex_char] per character consumed plus
-   [Costs.lex_token] per token produced. *)
+   [Costs.lex_token] per token produced, charged once per token through
+   [Eff.work_units].  Both are one unit, and the lexer performs no other
+   effect, so this is flush-exact with a charge per character: the same
+   [Work] effects at the same points of the token stream. *)
 
 open Mcc_sched
 
@@ -28,97 +34,96 @@ type t = {
 
 let create ~file src = { file; src; pos = 0; line = 1; bol = 0 }
 
-let loc_at t pos = Loc.make ~line:t.line ~col:(pos - t.bol + 1) ~off:pos
-
-let len t = String.length t.src
-let at_end t = t.pos >= len t
-let cur t = if at_end t then '\000' else t.src.[t.pos]
-let peek_at t k = if t.pos + k >= len t then '\000' else t.src.[t.pos + k]
-
-let advance t =
-  if not (at_end t) then begin
-    if t.src.[t.pos] = '\n' then begin
-      t.line <- t.line + 1;
-      t.bol <- t.pos + 1
-    end;
-    t.pos <- t.pos + 1;
-    Eff.work Costs.lex_char
-  end
-
 let is_digit c = c >= '0' && c <= '9'
 let is_oct c = c >= '0' && c <= '7'
 let is_hex c = is_digit c || (c >= 'A' && c <= 'F')
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_alnum c = is_alpha c || is_digit c
 
-(* Skip one (possibly nested) comment whose opener starts at [t.pos].
-   [op]/[cl] distinguish (* *) comments from <* *> pragmas. *)
-let skip_comment t ~op ~cl =
-  let depth = ref 0 in
-  let fin = ref false in
-  while not !fin do
-    if at_end t then fin := true (* unterminated; caller sees Eof next *)
-    else if cur t = op && peek_at t 1 = '*' then begin
-      incr depth;
-      advance t;
-      advance t
-    end
-    else if cur t = '*' && peek_at t 1 = cl then begin
-      decr depth;
-      advance t;
-      advance t;
-      if !depth = 0 then fin := true
-    end
-    else advance t
-  done
+(* The byte at [pos], or NUL past the end. *)
+let at t pos = if pos < String.length t.src then String.unsafe_get t.src pos else '\000'
 
-let rec skip_blank t =
-  let c = cur t in
-  if c = ' ' || c = '\t' || c = '\r' || c = '\n' then begin
-    advance t;
-    skip_blank t
-  end
-  else if c = '(' && peek_at t 1 = '*' then begin
-    skip_comment t ~op:'(' ~cl:')';
-    skip_blank t
-  end
-  else if c = '<' && peek_at t 1 = '*' then begin
-    skip_comment t ~op:'<' ~cl:'>';
-    skip_blank t
-  end
+let newline t pos =
+  t.line <- t.line + 1;
+  t.bol <- pos + 1
 
-let lex_ident_or_kw t =
-  let start = t.pos in
-  while is_alnum (cur t) || cur t = '_' do
-    advance t
-  done;
-  let s = String.sub t.src start (t.pos - start) in
-  match Token.lookup_keyword s with Some k -> Token.Kw k | None -> Token.Ident s
+(* The offset just past the (possibly nested) comment whose opener
+   starts at [pos] (call with [depth] 0), or the end of the source if it
+   is unterminated (the caller then sees Eof).  [op]/[cl] distinguish
+   (* *) comments from <* *> pragmas: only a comment's own opener nests. *)
+let rec skip_comment t pos depth ~op ~cl =
+  if pos >= String.length t.src then pos
+  else
+    let c = String.unsafe_get t.src pos in
+    if c = op && at t (pos + 1) = '*' then skip_comment t (pos + 2) (depth + 1) ~op ~cl
+    else if c = '*' && at t (pos + 1) = cl then
+      if depth = 1 then pos + 2 else skip_comment t (pos + 2) (depth - 1) ~op ~cl
+    else begin
+      if c = '\n' then newline t pos;
+      skip_comment t (pos + 1) depth ~op ~cl
+    end
+
+let rec skip_blank t pos =
+  match at t pos with
+  | ' ' | '\t' | '\r' -> skip_blank t (pos + 1)
+  | '\n' ->
+      newline t pos;
+      skip_blank t (pos + 1)
+  | '(' when at t (pos + 1) = '*' -> skip_blank t (skip_comment t pos 0 ~op:'(' ~cl:')')
+  | '<' when at t (pos + 1) = '*' -> skip_blank t (skip_comment t pos 0 ~op:'<' ~cl:'>')
+  | _ -> pos
+
+let rec skip_while t p pos = if p (at t pos) then skip_while t p (pos + 1) else pos
+
+let rec word_end t pos =
+  let c = at t pos in
+  if is_alnum c || c = '_' then word_end t (pos + 1) else pos
+
+let rec all_caps src pos stop =
+  pos = stop
+  ||
+  let c = String.unsafe_get src pos in
+  c >= 'A' && c <= 'Z' && all_caps src (pos + 1) stop
+
+(* Only an all-capitals word can be reserved. *)
+let lex_word t start =
+  let stop = word_end t start in
+  t.pos <- stop;
+  if all_caps t.src start stop then Token.word t.src start (stop - start)
+  else Token.Ident (String.sub t.src start (stop - start))
 
 (* Numbers: scan the maximal [0-9A-F]* prefix, then classify by suffix
    (H = hex, B = octal, C = char code) or continue into a real literal.
    "1..10" needs care: a '.' followed by another '.' ends the number. *)
-let lex_number t =
-  let start = t.pos in
-  while is_hex (cur t) do
-    advance t
-  done;
-  if cur t = 'H' then begin
-    let digits = String.sub t.src start (t.pos - start) in
-    advance t;
-    match int_of_string_opt ("0x" ^ digits) with
-    | Some n -> Token.IntLit n
-    | None -> Token.Error (Printf.sprintf "bad hexadecimal literal %sH" digits)
-  end
-  else begin
-    let digits = String.sub t.src start (t.pos - start) in
+let rec all_decimal src pos stop = pos = stop || (is_digit src.[pos] && all_decimal src (pos + 1) stop)
+
+let rec decimal src pos stop n =
+  if pos = stop then n else decimal src (pos + 1) stop ((n * 10) + Char.code src.[pos] - Char.code '0')
+
+let lex_number t start =
+  let stop = skip_while t is_hex start in
+  let after = at t stop in
+  let real = after = '.' && at t (stop + 1) <> '.' in
+  t.pos <- stop;
+  (* the common case, a decimal integer of at most 18 digits (it cannot
+     overflow), is read in place *)
+  if stop - start <= 18 && all_decimal t.src start stop && after <> 'H' && not real then
+    Token.IntLit (decimal t.src start stop 0)
+  else
+    let digits = String.sub t.src start (stop - start) in
     let all_dec = String.for_all is_digit digits in
     (* 'B' and 'C' are hex digits *and* the octal/char-code suffixes: with
        no 'H' following, a trailing B/C over octal digits is a suffix *)
-    let body = String.sub digits 0 (max 0 (String.length digits - 1)) in
-    let last = if digits = "" then ' ' else digits.[String.length digits - 1] in
+    let body = String.sub digits 0 (String.length digits - 1) in
+    let last = digits.[String.length digits - 1] in
     let body_oct = body <> "" && String.for_all is_oct body in
-    if last = 'B' && body_oct then begin
+    if after = 'H' then begin
+      t.pos <- stop + 1;
+      match int_of_string_opt ("0x" ^ digits) with
+      | Some n -> Token.IntLit n
+      | None -> Token.Error (Printf.sprintf "bad hexadecimal literal %sH" digits)
+    end
+    else if last = 'B' && body_oct then begin
       match int_of_string_opt ("0o" ^ body) with
       | Some n -> Token.IntLit n
       | None -> Token.Error (Printf.sprintf "bad octal literal %s" digits)
@@ -128,19 +133,16 @@ let lex_number t =
       | Some n when n < 256 -> Token.CharLit (Char.chr n)
       | _ -> Token.Error (Printf.sprintf "bad character code %s" digits)
     end
-    else if cur t = '.' && peek_at t 1 <> '.' && all_dec then begin
-      advance t;
-      while is_digit (cur t) do
-        advance t
-      done;
-      if cur t = 'E' then begin
-        advance t;
-        if cur t = '+' || cur t = '-' then advance t;
-        while is_digit (cur t) do
-          advance t
-        done
-      end;
-      let text = String.sub t.src start (t.pos - start) in
+    else if real && all_dec then begin
+      let pos = skip_while t is_digit (stop + 1) in
+      let pos =
+        if at t pos = 'E' then
+          let pos = pos + 1 in
+          skip_while t is_digit (if at t pos = '+' || at t pos = '-' then pos + 1 else pos)
+        else pos
+      in
+      t.pos <- pos;
+      let text = String.sub t.src start (pos - start) in
       match float_of_string_opt text with
       | Some f -> Token.RealLit f
       | None -> Token.Error (Printf.sprintf "bad real literal %s" text)
@@ -150,76 +152,88 @@ let lex_number t =
       | Some n -> Token.IntLit n
       | None -> Token.Error (Printf.sprintf "integer literal out of range: %s" digits)
     else Token.Error (Printf.sprintf "bad numeric literal %s" digits)
+
+(* A string may not span lines; an unterminated one stops before the
+   newline (or at the end of the source). *)
+let rec string_end t pos quote =
+  if pos >= String.length t.src then pos
+  else
+    let c = String.unsafe_get t.src pos in
+    if c = quote || c = '\n' then pos else string_end t (pos + 1) quote
+
+let lex_string t start quote =
+  let stop = string_end t (start + 1) quote in
+  if stop < String.length t.src && String.unsafe_get t.src stop = quote then begin
+    t.pos <- stop + 1;
+    Token.StrLit (String.sub t.src (start + 1) (stop - start - 1))
+  end
+  else begin
+    t.pos <- stop;
+    Token.Error "unterminated string literal"
   end
 
-let lex_string t quote =
-  advance t;
-  let start = t.pos in
-  while (not (at_end t)) && cur t <> quote && cur t <> '\n' do
-    advance t
-  done;
-  if cur t = quote then begin
-    let s = String.sub t.src start (t.pos - start) in
-    advance t;
-    Token.StrLit s
-  end
-  else Token.Error "unterminated string literal"
+(* A symbol [width] bytes wide.  Every symbol kind passed here is a
+   constant, so returning it allocates nothing. *)
+let sym t pos width k =
+  t.pos <- pos + width;
+  k
 
-let lex_sym t =
-  let c = cur t in
-  let two k =
-    advance t;
-    advance t;
-    Token.Sym k
-  in
-  let one k =
-    advance t;
-    Token.Sym k
-  in
-  match c with
-  | '+' -> one Token.Plus
-  | '-' -> one Token.Minus
-  | '*' -> one Token.Star
-  | '/' -> one Token.Slash
-  | ':' -> if peek_at t 1 = '=' then two Token.Assign else one Token.Colon
-  | '=' -> one Token.Eq
-  | '#' -> one Token.Neq
-  | '<' ->
-      if peek_at t 1 = '=' then two Token.Le
-      else if peek_at t 1 = '>' then two Token.Neq
-      else one Token.Lt
-  | '>' -> if peek_at t 1 = '=' then two Token.Ge else one Token.Gt
-  | '(' -> one Token.Lparen
-  | ')' -> one Token.Rparen
-  | '[' -> one Token.Lbracket
-  | ']' -> one Token.Rbracket
-  | '{' -> one Token.Lbrace
-  | '}' -> one Token.Rbrace
-  | ',' -> one Token.Comma
-  | ';' -> one Token.Semi
-  | '.' -> if peek_at t 1 = '.' then two Token.DotDot else one Token.Dot
-  | '^' -> one Token.Caret
-  | '|' -> one Token.Bar
-  | '&' -> one Token.Amp
-  | '~' -> one Token.Tilde
-  | c ->
-      advance t;
-      Token.Error (Printf.sprintf "unexpected character %C" c)
+let lex_sym t pos =
+  match at t pos with
+  | '+' -> sym t pos 1 (Token.Sym Token.Plus)
+  | '-' -> sym t pos 1 (Token.Sym Token.Minus)
+  | '*' -> sym t pos 1 (Token.Sym Token.Star)
+  | '/' -> sym t pos 1 (Token.Sym Token.Slash)
+  | ':' ->
+      if at t (pos + 1) = '=' then sym t pos 2 (Token.Sym Token.Assign)
+      else sym t pos 1 (Token.Sym Token.Colon)
+  | '=' -> sym t pos 1 (Token.Sym Token.Eq)
+  | '#' -> sym t pos 1 (Token.Sym Token.Neq)
+  | '<' -> (
+      match at t (pos + 1) with
+      | '=' -> sym t pos 2 (Token.Sym Token.Le)
+      | '>' -> sym t pos 2 (Token.Sym Token.Neq)
+      | _ -> sym t pos 1 (Token.Sym Token.Lt))
+  | '>' ->
+      if at t (pos + 1) = '=' then sym t pos 2 (Token.Sym Token.Ge)
+      else sym t pos 1 (Token.Sym Token.Gt)
+  | '(' -> sym t pos 1 (Token.Sym Token.Lparen)
+  | ')' -> sym t pos 1 (Token.Sym Token.Rparen)
+  | '[' -> sym t pos 1 (Token.Sym Token.Lbracket)
+  | ']' -> sym t pos 1 (Token.Sym Token.Rbracket)
+  | '{' -> sym t pos 1 (Token.Sym Token.Lbrace)
+  | '}' -> sym t pos 1 (Token.Sym Token.Rbrace)
+  | ',' -> sym t pos 1 (Token.Sym Token.Comma)
+  | ';' -> sym t pos 1 (Token.Sym Token.Semi)
+  | '.' ->
+      if at t (pos + 1) = '.' then sym t pos 2 (Token.Sym Token.DotDot)
+      else sym t pos 1 (Token.Sym Token.Dot)
+  | '^' -> sym t pos 1 (Token.Sym Token.Caret)
+  | '|' -> sym t pos 1 (Token.Sym Token.Bar)
+  | '&' -> sym t pos 1 (Token.Sym Token.Amp)
+  | '~' -> sym t pos 1 (Token.Sym Token.Tilde)
+  | c -> sym t pos 1 (Token.Error (Printf.sprintf "unexpected character %C" c))
 
 let next t =
-  skip_blank t;
-  let loc = loc_at t t.pos in
-  Eff.work Costs.lex_token;
-  if at_end t then Token.eof loc
-  else
-    let c = cur t in
-    let kind =
-      if is_alpha c then lex_ident_or_kw t
-      else if is_digit c then lex_number t
-      else if c = '"' || c = '\'' then lex_string t c
-      else lex_sym t
-    in
-    Token.make kind loc
+  let start = t.pos in
+  let pos = skip_blank t start in
+  let line = t.line and col = pos - t.bol + 1 in
+  let kind =
+    if pos >= String.length t.src then begin
+      t.pos <- pos;
+      Token.Eof
+    end
+    else
+      let c = String.unsafe_get t.src pos in
+      if is_alpha c then lex_word t pos
+      else if is_digit c then lex_number t pos
+      else if c = '"' || c = '\'' then lex_string t pos c
+      else lex_sym t pos
+  in
+  (* token and location in one allocation *)
+  let tok = { Token.kind; loc = { Loc.line; col; off = pos } } in
+  Eff.work_units (((t.pos - start) * Costs.lex_char) + Costs.lex_token);
+  tok
 
 (* Lex an entire source to a list — used by tests and by the sequential
    compiler's direct pull path. *)

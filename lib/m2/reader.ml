@@ -7,13 +7,38 @@
    fixed lookahead the paper notes is needed to resolve tokens with
    multiple interpretations such as PROCEDURE (§2.1). *)
 
+(* A reader over blocks keeps its current block itself: a token read
+   from it is an array load, with no call to the source. *)
+type source = Fn of (unit -> Token.t) | Blocks of (unit -> Token.t array * int)
+
 type t = {
-  pull : unit -> Token.t;
+  source : source;
+  mutable block : Token.t array; (* tokens [off, len) of it come next *)
+  mutable off : int;
+  mutable len : int;
   mutable buf0 : Token.t option; (* 1-token lookahead *)
   mutable buf1 : Token.t option; (* 2-token lookahead *)
 }
 
-let of_fn pull = { pull; buf0 = None; buf1 = None }
+let make source = { source; block = [||]; off = 0; len = 0; buf0 = None; buf1 = None }
+let of_fn pull = make (Fn pull)
+let of_blocks fetch = make (Blocks fetch)
+
+let pull t =
+  if t.off < t.len then begin
+    let tok = Array.unsafe_get t.block t.off in
+    t.off <- t.off + 1;
+    tok
+  end
+  else
+    match t.source with
+    | Fn f -> f ()
+    | Blocks fetch ->
+        let block, len = fetch () in
+        t.block <- block;
+        t.len <- len;
+        t.off <- 1;
+        block.(0)
 
 (* A reader that pulls the lexer directly (sequential compiler path). *)
 let of_lexer lx = of_fn (fun () -> Lexer.next lx)
@@ -35,13 +60,13 @@ let next t =
       t.buf0 <- t.buf1;
       t.buf1 <- None;
       tok
-  | None -> t.pull ()
+  | None -> pull t
 
 let peek t =
   match t.buf0 with
   | Some tok -> tok
   | None ->
-      let tok = t.pull () in
+      let tok = pull t in
       t.buf0 <- Some tok;
       tok
 
@@ -50,7 +75,7 @@ let peek2 t =
   match t.buf1 with
   | Some tok -> tok
   | None ->
-      let tok = t.pull () in
+      let tok = pull t in
       t.buf1 <- Some tok;
       tok
 

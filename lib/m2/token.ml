@@ -120,12 +120,36 @@ let keywords =
     ("UNTIL", UNTIL); ("VAR", VAR); ("WHILE", WHILE); ("WITH", WITH);
   ]
 
-let keyword_table : (string, kw) Hashtbl.t =
-  let h = Hashtbl.create 64 in
-  List.iter (fun (s, k) -> Hashtbl.add h s k) keywords;
-  h
+(* Reserved words bucketed by length and first letter, each with its
+   one shared [Kw] kind: [word] matches a spelling in place, with no
+   substring, no hashing and no fresh kind for a reserved word. *)
+let max_kw_len = 14 (* IMPLEMENTATION *)
+let bucket len c = (len * 26) + Char.code c - Char.code 'A'
 
-let lookup_keyword s = Hashtbl.find_opt keyword_table s
+let kw_buckets : (string * kind) list array =
+  let b = Array.make (bucket (max_kw_len + 1) 'A') [] in
+  List.iter
+    (fun (s, k) ->
+      let i = bucket (String.length s) s.[0] in
+      b.(i) <- (s, Kw k) :: b.(i))
+    keywords;
+  b
+
+(* [s] is spelled by [src] from [start], given equal lengths. *)
+let rec spelled s src start i =
+  i = String.length s || (s.[i] = src.[start + i] && spelled s src start (i + 1))
+
+let rec find_kw src start len = function
+  | [] -> Ident (String.sub src start len)
+  | (s, k) :: rest -> if spelled s src start 1 then k else find_kw src start len rest
+
+let word src start len =
+  let c = src.[start] in
+  if len > max_kw_len || c < 'A' || c > 'Z' then Ident (String.sub src start len)
+  else find_kw src start len kw_buckets.(bucket len c)
+
+let lookup_keyword s =
+  if s = "" then None else match word s 0 (String.length s) with Kw k -> Some k | _ -> None
 
 let kw_name k =
   match List.find_opt (fun (_, k') -> k' = k) keywords with

@@ -55,6 +55,11 @@ val eof : Loc.t -> t
 val keywords : (string * kw) list
 
 val lookup_keyword : string -> kw option
+
+(** [word src start len] is the kind of the word spelled by the [len]
+    bytes of [src] from [start] (with [len > 0]): the one shared [Kw]
+    kind when it is a reserved word, else a fresh [Ident]. *)
+val word : string -> int -> int -> kind
 val kw_name : kw -> string
 val sym_name : sym -> string
 val kind_to_string : kind -> string

@@ -19,6 +19,15 @@
    A queue may have several independent readers (the main stream feeds
    both the Splitter and the Importer).
 
+   Blocks are filled in place: the producer writes each token into a
+   block-sized array and publishes that very array when it is full (or,
+   partly filled, at close), then starts a fresh one.  A published
+   block is never written again, so readers share it without copying.
+   Every published block holds [block_size] tokens except possibly the
+   last one published at close, whose length is [last_len].  The
+   end-of-stream location (what a reader's Eof carries) is the location
+   of the last token put, read once at close.
+
    The mutex only guards the published-block structure for the real
    domain engine; under the DES the queue is uncontended. *)
 
@@ -29,33 +38,34 @@ type t = {
   name : string;
   block_size : int; (* tokens per published block; the paper's hold 64 *)
   mu : Mutex.t;
-  blocks : Token.t array Vec.t; (* published, completely filled blocks *)
-  mutable current : Token.t list; (* block being filled, reversed *)
+  blocks : Token.t array Vec.t; (* published blocks; all but the last hold [block_size] tokens *)
+  mutable last_len : int; (* tokens in the last published block *)
+  mutable current : Token.t array; (* the block being filled; [||] before its first token *)
   mutable current_n : int;
   mutable closed : bool;
   avail_kind : Event.kind;
+  avail_name : string;
   mutable avail : Event.t; (* signaled when a block is published or the queue closes *)
-  mutable last_loc : Loc.t;
-  mutable total : int; (* total tokens ever enqueued *)
+  mutable eof_loc : Loc.t; (* set at close *)
 }
-
-let fresh_avail kind name = Event.create ~kind (name ^ ".avail")
 
 let create ~block_size ~barrier ~name =
   if block_size < 1 then invalid_arg "Tokq.create: block size must be positive";
   let avail_kind = if barrier then Event.Barrier else Event.Handled in
+  let avail_name = name ^ ".avail" in
   {
     name;
     block_size;
     mu = Mutex.create ();
     blocks = Vec.create [||];
-    current = [];
+    last_len = block_size;
+    current = [||];
     current_n = 0;
     closed = false;
     avail_kind;
-    avail = fresh_avail avail_kind name;
-    last_loc = Loc.none;
-    total = 0;
+    avail_name;
+    avail = Event.create ~kind:avail_kind avail_name;
+    eof_loc = Loc.none;
   }
 
 let sibling t ~name =
@@ -63,72 +73,77 @@ let sibling t ~name =
 
 let publish_current t =
   Eff.work Costs.tokq_block_publish;
-  let arr = Array.of_list (List.rev t.current) in
-  t.current <- [];
+  let block = t.current and n = t.current_n in
+  t.current <- [||];
   t.current_n <- 0;
   Mutex.lock t.mu;
-  Vec.push t.blocks arr;
+  Vec.push t.blocks block;
+  t.last_len <- n;
   let old = t.avail in
-  t.avail <- fresh_avail t.avail_kind t.name;
+  t.avail <- Event.create ~kind:t.avail_kind t.avail_name;
   Mutex.unlock t.mu;
   (* signal outside the mutex: the engine may reschedule inside *)
   Eff.signal old
 
 let put t tok =
   if t.closed then invalid_arg (t.name ^ ": put after close");
-  t.current <- tok :: t.current;
-  t.current_n <- t.current_n + 1;
-  t.last_loc <- tok.Token.loc;
-  t.total <- t.total + 1;
-  if t.current_n >= t.block_size then publish_current t
+  let n = t.current_n in
+  (* a fresh block starts out filled with its first token *)
+  if n = 0 then t.current <- Array.make t.block_size tok
+  else Array.unsafe_set t.current n tok;
+  t.current_n <- n + 1;
+  if n + 1 = t.block_size then publish_current t
+
+let last_token t =
+  if t.current_n > 0 then Some t.current.(t.current_n - 1)
+  else
+    let nb = Vec.length t.blocks in
+    if nb = 0 then None else Some (Vec.get t.blocks (nb - 1)).(t.last_len - 1)
 
 let close t =
   if not t.closed then begin
+    let eof_loc = match last_token t with Some tok -> tok.Token.loc | None -> Loc.none in
     if t.current_n > 0 then publish_current t;
     Mutex.lock t.mu;
+    t.eof_loc <- eof_loc;
     t.closed <- true;
     let old = t.avail in
     Mutex.unlock t.mu;
     Eff.signal old
   end
 
-let total_tokens t = t.total
+let total_tokens t =
+  match Vec.length t.blocks with
+  | 0 -> t.current_n
+  | nb -> ((nb - 1) * t.block_size) + t.last_len + t.current_n
 
 (* ------------------------------------------------------------------ *)
 
-(* A reader cursor.  [read] waits on the queue's availability event when
-   it has consumed every published block and the queue is still open; at
-   end of stream it yields Eof tokens forever. *)
+(* A reader: fetching the next published block waits on the queue's
+   availability event when the reader has every published block and the
+   queue is still open; at end of stream it yields Eof tokens forever. *)
 let reader t =
-  let block = ref 0 in
-  let off = ref 0 in
-  let cache = ref [||] in
-  let rec pull () =
-    if !off < Array.length !cache then begin
-      let tok = (!cache).(!off) in
-      incr off;
-      tok
+  let next_block = ref 0 in
+  let rec fetch () =
+    Mutex.lock t.mu;
+    let nb = Vec.length t.blocks in
+    if !next_block < nb then begin
+      let block = Vec.get t.blocks !next_block in
+      let len = if !next_block = nb - 1 then t.last_len else t.block_size in
+      incr next_block;
+      Mutex.unlock t.mu;
+      Eff.work Costs.tokq_block_fetch;
+      (block, len)
+    end
+    else if t.closed then begin
+      Mutex.unlock t.mu;
+      ([| Token.eof t.eof_loc |], 1)
     end
     else begin
-      Mutex.lock t.mu;
-      if !block < Vec.length t.blocks then begin
-        cache := Vec.get t.blocks !block;
-        incr block;
-        off := 0;
-        Mutex.unlock t.mu;
-        Eff.work Costs.tokq_block_fetch;
-        pull ()
-      end
-      else if t.closed then begin
-        Mutex.unlock t.mu;
-        Token.eof t.last_loc
-      end
-      else begin
-        let ev = t.avail in
-        Mutex.unlock t.mu;
-        Eff.wait ev;
-        pull ()
-      end
+      let ev = t.avail in
+      Mutex.unlock t.mu;
+      Eff.wait ev;
+      fetch ()
     end
   in
-  Reader.of_fn pull
+  Reader.of_blocks fetch

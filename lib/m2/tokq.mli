@@ -7,7 +7,14 @@
     default to handled events ([~barrier:true] restores the paper's
     choice — benchmarked as an ablation).  A queue may have several
     independent readers (the main stream feeds both the Splitter and
-    the Importer). *)
+    the Importer).
+
+    Blocks are filled in place: [put] writes each token into a
+    block-sized array and publishes that array itself when it is full,
+    with no list, reversal or copy, and starts a fresh one.  Readers
+    share published blocks; none is written again.  The end-of-stream
+    location a reader's [Eof] carries is the location of the last token
+    put, taken once at [close]. *)
 
 type t
 
@@ -25,7 +32,8 @@ val sibling : t -> name:string -> t
 val put : t -> Token.t -> unit
 
 (** Publish any partial block and mark the stream ended; readers then
-    see [Eof] tokens forever. *)
+    see [Eof] tokens forever, located at the last token put
+    ({!Loc.none} if there was none). *)
 val close : t -> unit
 
 (** Total tokens ever enqueued. *)

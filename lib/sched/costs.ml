@@ -21,7 +21,10 @@
    processors (the paper's Synth.mod speedup at 2 is 1.99, essentially
    perfect) and ~18%% at 8 (Synth.mod reaches 6.67 of 8). *)
 
-(* --- lexical analysis --- *)
+(* --- lexical analysis ---
+   Both are one unit: the lexer charges a token's characters and the
+   token itself in one [Eff.work_units] call, which is flush-exact
+   against per-character charging only for unit charges. *)
 let lex_char = 1 (* per source character scanned *)
 let lex_token = 1 (* per token constructed *)
 
@@ -42,11 +45,10 @@ let decl_entry = 40 (* per symbol-table entry created *)
 let copy_entry = 18 (* per entry copied parent->child (heading alternative 1) *)
 let placeholder_create = 120
 let symbol_event = 20
-  (* optimistic handling: one DKY event per symbol table entry (paper
-     Â§2.3.3) adds bookkeeping to every declaration *)
-  (* optimistic handling: installing a per-symbol DKY event (paper
-     Â§2.3.3: "the overhead of maintaining so many events outweighs the
-     advantages of the technique") *)
+  (* optimistic handling: installing a per-symbol DKY event adds
+     bookkeeping to every declaration (paper §2.3.3: "the overhead of
+     maintaining so many events outweighs the advantages of the
+     technique") *)
 let sweep_entry = 7
   (* optimistic handling: per entry traversed when a completed table is
      swept for unsignaled placeholder events *)

@@ -56,9 +56,10 @@ type state = {
   waiting : (int, (Task.t * Eff.resumption) list) Hashtbl.t;
   barrier_waiting : (int, (int * float * Task.t * Eff.resumption) list) Hashtbl.t;
   events_seen : (int, Event.t) Hashtbl.t;
-      (* every event that crossed a block or signal site, by id — lets
-         the watchdog and the deadlock report ask whether an id has
-         occurred and name it *)
+      (* every event a task parked on, by id: the watchdog and the
+         deadlock report look up only ids of parked waiters (or of gates,
+         which are named only if a task also parked on them), to ask
+         whether the event has occurred and to name it *)
   attempts : (int, int) Hashtbl.t; (* task id -> injected start-crash count *)
   stalled : (int, int) Hashtbl.t; (* task id -> injected stall count *)
   mutable free : int list; (* sorted ascending *)
@@ -130,7 +131,6 @@ let do_signal st t (ev : Event.t) =
   if not (Event.occurred ev) then begin
     Event.mark ev;
     ev.Event.signal_time <- t;
-    Hashtbl.replace st.events_seen ev.Event.id ev;
     if Evlog.enabled () then Evlog.emit (Evlog.Ev_signal { ev = ev.Event.id; name = ev.Event.name });
     if Metrics.enabled () then Metrics.incr "mcc_sched_signal_total";
     (* release tasks gated on this avoided event *)
@@ -197,9 +197,9 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
       st.failures <- (task.Task.name, e) :: st.failures;
       finish_task st t p task
   | Eff.Blocked (ev, k) ->
-      Hashtbl.replace st.events_seen ev.Event.id ev;
       if Event.occurred ev then handle_step st t p task (Eff.resume k)
       else if ev.Event.kind = Event.Barrier then begin
+        Hashtbl.replace st.events_seen ev.Event.id ev;
         if Evlog.enabled () then
           Evlog.emit
             (Evlog.Ev_block { ev = ev.Event.id; name = ev.Event.name; producer = ev.Event.producer });
@@ -216,6 +216,7 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
             (Evlog.Ev_block { ev = ev.Event.id; name = ev.Event.name; producer = ev.Event.producer });
         if Metrics.enabled () then
           Metrics.incr ~labels:[ ("kind", "handled") ] "mcc_sched_block_total";
+        Hashtbl.replace st.events_seen ev.Event.id ev;
         task.Task.state <- Task.Blocked;
         st.n_blocked <- st.n_blocked + 1;
         st.handled_blocks <- st.handled_blocks + 1;

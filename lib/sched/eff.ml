@@ -69,6 +69,27 @@ let work n =
     if r.acc >= Costs.quantum then flush ()
   end
 
+(* [n] unit charges at once.  A run of [work 1] calls flushes exactly
+   when the accumulator reaches [Costs.quantum] (or at the first call if
+   it already holds more), so fill up to that point, flush, and repeat:
+   the same [Work] effects, at the same points, as [n] calls of [work 1]. *)
+let work_units n =
+  let r = Evlog.run () in
+  if r.accounting && n > 0 && r.acc + n < Costs.quantum then r.acc <- r.acc + n
+  else begin
+    let rem = ref n in
+    while !rem > 0 do
+      let r = Evlog.run () in
+      if r.accounting then begin
+        let take = if r.acc >= Costs.quantum then 1 else Int.min !rem (Costs.quantum - r.acc) in
+        r.acc <- r.acc + take;
+        rem := !rem - take;
+        if r.acc >= Costs.quantum then flush ()
+      end
+      else rem := 0
+    done
+  end
+
 let wait ev =
   if Event.occurred ev then ()
   else begin

@@ -46,6 +46,14 @@ val get_direct_total : unit -> float
 (** Charge [n] work units (batched). *)
 val work : int -> unit
 
+(** [work_units n] charges [n] units flush-exactly: it performs the
+    same [Work] effects, with the same sizes, as [n] calls of [work 1],
+    and leaves the same residue in the accumulator.  A caller that used
+    to charge one unit per step (the lexer, per character) can charge a
+    whole run of steps in one call without moving any virtual time, as
+    long as it performs no other effect in between. *)
+val work_units : int -> unit
+
 (** Flush the accumulator (performs [Work] under an engine). *)
 val flush : unit -> unit
 

@@ -69,11 +69,15 @@ let all : (string * Symbol.t) list =
     entry "ReadInt" (SBuiltin BReadInt);
   ]
 
-let table : (string, Symbol.t) Hashtbl.t =
-  let h = Hashtbl.create 64 in
-  List.iter (fun (n, s) -> Hashtbl.add h n s) all;
+(* Probed on every lookup that misses its starting scope: keyed by
+   string equality, not the polymorphic compare. *)
+module Names = Hashtbl.Make (String)
+
+let table =
+  let h = Names.create 64 in
+  List.iter (fun (n, s) -> Names.add h n s) all;
   h
 
-let find name = Hashtbl.find_opt table name
-let is_builtin name = Hashtbl.mem table name
+let find name = Names.find_opt table name
+let is_builtin name = Names.mem table name
 let count = List.length all

@@ -9,7 +9,6 @@
     enforces it).  The table is immutable and always complete. *)
 
 val all : (string * Symbol.t) list
-val table : (string, Symbol.t) Hashtbl.t
 val find : string -> Symbol.t option
 val is_builtin : string -> bool
 val count : int

@@ -16,78 +16,73 @@ type found_when = FirstTry | Search | AfterDKY
 type scope_class = CSelf | COther | COuter | CWith | CBuiltin
 type completeness = Complete | Incomplete
 
+(* Counters live in one flat array of atomics, indexed by the lookup's
+   (kind, found, scope, completeness) cell, so recording a lookup is one
+   atomic increment: no lock, no hashing, no allocation.  Only the
+   used-slice set, a table of strings, still takes the mutex. *)
+let kind_ix = function Simple -> 0 | Qualified -> 1
+let found_ix = function FirstTry -> 0 | Search -> 1 | AfterDKY -> 2
+let scope_ix = function CSelf -> 0 | COther -> 1 | COuter -> 2 | CWith -> 3 | CBuiltin -> 4
+let compl_ix = function Complete -> 0 | Incomplete -> 1
+
+let cell ~kind ~found ~scope ~compl =
+  (((((kind_ix kind * 3) + found_ix found) * 5) + scope_ix scope) * 2) + compl_ix compl
+
+let per_kind = 3 * 5 * 2
+let n_cells = 2 * per_kind
+
+module Names = Hashtbl.Make (String)
+
 type t = {
-  mu : Mutex.t;
-  counts : (kind * found_when * scope_class * completeness, int) Hashtbl.t;
-  mutable never_simple : int;
-  mutable never_qualified : int;
-  mutable dky_blocks : int; (* lookups that incurred a DKY wait *)
-  mutable duplicate_searches : int; (* skeptical re-searches after a wait *)
-  mutable total_probes : int; (* scope tables probed *)
-  uses : (string, (string, unit) Hashtbl.t) Hashtbl.t;
+  counts : int Atomic.t array; (* by [cell] *)
+  never : int Atomic.t array; (* by [kind_ix] *)
+  dky_blocks : int Atomic.t; (* lookups that incurred a DKY wait *)
+  duplicate_searches : int Atomic.t; (* skeptical re-searches after a wait *)
+  total_probes : int Atomic.t; (* scope tables probed *)
+  mu : Mutex.t; (* guards [uses] *)
+  uses : unit Names.t Names.t;
       (* imported module -> exported names actually looked up there: the
          used-slice set fine-grained invalidation keys on *)
 }
 
+let counters n = Array.init n (fun _ -> Atomic.make 0)
+
 let create () =
   {
+    counts = counters n_cells;
+    never = counters 2;
+    dky_blocks = Atomic.make 0;
+    duplicate_searches = Atomic.make 0;
+    total_probes = Atomic.make 0;
     mu = Mutex.create ();
-    counts = Hashtbl.create 64;
-    never_simple = 0;
-    never_qualified = 0;
-    dky_blocks = 0;
-    duplicate_searches = 0;
-    total_probes = 0;
-    uses = Hashtbl.create 16;
+    uses = Names.create 16;
   }
 
 let lock t = Mutex.lock t.mu
 let unlock t = Mutex.unlock t.mu
 
-let record t ~kind ~found ~scope ~compl =
-  lock t;
-  let key = (kind, found, scope, compl) in
-  Hashtbl.replace t.counts key (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts key));
-  unlock t
-
-let record_never t ~kind =
-  lock t;
-  (match kind with
-  | Simple -> t.never_simple <- t.never_simple + 1
-  | Qualified -> t.never_qualified <- t.never_qualified + 1);
-  unlock t
-
-let record_dky t =
-  lock t;
-  t.dky_blocks <- t.dky_blocks + 1;
-  unlock t
-
-let record_duplicate t =
-  lock t;
-  t.duplicate_searches <- t.duplicate_searches + 1;
-  unlock t
-
-let record_probe t =
-  lock t;
-  t.total_probes <- t.total_probes + 1;
-  unlock t
+let record t ~kind ~found ~scope ~compl = Atomic.incr t.counts.(cell ~kind ~found ~scope ~compl)
+let record_never t ~kind = Atomic.incr t.never.(kind_ix kind)
+let record_dky t = Atomic.incr t.dky_blocks
+let record_duplicate t = Atomic.incr t.duplicate_searches
+let record_probe t = Atomic.incr t.total_probes
 
 let record_use t ~import ~name =
   lock t;
-  (match Hashtbl.find_opt t.uses import with
-  | Some set -> Hashtbl.replace set name ()
+  (match Names.find_opt t.uses import with
+  | Some set -> Names.replace set name ()
   | None ->
-      let set = Hashtbl.create 8 in
-      Hashtbl.replace set name ();
-      Hashtbl.replace t.uses import set);
+      let set = Names.create 8 in
+      Names.replace set name ();
+      Names.replace t.uses import set);
   unlock t
 
 let used_slices t =
   lock t;
   let r =
-    Hashtbl.fold
+    Names.fold
       (fun m set acc ->
-        let names = Hashtbl.fold (fun n () ns -> n :: ns) set [] in
+        let names = Names.fold (fun n () ns -> n :: ns) set [] in
         (m, List.sort compare names) :: acc)
       t.uses []
   in
@@ -96,13 +91,16 @@ let used_slices t =
 
 
 let merge ~into src =
+  let add dst a = ignore (Atomic.fetch_and_add dst (Atomic.get a)) in
+  Array.iteri (fun i a -> add into.counts.(i) a) src.counts;
+  Array.iteri (fun i a -> add into.never.(i) a) src.never;
+  add into.dky_blocks src.dky_blocks;
+  add into.duplicate_searches src.duplicate_searches;
+  add into.total_probes src.total_probes;
   lock src;
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.counts [] in
-  let never_s = src.never_simple and never_q = src.never_qualified and dky = src.dky_blocks in
-  let dup = src.duplicate_searches and probes = src.total_probes in
   let uses =
-    Hashtbl.fold
-      (fun m set acc -> (m, Hashtbl.fold (fun n () ns -> n :: ns) set []) :: acc)
+    Names.fold
+      (fun m set acc -> (m, Names.fold (fun n () ns -> n :: ns) set []) :: acc)
       src.uses []
   in
   unlock src;
@@ -110,37 +108,31 @@ let merge ~into src =
   List.iter
     (fun (m, names) ->
       let set =
-        match Hashtbl.find_opt into.uses m with
+        match Names.find_opt into.uses m with
         | Some s -> s
         | None ->
-            let s = Hashtbl.create 8 in
-            Hashtbl.replace into.uses m s;
+            let s = Names.create 8 in
+            Names.replace into.uses m s;
             s
       in
-      List.iter (fun n -> Hashtbl.replace set n ()) names)
+      List.iter (fun n -> Names.replace set n ()) names)
     uses;
-  List.iter
-    (fun (k, v) ->
-      Hashtbl.replace into.counts k (v + Option.value ~default:0 (Hashtbl.find_opt into.counts k)))
-    entries;
-  into.never_simple <- into.never_simple + never_s;
-  into.never_qualified <- into.never_qualified + never_q;
-  into.dky_blocks <- into.dky_blocks + dky;
-  into.duplicate_searches <- into.duplicate_searches + dup;
-  into.total_probes <- into.total_probes + probes;
   unlock into
 
-let get t ~kind ~found ~scope ~compl =
-  Option.value ~default:0 (Hashtbl.find_opt t.counts (kind, found, scope, compl))
+let get t ~kind ~found ~scope ~compl = Atomic.get t.counts.(cell ~kind ~found ~scope ~compl)
+let never t ~kind = Atomic.get t.never.(kind_ix kind)
+let dky_blocks t = Atomic.get t.dky_blocks
+let duplicate_searches t = Atomic.get t.duplicate_searches
+let total_probes t = Atomic.get t.total_probes
 
-let never t ~kind = match kind with Simple -> t.never_simple | Qualified -> t.never_qualified
-let dky_blocks t = t.dky_blocks
-let duplicate_searches t = t.duplicate_searches
-let total_probes t = t.total_probes
-
+(* A kind's cells are the [per_kind] consecutive ones from its base. *)
 let total t ~kind =
-  Hashtbl.fold (fun (k, _, _, _) v acc -> if k = kind then acc + v else acc) t.counts 0
-  + never t ~kind
+  let base = kind_ix kind * per_kind in
+  let sum = ref (never t ~kind) in
+  for i = base to base + per_kind - 1 do
+    sum := !sum + Atomic.get t.counts.(i)
+  done;
+  !sum
 
 let found_name = function FirstTry -> "First try" | Search -> "Search" | AfterDKY -> "After DKY"
 

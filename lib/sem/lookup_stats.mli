@@ -2,8 +2,10 @@
     Table 2.  Every lookup is classified by identifier kind, how it was
     found, the scope class it was found in, and the completeness of that
     scope at the successful probe; plus never-found, DKY-blockage and
-    duplicate-search counters.  Mutex-protected and mergeable across a
-    whole suite run. *)
+    duplicate-search counters.  Each counter is an atomic in a flat
+    array indexed by its row, so recording takes no lock and hashes
+    nothing; only the used-slice set is mutex-protected.  Mergeable
+    across a whole suite run. *)
 
 type kind = Simple | Qualified
 type found_when = FirstTry | Search | AfterDKY

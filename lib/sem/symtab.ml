@@ -56,12 +56,17 @@ let all_concurrent = [ Avoidance; Pessimistic; Skeptical; Optimistic ]
 
 type kind = KBuiltin | KDef of string | KMain of string | KProc of string
 
+(* Tables keyed by name, compared with [String.equal] rather than the
+   polymorphic compare.  [String.hash] is [Hashtbl.hash] on strings, so
+   buckets, and hence iteration order, are those of a generic table. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
   sid : int;
   kind : kind;
   sname : string; (* [scope_name kind], cached so logging never allocates it *)
   parent : t option;
-  tbl : (string, Symbol.t) Hashtbl.t;
+  tbl : Symbol.t Names.t;
   completion : Event.t;
   mutable complete : bool;
   mutable had_placeholders : bool; (* optimistic handling was used here *)
@@ -79,7 +84,7 @@ let create ?parent kind =
     kind;
     sname;
     parent;
-    tbl = Hashtbl.create 32;
+    tbl = Names.create 32;
     completion = Event.create ~kind:Event.Handled (sname ^ ".complete");
     complete = false;
     had_placeholders = false;
@@ -94,18 +99,29 @@ let set_producer t task_id = Event.set_producer t.completion task_id
 let find_opt t name =
   Mutex.lock t.mu;
   let r =
-    match Hashtbl.find_opt t.tbl name with
+    match Names.find_opt t.tbl name with
     | Some s when not (Symbol.is_placeholder s) -> Some s
     | _ -> None
   in
   Mutex.unlock t.mu;
   r
 
-let entries t =
+(* Declaration order: by offset, then by name.  Names are unique within
+   a table, so the order is total. *)
+let decl_order (a : Symbol.t) (b : Symbol.t) =
+  match Int.compare a.def_off b.def_off with 0 -> String.compare a.sname b.sname | c -> c
+
+let select t f =
   Mutex.lock t.mu;
-  let r = Hashtbl.fold (fun _ s acc -> if Symbol.is_placeholder s then acc else s :: acc) t.tbl [] in
+  let syms = Names.fold (fun _ s acc -> s :: acc) t.tbl [] in
   Mutex.unlock t.mu;
-  List.sort (fun (a : Symbol.t) b -> compare (a.def_off, a.sname) (b.def_off, b.sname)) r
+  List.filter_map
+    (fun s -> if Symbol.is_placeholder s then None else Option.map (fun v -> (s, v)) (f s))
+    syms
+  |> List.sort (fun (a, _) (b, _) -> decl_order a b)
+  |> List.map snd
+
+let entries t = select t Option.some
 
 (* Completing a table: flip the flag, signal the completion event, and
    sweep optimistic placeholders — "when the table is completed, it is
@@ -117,11 +133,13 @@ let mark_complete t =
   let already = t.complete in
   t.complete <- true;
   let pending =
-    Hashtbl.fold
-      (fun _ s acc -> match s.Symbol.skind with Symbol.SPlaceholder ev -> ev :: acc | _ -> acc)
-      t.tbl []
+    if not t.had_placeholders then []
+    else
+      Names.fold
+        (fun _ s acc -> match s.Symbol.skind with Symbol.SPlaceholder ev -> ev :: acc | _ -> acc)
+        t.tbl []
   in
-  let entries_to_sweep = if t.had_placeholders then Hashtbl.length t.tbl else 0 in
+  let entries_to_sweep = if t.had_placeholders then Names.length t.tbl else 0 in
   Mutex.unlock t.mu;
   if not already then begin
     if Evlog.enabled () then Evlog.emit (Evlog.Complete { scope = t.sid; scope_name = t.sname });
@@ -148,21 +166,21 @@ let enter t (sym : Symbol.t) =
   if
     Fault.armed ()
     && (not t.complete)
-    && Hashtbl.length t.tbl > 0
+    && Names.length t.tbl > 0
     && Fault.fires Fault.Early_complete t.sname
   then mark_complete t;
   Mutex.lock t.mu;
   let r =
-    match Hashtbl.find_opt t.tbl sym.sname with
+    match Names.find_opt t.tbl sym.sname with
     | Some existing when Symbol.is_placeholder existing -> (
         match existing.skind with
         | Symbol.SPlaceholder ev ->
-            Hashtbl.replace t.tbl sym.sname sym;
+            Names.replace t.tbl sym.sname sym;
             `Replaced_placeholder ev
         | _ -> assert false)
     | Some existing -> `Dup existing
     | None ->
-        Hashtbl.replace t.tbl sym.sname sym;
+        Names.replace t.tbl sym.sname sym;
         `Ok
   in
   Mutex.unlock t.mu;
@@ -211,7 +229,7 @@ let probe stats t name ~use_off =
   Mutex.lock t.mu;
   let compl = if t.complete then Ls.Complete else Ls.Incomplete in
   let r =
-    match Hashtbl.find_opt t.tbl name with
+    match Names.find_opt t.tbl name with
     | None -> Absent
     | Some s -> (
         match s.Symbol.skind with
@@ -237,7 +255,7 @@ let placeholder_event t name =
   let r =
     if t.complete then None
     else
-      match Hashtbl.find_opt t.tbl name with
+      match Names.find_opt t.tbl name with
       | Some s -> (
           match s.Symbol.skind with
           | Symbol.SPlaceholder ev -> Some ev
@@ -245,7 +263,7 @@ let placeholder_event t name =
       | None ->
           let ev = Event.create ~kind:Event.Handled ("sym:" ^ name) in
           let ph = Symbol.make ~name ~def_off:(-1) (Symbol.SPlaceholder ev) in
-          Hashtbl.replace t.tbl name ph;
+          Names.replace t.tbl name ph;
           t.had_placeholders <- true;
           Some ev
   in

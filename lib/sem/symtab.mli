@@ -37,12 +37,15 @@ val all_concurrent : dky list
 
 type kind = KBuiltin | KDef of string | KMain of string | KProc of string
 
+(** Name-keyed tables (string equality, not the polymorphic compare). *)
+module Names : Hashtbl.S with type key = string
+
 type t = {
   sid : int;
   kind : kind;
   sname : string;  (** [scope_name kind], cached *)
   parent : t option;
-  tbl : (string, Symbol.t) Hashtbl.t;
+  tbl : Symbol.t Names.t;
   completion : Mcc_sched.Event.t;
   mutable complete : bool;
   mutable had_placeholders : bool;
@@ -65,6 +68,11 @@ val find_opt : t -> string -> Symbol.t option
 
 (** All real entries, sorted by (offset, name) — deterministic. *)
 val entries : t -> Symbol.t list
+
+(** [select t f]: [f]'s image of each real entry it maps to [Some], in
+    the order of {!entries}.  Only the selected entries are sorted, so
+    picking a few entries of a large scope stays cheap. *)
+val select : t -> (Symbol.t -> 'a option) -> 'a list
 
 (** Enter a symbol.  Atomic with respect to search; replaces (and
     signals) an optimistic placeholder of the same name.

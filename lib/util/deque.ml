@@ -60,22 +60,22 @@ let to_list t =
   List.rev !acc
 
 (* Remove the first element satisfying [p]; returns it if present.
-   O(n) — queues are short (tens of tasks). *)
+   In place and allocation-free: the elements after it shift one slot
+   toward the head, keeping their order.  O(n) — queues are short (tens
+   of tasks). *)
 let remove_first t p =
   let cap = Array.length t.data in
-  let found = ref None in
-  let out = ref [] in
-  iter
-    (fun x ->
-      match !found with
-      | None when p x -> found := Some x
-      | _ -> out := x :: !out)
-    t;
-  (match !found with
-  | None -> ()
-  | Some _ ->
-      Array.fill t.data 0 cap t.dummy;
-      t.head <- 0;
-      t.len <- 0;
-      List.iter (push_back t) (List.rev !out));
-  !found
+  let i = ref 0 in
+  while !i < t.len && not (p t.data.((t.head + !i) mod cap)) do
+    incr i
+  done;
+  if !i = t.len then None
+  else begin
+    let x = t.data.((t.head + !i) mod cap) in
+    for j = !i to t.len - 2 do
+      t.data.((t.head + j) mod cap) <- t.data.((t.head + j + 1) mod cap)
+    done;
+    t.data.((t.head + t.len - 1) mod cap) <- t.dummy;
+    t.len <- t.len - 1;
+    Some x
+  end

@@ -16,6 +16,8 @@ val peek_front : 'a t -> 'a option
 val iter : ('a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
 
-(** Remove and return the first element satisfying the predicate.
-    O(n); the Supervisor's queues hold at most tens of tasks. *)
+(** Remove and return the first element satisfying the predicate,
+    shifting the later elements in place (order kept, nothing
+    allocated but the result).  O(n); the Supervisor's queues hold at
+    most tens of tasks. *)
 val remove_first : 'a t -> ('a -> bool) -> 'a option

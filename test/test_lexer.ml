@@ -81,6 +81,28 @@ let test_eof_stable () =
   Alcotest.(check bool) "eof" true (Token.is_eof (Lexer.next lx));
   Alcotest.(check bool) "eof again" true (Token.is_eof (Lexer.next lx))
 
+(* The lexer charges one unit per character consumed and one per token,
+   Eof included: lexing a whole source charges its length plus its token
+   count, comments, blanks and unterminated constructs included. *)
+let test_charges () =
+  List.iter
+    (fun src ->
+      let charged =
+        Mcc_sched.Eff.within Mcc_sched.Eff.Direct (fun () ->
+            let toks = Lexer.all ~file:"t" src in
+            Mcc_sched.Eff.flush ();
+            (List.length toks, Mcc_sched.Eff.get_direct_total ()))
+      in
+      let n, units = charged in
+      Alcotest.(check (float 0.0)) src (float_of_int (String.length src + n)) units)
+    [
+      "";
+      "MODULE Foo; BEGIN x := 1.5E3 + 0FFH END Foo.";
+      "(* a (* nested *) comment *)\n  <* pragma *> 12B 101C 'str' \"s\" #";
+      "a\n\"unterminated\n(* unterminated comment";
+      String.concat " " (List.init 300 (fun i -> Printf.sprintf "x%d := %d;" i i));
+    ]
+
 (* Property: pretty-printing a random token sequence and re-lexing it
    yields the same sequence (tokens that survive printing). *)
 let token_gen =
@@ -125,6 +147,7 @@ let () =
           Alcotest.test_case "symbols" `Quick test_symbols;
           Alcotest.test_case "positions" `Quick test_positions;
           Alcotest.test_case "eof stable" `Quick test_eof_stable;
+          Alcotest.test_case "charges" `Quick test_charges;
         ] );
       ("properties", [ Tutil.qtest prop_roundtrip ]);
     ]

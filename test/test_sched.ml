@@ -532,6 +532,68 @@ let test_direct_mode_accumulates () =
       Eff.flush ();
       Alcotest.(check (float 0.0)) "total" 2000.0 (Eff.get_direct_total ()))
 
+(* [Eff.work_units n] must be indistinguishable from [n] calls of
+   [Eff.work 1]: the lexer charges a token's characters in one call on
+   that promise.  Each case starts from an accumulator already holding
+   [acc0] units, with accounting on or off, and [n] ranging over several
+   quanta. *)
+let unit_charges n =
+  for _ = 1 to n do
+    Eff.work 1
+  done
+
+(* The [Worked] sizes a body yields under [Eff.start], then its
+   [Finished] residue. *)
+let engine_steps ~accounting body =
+  Eff.within ~accounting Eff.Engine (fun () ->
+      let rec go sizes = function
+        | Eff.Worked (c, k) -> go (c :: sizes) (Eff.resume k)
+        | Eff.Finished residue -> (List.rev sizes, residue)
+        | _ -> Alcotest.fail "a work charge performed a scheduling effect"
+      in
+      go [] (Eff.start body))
+
+(* The direct-mode total before and after the final flush. *)
+let direct_totals ~accounting body =
+  Eff.within ~accounting Eff.Direct (fun () ->
+      body ();
+      let unflushed = Eff.get_direct_total () in
+      Eff.flush ();
+      (unflushed, Eff.get_direct_total ()))
+
+(* Each case checks an arbitrary [n] and one within [off] units of
+   filling a quantum exactly (after [k] more whole quanta), where a
+   flush point is easiest to misplace. *)
+let prop_work_units_flush_exact =
+  QCheck.Test.make ~name:"work_units n = n calls of work 1" ~count:300
+    QCheck.(
+      quad (int_bound (Costs.quantum - 1)) (int_bound ((3 * Costs.quantum) + 17)) (int_range (-2) 2)
+        bool)
+    (fun (acc0, n, off, accounting) ->
+      let same n =
+        let batched () =
+          Eff.work acc0;
+          Eff.work_units n
+        and unit () =
+          Eff.work acc0;
+          unit_charges n
+        in
+        engine_steps ~accounting batched = engine_steps ~accounting unit
+        && direct_totals ~accounting batched = direct_totals ~accounting unit
+      in
+      same n && same (max 0 (Costs.quantum - acc0 + off + (n mod 3 * Costs.quantum))))
+
+let test_work_units_spans_quanta () =
+  let sizes, residue = engine_steps ~accounting:true (fun () ->
+      Eff.work 10;
+      Eff.work_units ((2 * Costs.quantum) + 5))
+  in
+  Alcotest.(check (list int)) "two full quanta" [ Costs.quantum; Costs.quantum ] sizes;
+  Alcotest.(check int) "residue" 15 residue;
+  let sizes, residue = engine_steps ~accounting:false (fun () -> Eff.work_units 5000) in
+  Alcotest.(check (list int)) "accounting off: no effects" [] sizes;
+  Alcotest.(check int) "accounting off: no residue" 0 residue
+
 let test_direct_wait_on_unoccurred_raises () =
   let ev = Event.create ~kind:Event.Handled "e" in
   match Eff.wait ev with
@@ -599,5 +661,10 @@ let () =
         [
           Alcotest.test_case "accumulates" `Quick test_direct_mode_accumulates;
           Alcotest.test_case "wait raises" `Quick test_direct_wait_on_unoccurred_raises;
+        ] );
+      ( "work units",
+        [
+          Alcotest.test_case "spans quanta" `Quick test_work_units_spans_quanta;
+          Tutil.qtest prop_work_units_flush_exact;
         ] );
     ]

@@ -104,6 +104,86 @@ let test_barrier_queue_under_des () =
     (match r.Des_engine.outcome with Des_engine.Completed -> true | _ -> false);
   Alcotest.(check int) "tokens read" 300 !n_read
 
+(* Block boundaries.  Token [i] is located at line [i], so a reader's
+   Eof location tells which token was put last. *)
+let tok_at i = Token.make (Token.IntLit i) (Loc.make ~line:i ~col:1 ~off:i)
+
+let filled ?(block_size = 64) n =
+  let q = Tokq.create ~block_size ~barrier:false ~name:"q" in
+  for i = 1 to n do
+    Tokq.put q (tok_at i)
+  done;
+  q
+
+(* Everything up to the first Eof, and that Eof's location; a second
+   read past the end must give Eof at the same place. *)
+let read_all rd =
+  let toks = Reader.drain rd in
+  let eof = Reader.next rd in
+  Alcotest.(check bool) "eof persists" true (Token.is_eof eof);
+  (List.map (fun (t : Token.t) -> t.loc.Loc.line) toks, eof.Token.loc)
+
+let check_stream name ?block_size n =
+  let q = filled ?block_size n in
+  Alcotest.(check int) (name ^ ": total before close") n (Tokq.total_tokens q);
+  Tokq.close q;
+  Alcotest.(check int) (name ^ ": total after close") n (Tokq.total_tokens q);
+  let lines, eof = read_all (Tokq.reader q) in
+  Alcotest.(check (list int)) (name ^ ": tokens") (List.init n (fun i -> i + 1)) lines;
+  let last = if n = 0 then Loc.none else (tok_at n).Token.loc in
+  Alcotest.(check bool) (name ^ ": eof at the last token put") true (eof = last)
+
+let test_block_boundaries () =
+  check_stream "empty" 0;
+  check_stream "one block" 64;
+  check_stream "three blocks" (3 * 64);
+  check_stream "three blocks and 5" ((3 * 64) + 5);
+  check_stream "one short block" 63;
+  check_stream "block size 1" ~block_size:1 7;
+  check_stream "block size 1, empty" ~block_size:1 0
+
+(* Two readers interleaved with the producer, block size 4: each read
+   stays within the blocks published so far, as a reader outside an
+   engine must. *)
+let test_readers_interleaved () =
+  let q = Tokq.create ~block_size:4 ~barrier:false ~name:"q" in
+  let put_range a b =
+    for i = a to b do
+      Tokq.put q (tok_at i)
+    done
+  in
+  let take rd k = List.init k (fun _ -> (Reader.next rd).Token.loc.Loc.line) in
+  let r1 = Tokq.reader q in
+  put_range 1 8;
+  Alcotest.(check int) "total, two blocks" 8 (Tokq.total_tokens q);
+  Alcotest.(check (list int)) "r1 first" [ 1; 2; 3; 4; 5 ] (take r1 5);
+  let r2 = Tokq.reader q in
+  put_range 9 14;
+  Alcotest.(check int) "total, partial block" 14 (Tokq.total_tokens q);
+  Alcotest.(check (list int)) "r2 first" (List.init 12 (fun i -> i + 1)) (take r2 12);
+  Alcotest.(check (list int)) "r1 second" [ 6; 7; 8; 9; 10; 11; 12 ] (take r1 7);
+  put_range 15 15;
+  Tokq.close q;
+  Alcotest.(check int) "total after close" 15 (Tokq.total_tokens q);
+  let rest1, eof1 = read_all r1 and rest2, eof2 = read_all r2 in
+  Alcotest.(check (list int)) "r1 rest" [ 13; 14; 15 ] rest1;
+  Alcotest.(check (list int)) "r2 rest" [ 13; 14; 15 ] rest2;
+  Alcotest.(check bool) "r1 eof at token 15" true (eof1 = (tok_at 15).Token.loc);
+  Alcotest.(check bool) "r2 eof at token 15" true (eof2 = (tok_at 15).Token.loc)
+
+(* Property: any token count and block size delivers every token once,
+   in order, then Eof at the last token put. *)
+let prop_blocks =
+  QCheck.Test.make ~name:"any block size delivers the stream" ~count:200
+    QCheck.(pair (int_bound 300) (int_range 1 70))
+    (fun (n, block_size) ->
+      let q = filled ~block_size n in
+      Tokq.close q;
+      let lines, eof = read_all (Tokq.reader q) in
+      lines = List.init n (fun i -> i + 1)
+      && Tokq.total_tokens q = n
+      && eof = if n = 0 then Loc.none else (tok_at n).Token.loc)
+
 (* Property: any split of puts into chunks, closed at the end, delivers
    exactly the input sequence. *)
 let prop_conservation =
@@ -129,6 +209,12 @@ let () =
         [
           Alcotest.test_case "producer/consumer race" `Quick test_concurrent_producer_consumer;
           Alcotest.test_case "barrier mode" `Quick test_barrier_queue_under_des;
+        ] );
+      ( "blocks",
+        [
+          Alcotest.test_case "boundaries" `Quick test_block_boundaries;
+          Alcotest.test_case "readers interleaved" `Quick test_readers_interleaved;
+          Tutil.qtest prop_blocks;
         ] );
       ("properties", [ Tutil.qtest prop_conservation ]);
     ]

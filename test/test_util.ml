@@ -101,6 +101,60 @@ let test_deque () =
   Alcotest.(check (option int)) "remove_first" (Some 2) (Deque.remove_first d (fun x -> x = 2));
   Alcotest.(check (list int)) "after remove" [ 1 ] (Deque.to_list d)
 
+(* [remove_first] shifts in place: the survivors keep their order and
+   the removed element is gone, wherever it sits in the ring. *)
+let deque_of xs =
+  let d = Deque.create 0 in
+  List.iter (Deque.push_back d) xs;
+  d
+
+let check_removal name d x ~expect =
+  Alcotest.(check (option int)) (name ^ ": result") (Some x) (Deque.remove_first d (fun y -> y = x));
+  Alcotest.(check (list int)) (name ^ ": survivors in order") expect (Deque.to_list d);
+  Alcotest.(check int) (name ^ ": length") (List.length expect) (Deque.length d)
+
+let test_deque_remove_absent () =
+  let d = deque_of [ 1; 2; 3 ] in
+  let absent y = y = 9 in
+  let w0 = Gc.minor_words () in
+  let r = Deque.remove_first d absent in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (option int)) "none" None r;
+  Alcotest.(check (float 0.0)) "allocates nothing" 0.0 words;
+  Alcotest.(check (list int)) "untouched" [ 1; 2; 3 ] (Deque.to_list d);
+  Alcotest.(check (option int)) "empty deque" None (Deque.remove_first (Deque.create 0) absent)
+
+let test_deque_remove_first_elt () =
+  check_removal "first" (deque_of [ 1; 2; 3; 4 ]) 1 ~expect:[ 2; 3; 4 ]
+
+let test_deque_remove_last_elt () =
+  let d = deque_of [ 1; 2; 3; 4 ] in
+  check_removal "last" d 4 ~expect:[ 1; 2; 3 ];
+  (* the freed slot is reusable *)
+  Deque.push_back d 5;
+  Alcotest.(check (list int)) "push after removal" [ 1; 2; 3; 5 ] (Deque.to_list d)
+
+(* 12 pushes and 10 pops leave the head at slot 10 of the initial 16, so
+   the next 10 pushes wrap around the end of the ring. *)
+let test_deque_remove_wrapped () =
+  let d = deque_of (List.init 12 Fun.id) in
+  for _ = 1 to 10 do
+    ignore (Deque.pop_front d)
+  done;
+  List.iter (Deque.push_back d) (List.init 10 (fun i -> 100 + i));
+  let all = [ 10; 11 ] @ List.init 10 (fun i -> 100 + i) in
+  Alcotest.(check (list int)) "wrapped contents" all (Deque.to_list d);
+  (* 107 sits past the wrap; removing it shifts 108 and 109 *)
+  check_removal "past the wrap" d 107 ~expect:(List.filter (fun x -> x <> 107) all);
+  (* 11 sits before the wrap; removing it shifts elements across it *)
+  check_removal "across the wrap" d 11
+    ~expect:(List.filter (fun x -> x <> 107 && x <> 11) all);
+  Deque.push_front d 7;
+  Deque.push_back d 8;
+  Alcotest.(check (list int)) "ends still work"
+    ((7 :: List.filter (fun x -> x <> 107 && x <> 11) all) @ [ 8 ])
+    (Deque.to_list d)
+
 let prop_deque_fifo =
   QCheck.Test.make ~name:"deque push_back/pop_front is FIFO" ~count:200
     QCheck.(list small_int)
@@ -274,6 +328,10 @@ let () =
       ( "deque",
         [
           Alcotest.test_case "basic" `Quick test_deque;
+          Alcotest.test_case "remove absent" `Quick test_deque_remove_absent;
+          Alcotest.test_case "remove first" `Quick test_deque_remove_first_elt;
+          Alcotest.test_case "remove last" `Quick test_deque_remove_last_elt;
+          Alcotest.test_case "remove wrapped" `Quick test_deque_remove_wrapped;
           Tutil.qtest prop_deque_fifo;
           Tutil.qtest prop_deque_model;
         ] );
