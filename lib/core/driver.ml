@@ -585,6 +585,11 @@ let finish_program comp ~entry =
   | Some p -> p
   | None -> Cunit.link ~entry ~frames:[] [] (* deadlock: empty program *)
 
+(* Both engines' diagnostic for a run that ended with tasks stuck. *)
+let deadlock_error comp store stuck =
+  Diag.error comp.diags ~file:(Source_store.main_file store) ~loc:Loc.none
+    (Printf.sprintf "compilation deadlocked (circular imports?): %s" (String.concat "; " stuck))
+
 (* Compile on the deterministic simulated multiprocessor.  The engine
    runs in an observation context of its own (see Mcc_obs.Evlog), so
    nothing it emits reaches an enclosing capture.  [~capture] records
@@ -641,10 +646,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
       (* fault debris, not a circular-import bug: the report is still
          surfaced through [result.deadlock] *)
       ()
-  | Des_engine.Deadlocked stuck ->
-      Diag.error comp.diags ~file:(Source_store.main_file store) ~loc:Loc.none
-        (Printf.sprintf "compilation deadlocked (circular imports?): %s"
-           (String.concat "; " stuck)));
+  | Des_engine.Deadlocked stuck -> deadlock_error comp store stuck);
   let program, diags, ok =
     match seq_result with
     | Some (seq : Seq_driver.result) -> (seq.Seq_driver.program, seq.Seq_driver.diags, seq.Seq_driver.ok)
@@ -733,10 +735,13 @@ let compile_domains ?(config = default_config) ?cache ~domains (store : Source_s
   let m = Source_store.main_name store in
   let comp, init_tasks = prepare config cache store in
   let r = Domain_engine.run ~domains init_tasks in
-  let deadlocked = match r.Domain_engine.outcome with Domain_engine.Deadlocked _ -> true | _ -> false in
-  if deadlocked then
-    Diag.error comp.diags ~file:(Source_store.main_file store) ~loc:Loc.none
-      "compilation deadlocked (circular imports?)";
+  let deadlocked =
+    match r.Domain_engine.outcome with
+    | Domain_engine.Deadlocked stuck ->
+        deadlock_error comp store stuck;
+        true
+    | Domain_engine.Completed -> false
+  in
   List.iter
     (fun (name, e) ->
       Diag.error comp.diags ~file:name ~loc:Loc.none

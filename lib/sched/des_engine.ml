@@ -9,23 +9,24 @@
    deterministic: the agenda breaks ties by insertion order and the free
    processor list is kept sorted.
 
-   Scheduling follows the Supervisors approach (paper §2.3.2): tasks are
-   queued in the Supervisor's class-priority structure; a processor that
-   frees up takes the highest-priority ready task.  A task blocking on a
-   handled event is suspended (its continuation parked on the event) and
-   its processor is given other work, with preference given to the task
-   that will signal the awaited event; barrier waits keep the processor
-   bound, as in the paper's token streams.
+   Scheduling follows the Supervisors approach (paper §2.3.2), through
+   the step interpreter shared with the domain engine ([Interp]): a task
+   blocking on a handled event is suspended and its processor is given
+   other work, with preference given to the task that will signal the
+   awaited event.  What is this engine's own: the agenda and virtual
+   clock, the free processors, barrier waits (which keep the processor
+   bound, as in the paper's token streams), fault injection and the
+   stall watchdog.
 
    Memory-bus contention: a work segment started when [b] processors are
-   busy is stretched by (1 + beta*(b-1)), modelling the Firefly's bus
+   busy is stretched by (1 + beta*(b-1)^2), modelling the Firefly's bus
    saturation (paper §4.1). *)
 
 open Mcc_util
 module Evlog = Mcc_obs.Evlog
 module Metrics = Mcc_obs.Metrics
 
-type outcome = Completed | Deadlocked of string list
+type outcome = Interp.outcome = Completed | Deadlocked of string list
 
 type result = {
   end_time : float; (* virtual work units *)
@@ -51,23 +52,13 @@ type item =
   | Complete of int * Task.t
 
 type state = {
-  sup : Supervisor.t;
+  it : Interp.t;
   agenda : item Heap.t;
-  waiting : (int, (Task.t * Eff.resumption) list) Hashtbl.t;
   barrier_waiting : (int, (int * float * Task.t * Eff.resumption) list) Hashtbl.t;
-  events_seen : (int, Event.t) Hashtbl.t;
-      (* every event a task parked on, by id: the watchdog and the
-         deadlock report look up only ids of parked waiters (or of gates,
-         which are named only if a task also parked on them), to ask
-         whether the event has occurred and to name it *)
   attempts : (int, int) Hashtbl.t; (* task id -> injected start-crash count *)
   stalled : (int, int) Hashtbl.t; (* task id -> injected stall count *)
   mutable free : int list; (* sorted ascending *)
   mutable barrier_count : int;
-  mutable n_blocked : int;
-  mutable n_finished : int;
-  mutable failures : (string * exn) list;
-  mutable handled_blocks : int;
   mutable retries : int;
   mutable quarantined : string list; (* reversed *)
   mutable stalls : int;
@@ -86,13 +77,6 @@ let scale st units =
   let x = float_of_int (b - 1) in
   float_of_int units *. (1.0 +. (st.beta *. x *. x))
 
-let take_free st =
-  match st.free with
-  | [] -> None
-  | p :: rest ->
-      st.free <- rest;
-      Some p
-
 let add_free st p = st.free <- List.sort compare (p :: st.free)
 
 (* Processor [p] ran [task] over [t0, t1] or, [barrier], held it bound
@@ -108,160 +92,114 @@ let schedule_entry st t p entry =
   | Supervisor.Fresh task -> Heap.push st.agenda t' (Start (p, task))
   | Supervisor.Resumed (task, k) -> Heap.push st.agenda t' (Continue (p, task, k))
 
-(* Give ready tasks to free processors at time [t]. *)
+(* Give ready tasks to free processors at time [t], lowest first. *)
 let rec try_assign st t =
-  if st.free <> [] && Supervisor.n_ready st.sup > 0 then begin
-    match take_free st with
-    | None -> ()
-    | Some p -> (
-        match Supervisor.pick st.sup with
-        | Some entry ->
-            schedule_entry st t p entry;
-            try_assign st t
-        | None -> add_free st p)
-  end
+  match st.free with
+  | p :: rest when Supervisor.n_ready st.it.Interp.sup > 0 -> (
+      match Supervisor.pick st.it.Interp.sup with
+      | Some entry ->
+          st.free <- rest;
+          schedule_entry st t p entry;
+          try_assign st t
+      | None -> ())
+  | _ -> ()
 
 (* Processor [p] became free at [t]: give it work or park it. *)
 let release_proc st t p =
-  match Supervisor.pick st.sup with
+  match Supervisor.pick st.it.Interp.sup with
   | Some entry -> schedule_entry st t p entry
   | None -> add_free st p
 
-let do_signal st t (ev : Event.t) =
-  if not (Event.occurred ev) then begin
-    Event.mark ev;
-    ev.Event.signal_time <- t;
-    if Evlog.enabled () then Evlog.emit (Evlog.Ev_signal { ev = ev.Event.id; name = ev.Event.name });
-    if Metrics.enabled () then Metrics.incr "mcc_sched_signal_total";
-    (* release tasks gated on this avoided event *)
-    Supervisor.on_event st.sup ev;
-    (* injected dropped wake: the signal lands (the event is marked, the
-       gate opens) but the handled waiters' wake-ups are lost — they stay
-       parked in [st.waiting] for the stall watchdog to find *)
-    let dropped = Fault.armed () && Fault.fires Fault.Dropped_wake ev.Event.name in
-    if dropped && Evlog.enabled () then
-      Evlog.emit (Evlog.Fault_inject { fault = "dropped-wake"; victim = ev.Event.name });
-    (* wake handled waiters: their continuations go back to the ready
-       structure, at the front of their class *)
-    (match Hashtbl.find_opt st.waiting ev.Event.id with
-    | None -> ()
-    | Some waiters when not dropped ->
-        Hashtbl.remove st.waiting ev.Event.id;
-        List.iter
-          (fun ((task : Task.t), k) ->
-            st.n_blocked <- st.n_blocked - 1;
-            if Evlog.enabled () then
-              Evlog.emit (Evlog.Ev_wake { ev = ev.Event.id; task = task.Task.id });
-            if Metrics.enabled () then Metrics.incr "mcc_sched_wake_total";
-            Supervisor.resume st.sup task k)
-          waiters
-    | Some _ -> ());
-    (* wake barrier waiters on their own (still bound) processors *)
-    (match Hashtbl.find_opt st.barrier_waiting ev.Event.id with
-    | None -> ()
-    | Some waiters ->
-        Hashtbl.remove st.barrier_waiting ev.Event.id;
-        List.iter
-          (fun (p, t_block, (task : Task.t), k) ->
-            st.barrier_count <- st.barrier_count - 1;
-            if Evlog.enabled () then
-              Evlog.emit (Evlog.Ev_wake { ev = ev.Event.id; task = task.Task.id });
-            busy_record p task ~t0:t_block ~t1:t ~barrier:true;
-            Heap.push st.agenda t (Continue (p, task, k)))
-          waiters);
+(* Resume barrier waiters of [ev_id] at [t] on their own (still bound)
+   processors. *)
+let wake_barrier ?(on_wake = ignore) st t ev_id =
+  match Hashtbl.find_opt st.barrier_waiting ev_id with
+  | None -> ()
+  | Some waiters ->
+      Hashtbl.remove st.barrier_waiting ev_id;
+      List.iter
+        (fun (p, t_block, (task : Task.t), k) ->
+          st.barrier_count <- st.barrier_count - 1;
+          on_wake task;
+          if Evlog.enabled () then Evlog.emit (Evlog.Ev_wake { ev = ev_id; task = task.Task.id });
+          busy_record p task ~t0:t_block ~t1:t ~barrier:true;
+          Heap.push st.agenda t (Continue (p, task, k)))
+        waiters
+
+(* An injected dropped wake: the signal lands (the event is marked, the
+   gate opens) but the handled waiters' wake-ups are lost — they stay
+   parked for the stall watchdog to find. *)
+let dropped_wake (ev : Event.t) =
+  Fault.armed ()
+  && Fault.fires Fault.Dropped_wake ev.Event.name
+  && begin
+       if Evlog.enabled () then
+         Evlog.emit (Evlog.Fault_inject { fault = "dropped-wake"; victim = ev.Event.name });
+       true
+     end
+
+let do_signal st t ev =
+  if Interp.signal ~dropped:dropped_wake st.it ev then begin
+    wake_barrier st t ev.Event.id;
     try_assign st t
   end
+
+let finish_task st t p task =
+  Interp.finish st.it task;
+  release_proc st t p
+
+(* [task] runs [units] of work on [p] from [t]; [next] is due when
+   they are done. *)
+let segment st t p (task : Task.t) units next =
+  let dur = scale st units in
+  if Metrics.enabled () then
+    Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
+  busy_record p task ~t0:t ~t1:(t +. dur) ~barrier:false;
+  Heap.push st.agenda (t +. dur) next
 
 (* Drive one task on processor [p] starting from [step] at time [t],
    until it yields to the scheduler. *)
 let rec handle_step st t p (task : Task.t) (step : Eff.step) =
   match step with
   | Eff.Worked (c, k) ->
-      let dur = scale st c in
-      if Metrics.enabled () then begin
-        Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
-        Metrics.gauge_max "mcc_sched_busy_procs_peak" (float_of_int (busy st))
-      end;
-      busy_record p task ~t0:t ~t1:(t +. dur) ~barrier:false;
-      Heap.push st.agenda (t +. dur) (Continue (p, task, k))
+      if Metrics.enabled () then
+        Metrics.gauge_max "mcc_sched_busy_procs_peak" (float_of_int (busy st));
+      segment st t p task c (Continue (p, task, k))
   | Eff.Finished residue ->
-      if residue > 0 then begin
-        let dur = scale st residue in
-        if Metrics.enabled () then
-          Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
-        busy_record p task ~t0:t ~t1:(t +. dur) ~barrier:false;
-        Heap.push st.agenda (t +. dur) (Complete (p, task))
-      end
+      if residue > 0 then segment st t p task residue (Complete (p, task))
       else finish_task st t p task
   | Eff.Failed (e, _bt) ->
-      st.failures <- (task.Task.name, e) :: st.failures;
-      finish_task st t p task
+      Interp.fail st.it task e;
+      release_proc st t p
   | Eff.Blocked (ev, k) ->
       if Event.occurred ev then handle_step st t p task (Eff.resume k)
       else if ev.Event.kind = Event.Barrier then begin
-        Hashtbl.replace st.events_seen ev.Event.id ev;
-        if Evlog.enabled () then
-          Evlog.emit
-            (Evlog.Ev_block { ev = ev.Event.id; name = ev.Event.name; producer = ev.Event.producer });
-        if Metrics.enabled () then
-          Metrics.incr ~labels:[ ("kind", "barrier") ] "mcc_sched_block_total";
-        task.Task.state <- Task.Blocked;
+        Interp.block st.it task ev;
         st.barrier_count <- st.barrier_count + 1;
         let l = Option.value ~default:[] (Hashtbl.find_opt st.barrier_waiting ev.Event.id) in
         Hashtbl.replace st.barrier_waiting ev.Event.id ((p, t, task, k) :: l)
       end
       else begin
-        if Evlog.enabled () then
-          Evlog.emit
-            (Evlog.Ev_block { ev = ev.Event.id; name = ev.Event.name; producer = ev.Event.producer });
-        if Metrics.enabled () then
-          Metrics.incr ~labels:[ ("kind", "handled") ] "mcc_sched_block_total";
-        Hashtbl.replace st.events_seen ev.Event.id ev;
-        task.Task.state <- Task.Blocked;
-        st.n_blocked <- st.n_blocked + 1;
-        st.handled_blocks <- st.handled_blocks + 1;
-        let l = Option.value ~default:[] (Hashtbl.find_opt st.waiting ev.Event.id) in
-        Hashtbl.replace st.waiting ev.Event.id ((task, k) :: l);
-        (* prefer the task that will signal this event (paper §2.3.4) *)
-        Supervisor.prefer st.sup ev.Event.producer;
+        Interp.park st.it task ev k;
         release_proc st t p
       end
   | Eff.Signaled (ev, k) ->
       do_signal st t ev;
       handle_step st t p task (Eff.resume k)
   | Eff.Spawned (task', k) ->
-      if Evlog.enabled () then
-        Evlog.emit
-          (Evlog.Task_spawn
-             {
-               task = task'.Task.id;
-               name = task'.Task.name;
-               cls = Task.cls_name task'.Task.cls;
-               gate = (match task'.Task.gate with Some g -> g.Event.id | None -> -1);
-             });
-      Supervisor.submit st.sup task';
+      Interp.spawn st.it task';
       try_assign st t;
       handle_step st t p task (Eff.resume k)
 
-and finish_task st t p (task : Task.t) =
-  if Evlog.enabled () then Evlog.emit (Evlog.Task_finish { task = task.Task.id });
-  if Metrics.enabled () then
-    Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_finish_total";
-  task.Task.state <- Task.Done;
-  st.n_finished <- st.n_finished + 1;
-  release_proc st t p
-
-(* Retries exhausted (or a resume-point crash, where partial effects
-   make a re-run unsafe): permanently fail the task.  It still counts as
-   finished so the engine's accounting stays uniform; the driver decides
-   what the lost stream means for the program. *)
-let quarantine st t p (task : Task.t) =
+(* Retries exhausted, or a resume-point crash (where partial effects
+   make a re-run unsafe): the task is permanently failed.  It still
+   counts as finished so the engine's accounting stays uniform; the
+   driver decides what the lost stream means for the program. *)
+let quarantine st (task : Task.t) =
   if Evlog.enabled () then
     Evlog.emit (Evlog.Task_quarantine { task = task.Task.id; name = task.Task.name });
   if Metrics.enabled () then Metrics.incr "mcc_fault_quarantine_total";
-  st.quarantined <- task.Task.name :: st.quarantined;
-  st.failures <- (task.Task.name, Fault.Injected task.Task.name) :: st.failures;
-  finish_task st t p task
+  st.quarantined <- task.Task.name :: st.quarantined
 
 (* Consult the armed fault plan at a Start dispatch.  Returns true when
    the fault consumed this dispatch (the caller skips running the body).
@@ -285,7 +223,11 @@ let inject_at_start st t p (task : Task.t) =
         if Metrics.enabled () then Metrics.incr "mcc_fault_retry_total";
         Heap.push st.agenda (t +. float_of_int Costs.retry_backoff) (Start (p, task))
       end
-      else quarantine st t p task;
+      else begin
+        quarantine st task;
+        Interp.fail st.it task (Fault.Injected name);
+        release_proc st t p
+      end;
       true
     end
     else if count st.stalled < Costs.retry_limit && Fault.fires Fault.Stall ~aux:cls name then begin
@@ -299,48 +241,6 @@ let inject_at_start st t p (task : Task.t) =
     else false
   end
 
-(* Diagnose what everyone is stuck on when the agenda drains with parked
-   tasks remaining: the blocked-task wait graph, with event names and
-   expected producers where known. *)
-let deadlock_report st =
-  let ev_desc ev_id =
-    match Hashtbl.find_opt st.events_seen ev_id with
-    | Some ev ->
-        let prod =
-          if ev.Event.producer >= 0 then Printf.sprintf ", producer task#%d" ev.Event.producer
-          else ""
-        in
-        if ev.Event.name <> "" then Printf.sprintf "event#%d (%s%s)" ev_id ev.Event.name prod
-        else Printf.sprintf "event#%d" ev_id
-    | None -> Printf.sprintf "event#%d" ev_id
-  in
-  let waits =
-    Hashtbl.fold
-      (fun ev_id waiters acc ->
-        List.map
-          (fun ((t : Task.t), _) -> Printf.sprintf "%s waits on %s" t.name (ev_desc ev_id))
-          waiters
-        @ acc)
-      st.waiting []
-  in
-  let bars =
-    Hashtbl.fold
-      (fun ev_id waiters acc ->
-        List.map
-          (fun (_, _, (t : Task.t), _) ->
-            Printf.sprintf "%s barrier-waits on %s" t.name (ev_desc ev_id))
-          waiters
-        @ acc)
-      st.barrier_waiting []
-  in
-  let gates =
-    List.concat_map
-      (fun (ev_id, names) ->
-        List.map (fun n -> Printf.sprintf "%s gated on %s" n (ev_desc ev_id)) names)
-      (Supervisor.gated_events st.sup)
-  in
-  List.sort compare (waits @ bars @ gates)
-
 (* The virtual-time stall watchdog.  Called when the agenda has drained
    with tasks still parked: any parked task whose event has in fact
    occurred lost its wake (an injected dropped wake, or any future bug
@@ -351,67 +251,75 @@ let watchdog_sweep st t =
   if Metrics.enabled () then Metrics.incr "mcc_watchdog_sweep_total";
   let stale tbl =
     Hashtbl.fold
-      (fun ev_id waiters acc ->
-        match Hashtbl.find_opt st.events_seen ev_id with
-        | Some ev when Event.occurred ev -> (ev_id, waiters) :: acc
+      (fun ev_id _ acc ->
+        match Hashtbl.find_opt st.it.Interp.events_seen ev_id with
+        | Some ev when Event.occurred ev -> ev_id :: acc
         | _ -> acc)
       tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.sort compare
   in
   let recovered = ref false in
-  List.iter
-    (fun (ev_id, waiters) ->
-      Hashtbl.remove st.waiting ev_id;
-      st.watchdog_fires <- st.watchdog_fires + 1;
-      List.iter
-        (fun ((task : Task.t), k) ->
-          recovered := true;
-          st.n_blocked <- st.n_blocked - 1;
-          st.recovered_wakes <- st.recovered_wakes + 1;
-          if Evlog.enabled () then begin
-            Evlog.emit (Evlog.Watchdog_fire { ev = ev_id; task = task.Task.id });
-            Evlog.emit (Evlog.Ev_wake { ev = ev_id; task = task.Task.id })
-          end;
-          Supervisor.resume st.sup task k)
-        waiters)
-    (stale st.waiting);
-  List.iter
-    (fun (ev_id, waiters) ->
-      Hashtbl.remove st.barrier_waiting ev_id;
-      st.watchdog_fires <- st.watchdog_fires + 1;
-      List.iter
-        (fun (p, t_block, (task : Task.t), k) ->
-          recovered := true;
-          st.barrier_count <- st.barrier_count - 1;
-          st.recovered_wakes <- st.recovered_wakes + 1;
-          if Evlog.enabled () then begin
-            Evlog.emit (Evlog.Watchdog_fire { ev = ev_id; task = task.Task.id });
-            Evlog.emit (Evlog.Ev_wake { ev = ev_id; task = task.Task.id })
-          end;
-          busy_record p task ~t0:t_block ~t1:t ~barrier:true;
-          Heap.push st.agenda t (Continue (p, task, k)))
-        waiters)
-    (stale st.barrier_waiting);
+  let redeliver wake ev_id =
+    st.watchdog_fires <- st.watchdog_fires + 1;
+    wake
+      (fun (task : Task.t) ->
+        recovered := true;
+        st.recovered_wakes <- st.recovered_wakes + 1;
+        if Evlog.enabled () then
+          Evlog.emit (Evlog.Watchdog_fire { ev = ev_id; task = task.Task.id }))
+      ev_id
+  in
+  List.iter (redeliver (fun on_wake -> Interp.wake ~on_wake st.it)) (stale st.it.Interp.waiting);
+  List.iter (redeliver (fun on_wake -> wake_barrier ~on_wake st t)) (stale st.barrier_waiting);
   if !recovered then try_assign st t;
   !recovered
+
+(* Run agenda item [item] at time [t]. *)
+let dispatch st t item =
+  let logging = Evlog.enabled () in
+  let (Start (_, task) | Continue (_, task, _) | Complete (_, task)) = item in
+  if Metrics.enabled () then
+    Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_sched_dispatch_total";
+  match item with
+  | Start (p, task) ->
+      if not (inject_at_start st t p task) then begin
+        if logging then begin
+          Evlog.set_task task.Task.id;
+          Evlog.emit (Evlog.Task_start { task = task.Task.id })
+        end;
+        task.Task.state <- Task.Running;
+        handle_step st t p task (Eff.start task.Task.body)
+      end
+  | Continue (p, task, k) ->
+      if logging then Evlog.set_task task.Task.id;
+      if
+        Fault.armed ()
+        && Fault.fires Fault.Task_crash ~aux:(Task.cls_name task.Task.cls) task.Task.name
+      then begin
+        (* crash at a resume point: the body already ran partway (it may
+           have published symbols), so a re-run is unsafe — quarantine
+           via an injected abort *)
+        if logging then
+          Evlog.emit (Evlog.Fault_inject { fault = "task-crash"; victim = task.Task.name });
+        quarantine st task;
+        handle_step st t p task (Eff.discontinue k (Fault.Injected task.Task.name))
+      end
+      else handle_step st t p task (Eff.resume k)
+  | Complete (p, task) ->
+      if logging then Evlog.set_task task.Task.id;
+      finish_task st t p task
 
 let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
   if procs < 1 then invalid_arg "Des_engine.run: need at least one processor";
   let st =
     {
-      sup = Supervisor.create ~fifo ?perturb:(Option.map Prng.create perturb) ();
+      it = Interp.create (Supervisor.create ~fifo ?perturb:(Option.map Prng.create perturb) ());
       agenda = Heap.create dummy_item;
-      waiting = Hashtbl.create 64;
       barrier_waiting = Hashtbl.create 64;
-      events_seen = Hashtbl.create 64;
       attempts = Hashtbl.create 8;
       stalled = Hashtbl.create 8;
       free = List.init procs Fun.id;
       barrier_count = 0;
-      n_blocked = 0;
-      n_finished = 0;
-      failures = [];
-      handled_blocks = 0;
       retries = 0;
       quarantined = [];
       stalls = 0;
@@ -424,21 +332,8 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
   Eff.within Eff.Engine (fun () ->
       let fired0 = Fault.fired () in
       let logging = Evlog.enabled () in
-      if logging then begin
-        Evlog.set_time 0.0;
-        List.iter
-          (fun (task : Task.t) ->
-            Evlog.emit
-              (Evlog.Task_spawn
-                 {
-                   task = task.Task.id;
-                   name = task.Task.name;
-                   cls = Task.cls_name task.Task.cls;
-                   gate = (match task.Task.gate with Some g -> g.Event.id | None -> -1);
-                 }))
-          tasks
-      end;
-      List.iter (Supervisor.submit st.sup) tasks;
+      if logging then Evlog.set_time 0.0;
+      List.iter (Interp.spawn st.it) tasks;
       try_assign st 0.0;
       let last_t = ref 0.0 in
       let rec loop () =
@@ -447,50 +342,7 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
         | Some (t, item) ->
             last_t := t;
             if logging then Evlog.set_time t;
-            if Metrics.enabled () then
-              Metrics.incr
-                ~labels:
-                  [
-                    ( "cls",
-                      Task.cls_name
-                        (match item with
-                        | Start (_, task) | Continue (_, task, _) | Complete (_, task) ->
-                            task.Task.cls) );
-                  ]
-                "mcc_sched_dispatch_total";
-            (match item with
-            | Start (p, task) ->
-                if inject_at_start st t p task then ()
-                else begin
-                  if logging then begin
-                    Evlog.set_task task.Task.id;
-                    Evlog.emit (Evlog.Task_start { task = task.Task.id })
-                  end;
-                  task.Task.state <- Task.Running;
-                  handle_step st t p task (Eff.start task.Task.body)
-                end
-            | Continue (p, task, k) ->
-                if logging then Evlog.set_task task.Task.id;
-                if
-                  Fault.armed ()
-                  && Fault.fires Fault.Task_crash ~aux:(Task.cls_name task.Task.cls) task.Task.name
-                then begin
-                  (* crash at a resume point: the body already ran partway
-                     (it may have published symbols), so a re-run is
-                     unsafe — quarantine via an injected abort *)
-                  if logging then
-                    Evlog.emit
-                      (Evlog.Fault_inject { fault = "task-crash"; victim = task.Task.name });
-                  if logging then
-                    Evlog.emit
-                      (Evlog.Task_quarantine { task = task.Task.id; name = task.Task.name });
-                  st.quarantined <- task.Task.name :: st.quarantined;
-                  handle_step st t p task (Eff.discontinue k (Fault.Injected task.Task.name))
-                end
-                else handle_step st t p task (Eff.resume k)
-            | Complete (p, task) ->
-                if logging then Evlog.set_task task.Task.id;
-                finish_task st t p task);
+            dispatch st t item;
             loop ()
       in
       loop ();
@@ -506,17 +358,21 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
         end
       in
       drive ();
-      let stuck = deadlock_report st in
+      let barriers =
+        Hashtbl.fold
+          (fun ev_id waiters acc -> List.map (fun (_, _, task, _) -> (ev_id, task)) waiters @ acc)
+          st.barrier_waiting []
+      in
       (* every segment ends at an agenda time, so the last one is the
          makespan *)
       let end_time = !last_t in
       {
         end_time;
         end_seconds = Costs.to_seconds end_time;
-        outcome = (if stuck = [] then Completed else Deadlocked stuck);
-        tasks_run = st.n_finished;
-        failures = List.rev st.failures;
-        handled_blocks = st.handled_blocks;
+        outcome = Interp.outcome ~barriers st.it;
+        tasks_run = st.it.Interp.n_finished;
+        failures = List.rev st.it.Interp.failures;
+        handled_blocks = st.it.Interp.handled_blocks;
         injected = Fault.fired () - fired0;
         retries = st.retries;
         quarantined = List.rev st.quarantined;

@@ -5,17 +5,15 @@
     for the paper's 8-CVax DEC Firefly.  Deterministic: ties break by
     insertion order, so the same inputs give bit-identical traces.
 
-    Scheduling follows the Supervisors approach (paper §2.3.2): handled
-    waits suspend the task and free the processor (preferring the
-    event's producer next); barrier waits keep the processor bound;
+    Scheduling follows the Supervisors approach (paper §2.3.2), through
+    the step interpreter shared with the domain engine ({!Interp}):
+    handled waits suspend the task and free the processor (preferring
+    the event's producer next); barrier waits keep the processor bound;
     avoided events gate task start.  A work segment started with [b]
     busy processors is stretched by [1 + beta*(b-1)^2] (memory-bus
     saturation, §4.1). *)
 
-type outcome =
-  | Completed
-  | Deadlocked of string list
-      (** descriptions of tasks still parked when the agenda drained *)
+type outcome = Interp.outcome = Completed | Deadlocked of string list
 
 type result = {
   end_time : float;  (** virtual work units *)

@@ -4,9 +4,9 @@
    here on [domains] worker domains sharing one address space, mirroring
    the paper's Topaz lightweight threads on the Firefly.  One worker is
    created per requested processor; workers pull tasks from the shared
-   Supervisor (under a single mutex — task granularity is large enough
-   that the lock is not a bottleneck at the paper's scale of tens of
-   processors).
+   Supervisor and drive the shared step interpreter ([Interp]) under a
+   single mutex — task granularity is large enough that the lock is not
+   a bottleneck at the paper's scale of tens of processors.
 
    A blocked task's continuation is parked on the awaited event and the
    worker takes other work — this is what the paper's Supervisors scheme
@@ -18,7 +18,7 @@
    Work accounting is disabled: real time is real.  [run] returns wall-
    clock seconds. *)
 
-type outcome = Completed | Deadlocked of int (* number of tasks still parked *)
+type outcome = Interp.outcome = Completed | Deadlocked of string list
 
 type result = {
   wall_seconds : float;
@@ -28,89 +28,54 @@ type result = {
 }
 
 type state = {
-  sup : Supervisor.t;
+  it : Interp.t;
   mu : Mutex.t;
   cond : Condition.t;
-  waiting : (int, (Task.t * Eff.resumption) list) Hashtbl.t;
-  mutable n_waiting : int;
   mutable active : int;
   mutable stop : bool;
-  mutable n_finished : int;
-  mutable failures : (string * exn) list;
 }
 
-let signal_locked st (ev : Event.t) =
-  if not (Event.occurred ev) then begin
-    Event.mark ev;
-    Supervisor.on_event st.sup ev;
-    (match Hashtbl.find_opt st.waiting ev.Event.id with
-    | None -> ()
-    | Some waiters ->
-        Hashtbl.remove st.waiting ev.Event.id;
-        List.iter
-          (fun (task, k) ->
-            st.n_waiting <- st.n_waiting - 1;
-            Supervisor.resume st.sup task k)
-          waiters);
-    Condition.broadcast st.cond
-  end
+(* Apply [f] under the lock, then wake idle workers. *)
+let locked st f =
+  Mutex.lock st.mu;
+  let v = f () in
+  Condition.broadcast st.cond;
+  Mutex.unlock st.mu;
+  v
 
 (* Run one task entry to its next suspension point.  Returns when the
    task finished or parked; the worker then loops for more work. *)
 let exec st entry =
+  let leave () = st.active <- st.active - 1 in
   let rec handle (task : Task.t) (step : Eff.step) =
     match step with
     | Eff.Worked (_, k) -> handle task (Eff.resume k)
-    | Eff.Finished _ ->
-        Mutex.lock st.mu;
-        task.Task.state <- Task.Done;
-        st.active <- st.active - 1;
-        st.n_finished <- st.n_finished + 1;
-        Condition.broadcast st.cond;
-        Mutex.unlock st.mu
-    | Eff.Failed (e, _bt) ->
-        Mutex.lock st.mu;
-        task.Task.state <- Task.Done;
-        st.active <- st.active - 1;
-        st.n_finished <- st.n_finished + 1;
-        st.failures <- (task.Task.name, e) :: st.failures;
-        Condition.broadcast st.cond;
-        Mutex.unlock st.mu
+    | Eff.Finished _ -> locked st (fun () -> Interp.finish st.it task; leave ())
+    | Eff.Failed (e, _bt) -> locked st (fun () -> Interp.fail st.it task e; leave ())
     | Eff.Blocked (ev, k) ->
-        Mutex.lock st.mu;
-        if Event.occurred ev then begin
-          Mutex.unlock st.mu;
-          handle task (Eff.resume k)
-        end
-        else begin
-          task.Task.state <- Task.Blocked;
-          let l = Option.value ~default:[] (Hashtbl.find_opt st.waiting ev.Event.id) in
-          Hashtbl.replace st.waiting ev.Event.id ((task, k) :: l);
-          st.n_waiting <- st.n_waiting + 1;
-          Supervisor.prefer st.sup ev.Event.producer;
-          st.active <- st.active - 1;
-          Condition.broadcast st.cond;
-          Mutex.unlock st.mu
-        end
+        (* checked and parked in one step under the lock every signal
+           takes, so no wake falls in between *)
+        let parked =
+          locked st (fun () ->
+              let parked = not (Event.occurred ev) in
+              if parked then begin
+                Interp.park st.it task ev k;
+                leave ()
+              end;
+              parked)
+        in
+        if not parked then handle task (Eff.resume k)
     | Eff.Signaled (ev, k) ->
-        Mutex.lock st.mu;
-        signal_locked st ev;
-        Mutex.unlock st.mu;
+        ignore (locked st (fun () -> Interp.signal st.it ev));
         handle task (Eff.resume k)
     | Eff.Spawned (task', k) ->
-        Mutex.lock st.mu;
-        Supervisor.submit st.sup task';
-        Condition.broadcast st.cond;
-        Mutex.unlock st.mu;
+        locked st (fun () -> Interp.spawn st.it task');
         handle task (Eff.resume k)
   in
+  (Supervisor.entry_task entry).Task.state <- Task.Running;
   match entry with
-  | Supervisor.Fresh task ->
-      task.Task.state <- Task.Running;
-      handle task (Eff.start task.Task.body)
-  | Supervisor.Resumed (task, k) ->
-      task.Task.state <- Task.Running;
-      handle task (Eff.resume k)
+  | Supervisor.Fresh task -> handle task (Eff.start task.Task.body)
+  | Supervisor.Resumed (task, k) -> handle task (Eff.resume k)
 
 let worker st () =
   let rec loop () =
@@ -121,15 +86,15 @@ let worker st () =
         None
       end
       else
-        match Supervisor.pick st.sup with
+        match Supervisor.pick st.it.Interp.sup with
         | Some entry ->
             st.active <- st.active + 1;
             Mutex.unlock st.mu;
             Some entry
         | None ->
             if st.active = 0 then begin
-              (* quiescent: either done or deadlocked (parked tasks whose
-                 events nobody will signal) *)
+              (* quiescent: either done or deadlocked (parked or gated
+                 tasks whose events nobody will signal) *)
               st.stop <- true;
               Condition.broadcast st.cond;
               Mutex.unlock st.mu;
@@ -152,21 +117,17 @@ let run ~domains tasks =
   if domains < 1 then invalid_arg "Domain_engine.run: need at least one domain";
   let st =
     {
-      sup = Supervisor.create ();
+      it = Interp.create (Supervisor.create ());
       mu = Mutex.create ();
       cond = Condition.create ();
-      waiting = Hashtbl.create 64;
-      n_waiting = 0;
       active = 0;
       stop = false;
-      n_finished = 0;
-      failures = [];
     }
   in
   (* a fresh run in an empty context (no domain appends to an enclosing
      log) that charges no work *)
   Eff.within ~obs:(Mcc_obs.Evlog.ctx ()) ~accounting:false Eff.Engine (fun () ->
-      List.iter (Supervisor.submit st.sup) tasks;
+      List.iter (Interp.spawn st.it) tasks;
       let t0 = Unix.gettimeofday () in
       let workers = List.init (domains - 1) (fun _ -> Domain.spawn (worker st)) in
       worker st ();
@@ -174,7 +135,7 @@ let run ~domains tasks =
       let wall = Unix.gettimeofday () -. t0 in
       {
         wall_seconds = wall;
-        outcome = (if st.n_waiting = 0 then Completed else Deadlocked st.n_waiting);
-        tasks_run = st.n_finished;
-        failures = List.rev st.failures;
+        outcome = Interp.outcome st.it;
+        tasks_run = st.it.Interp.n_finished;
+        failures = List.rev st.it.Interp.failures;
       })

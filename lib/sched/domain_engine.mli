@@ -2,16 +2,15 @@
     domains — the analogue of the paper's Topaz threads on the Firefly.
 
     The same effect-based tasks the DES simulates execute here on
-    [domains] workers sharing one Supervisor under a mutex.  A blocked
-    task's continuation parks on the awaited event and the worker takes
-    other work; continuations migrate freely between domains (the
-    capability the paper's Topaz threads lacked).  Each run is a fresh
-    run in an empty observation context with work accounting off —
-    real time is real. *)
+    [domains] workers, which drive the step interpreter shared with the
+    DES ({!Interp}) under one mutex.  A blocked task's continuation
+    parks on the awaited event and the worker takes other work;
+    continuations migrate freely between domains (the capability the
+    paper's Topaz threads lacked).  Each run is a fresh run in an empty
+    observation context with work accounting off — real time is real —
+    so it records nothing yet. *)
 
-type outcome =
-  | Completed
-  | Deadlocked of int  (** number of tasks still parked at quiescence *)
+type outcome = Interp.outcome = Completed | Deadlocked of string list
 
 type result = {
   wall_seconds : float;

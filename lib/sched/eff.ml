@@ -9,8 +9,9 @@
      [Work] as virtual time on a simulated processor and [Wait]/[Signal]
      as scheduler transitions, producing deterministic timings;
    - the shared-memory engine ([Domain_engine]) runs the same tasks on
-     real domains, interpreting [Wait]/[Signal] with mutexes and parked
-     continuations;
+     real domains under one mutex;
+   - both hand [Wait]/[Signal]/[Spawn] steps to the step interpreter
+     they share ([Interp]), which parks and wakes continuations;
    - outside any engine ("direct mode", used by the sequential compiler
      and by unit tests) [work] accumulates into a running total, [signal]
      marks the event, and [wait] insists the event has already occurred —

@@ -2,12 +2,14 @@
 
     Compiler code is direct-style OCaml that occasionally performs one of
     four effects — charge work, wait on an event, signal an event, spawn
-    a task.  An execution engine is an effect handler: the DES interprets
-    [Work] as virtual time on a simulated processor; the domain engine
-    interprets [Wait]/[Signal] with parked continuations on real
-    parallelism; outside any engine ("direct mode", the sequential
-    compiler and unit tests) work accumulates into a running total and
-    waits must already be satisfied.  The accumulator, the total and
+    a task.  An execution engine drives task bodies as {!step}s: the DES
+    interprets [Work] as virtual time on a simulated processor, the
+    domain engine runs on real parallelism, and both hand [Wait],
+    [Signal] and [Spawn] to the step interpreter they share
+    ({!Interp}), which parks and wakes continuations.  Outside any
+    engine ("direct mode", the sequential compiler and unit tests) work
+    accumulates into a running total and waits must already be
+    satisfied.  The accumulator, the total and
     the accounting switch belong to the installed run
     ({!Mcc_obs.Evlog.run}).
 

@@ -15,8 +15,8 @@
      event occurs (token-block availability in the token streams, where
      waits are known to be short and producers never block).
 
-   The event object itself is engine-neutral: engines keep their own
-   waiter queues keyed by [id].  [occurred] is monotonic (false -> true)
+   The event object itself is engine-neutral: the engines' shared step
+   interpreter ([Interp]) keeps the waiter queues, keyed by [id].  [occurred] is monotonic (false -> true)
    and atomic so that the domain engine's lock-free fast-path check is
    well-defined; it is only flipped through an engine (via [Eff.signal])
    or through [mark] in direct (non-engine) execution. *)
@@ -28,7 +28,6 @@ type t = {
   name : string;
   kind : kind;
   occurred_flag : bool Atomic.t;
-  mutable signal_time : float; (* virtual time of signal; -1 until then *)
   mutable producer : int; (* task id expected to signal this event; -1 unknown *)
 }
 
@@ -40,7 +39,6 @@ let create ?(producer = -1) ~kind name =
     name;
     kind;
     occurred_flag = Atomic.make false;
-    signal_time = -1.0;
     producer;
   }
 

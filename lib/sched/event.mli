@@ -3,8 +3,8 @@
     "An event is simply something that either has or has not occurred.
     A task waits on an event if and only if it hasn't occurred."
 
-    Events are engine-neutral data: execution engines keep their own
-    waiter queues keyed by [id].  [occurred] is monotonic and atomic. *)
+    Events are engine-neutral data: the step interpreter both engines
+    share ({!Interp}) keeps the waiter queues, keyed by [id].  [occurred] is monotonic and atomic. *)
 
 (** The paper's three event categories (§2.3.3):
     - [Avoided]: the Supervisor refuses to start a gated task until the
@@ -21,7 +21,6 @@ type t = {
   name : string;
   kind : kind;
   occurred_flag : bool Atomic.t;
-  mutable signal_time : float;  (** virtual signal time (DES only); -1 before *)
   mutable producer : int;  (** id of the task expected to signal; -1 unknown *)
 }
 

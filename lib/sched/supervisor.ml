@@ -13,9 +13,10 @@
    task (if still pending) to the front of its class so that "the task
    whose execution will lead toward the event occurring" runs next.
 
-   The Supervisor is engine-neutral.  The DES engine calls it from a
-   single thread; the domain engine serializes access with an external
-   mutex. *)
+   The Supervisor is engine-neutral: both engines reach it through
+   their shared step interpreter ([Interp]).  The DES engine calls it
+   from a single thread; the domain engine serializes access with an
+   external mutex. *)
 
 open Mcc_util
 module Evlog = Mcc_obs.Evlog

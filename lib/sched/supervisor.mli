@@ -6,8 +6,10 @@
     parked until it occurs.  [prefer] moves a blocked task's resolver to
     the front of its class.
 
-    Engine-neutral and externally synchronized: the DES calls it from one
-    thread; the domain engine serializes access with a mutex. *)
+    Engine-neutral and externally synchronized.  Both engines reach it
+    through the step interpreter they share ({!Interp}), which owns one
+    Supervisor per run; the DES calls it from one thread, the domain
+    engine under a mutex. *)
 
 type entry = Fresh of Task.t | Resumed of Task.t * Eff.resumption
 

@@ -14,7 +14,7 @@ let fingerprint (r : Driver.result) =
   ( Mcc_codegen.Cunit.disassemble r.Driver.program,
     List.map Mcc_m2.Diag.to_string r.Driver.diags )
 
-let compile ?(procs = 8) ?(capture = false) ?cache ?(seed = 1) specs st =
+let compile ?(procs = 8) ?(capture = false) ?telemetry ?cache ?(seed = 1) specs st =
   let config =
     {
       Driver.default_config with
@@ -23,7 +23,7 @@ let compile ?(procs = 8) ?(capture = false) ?cache ?(seed = 1) specs st =
       fault_seed = seed;
     }
   in
-  Driver.compile ~config ~capture ?cache st
+  Driver.compile ~config ~capture ?telemetry ?cache st
 
 let diag_mentions r sub =
   List.exists
@@ -177,6 +177,25 @@ let test_cache_rejects_tampered_artifact () =
       Alcotest.(check bool) "healed probe hits" true
         (Build_cache.find_interface cache ~fp:a.Artifact.a_fingerprint <> None)
 
+(* Both quarantine paths, a crash before the body ran (retries
+   exhausted) and a crash at a resume point, count in the metric. *)
+let test_quarantine_metric_counts_every_task () =
+  let st = Suite.program 1 in
+  let quarantined =
+    List.map
+      (fun seed ->
+        let r = compile ~telemetry:true ~seed [ "task-crash%20" ] st in
+        let n = List.length r.Driver.robustness.Driver.r_quarantined in
+        let snap = Option.get r.Driver.telemetry in
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: metric = quarantined tasks" seed)
+          n
+          (int_of_float (Mcc_obs.Metrics.counter_total snap "mcc_fault_quarantine_total"));
+        n)
+      [ 1; 2; 3; 4; 5 ]
+  in
+  Alcotest.(check bool) "some task was quarantined" true (List.exists (fun n -> n > 0) quarantined)
+
 (* --- determinism --- *)
 
 let test_replay_deterministic () =
@@ -235,6 +254,8 @@ let () =
             test_permanent_crash_sequential_fallback;
           Alcotest.test_case "permanent source error diagnosed" `Quick
             test_permanent_source_error_diagnosed;
+          Alcotest.test_case "quarantine metric counts every task" `Quick
+            test_quarantine_metric_counts_every_task;
         ] );
       ( "cache corruption",
         [

@@ -319,6 +319,58 @@ let test_domain_engine_deadlock () =
   Alcotest.(check bool) "deadlock detected" true
     (match r.Domain_engine.outcome with Domain_engine.Deadlocked _ -> true | _ -> false)
 
+let test_domain_engine_gate_deadlock () =
+  (* a task gated on an avoided event that never occurs never runs, and
+     the engine names it instead of reporting completion *)
+  let gate = Event.create ~kind:Event.Avoided "never" in
+  let ran = Atomic.make false in
+  let r = Domain_engine.run ~domains:2 [ mk ~gate "gated" (fun () -> Atomic.set ran true) ] in
+  Alcotest.(check bool) "never ran" false (Atomic.get ran);
+  Alcotest.(check int) "tasks_run" 0 r.Domain_engine.tasks_run;
+  match r.Domain_engine.outcome with
+  | Domain_engine.Deadlocked reports ->
+      Alcotest.(check bool) "reports the gated task" true
+        (List.exists (Tutil.contains ~sub:"gated gated on") reports)
+  | Domain_engine.Completed -> Alcotest.fail "gated task reported as completed"
+
+let test_domain_engine_failure () =
+  let r =
+    Domain_engine.run ~domains:2 [ mk "boom" (fun () -> failwith "boom"); mk "fine" (fun () -> ()) ]
+  in
+  Alcotest.(check int) "both counted" 2 r.Domain_engine.tasks_run;
+  (match r.Domain_engine.failures with
+  | [ ("boom", Failure _) ] -> ()
+  | _ -> Alcotest.fail "expected exactly the raising task's failure");
+  Alcotest.(check bool) "completed" true
+    (match r.Domain_engine.outcome with Domain_engine.Completed -> true | _ -> false)
+
+let test_domain_engine_barrier () =
+  let ev = Event.create ~kind:Event.Barrier "b" in
+  let got = Atomic.make 0 in
+  let r =
+    Domain_engine.run ~domains:2
+      [
+        mk "waiter" (fun () ->
+            Eff.wait ev;
+            Atomic.incr got);
+        mk "signaler" (fun () -> Eff.signal ev);
+      ]
+  in
+  Alcotest.(check int) "waiter resumed" 1 (Atomic.get got);
+  Alcotest.(check bool) "completed" true
+    (match r.Domain_engine.outcome with Domain_engine.Completed -> true | _ -> false)
+
+let test_domain_engine_spawn () =
+  let child_ran = Atomic.make false in
+  let r =
+    Domain_engine.run ~domains:2
+      [ mk "parent" (fun () -> Eff.spawn (mk "child" (fun () -> Atomic.set child_ran true))) ]
+  in
+  Alcotest.(check bool) "child ran" true (Atomic.get child_ran);
+  Alcotest.(check int) "tasks_run" 2 r.Domain_engine.tasks_run;
+  Alcotest.(check bool) "completed" true
+    (match r.Domain_engine.outcome with Domain_engine.Completed -> true | _ -> false)
+
 (* --- Supervisor unit behaviour: prefer, gated release, perturbation --- *)
 
 let test_supervisor_prefer_moves_to_front () =
@@ -656,6 +708,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_domain_engine_basic;
           Alcotest.test_case "events" `Quick test_domain_engine_events;
           Alcotest.test_case "deadlock" `Quick test_domain_engine_deadlock;
+          Alcotest.test_case "gate deadlock" `Quick test_domain_engine_gate_deadlock;
+          Alcotest.test_case "failure reported" `Quick test_domain_engine_failure;
+          Alcotest.test_case "barrier completes" `Quick test_domain_engine_barrier;
+          Alcotest.test_case "spawn" `Quick test_domain_engine_spawn;
         ] );
       ( "direct mode",
         [
