@@ -218,8 +218,8 @@ let is_missing comp name =
   Mutex.unlock comp.missing_mu;
   r
 
-let new_queue comp ~name =
-  Tokq.create ~block_size:comp.cfg.tokq_block ~barrier:comp.cfg.tokq_barrier ~name
+let new_queue comp ~src ~name =
+  Tokq.create ~src ~block_size:comp.cfg.tokq_block ~barrier:comp.cfg.tokq_barrier ~name
 
 let count_tokens comp q =
   Mutex.lock comp.tasks_mu;
@@ -334,7 +334,7 @@ and spawn_def_stream comp name scope src ~fp =
   Mutex.unlock comp.tasks_mu;
   let file = Source_store.def_file name in
   let frame_key = name ^ "!def" in
-  let q = new_queue comp ~name:("def:" ^ name) in
+  let q = new_queue comp ~src ~name:("def:" ^ name) in
   let lexor =
     Task.create ~cls:Task.Lexor ~name:("lexor:" ^ file) (fun () ->
         let lx = Lexer.create ~file src in
@@ -529,11 +529,12 @@ let prepare config cache (store : Source_store.t) =
         ~strategy:config.strategy ~stats:comp.stats ~registry:comp.registry ~frame_key:m ~path:m
         ~is_module_level:true ~is_def:false
     in
-    let raw_q = new_queue comp ~name:("mod:" ^ m) in
-    let stripped_q = new_queue comp ~name:("mod-stripped:" ^ m) in
+    let main_src = Source_store.main_src store in
+    let raw_q = new_queue comp ~src:main_src ~name:("mod:" ^ m) in
+    let stripped_q = new_queue comp ~src:main_src ~name:("mod-stripped:" ^ m) in
     let lexor =
       Task.create ~cls:Task.Lexor ~name:("lexor:" ^ Source_store.main_file store) (fun () ->
-          let lx = Lexer.create ~file:(Source_store.main_file store) (Source_store.main_src store) in
+          let lx = Lexer.create ~file:(Source_store.main_file store) main_src in
           let rec go () =
             let tok = Lexer.next lx in
             Tokq.put raw_q tok;

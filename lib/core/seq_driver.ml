@@ -121,8 +121,18 @@ let compile (store : Source_store.t) : result =
       in
       P.parse_impl_module mod_ctx p ~expected_name:m;
       (* all declarations of every scope are complete: analyze statements
-         and generate code, then merge by concatenation *)
-      let units = List.rev_map Emit.emit_job comp.jobs in
+         and generate code, then merge by concatenation.  Jobs are emitted
+         newest first, each taken off [comp.jobs] before its emission so
+         that its AST and context can be freed once its unit exists; the
+         units come out in declaration order. *)
+      let rec emit_all units =
+        match comp.jobs with
+        | [] -> units
+        | gj :: rest ->
+            comp.jobs <- rest;
+            emit_all (Emit.emit_job gj :: units)
+      in
+      let units = emit_all [] in
       let program = Cunit.link ~entry:m ~frames:comp.frames units in
       {
         program;

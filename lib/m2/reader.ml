@@ -2,43 +2,20 @@
    Importer and the parsers.
 
    A reader abstracts over where tokens come from — a live token queue
-   fed by a concurrently running Lexor task (concurrent compiler) or the
+   fed by a concurrently running Lexor task (concurrent compiler), whose
+   pull function decodes the queue's packed blocks (see [Tokq]), or the
    lexer pulled directly (sequential compiler) — and provides the small
    fixed lookahead the paper notes is needed to resolve tokens with
    multiple interpretations such as PROCEDURE (§2.1). *)
 
-(* A reader over blocks keeps its current block itself: a token read
-   from it is an array load, with no call to the source. *)
-type source = Fn of (unit -> Token.t) | Blocks of (unit -> Token.t array * int)
-
 type t = {
-  source : source;
-  mutable block : Token.t array; (* tokens [off, len) of it come next *)
-  mutable off : int;
-  mutable len : int;
+  pull : unit -> Token.t;
   mutable buf0 : Token.t option; (* 1-token lookahead *)
   mutable buf1 : Token.t option; (* 2-token lookahead *)
 }
 
-let make source = { source; block = [||]; off = 0; len = 0; buf0 = None; buf1 = None }
-let of_fn pull = make (Fn pull)
-let of_blocks fetch = make (Blocks fetch)
-
-let pull t =
-  if t.off < t.len then begin
-    let tok = Array.unsafe_get t.block t.off in
-    t.off <- t.off + 1;
-    tok
-  end
-  else
-    match t.source with
-    | Fn f -> f ()
-    | Blocks fetch ->
-        let block, len = fetch () in
-        t.block <- block;
-        t.len <- len;
-        t.off <- 1;
-        block.(0)
+let of_fn pull = { pull; buf0 = None; buf1 = None }
+let pull t = t.pull ()
 
 (* A reader that pulls the lexer directly (sequential compiler path). *)
 let of_lexer lx = of_fn (fun () -> Lexer.next lx)

@@ -6,15 +6,10 @@
 
 type t
 
-(** Wrap a pull function ([Eof] tokens forever at end). *)
+(** Wrap a pull function ([Eof] tokens forever at end).  A token
+    queue's reader is one: its function decodes the queue's packed
+    blocks ({!Tokq.reader}). *)
 val of_fn : (unit -> Token.t) -> t
-
-(** A reader over a source of token blocks: [fetch ()] returns the next
-    block and how many tokens of it to read (at least one).  The reader
-    keeps the block and serves tokens from it without calling the source
-    until it is used up.  A source at its end returns an [Eof] block, and
-    keeps returning one. *)
-val of_blocks : (unit -> Token.t array * int) -> t
 
 (** Pull a lexer directly (the sequential compiler's path). *)
 val of_lexer : Lexer.t -> t

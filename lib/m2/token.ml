@@ -120,6 +120,47 @@ let keywords =
     ("UNTIL", UNTIL); ("VAR", VAR); ("WHILE", WHILE); ("WITH", WITH);
   ]
 
+(* Index tables: a token queue stores a [Kw] or [Sym] as an index and
+   reads back the one shared kind at that index.  Reserved words are
+   indexed in [keywords] order, symbols in [symbols] order; both index
+   functions are checked against their tables below. *)
+let kw_index = function
+  | AND -> 0 | ARRAY -> 1 | BEGIN -> 2 | BY -> 3 | CASE -> 4 | CONST -> 5
+  | DEFINITION -> 6 | DIV -> 7 | DO -> 8 | ELSE -> 9 | ELSIF -> 10 | END -> 11
+  | EXCEPT -> 12 | EXIT -> 13 | EXPORT -> 14 | FINALLY -> 15 | FOR -> 16
+  | FROM -> 17 | IF -> 18 | IMPLEMENTATION -> 19 | IMPORT -> 20 | IN -> 21
+  | LOCK -> 22 | LOOP -> 23 | MOD -> 24 | MODULE -> 25 | NOT -> 26 | OF -> 27
+  | OR -> 28 | PASSING -> 29 | POINTER -> 30 | PROCEDURE -> 31 | QUALIFIED -> 32
+  | RAISE -> 33 | RECORD -> 34 | REPEAT -> 35 | RETURN -> 36 | SET -> 37
+  | THEN -> 38 | TO -> 39 | TRY -> 40 | TYPE -> 41 | UNTIL -> 42 | VAR -> 43
+  | WHILE -> 44 | WITH -> 45
+
+let symbols =
+  [
+    Plus; Minus; Star; Slash; Assign; Eq; Neq; Lt; Le; Gt; Ge; Lparen; Rparen;
+    Lbracket; Rbracket; Lbrace; Rbrace; Comma; Semi; Colon; DotDot; Dot; Caret;
+    Bar; Amp; Tilde;
+  ]
+
+let sym_index = function
+  | Plus -> 0 | Minus -> 1 | Star -> 2 | Slash -> 3 | Assign -> 4 | Eq -> 5
+  | Neq -> 6 | Lt -> 7 | Le -> 8 | Gt -> 9 | Ge -> 10 | Lparen -> 11
+  | Rparen -> 12 | Lbracket -> 13 | Rbracket -> 14 | Lbrace -> 15 | Rbrace -> 16
+  | Comma -> 17 | Semi -> 18 | Colon -> 19 | DotDot -> 20 | Dot -> 21
+  | Caret -> 22 | Bar -> 23 | Amp -> 24 | Tilde -> 25
+
+let kw_kinds = Array.of_list (List.map (fun (_, k) -> Kw k) keywords)
+let sym_kinds = Array.of_list (List.map (fun s -> Sym s) symbols)
+
+let () =
+  let check index kinds name =
+    Array.iteri
+      (fun i k -> if index k <> i then failwith ("Token: " ^ name ^ " index table out of order"))
+      kinds
+  in
+  check (function Kw k -> kw_index k | _ -> -1) kw_kinds "reserved-word";
+  check (function Sym s -> sym_index s | _ -> -1) sym_kinds "symbol"
+
 (* Reserved words bucketed by length and first letter, each with its
    one shared [Kw] kind: [word] matches a spelling in place, with no
    substring, no hashing and no fresh kind for a reserved word. *)
@@ -131,7 +172,7 @@ let kw_buckets : (string * kind) list array =
   List.iter
     (fun (s, k) ->
       let i = bucket (String.length s) s.[0] in
-      b.(i) <- (s, Kw k) :: b.(i))
+      b.(i) <- (s, kw_kinds.(kw_index k)) :: b.(i))
     keywords;
   b
 

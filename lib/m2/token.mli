@@ -56,6 +56,18 @@ val keywords : (string * kw) list
 
 val lookup_keyword : string -> kw option
 
+(** All symbols, in declaration order. *)
+val symbols : sym list
+
+(** Index tables for compact token storage: [kw_kinds.(kw_index k)] is
+    the one shared [Kw k] kind, indexed in {!keywords} order, and
+    [sym_kinds.(sym_index s)] the shared [Sym s], in {!symbols} order.
+    Read-only. *)
+val kw_index : kw -> int
+val kw_kinds : kind array
+val sym_index : sym -> int
+val sym_kinds : kind array
+
 (** [word src start len] is the kind of the word spelled by the [len]
     bytes of [src] from [start] (with [len > 0]): the one shared [Kw]
     kind when it is a reserved word, else a fresh [Ident]. *)

@@ -19,14 +19,34 @@
    A queue may have several independent readers (the main stream feeds
    both the Splitter and the Importer).
 
-   Blocks are filled in place: the producer writes each token into a
-   block-sized array and publishes that very array when it is full (or,
-   partly filled, at close), then starts a fresh one.  A published
-   block is never written again, so readers share it without copying.
-   Every published block holds [block_size] tokens except possibly the
-   last one published at close, whose length is [last_len].  The
-   end-of-stream location (what a reader's Eof carries) is the location
-   of the last token put, read once at close.
+   Blocks are packed.  A Lexor runs far ahead of its consumers, so every
+   queued token stays live until the compile ends; a block therefore
+   holds two ints per token instead of a boxed token:
+
+   - a kind code, whose low [tag_bits] bits are a tag and whose high
+     bits a value: a reserved word or a symbol is its index in
+     {!Token.kw_kinds} or {!Token.sym_kinds}; [Eof] has no value;
+     [SplitMark], [IntLit] and [CharLit] carry theirs when it fits; an
+     [Ident] is its length, its text being the slice of the queue's
+     source text at its offset;
+   - a packed location: offset + 1, line and column in [off_bits],
+     [line_bits] and [col_bits] bits.
+
+   Every other token — real, string and error literals, values that do
+   not fit, an identifier whose text is not its source slice, a
+   location that does not pack — goes whole into the block's payload
+   array, and its code is its payload index.  A token read back is
+   structurally equal to the token put.
+
+   The producer fills a block-sized array and publishes that very array
+   when it is full (or, partly filled, at close), with the payload of
+   that block, then starts a fresh one.  A published block and its
+   payload are never written again, so readers (on any domain) share
+   them without copying or locking them.  Every published block holds
+   [block_size] tokens except possibly the last one published at close,
+   whose length is [last_len].  The end-of-stream location (what a
+   reader's Eof carries) is the location of the last token put, read
+   once at close.
 
    The mutex only guards the published-block structure for the real
    domain engine; under the DES the queue is uncontended. *)
@@ -34,13 +54,21 @@
 open Mcc_util
 open Mcc_sched
 
+(* token [i] is coded by [words.(2i)] and located by [words.(2i+1)] *)
+type block = { words : int array; payload : Token.t array }
+
+let no_block = { words = [||]; payload = [||] }
+
 type t = {
   name : string;
+  src : string; (* the source text identifiers are slices of *)
   block_size : int; (* tokens per published block; the paper's hold 64 *)
   mu : Mutex.t;
-  blocks : Token.t array Vec.t; (* published blocks; all but the last hold [block_size] tokens *)
+  blocks : block Vec.t; (* published blocks; all but the last hold [block_size] tokens *)
   mutable last_len : int; (* tokens in the last published block *)
-  mutable current : Token.t array; (* the block being filled; [||] before its first token *)
+  mutable words : int array; (* the block being filled; [||] before its first token *)
+  mutable payload : Token.t list; (* its payload, newest first *)
+  mutable n_payload : int;
   mutable current_n : int;
   mutable closed : bool;
   avail_kind : Event.kind;
@@ -49,17 +77,99 @@ type t = {
   mutable eof_loc : Loc.t; (* set at close *)
 }
 
-let create ~block_size ~barrier ~name =
+(* ------------------------------------------------------------------ *)
+(* Packing *)
+
+let tag_bits = 3
+let tag_kw = 0
+let tag_sym = 1
+let tag_eof = 2
+let tag_split = 3
+let tag_int = 4
+let tag_char = 5
+let tag_ident = 6
+let tag_payload = 7
+
+(* no inline code has the payload tag, so -1 means "no inline code" *)
+let no_code = -1
+let code tag v = (v lsl tag_bits) lor tag
+let fits v = (v lsl tag_bits) asr tag_bits = v
+
+let col_bits = 16
+let line_bits = 20
+let off_bits = 26
+
+(* -1 when the location does not pack; a packed one is never negative *)
+let pack_loc { Loc.line; col; off } =
+  if
+    col >= 0
+    && col < 1 lsl col_bits
+    && line >= 0
+    && line < 1 lsl line_bits
+    && off >= -1
+    && off < (1 lsl off_bits) - 1
+  then ((off + 1) lsl (line_bits + col_bits)) lor (line lsl col_bits) lor col
+  else -1
+
+(* [s] is the slice of [src] at [off] *)
+let is_slice src s off =
+  let len = String.length s in
+  off >= 0
+  && len <= String.length src - off
+  &&
+  let rec eq i =
+    i = len || (String.unsafe_get s i = String.unsafe_get src (off + i) && eq (i + 1))
+  in
+  eq 0
+
+let inline_code t (tok : Token.t) =
+  match tok.kind with
+  | Token.Kw k -> code tag_kw (Token.kw_index k)
+  | Token.Sym s -> code tag_sym (Token.sym_index s)
+  | Token.Eof -> tag_eof
+  | Token.SplitMark n when fits n -> code tag_split n
+  | Token.IntLit n when fits n -> code tag_int n
+  | Token.CharLit c -> code tag_char (Char.code c)
+  | Token.Ident s when is_slice t.src s tok.loc.off -> code tag_ident (String.length s)
+  | _ -> no_code
+
+let get t (b : block) i =
+  let c = Array.unsafe_get b.words (2 * i) in
+  let tag = c land ((1 lsl tag_bits) - 1) and v = c asr tag_bits in
+  if tag = tag_payload then b.payload.(v)
+  else begin
+    let w = Array.unsafe_get b.words ((2 * i) + 1) in
+    let col = w land ((1 lsl col_bits) - 1)
+    and line = (w lsr col_bits) land ((1 lsl line_bits) - 1)
+    and off = (w lsr (line_bits + col_bits)) - 1 in
+    let kind =
+      if tag = tag_kw then Token.kw_kinds.(v)
+      else if tag = tag_sym then Token.sym_kinds.(v)
+      else if tag = tag_ident then Token.Ident (String.sub t.src off v)
+      else if tag = tag_int then Token.IntLit v
+      else if tag = tag_eof then Token.Eof
+      else if tag = tag_split then Token.SplitMark v
+      else Token.CharLit (Char.chr v)
+    in
+    { Token.kind; loc = { Loc.line; col; off } }
+  end
+
+(* ------------------------------------------------------------------ *)
+
+let create ~src ~block_size ~barrier ~name =
   if block_size < 1 then invalid_arg "Tokq.create: block size must be positive";
   let avail_kind = if barrier then Event.Barrier else Event.Handled in
   let avail_name = name ^ ".avail" in
   {
     name;
+    src;
     block_size;
     mu = Mutex.create ();
-    blocks = Vec.create [||];
+    blocks = Vec.create no_block;
     last_len = block_size;
-    current = [||];
+    words = [||];
+    payload = [];
+    n_payload = 0;
     current_n = 0;
     closed = false;
     avail_kind;
@@ -69,12 +179,15 @@ let create ~block_size ~barrier ~name =
   }
 
 let sibling t ~name =
-  create ~block_size:t.block_size ~barrier:(t.avail_kind = Event.Barrier) ~name
+  create ~src:t.src ~block_size:t.block_size ~barrier:(t.avail_kind = Event.Barrier) ~name
 
 let publish_current t =
   Eff.work Costs.tokq_block_publish;
-  let block = t.current and n = t.current_n in
-  t.current <- [||];
+  let block = { words = t.words; payload = Array.of_list (List.rev t.payload) }
+  and n = t.current_n in
+  t.words <- [||];
+  t.payload <- [];
+  t.n_payload <- 0;
   t.current_n <- 0;
   Mutex.lock t.mu;
   Vec.push t.blocks block;
@@ -88,22 +201,29 @@ let publish_current t =
 let put t tok =
   if t.closed then invalid_arg (t.name ^ ": put after close");
   let n = t.current_n in
-  (* a fresh block starts out filled with its first token *)
-  if n = 0 then t.current <- Array.make t.block_size tok
-  else Array.unsafe_set t.current n tok;
+  if n = 0 then t.words <- Array.make (2 * t.block_size) 0;
+  let loc = pack_loc tok.Token.loc in
+  let c = if loc < 0 then no_code else inline_code t tok in
+  if c = no_code then begin
+    Array.unsafe_set t.words (2 * n) (code tag_payload t.n_payload);
+    t.payload <- tok :: t.payload;
+    t.n_payload <- t.n_payload + 1
+  end
+  else begin
+    Array.unsafe_set t.words (2 * n) c;
+    Array.unsafe_set t.words ((2 * n) + 1) loc
+  end;
   t.current_n <- n + 1;
   if n + 1 = t.block_size then publish_current t
 
-let last_token t =
-  if t.current_n > 0 then Some t.current.(t.current_n - 1)
-  else
-    let nb = Vec.length t.blocks in
-    if nb = 0 then None else Some (Vec.get t.blocks (nb - 1)).(t.last_len - 1)
-
 let close t =
   if not t.closed then begin
-    let eof_loc = match last_token t with Some tok -> tok.Token.loc | None -> Loc.none in
     if t.current_n > 0 then publish_current t;
+    let eof_loc =
+      match Vec.length t.blocks with
+      | 0 -> Loc.none
+      | nb -> (get t (Vec.get t.blocks (nb - 1)) (t.last_len - 1)).Token.loc
+    in
     Mutex.lock t.mu;
     t.eof_loc <- eof_loc;
     t.closed <- true;
@@ -119,31 +239,43 @@ let total_tokens t =
 
 (* ------------------------------------------------------------------ *)
 
-(* A reader: fetching the next published block waits on the queue's
-   availability event when the reader has every published block and the
-   queue is still open; at end of stream it yields Eof tokens forever. *)
+(* A reader keeps its current block: a token read from it is decoded in
+   place, with no lock.  Fetching the next published block waits on the
+   queue's availability event when the reader has every published block
+   and the queue is still open; at end of stream it yields Eof tokens
+   forever. *)
+type cursor = { mutable block : block; mutable off : int; mutable len : int; mutable fetched : int }
+
 let reader t =
-  let next_block = ref 0 in
-  let rec fetch () =
-    Mutex.lock t.mu;
-    let nb = Vec.length t.blocks in
-    if !next_block < nb then begin
-      let block = Vec.get t.blocks !next_block in
-      let len = if !next_block = nb - 1 then t.last_len else t.block_size in
-      incr next_block;
-      Mutex.unlock t.mu;
-      Eff.work Costs.tokq_block_fetch;
-      (block, len)
-    end
-    else if t.closed then begin
-      Mutex.unlock t.mu;
-      ([| Token.eof t.eof_loc |], 1)
+  let cur = { block = no_block; off = 0; len = 0; fetched = 0 } in
+  let rec pull () =
+    if cur.off < cur.len then begin
+      let tok = get t cur.block cur.off in
+      cur.off <- cur.off + 1;
+      tok
     end
     else begin
-      let ev = t.avail in
-      Mutex.unlock t.mu;
-      Eff.wait ev;
-      fetch ()
+      Mutex.lock t.mu;
+      let nb = Vec.length t.blocks in
+      if cur.fetched < nb then begin
+        cur.block <- Vec.get t.blocks cur.fetched;
+        cur.len <- (if cur.fetched = nb - 1 then t.last_len else t.block_size);
+        cur.off <- 0;
+        cur.fetched <- cur.fetched + 1;
+        Mutex.unlock t.mu;
+        Eff.work Costs.tokq_block_fetch;
+        pull ()
+      end
+      else if t.closed then begin
+        Mutex.unlock t.mu;
+        Token.eof t.eof_loc
+      end
+      else begin
+        let ev = t.avail in
+        Mutex.unlock t.mu;
+        Eff.wait ev;
+        pull ()
+      end
     end
   in
-  Reader.of_blocks fetch
+  Reader.of_fn pull

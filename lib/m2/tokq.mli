@@ -9,21 +9,31 @@
     independent readers (the main stream feeds both the Splitter and
     the Importer).
 
-    Blocks are filled in place: [put] writes each token into a
-    block-sized array and publishes that array itself when it is full,
-    with no list, reversal or copy, and starts a fresh one.  Readers
-    share published blocks; none is written again.  The end-of-stream
-    location a reader's [Eof] carries is the location of the last token
-    put, taken once at [close]. *)
+    Blocks are packed: two ints per token, a kind code and a location
+    (line, column and offset in one int).  Reserved words, symbols,
+    [Eof], [SplitMark], [CharLit] and [IntLit] are coded inline; an
+    [Ident] is coded as its length and read back as the slice of the
+    queue's source text at its offset.  Any other token, or one whose
+    value, text or location does not fit, is kept whole in the block's
+    payload array.  A token read is structurally equal to the token put.
+
+    [put] fills a block-sized array and publishes that array itself
+    when it is full, and starts a fresh one.  Readers share published
+    blocks and decode a token only when it is pulled; no published
+    block or payload is written again.  The end-of-stream location a
+    reader's [Eof] carries is the location of the last token put, taken
+    once at [close]. *)
 
 type t
 
-(** A queue publishing a block every [block_size] tokens under handled
+(** A queue over the source text [src] (the file its tokens are lexed
+    from), publishing a block every [block_size] tokens under handled
     availability events, or barrier events with [~barrier:true].
     @raise Invalid_argument if [block_size < 1]. *)
-val create : block_size:int -> barrier:bool -> name:string -> t
+val create : src:string -> block_size:int -> barrier:bool -> name:string -> t
 
-(** A fresh queue with [t]'s block size and availability-event kind. *)
+(** A fresh queue with [t]'s source text, block size and
+    availability-event kind. *)
 val sibling : t -> name:string -> t
 
 (** Append a token; publishes a block (and signals its event) every

@@ -10,10 +10,12 @@ type 'a t = {
   mutable data : 'a entry array;
   mutable len : int;
   mutable next_seq : int;
-  dummy : 'a;
+  vacant : 'a entry; (* fills unused slots; shared, so a pop allocates none *)
 }
 
-let create dummy = { data = Array.make 64 { key = 0.0; seq = 0; value = dummy }; len = 0; next_seq = 0; dummy }
+let create dummy =
+  let vacant = { key = 0.0; seq = 0; value = dummy } in
+  { data = Array.make 64 vacant; len = 0; next_seq = 0; vacant }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -63,7 +65,7 @@ let pop t =
     let top = t.data.(0) in
     t.len <- t.len - 1;
     t.data.(0) <- t.data.(t.len);
-    t.data.(t.len) <- { key = 0.0; seq = 0; value = t.dummy };
+    t.data.(t.len) <- t.vacant;
     if t.len > 0 then sift_down t 0;
     Some (top.key, top.value)
   end

@@ -9,13 +9,13 @@ module Stream = Mcc_core.Stream
    kinds and the created streams with their token kinds. *)
 let split src =
   let root_scope = Symtab.create (Symtab.KMain "T") in
-  let out = Tokq.create ~block_size:64 ~barrier:false ~name:"out" in
+  let out = Tokq.create ~src ~block_size:64 ~barrier:false ~name:"out" in
   let streams = ref [] in
   let stripped = ref [] in
   let stream_toks = Hashtbl.create 8 in
   let lexor =
     Task.create ~cls:Task.Lexor ~name:"lexor" (fun () ->
-        let q = Tokq.create ~block_size:64 ~barrier:false ~name:"raw" in
+        let q = Tokq.create ~src ~block_size:64 ~barrier:false ~name:"raw" in
         let lx = Lexer.create ~file:"t" src in
         let rec go () =
           let tok = Lexer.next lx in

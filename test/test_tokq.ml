@@ -1,11 +1,12 @@
 (* Tests for token queues: producer/consumer blocks, events, multiple
-   readers, behaviour under the DES engine. *)
+   readers, behaviour under the DES engine, packed round trips and the
+   memory a queued token costs. *)
 
 open Mcc_m2
 open Mcc_sched
 
 let tok n = Token.make (Token.IntLit n) Loc.none
-let queue name = Tokq.create ~block_size:64 ~barrier:false ~name
+let queue name = Tokq.create ~src:"" ~block_size:64 ~barrier:false ~name
 
 let ints_of rd =
   List.filter_map (fun t -> match t.Token.kind with Token.IntLit n -> Some n | _ -> None)
@@ -82,7 +83,7 @@ let test_concurrent_producer_consumer () =
     (List.rev !got)
 
 let test_barrier_queue_under_des () =
-  let q = Tokq.create ~block_size:64 ~barrier:true ~name:"q" in
+  let q = Tokq.create ~src:"" ~block_size:64 ~barrier:true ~name:"q" in
   let n_read = ref 0 in
   let producer =
     Task.create ~cls:Task.Lexor ~name:"producer" (fun () ->
@@ -109,7 +110,7 @@ let test_barrier_queue_under_des () =
 let tok_at i = Token.make (Token.IntLit i) (Loc.make ~line:i ~col:1 ~off:i)
 
 let filled ?(block_size = 64) n =
-  let q = Tokq.create ~block_size ~barrier:false ~name:"q" in
+  let q = Tokq.create ~src:"" ~block_size ~barrier:false ~name:"q" in
   for i = 1 to n do
     Tokq.put q (tok_at i)
   done;
@@ -146,7 +147,7 @@ let test_block_boundaries () =
    stays within the blocks published so far, as a reader outside an
    engine must. *)
 let test_readers_interleaved () =
-  let q = Tokq.create ~block_size:4 ~barrier:false ~name:"q" in
+  let q = Tokq.create ~src:"" ~block_size:4 ~barrier:false ~name:"q" in
   let put_range a b =
     for i = a to b do
       Tokq.put q (tok_at i)
@@ -195,6 +196,154 @@ let prop_conservation =
       Tokq.close q;
       ints_of (Tokq.reader q) = xs)
 
+(* ------------------------------------------------------------------ *)
+(* Packed blocks *)
+
+(* Identifiers are stored as slices of the queue's source text when
+   their text is the slice at their offset, whole otherwise. *)
+let packed_src = "MODULE alpha; VAR beta, Gamma: x1; BEGIN delta := omega END alpha."
+
+let gen_loc =
+  let open QCheck.Gen in
+  let small = int_bound 5000 in
+  (* just below, at and beyond a packing bound *)
+  let edge = oneof [ return 0; return 1; return 2; small; return max_int ] in
+  frequency
+    [
+      (6, map3 (fun line col off -> Loc.make ~line ~col ~off) small small small);
+      (1, return Loc.none);
+      (1, map2 (fun line col -> Loc.make ~line ~col:(65_535 + col) ~off:7) small edge);
+      (1, map2 (fun line col -> Loc.make ~line:((1 lsl 20) - 1 + line) ~col ~off:7) edge small);
+      ( 1,
+        map (fun off -> Loc.make ~line:3 ~col:4 ~off)
+          (oneof [ map (fun d -> (1 lsl 26) - 2 + d) (int_bound 4); return max_int ]) );
+      (1, map2 (fun line col -> Loc.make ~line:(-line - 1) ~col ~off:(-col - 2)) small small);
+    ]
+
+let gen_packed_token =
+  let open QCheck.Gen in
+  let n = String.length packed_src in
+  let slice =
+    (* the token's text is its source slice: stored by length *)
+    map3
+      (fun start len (line, col) ->
+        let len = 1 + (len mod (n - start)) in
+        Token.make (Token.Ident (String.sub packed_src start len)) (Loc.make ~line ~col ~off:start))
+      (int_bound (n - 1)) small_nat (pair small_nat small_nat)
+  in
+  let int_lit =
+    oneof [ return min_int; return max_int; map (fun i -> -i) small_nat; small_nat; int ]
+  in
+  let kind =
+    frequency
+      [
+        (2, map (fun s -> Token.Ident s) (string_size ~gen:printable (int_range 0 8)));
+        (3, map (fun i -> Token.IntLit i) int_lit);
+        (1, map (fun f -> Token.RealLit (Float.of_int f /. 8.)) int);
+        (1, map (fun c -> Token.CharLit c) char);
+        (1, map (fun s -> Token.StrLit s) (string_size ~gen:printable (int_range 0 6)));
+        (3, map (fun (_, k) -> Token.Kw k) (oneofl Token.keywords));
+        (3, map (fun s -> Token.Sym s) (oneofl Token.symbols));
+        (1, map (fun i -> Token.SplitMark i) (oneof [ small_nat; return max_int; return min_int ]));
+        (1, map (fun s -> Token.Error s) (string_size ~gen:printable (int_range 0 6)));
+        (1, return Token.Eof);
+      ]
+  in
+  frequency [ (2, slice); (5, map2 Token.make kind gen_loc) ]
+
+(* After each put, reader A and reader B each read up to the given
+   number of tokens, staying within the published blocks as a reader
+   outside an engine must; after close both read to the end. *)
+let prop_packed_round_trip =
+  let open QCheck in
+  let step = Gen.pair gen_packed_token (Gen.pair (Gen.int_bound 70) (Gen.int_bound 70)) in
+  let print (bs, steps) =
+    Printf.sprintf "block %d: %s" bs
+      (String.concat " "
+         (List.map
+            (fun ((t : Token.t), _) ->
+              Printf.sprintf "%s@%s/%d" (Token.describe t) (Loc.to_string t.loc) t.loc.off)
+            steps))
+  in
+  Test.make ~name:"packed blocks read back every token put" ~count:300
+    (make ~print Gen.(pair (oneofl [ 1; 4; 64 ]) (list_size (int_bound 300) step)))
+    (fun (block_size, steps) ->
+      let q = Tokq.create ~src:packed_src ~block_size ~barrier:false ~name:"q" in
+      let put = Array.of_list (List.map fst steps) in
+      let ra = Tokq.reader q and rb = Tokq.reader q in
+      let got_a = ref [] and got_b = ref [] and na = ref 0 and nb = ref 0 in
+      let read rd got n k =
+        let published = Tokq.total_tokens q / block_size * block_size in
+        for _ = 1 to min k (published - !n) do
+          got := Reader.next rd :: !got;
+          incr n
+        done
+      in
+      List.iter
+        (fun (tok, (ka, kb)) ->
+          Tokq.put q tok;
+          read ra got_a na ka;
+          read rb got_b nb kb)
+        steps;
+      Tokq.close q;
+      let rest rd got n =
+        for _ = !n + 1 to Array.length put do
+          got := Reader.next rd :: !got
+        done;
+        (List.rev !got, Reader.next rd, Reader.next rd)
+      in
+      let eof_loc = if put = [||] then Loc.none else put.(Array.length put - 1).Token.loc in
+      List.for_all
+        (fun (toks, eof1, eof2) ->
+          toks = Array.to_list put && eof1 = Token.eof eof_loc && eof2 = eof1)
+        [ rest ra got_a na; rest rb got_b nb ])
+
+(* Every file of a few suite programs, lexed through a queue, reads back
+   exactly as the lexer's token list. *)
+let read_to_eof rd =
+  let rec go acc =
+    let tok = Reader.next rd in
+    if Token.is_eof tok then List.rev (tok :: acc) else go (tok :: acc)
+  in
+  go []
+
+let queued ~src =
+  let q = Tokq.create ~src ~block_size:64 ~barrier:false ~name:"q" in
+  List.iter (Tokq.put q) (Lexer.all ~file:"f" src);
+  Tokq.close q;
+  q
+
+let suite_files rank =
+  let module S = Mcc_core.Source_store in
+  let store = Mcc_synth.Suite.program rank in
+  S.main_src store
+  :: (List.filter_map (S.def_src store) (S.def_names store)
+     @ List.filter_map (S.impl_src store) (S.impl_names store))
+
+let test_suite_files_round_trip () =
+  List.iter
+    (fun rank ->
+      List.iteri
+        (fun i src ->
+          Alcotest.(check bool)
+            (Printf.sprintf "rank %d file %d" rank i)
+            true
+            (read_to_eof (Tokq.reader (queued ~src)) = Lexer.all ~file:"f" src))
+        (suite_files rank))
+    [ 0; 9; 20 ]
+
+(* Memory guard: a closed queue holding a lexed suite file costs at most
+   2.5 words per token beyond its source text (a boxed token with its
+   location and identifier text costs about 8.9). *)
+let test_words_per_token () =
+  let src = List.hd (suite_files 36) in
+  let q = queued ~src in
+  let words = Obj.reachable_words (Obj.repr q) - Obj.reachable_words (Obj.repr src) in
+  let per_token = float_of_int words /. float_of_int (Tokq.total_tokens q) in
+  if per_token > 2.5 then
+    Alcotest.failf "%.2f words per queued token (%d tokens), more than 2.5" per_token
+      (Tokq.total_tokens q)
+
 let () =
   Alcotest.run "tokq"
     [
@@ -217,4 +366,10 @@ let () =
           Tutil.qtest prop_blocks;
         ] );
       ("properties", [ Tutil.qtest prop_conservation ]);
+      ( "packed",
+        [
+          Tutil.qtest prop_packed_round_trip;
+          Alcotest.test_case "suite files read back as lexed" `Quick test_suite_files_round_trip;
+          Alcotest.test_case "words per queued token" `Quick test_words_per_token;
+        ] );
     ]
