@@ -383,8 +383,9 @@ and spawn_def_stream comp name scope src ~fp =
         List.iter (Diag.add_d comp.diags) diags;
         (match (comp.cache, fp) with
         | Some cache, Some fp ->
-            Build_cache.store_interface cache
-              (Artifact.capture ~name ~fingerprint:fp ~imports:(List.rev !imports) ~scope
+            Build_cache.store_interface ~checked:true cache ~fp
+              ~source:(Build_cache.source_digest cache src)
+              (Artifact.capture ~name ~imports:(List.rev !imports) ~scope
                  ~frame:{ Artifact.f_key = frame_key; f_slots = slots; f_size = size }
                  ~diags)
         | _ -> ());

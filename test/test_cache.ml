@@ -409,7 +409,10 @@ let test_save_drops_unverified () =
       let c = Build_cache.create ~dir () in
       ignore (Driver.compile ~cache:c (sample_store ()));
       let a = List.hd (Build_cache.interfaces c) in
-      Build_cache.store_interface c { a with Artifact.a_digest = String.make 32 '0' };
+      let entry = Option.get (Build_cache.latest c a.Artifact.a_name) in
+      Build_cache.store_interface c ~fp:(Build_cache.stored_fingerprint entry)
+        ~source:(Build_cache.stored_source entry)
+        { a with Artifact.a_digest = String.make 32 '0' };
       let corrupt0 = Build_cache.corrupt_count c in
       Build_cache.save c;
       Alcotest.(check int) "the tampered artifact is counted" (corrupt0 + 1)
@@ -432,9 +435,32 @@ let format1 file body =
   Printf.sprintf "mcc-cache-1 %s mcc-artifact-v3\n" file
   ^ Bytes.to_string len ^ Digest.string body ^ body
 
+(* [fields] behind the checked header of format mcc-cache-2, which
+   stored three fields per artifact (fingerprint, name, marshaled bytes)
+   where mcc-cache-3 stores five. *)
+let format2 file fields =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun f ->
+      let rec varint n =
+        if n < 0x80 then Buffer.add_char b (Char.chr n)
+        else begin
+          Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+          varint (n lsr 7)
+        end
+      in
+      varint (String.length f);
+      Buffer.add_string b f)
+    fields;
+  let body = Buffer.contents b in
+  let len = Bytes.create 8 in
+  Bytes.set_int64_le len 0 (Int64.of_int (String.length body));
+  Printf.sprintf "mcc-cache-2 %s mcc-artifact-v3\n" file
+  ^ Bytes.to_string len ^ Digest.string body ^ body
+
 (* The two files of a freshly saved cache, and older encodings of their
-   contents: mcc-cache-1 files, and headerless ones (a bare Marshal
-   blob, the format tag being the artifact version). *)
+   contents: mcc-cache-2 and mcc-cache-1 files, and headerless ones (a
+   bare Marshal blob, the format tag being the artifact version). *)
 let pristine =
   lazy
     (with_cache_dir (fun dir ->
@@ -443,7 +469,14 @@ let pristine =
          Project.save c;
          let files = List.map (fun f -> (f, Tutil.read_file (Filename.concat dir f))) cache_files in
          let v = "mcc-artifact-v3" in
-         let arts = List.map (fun a -> (a.Artifact.a_fingerprint, a)) (Build_cache.interfaces c.Project.bc) in
+         let arts =
+           List.map
+             (fun (a : Artifact.t) ->
+               ( Build_cache.stored_fingerprint
+                   (Option.get (Build_cache.latest c.Project.bc a.Artifact.a_name)),
+                 a ))
+             (Build_cache.interfaces c.Project.bc)
+         in
          let entries =
            List.filter_map
              (fun n ->
@@ -467,6 +500,19 @@ let pristine =
              ( "modules.bin",
                "format mcc-cache-1",
                format1 "modules.bin" (Marshal.to_string (payloads, [ ("Main", "k") ]) []) );
+             ( "interfaces.bin",
+               "format mcc-cache-2",
+               format2 "interfaces.bin"
+                 ("0"
+                 :: List.concat_map
+                      (fun (fp, (a : Artifact.t)) -> [ fp; a.Artifact.a_name; Marshal.to_string a [] ])
+                      arts) );
+             ( "modules.bin",
+               "format mcc-cache-2",
+               format2 "modules.bin"
+                 (string_of_int (List.length payloads)
+                 :: List.concat_map (fun (k, p) -> [ k; p ]) payloads
+                 @ List.concat (List.mapi (fun i (k, _) -> [ k; string_of_int i ]) payloads)) );
            ]
          in
          (files, old)))

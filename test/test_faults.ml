@@ -161,21 +161,24 @@ let test_cache_rejects_tampered_artifact () =
   match Build_cache.interfaces cache with
   | [] -> Alcotest.fail "priming stored no artifacts"
   | a :: _ ->
+      let entry = Option.get (Build_cache.latest cache a.Artifact.a_name) in
+      let fp = Build_cache.stored_fingerprint entry in
+      let source = Build_cache.stored_source entry in
       Alcotest.(check bool) "pristine artifact verifies" true (Artifact.verify a);
       let tampered = { a with Artifact.a_digest = "0123456789abcdef0123456789abcdef" } in
       Alcotest.(check bool) "tampered artifact fails verify" false (Artifact.verify tampered);
       let _, _, inval0 = Build_cache.counters cache in
       let corrupt0 = Build_cache.corrupt_count cache in
-      Build_cache.store_interface cache tampered;
-      let probe = Build_cache.find_interface cache ~fp:a.Artifact.a_fingerprint in
+      Build_cache.store_interface cache ~fp ~source tampered;
+      let probe = Build_cache.find_interface cache ~fp in
       Alcotest.(check bool) "probe is a miss, not a silent hit" true (probe = None);
       let _, _, inval1 = Build_cache.counters cache in
       Alcotest.(check bool) "invalidation counted" true (inval1 > inval0);
       Alcotest.(check bool) "corruption counted" true (Build_cache.corrupt_count cache > corrupt0);
       (* the cache healed itself: restore and probe again *)
-      Build_cache.store_interface cache a;
+      Build_cache.store_interface cache ~fp ~source a;
       Alcotest.(check bool) "healed probe hits" true
-        (Build_cache.find_interface cache ~fp:a.Artifact.a_fingerprint <> None)
+        (Build_cache.find_interface cache ~fp <> None)
 
 (* Both quarantine paths, a crash before the body ran (retries
    exhausted) and a crash at a resume point, count in the metric. *)
