@@ -23,7 +23,8 @@
      The compile server keys on source fingerprints ([module_key]);
      Project keys on the identities of the artifacts in the module's
      interface closure ([identity_key]), so a re-keyed interface leaves
-     its importers' keys as they were.
+     its importers' keys as they were.  Both treat an import cycle as
+     one unit ([condense]), whichever member a walk enters by.
 
    Fingerprinting must run inside engine tasks without yielding (the
    caller holds a memo lock, and a cooperative-engine yield under a lock
@@ -527,34 +528,69 @@ let source_digest t src = (source t src).digest
 (* ------------------------------------------------------------------ *)
 (* Fingerprints *)
 
-(* [memo] is owned by one compilation (or one Project.compile call) and
-   guarded by its owner; sources cannot change under it.  A module being
-   fingerprinted holds a provisional cycle marker so circular imports
-   terminate (such programs deadlock compilation and never produce
-   artifacts anyway).  Returns the fingerprint and the uncharged hashing
-   units this call performed. *)
-let interface_fp t ~memo ~store name =
-  let units = ref 0 in
-  let rec go name =
-    match Hashtbl.find_opt memo name with
-    | Some fp -> fp
-    | None ->
-        Hashtbl.replace memo name ("cycle:" ^ name);
-        let fp =
-          match Source_store.def_src store name with
-          | None -> Digest.to_hex (Digest.string (version ^ "|missing|" ^ name))
-          | Some src ->
-              units := !units + hash_units (String.length src);
-              let s = source t src in
-              let subs = List.map go s.imports in
-              Digest.to_hex
-                (Digest.string (String.concat "|" (version :: name :: s.digest :: subs)))
-        in
-        Hashtbl.replace memo name fp;
-        fp
+let digest parts = Digest.to_hex (Digest.string (String.concat "|" parts))
+
+let condense ~node ~edges ~settled emit roots =
+  (* per node entered, its low link; [max_int] once it is emitted *)
+  let low = Hashtbl.create 4 and stack = ref [] in
+  let rec enter w =
+    if not (settled w || Hashtbl.mem low w) then
+      let data = node w in
+      (* with nothing unsettled below it, a node is a component of its own *)
+      if List.for_all settled (edges data) then (Hashtbl.replace low w max_int; emit [ (w, data) ])
+      else visit w data
+  and visit v data =
+    let i = Hashtbl.length low in
+    Hashtbl.replace low v i;
+    stack := (v, data) :: !stack;
+    List.iter
+      (fun w ->
+        enter w;
+        match Hashtbl.find_opt low w with
+        | Some l when l < Hashtbl.find low v -> Hashtbl.replace low v l
+        | _ -> ())
+      (edges data);
+    if Hashtbl.find low v = i then begin
+      let rec pop acc =
+        let ((w, _) as top) = List.hd !stack in
+        stack := List.tl !stack;
+        Hashtbl.replace low w max_int;
+        if w = v then top :: acc else pop (top :: acc)
+      in
+      emit (List.sort (fun (a, _) (b, _) -> compare a b) (pop []))
+    end
   in
-  let fp = go name in
-  (fp, !units)
+  if not (List.for_all settled roots) then List.iter enter roots
+
+(* [memo] is owned by one compilation (or one Project.compile call) and
+   guarded by its owner; sources cannot change under it.  An import
+   cycle digests its members' names and sources and its outside imports'
+   fingerprints, and each member its name and that digest.  Returns the
+   fingerprint and the uncharged hashing units this call performed. *)
+let interface_fp t ~memo ~store name =
+  match Hashtbl.find_opt memo name with
+  | Some fp -> (fp, 0)
+  | None ->
+      let units = ref 0 in
+      let hashed src =
+        units := !units + hash_units (String.length src);
+        source t src
+      in
+      let node m = Option.map hashed (Source_store.def_src store m) in
+      let edges = function Some s -> s.imports | None -> [] in
+      condense ~node ~edges ~settled:(Hashtbl.mem memo)
+        (fun ms ->
+          (* the members have no fingerprint yet: these are the outside imports' *)
+          let subs = List.filter_map (Hashtbl.find_opt memo) (List.concat_map (fun (_, s) -> edges s) ms) in
+          match ms with
+          | [ (m, None) ] -> Hashtbl.replace memo m (digest [ version; "missing"; m ])
+          | [ (m, Some s) ] -> Hashtbl.replace memo m (digest (version :: m :: s.digest :: subs))
+          | _ ->
+              let own = List.concat_map (fun (m, s) -> [ m; (Option.get s).digest ]) ms in
+              let cycle = digest ((version :: "cycle" :: own) @ subs) in
+              List.iter (fun (m, _) -> Hashtbl.replace memo m (digest [ version; m; cycle ])) ms)
+        [ name ];
+      (Hashtbl.find memo name, !units)
 
 (* Probe-time digest verification can be disabled on one cache — only
    by the conformance harness, which plants a tampered artifact and
@@ -855,16 +891,7 @@ let memo_enforce_cap m ~keep =
             continue_ := Hashtbl.length m.modules > cap
       done
 
-(* A whole-module key: configuration tag (cached results embed simulated
-   timings), module name, implementation source digest, and the
-   interface fingerprints of the module's own definition and direct
-   imports — which cover every transitive interface.  [store] is the
-   module-focused store (its main source is the implementation). *)
-let source_key ~config_tag ~name ~src fps =
-  Digest.to_hex
-    (Digest.string (String.concat "|" (version :: config_tag :: name :: src.digest :: fps)))
-
-let module_key t ~memo ~config_tag store =
+let module_inputs t ~memo store =
   let name = Source_store.main_name store in
   let main = Source_store.main_src store in
   let src = source t main in
@@ -875,70 +902,58 @@ let module_key t ~memo ~config_tag store =
     fp
   in
   let fps = List.map fp (name :: src.imports) in
-  (source_key ~config_tag ~name ~src fps, !units)
+  (name, src, fps, !units)
+
+(* A whole-module key: configuration tag (cached results embed simulated
+   timings), module name, implementation source digest, and the
+   interface fingerprints of the module's own definition and direct
+   imports — which cover every transitive interface.  [store] is the
+   module-focused store (its main source is the implementation). *)
+let module_key t ~memo ~config_tag store =
+  let name, src, fps, units = module_inputs t ~memo store in
+  (digest (version :: config_tag :: name :: src.digest :: fps), units)
 
 (* A whole-module key over artifact identities: configuration tag,
    module name, implementation source digest, and per interface of the
    module's own definition and direct imports the identity of its
    closure — a digest of its name, the identity of the artifact stored
    under its current fingerprint and the closures of its imports (just
-   the identity when it imports nothing).  A missing interface stands
-   for itself by its fingerprint's missing marker.  When an interface
-   in the closure has no artifact under its current fingerprint, or
-   lies on an import cycle, the key is [module_key]'s: the two never
-   collide, as an identity key hashes an "ids" tag.  Only definite
-   closures are memoised in [ids], so an artifact stored later in the
-   same build is seen.  Reads the index only: nothing is decoded. *)
+   the identity when it imports nothing); an import cycle's members
+   share one, over their identities in name order.  An interface with no
+   artifact stands in by its fingerprint, and [ids] keeps only closures
+   no later artifact of this build can change.  The "ids" tag keeps
+   these keys apart from [module_key]'s.  Reads the index only. *)
 let identity_key t ~memo ~ids ~config_tag store =
-  let name = Source_store.main_name store in
-  let main = Source_store.main_src store in
-  let src = source t main in
-  let units = ref (hash_units (String.length main)) in
-  let fp m =
-    let fp, u = interface_fp t ~memo ~store m in
-    units := !units + u;
-    fp
-  in
   (* the hashing charged is [module_key]'s: every fingerprint reached *)
-  let fps = List.map fp (name :: src.imports) in
-  (* [ids] holds "" for an interface whose closure is being computed *)
-  let rec closure m =
-    match Hashtbl.find_opt ids m with
-    | Some "" -> None (* an import cycle *)
-    | Some _ as k -> k
-    | None ->
-        let fp = fp m in
-        let k =
-          match Source_store.def_src store m with
-          | None -> Some fp
-          | Some def -> (
-              match identity t ~fp with
-              | None -> None
-              | Some id -> (
-                  match (source t def).imports with
-                  | [] -> Some id (* the identity digests the name already *)
-                  | imports -> (
-                      Hashtbl.replace ids m "";
-                      match closures imports with
-                      | None -> None
-                      | Some subs ->
-                          Some (Digest.to_hex (Digest.string (String.concat "|" (m :: id :: subs)))))))
-        in
-        (match k with Some k -> Hashtbl.replace ids m k | None -> Hashtbl.remove ids m);
-        k
-  and closures = function
-    | [] -> Some []
-    | m :: rest -> (
-        match closure m with
-        | None -> None
-        | Some k -> Option.map (fun ks -> k :: ks) (closures rest))
+  let name, src, _, units = module_inputs t ~memo store in
+  let imports m = Option.fold ~none:[] ~some:(imports_of t) (Source_store.def_src store m) in
+  (* closures resting on an interface without an artifact: taken out of
+     [ids] again after this call, so an artifact stored later is seen *)
+  let unsure = ref [] in
+  let identity_of m =
+    let fp = fst (interface_fp t ~memo ~store m) in
+    match identity t ~fp with Some id -> (id, true) | None -> (fp, not (Source_store.has_def store m))
   in
-  let key =
-    match closures (name :: src.imports) with
-    | Some parts -> source_key ~config_tag ~name ~src ("ids" :: parts)
-    | None -> source_key ~config_tag ~name ~src fps
-  in
-  (key, !units)
+  condense ~node:imports ~edges:Fun.id ~settled:(Hashtbl.mem ids)
+    (fun ms ->
+      let imported = List.concat_map snd ms in
+      (* the members have no closure yet: these are the outside imports' *)
+      let subs = List.filter_map (Hashtbl.find_opt ids) imported in
+      let own = List.map (fun (m, _) -> identity_of m) ms in
+      let k =
+        match (ms, own, subs) with
+        | [ _ ], [ (id, _) ], [] -> id (* the identity digests the name already *)
+        | [ (m, _) ], [ (id, _) ], _ -> digest (m :: id :: subs)
+        | _ -> digest (("cycle" :: List.map fst own) @ subs)
+      in
+      List.iter (fun (m, _) -> Hashtbl.replace ids m k) ms;
+      if not (List.for_all snd own) || List.exists (fun i -> List.mem i !unsure) imported then
+        unsure := List.map fst ms @ !unsure)
+    (name :: src.imports);
+  let parts = List.map (Hashtbl.find ids) (name :: src.imports) in
+  let key = digest (version :: config_tag :: name :: src.digest :: "ids" :: parts) in
+  List.iter (Hashtbl.remove ids) !unsure;
+  (key, units)
 
 let find_module m key =
   Mutex.lock m.mmu;

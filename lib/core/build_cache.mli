@@ -72,12 +72,21 @@ val source_digest : t -> string -> string
 (** The hashing work for [len] source bytes, in virtual units. *)
 val hash_units : int -> int
 
+(** [condense ~node ~edges ~settled emit roots] calls [emit] on each
+    strongly connected component (Tarjan) reachable from [roots] of the graph
+    whose node [v] has data [node v] and successors [edges (node v)],
+    not entering nodes [settled] holds for: the members with their data,
+    sorted by name, after every component they reach. *)
+val condense :
+  node:(string -> 'a) -> edges:('a -> string list) -> settled:(string -> bool) ->
+  ((string * 'a) list -> unit) -> string list -> unit
+
 (** [interface_fp t ~memo ~store name] returns the interface's content
     fingerprint and the uncharged hashing units this call performed.
     [memo] (module name to fingerprint) is owned by one compilation and
     guarded by its owner; a missing interface fingerprints as a
-    distinct "missing" marker, and circular imports terminate via a
-    provisional cycle marker. *)
+    distinct "missing" marker, and each member of an import cycle
+    digests its name and the whole cycle. *)
 val interface_fp :
   t -> memo:(string, string) Hashtbl.t -> store:Source_store.t -> string -> string * int
 
@@ -212,9 +221,10 @@ val module_key :
     imports, the identities of the artifacts in that interface's
     closure (each stored under its current fingerprint, read from the
     index without decoding).  Re-keying an interface leaves it
-    unchanged.  When an interface of the closure has no artifact under
-    its current fingerprint or lies on an import cycle it is
-    {!module_key}'s key (the two kinds never collide).  [memo]
+    unchanged.  The members of an import cycle share one closure, over
+    their identities in name order.  A missing interface, or one with
+    no artifact under its current fingerprint, stands in by its
+    fingerprint.  The key never equals a {!module_key} key.  [memo]
     is the fingerprint memo of {!interface_fp}; [ids] memoises closure
     identities and is owned by one build. *)
 val identity_key :

@@ -327,25 +327,26 @@ let slice_delta (old : Artifact.t) (now : Artifact.t) =
    [TYPE A2 = ARRAY [0..3] OF INTEGER] became [TYPE A2 = A1] the shape
    is unchanged, yet the previous artifact has two types where the text
    now has one.  An equal shape is an early cutoff whether or not the
-   artifact is kept.  When the interfaces reached from a stale one
-   import each other in a cycle, there is no wave order: all stale
-   interfaces are analysed in one probe, and every fresh artifact
-   stays. *)
+   artifact is kept.
 
-exception Import_cycle
+   An import cycle (Build_cache.condense) settles as one wave member.
+   Its previous artifacts name each other's uids, so they are kept all
+   or none, under one renaming shared by the members that moves no node
+   of an outside import. *)
 
 (* [fp] is the charged fingerprint of the build; returns the prepass's
-   virtual time, per stale interface how it settled (settle order) and
-   the cutoffs. *)
+   virtual time and per stale interface how it settled (settle order). *)
 let refresh ~config bc store ~fp =
   let imports n =
     match Source_store.def_src store n with
     | None -> []
     | Some src -> Build_cache.imports_of bc src
   in
-  (* the interfaces without a cached artifact, and the stale ones *)
+  (* the interfaces without a cached artifact, the stale ones, and the
+     stale ones whose text is unchanged *)
   let defs = Source_store.def_names store in
   let uncached = Hashtbl.create 16 and stale = Hashtbl.create 16 in
+  let same_text = Hashtbl.create 16 in
   let order =
     List.filter_map
       (fun n ->
@@ -360,35 +361,30 @@ let refresh ~config bc store ~fp =
             else begin
               let source = Build_cache.source_digest bc (Option.get (Source_store.def_src store n)) in
               Hashtbl.replace stale n (old, now, source);
+              if String.equal source (Build_cache.stored_source old) then
+                Hashtbl.replace same_text n ();
               Some n
             end)
       defs
   in
+  (* per interface reached from a stale one its wave and its component:
+     the deepest wave below the component, plus one if a member is stale *)
+  let wave = Hashtbl.create 16 in
+  Build_cache.condense ~node:imports ~edges:Fun.id ~settled:(Hashtbl.mem wave)
+    (fun ms ->
+      let below acc i = max acc (Option.fold ~none:0 ~some:fst (Hashtbl.find_opt wave i)) in
+      let d = List.fold_left below 0 (List.concat_map snd ms) in
+      let ms = List.map fst ms in
+      let d = if List.exists (Hashtbl.mem stale) ms then d + 1 else d in
+      List.iter (fun m -> Hashtbl.replace wave m (d, ms)) ms)
+    order;
+  let depth n = fst (Hashtbl.find wave n) and component n = snd (Hashtbl.find wave n) in
   let waves =
-    let depth = Hashtbl.create 16 and visiting = Hashtbl.create 16 in
-    let rec depth_of n =
-      match Hashtbl.find_opt depth n with
-      | Some d -> d
-      | None ->
-          if Hashtbl.mem visiting n then raise Import_cycle;
-          Hashtbl.replace visiting n ();
-          let d =
-            List.fold_left (fun acc i -> max acc (depth_of i)) 0 (imports n)
-            + if Hashtbl.mem stale n then 1 else 0
-          in
-          Hashtbl.replace depth n d;
-          d
-    in
-    match List.map (fun n -> (depth_of n, n)) order with
-    | exception Import_cycle -> None
-    | ds ->
-        let deepest = List.fold_left (fun acc (d, _) -> max acc d) 0 ds in
-        Some
-          (List.init deepest (fun k ->
-               List.filter_map (fun (d, n) -> if d = k + 1 then Some n else None) ds))
+    let deepest = List.fold_left (fun acc n -> max acc (depth n)) 0 order in
+    List.init deepest (fun k -> List.filter (fun n -> depth n = k + 1) order)
   in
   let status = Hashtbl.create 16 in
-  let settled = ref [] and cutoffs = ref [] and units = ref 0.0 in
+  let settled = ref [] and units = ref 0.0 in
   let settle n how =
     Hashtbl.replace status n how;
     settled := (n, how) :: !settled
@@ -416,33 +412,35 @@ let refresh ~config bc store ~fp =
       (fun u () -> if not (Hashtbl.mem live u) then Hashtbl.replace dead u ())
       (Artifact.uids old)
   in
-  (* The previous artifact agrees with the fresh one on type identities
-     when their nodes pair up under one renaming that moves only their
-     own nodes: a node of an import is itself in both. *)
-  let same_identities (prev : Artifact.t) (now : Artifact.t) =
+  (* The previous artifacts of component [ms] agree with the fresh ones
+     on type identities when their nodes pair up under one renaming that
+     moves only their own nodes: an outside import's node stays. *)
+  let same_identities ms pairs =
     let imported = Hashtbl.create 64 in
     List.iter
       (fun m ->
-        Option.iter
-          (fun a -> Hashtbl.iter (fun u () -> Hashtbl.replace imported u ()) (Artifact.uids a))
-          (Build_cache.latest_artifact bc m))
-      now.Artifact.a_imports;
+        if not (List.mem m ms) then
+          Option.iter
+            (fun a -> Hashtbl.iter (fun u () -> Hashtbl.replace imported u ()) (Artifact.uids a))
+            (Build_cache.latest_artifact bc m))
+      (List.concat_map (fun (_, (now : Artifact.t)) -> now.Artifact.a_imports) pairs);
     let moves_own o n = o = n || not (Hashtbl.mem imported o || Hashtbl.mem imported n) in
     let agree = renaming () in
     (* equal shapes export the same names *)
     List.for_all
-      (fun (n, _) ->
-        let olds = Artifact.nodes_of prev n and news = Artifact.nodes_of now n in
-        agree olds news && List.for_all2 moves_own olds news)
-      prev.Artifact.a_slices
+      (fun ((prev : Artifact.t), now) ->
+        List.for_all
+          (fun (n, _) ->
+            let olds = Artifact.nodes_of prev n and news = Artifact.nodes_of now n in
+            agree olds news && List.for_all2 moves_own olds news)
+          prev.Artifact.a_slices)
+      pairs
   in
-  let analyse ~keep targets =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "IMPLEMENTATION MODULE MccRefresh;\n";
-    List.iter (fun n -> Buffer.add_string buf ("IMPORT " ^ n ^ ";\n")) targets;
-    Buffer.add_string buf "BEGIN\nEND MccRefresh.\n";
+  let analyse targets =
+    let uses = String.concat "" (List.map (fun n -> "IMPORT " ^ n ^ ";\n") targets) in
     let probe =
-      Source_store.make ~main_name:"MccRefresh" ~main_src:(Buffer.contents buf)
+      Source_store.make ~main_name:"MccRefresh"
+        ~main_src:("IMPLEMENTATION MODULE MccRefresh;\n" ^ uses ^ "BEGIN\nEND MccRefresh.\n")
         ~defs:
           (List.filter_map
              (fun n -> Option.map (fun s -> (n, s)) (Source_store.def_src store n))
@@ -451,25 +449,41 @@ let refresh ~config bc store ~fp =
     in
     let pr = Driver.compile ~config ~cache:bc probe in
     units := !units +. pr.Driver.sim.Des_engine.end_time;
+    let arts n =
+      let old, fp, _ = Hashtbl.find stale n in
+      ( Build_cache.stored_artifact bc old,
+        match Build_cache.latest bc n with
+        | Some s when String.equal (Build_cache.stored_fingerprint s) fp ->
+            Build_cache.stored_artifact bc s
+        | _ -> None )
+    in
+    (* Why the previous artifacts of component [ms] are not kept: decided
+       once, before any member is re-keyed and [arts] changes for it. *)
+    let verdicts = Hashtbl.create 16 in
+    let lost ms =
+      let same_shape m =
+        match if Hashtbl.mem stale m then arts m else (None, None) with
+        | Some prev, Some now when String.equal prev.Artifact.a_shape now.Artifact.a_shape ->
+            Some (prev, now)
+        | _ -> None
+      in
+      let pairs = List.filter_map same_shape ms in
+      if List.compare_lengths pairs ms <> 0 then
+        Some "but another member of its import cycle changed"
+      else if List.exists (fun (prev, _) -> reaches_dead prev) pairs then
+        Some "but it names a type of a replaced artifact"
+      else if not (same_identities ms pairs) then Some "but its type identities differ"
+      else None
+    in
     List.iter
       (fun n ->
         let old, fp, source = Hashtbl.find stale n in
-        let fresh =
-          match Build_cache.latest bc n with
-          | Some s when String.equal (Build_cache.stored_fingerprint s) fp ->
-              Build_cache.stored_artifact bc s
-          | _ -> None
-        in
-        match (Build_cache.stored_artifact bc old, fresh) with
+        let prev, fresh = arts n in
+        match (prev, fresh) with
         | Some prev, Some now when String.equal prev.Artifact.a_shape now.Artifact.a_shape -> (
-            cutoffs := n :: !cutoffs;
-            let lost =
-              if not keep then Some "new artifact (import cycle)"
-              else if reaches_dead prev then Some "but it names a type of a replaced artifact"
-              else if not (same_identities prev now) then Some "but its type identities differ"
-              else None
-            in
-            match lost with
+            let ms = component n in
+            if not (Hashtbl.mem verdicts ms) then Hashtbl.replace verdicts ms (lost ms);
+            match Hashtbl.find verdicts ms with
             | None ->
                 Build_cache.rekey bc old ~fp ~source;
                 settle n Kept
@@ -487,31 +501,29 @@ let refresh ~config bc store ~fp =
             settle n (Changed delta))
       targets
   in
-  (match waves with
-  | None -> analyse ~keep:false order
-  | Some waves ->
-      List.iter
-        (fun wave ->
-          let targets =
-            List.filter
-              (fun n ->
-                let old, fp, source = Hashtbl.find stale n in
-                if
-                  String.equal source (Build_cache.stored_source old)
-                  && List.for_all unchanged (imports n)
-                then begin
-                  Build_cache.rekey bc old ~fp ~source;
-                  units := !units +. float_of_int Costs.cache_probe;
-                  cutoffs := n :: !cutoffs;
-                  settle n Rekeyed;
-                  false
-                end
-                else true)
-              wave
-          in
-          if targets <> [] then analyse ~keep:true targets)
-        waves);
-  (!units, List.rev !settled, !cutoffs)
+  List.iter
+    (fun wave ->
+      let targets =
+        List.filter
+          (fun n ->
+            let old, fp, source = Hashtbl.find stale n in
+            let ms = component n in
+            (* an unsettled member counts as unchanged: its text decides *)
+            if
+              List.for_all (Hashtbl.mem same_text) ms
+              && List.for_all unchanged (List.concat_map imports ms)
+            then begin
+              Build_cache.rekey bc old ~fp ~source;
+              units := !units +. float_of_int Costs.cache_probe;
+              settle n Rekeyed;
+              false
+            end
+            else true)
+          wave
+      in
+      if targets <> [] then analyse targets)
+    waves;
+  (!units, List.rev !settled)
 
 (* ------------------------------------------------------------------ *)
 
@@ -527,7 +539,7 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
      call: sources are fixed *)
   let fp_memo = Hashtbl.create 64 and closures = Hashtbl.create 64 in
   let tag = config_tag config in
-  let refresh_units, settled, cutoffs =
+  let refresh_units, settled =
     match cache with
     | Some { bc; _ } when fine ->
         let fp n =
@@ -536,14 +548,11 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
           fp
         in
         refresh ~config bc store ~fp
-    | _ -> (0.0, [], [])
+    | _ -> (0.0, [])
   in
-  let cutoffs = ref cutoffs in
   (* A module's key.  In fine mode it hashes the identities of the
      artifacts of its interface closure, so a re-keyed interface keeps
-     its importers' keys; where the closure has no such key (an
-     interface without an artifact, or an import cycle) it falls back to
-     the sources, as whole-module mode always keys. *)
+     its importers' keys; whole-module mode keys on the sources. *)
   let key_of bc focused =
     if fine then Build_cache.identity_key bc ~memo:fp_memo ~ids:closures ~config_tag:tag focused
     else Build_cache.module_key bc ~memo:fp_memo ~config_tag:tag focused
@@ -606,9 +615,6 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
               None,
               Some (true, Printf.sprintf "early cutoff: all %d used slices unchanged" nslices) )
         | `Rebuild why ->
-            let shape_before =
-              Option.map (fun a -> a.Artifact.a_shape) (Build_cache.latest_artifact bc name)
-            in
             let r = Driver.compile ~config ~cache:bc focused in
             let e, summary = entry_of ~src_digest ~deps:(deps_of bc store r) r in
             (* the compilation stored the artifacts its closure lacked:
@@ -618,12 +624,6 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
                module's stale result without evicting the same module's
                still-valid results under other configurations *)
             Build_cache.store_module memo ~name:mname ~key e;
-            (match (shape_before, Build_cache.latest_artifact bc name) with
-            | Some s0, Some a when fine && String.equal a.Artifact.a_shape s0 ->
-                (* the rebuilt module's own regenerated interface came
-                   out byte-identical: importers need not rebuild *)
-                if not (List.mem name !cutoffs) then cutoffs := name :: !cutoffs
-            | _ -> ());
             (name, e, Some summary, Some (false, why)))
   in
   let built = List.map compile_one names in
@@ -663,7 +663,8 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
       List.filter_map (fun (n, _, _, st) -> if is_reused st then None else Some n) built;
     reuse_units;
     refresh_units;
-    cutoffs = List.sort_uniq compare !cutoffs;
+    cutoffs =
+      List.sort compare (List.filter_map (function _, Changed _ -> None | n, _ -> Some n) settled);
     settled;
     explain =
       List.map

@@ -13,20 +13,18 @@
     Whole-module: a module whose own source, configuration and
     transitive interface fingerprints are unchanged is restored from its
     cached per-module result.  Slice-level (the default, after Smits,
-    Konat & Visser's hybrid incremental compilers): when the
-    whole-module key misses because an interface changed, the module is
-    dirty only if a declaration it actually {e used} changed — an
-    interface refresh prepass settles stale interfaces in topological
-    waves and propagation stops with an {e early cutoff} wherever the
-    interface shape is unchanged.  A stale interface whose text is
-    unchanged and whose imports kept their artifacts is {e re-keyed}
-    (its artifact moves to its new fingerprint, unanalysed); a
-    re-analysed one keeps its previous artifact when its shape and its
-    type identities are unchanged and the artifact names no type of a
-    replaced one.  In
-    this mode a module's key hashes the identities of the artifacts in
-    its interface closure ({!Build_cache.identity_key}), so an edit
-    that leaves every artifact in place leaves every key in place. *)
+    Konat & Visser's hybrid incremental compilers): a module is dirty
+    only if a declaration it actually {e used} changed.  A refresh
+    prepass settles stale interfaces in topological waves, an import
+    cycle as one unit, and propagation stops with an {e early cutoff}
+    wherever the interface shape is unchanged.  A stale interface whose
+    text and imports' artifacts are unchanged is {e re-keyed} (its
+    artifact moves to its new fingerprint, unanalysed); a re-analysed
+    one keeps its previous artifact when its shape and type identities
+    are unchanged and it names no type of a replaced artifact.  A
+    module's key then hashes the identities of the artifacts in its
+    interface closure ({!Build_cache.identity_key}), so an edit that
+    leaves every artifact in place leaves every key in place. *)
 
 open Mcc_m2
 open Mcc_codegen
@@ -110,9 +108,8 @@ type result = {
       (** virtual time of the interface refresh prepass (0 when no
           interface edits were detected, or in whole-module mode) *)
   cutoffs : string list;
-      (** interfaces where invalidation stopped early — stale or
-          recompiled, but with a shape byte-identical to the cached
-          artifact's (a re-keyed interface counts); sorted *)
+      (** stale interfaces whose shape stayed byte-identical, where
+          invalidation stopped early (re-keyed ones count); sorted *)
   explain : (string * string) list;
       (** per module in init order, a one-line reuse/rebuild reason *)
   settled : (string * settle) list;

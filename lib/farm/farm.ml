@@ -145,21 +145,16 @@ let probe_store store iface =
          main_name)
     ~defs ()
 
-(* The main module's interface closure in dependency order; cycles
-   (mutually-recursive definition modules) are broken at the back edge,
-   so a cycle member waits only for members earlier in this order and
-   compiles the rest cold within its own probe. *)
+(* The main module's interface closure in dependency order, the members
+   of an import cycle in name order: a cycle member waits only for
+   members earlier in this order and compiles the rest cold within its
+   own probe. *)
 let closure_topo cache store =
   let order = ref [] in
-  let mark = Hashtbl.create 16 in
-  let rec visit name =
-    if Source_store.has_def store name && not (Hashtbl.mem mark name) then begin
-      Hashtbl.replace mark name ();
-      List.iter visit (Build_cache.imports_of cache (Option.get (Source_store.def_src store name)));
-      order := name :: !order
-    end
-  in
-  List.iter visit (Build_cache.imports_of cache (Source_store.main_src store));
+  let imports n = Option.fold ~none:[] ~some:(Build_cache.imports_of cache) (Source_store.def_src store n) in
+  Build_cache.condense ~node:imports ~edges:Fun.id ~settled:(fun _ -> false)
+    (fun ms -> order := List.rev_append (List.filter (Source_store.has_def store) (List.map fst ms)) !order)
+    (Build_cache.imports_of cache (Source_store.main_src store));
   List.rev !order
 
 (* One farm run in the installed context: span ids count from its

@@ -410,24 +410,12 @@ let run_repros ~dir =
    zoo matrix drops Avoidance cells for cyclic stores, exactly as the
    paper's §2.2 assumes an acyclic import DAG for that strategy. *)
 let has_def_cycle store =
-  let defs = Source_store.def_names store in
-  let edges d =
-    match Source_store.def_src store d with
-    | Some src -> List.filter (fun i -> List.mem i defs) (Build_cache.scan_imports src)
-    | None -> []
-  in
-  let state = Hashtbl.create 16 in
-  let rec visit d =
-    match Hashtbl.find_opt state d with
-    | Some `Done -> false
-    | Some `Active -> true
-    | None ->
-        Hashtbl.replace state d `Active;
-        let cyclic = List.exists visit (edges d) in
-        Hashtbl.replace state d `Done;
-        cyclic
-  in
-  List.exists visit defs
+  let imports d = Option.fold ~none:[] ~some:Build_cache.scan_imports (Source_store.def_src store d) in
+  let cyclic = ref false in
+  Build_cache.condense ~node:imports ~edges:Fun.id ~settled:(fun _ -> false)
+    (function [ (d, is) ] -> if List.mem d is then cyclic := true | _ -> cyclic := true)
+    (Source_store.def_names store);
+  !cyclic
 
 let run_spec ?(seed = 0) spec =
   let scenario = Shapes.name spec in

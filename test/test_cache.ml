@@ -784,6 +784,52 @@ let prop_scan_matches_importer =
           real = Build_cache.scan_imports src && real = Build_cache.imports_of cache src)
         sources)
 
+(* Build_cache.condense against a reference: over random import graphs
+   (self-imports and shared imports included), every node reachable from
+   the roots is emitted once, with its data, in the component of the
+   nodes it reaches and is reached from, members sorted, and after the
+   components of everything it imports.  Both ways callers mark nodes
+   settled are covered: by emission, and never. *)
+let prop_condense_matches_reachability =
+  QCheck.Test.make ~name:"condense: components and order match reachability" ~count:200
+    QCheck.(pair (int_bound 10_000) bool)
+    (fun (seed, mark) ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 8 in
+      let name i = Printf.sprintf "n%d" i in
+      let edges =
+        Array.init n (fun _ -> List.filter (fun _ -> Random.State.int rng 4 = 0) (List.init n name))
+      in
+      let succ v = edges.(int_of_string (String.sub v 1 (String.length v - 1))) in
+      let roots = List.filter (fun _ -> Random.State.bool rng) (List.init n name) in
+      (* reference reachability: [reach u v] when v is reachable from u *)
+      let rec reaches seen u = if List.mem u seen then seen else List.fold_left reaches (u :: seen) (succ u) in
+      let reach u v = List.mem v (reaches [] u) in
+      let emitted = ref [] in
+      let settled v = mark && List.exists (List.exists (fun (m, _) -> m = v)) !emitted in
+      Build_cache.condense ~node:(fun v -> (v, succ v)) ~edges:snd ~settled
+        (fun ms -> emitted := !emitted @ [ ms ]) roots;
+      let comps = !emitted in
+      let members = List.concat_map (List.map fst) comps in
+      let reachable = List.sort_uniq compare (List.concat_map (reaches []) roots) in
+      let position v = Option.get (List.find_index (List.exists (fun (m, _) -> m = v)) comps) in
+      List.sort compare members = reachable
+      && List.for_all (fun ms -> List.for_all (fun (m, (d, _)) -> m = d) ms) comps
+      && List.for_all
+           (fun ms ->
+             let vs = List.map fst ms in
+             List.sort compare vs = vs
+             && List.for_all (fun u -> List.for_all (fun v -> reach u v && reach v u) vs) vs)
+           comps
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v ->
+                 position u = position v
+                 || (position v < position u && not (reach v u)))
+               (succ u))
+           members)
+
 let () =
   Alcotest.run "cache"
     [
@@ -823,6 +869,7 @@ let () =
           Alcotest.test_case "saves killed partway through" `Quick test_killed_saves;
           Alcotest.test_case "lazy load bumps the uid floor" `Quick test_lazy_load_uid_floor;
         ] );
+      ("condense", [ Tutil.qtest prop_condense_matches_reachability ]);
       ( "scanner",
         [
           Tutil.qtest prop_scan_matches_importer;

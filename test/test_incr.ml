@@ -44,7 +44,8 @@ let test_body_only_rebuilds_one () =
   let r = build cache (project ~delta:7 ()) in
   Alcotest.(check (list string)) "only Aux recompiles" [ "Aux" ] r.Project.recompiled;
   Alcotest.(check (list string)) "Main reused" [ "Main" ] r.Project.reused;
-  Alcotest.(check bool) "cutoff recorded at Aux" true (List.mem "Aux" r.Project.cutoffs)
+  (* no interface text moved, so invalidation had nothing to stop *)
+  Alcotest.(check (list string)) "no cutoffs" [] r.Project.cutoffs
 
 let test_sig_preserving_rebuilds_nothing () =
   let cache = Project.cache () in
@@ -62,11 +63,11 @@ let test_sig_edit_rebuilds_only_users () =
   let r = build cache (project ~base:11 ()) in
   Alcotest.(check (list string)) "base edit: only Main" [ "Main" ] r.Project.recompiled;
   Alcotest.(check (list string)) "Aux survives" [ "Aux" ] r.Project.reused;
-  (* Lib.limit is used only by Aux; Aux's own interface comes out
-     unchanged, so Main survives too *)
+  (* Lib.limit is used only by Aux; Aux's own interface text never went
+     stale, so Main survives too and no interface is a cutoff *)
   let r2 = build cache (project ~base:11 ~limit:6 ()) in
   Alcotest.(check (list string)) "limit edit: only Aux" [ "Aux" ] r2.Project.recompiled;
-  Alcotest.(check bool) "Aux shape unchanged: cutoff" true (List.mem "Aux" r2.Project.cutoffs)
+  Alcotest.(check (list string)) "limit edit: no cutoffs" [] r2.Project.cutoffs
 
 let test_iface_changes_name_the_slice () =
   let cache = Project.cache () in
@@ -428,17 +429,19 @@ let test_type_identity_edit () =
       same_as_cold (what ^ ", Main touched") r2 touched)
     [ true; false ]
 
-(* Modules whose interface closure has an import cycle key on their
-   sources: unchanged builds still hit every module by key.  The first
-   warm build may re-key them instead: a cyclic interface's fingerprint
-   depends on where the traversal enters the cycle, and the cold build
-   entered it elsewhere. *)
+(* corpus/mutual-def: CycA and CycB import each other. *)
+let mutual_def () =
+  Source_store.of_directory ~dir:(Filename.concat (Lazy.force corpus_dir) "mutual-def")
+    ~main_name:"Mutual"
+
+(* A cold build analyses each member of the cycle once, and the first
+   warm build hits every module by key. *)
 let test_cyclic_noop_key_hits () =
-  let dir = Filename.concat (Lazy.force corpus_dir) "mutual-def" in
-  let s = Source_store.of_directory ~dir ~main_name:"Mutual" in
+  let s = mutual_def () in
   let cache = Project.cache () in
   ignore (build cache s);
-  ignore (build cache s);
+  let _, misses, invalidated = Build_cache.counters cache.Project.bc in
+  Alcotest.(check (pair int int)) "cold: 2 misses, 0 invalidated" (2, 0) (misses, invalidated);
   let r = build cache s in
   Alcotest.(check (list string)) "nothing recompiled" [] r.Project.recompiled;
   List.iter
@@ -446,6 +449,107 @@ let test_cyclic_noop_key_hits () =
       Alcotest.(check string) (m ^ " hits by key")
         "reused: unchanged inputs (whole-module key hit)" why)
     r.Project.explain
+
+(* A cycle's fingerprints do not depend on the member a walk enters by,
+   and each covers every member's text. *)
+let test_cyclic_fingerprints_entry_free () =
+  let s = mutual_def () in
+  let bc = Build_cache.create () in
+  let fps s entry =
+    let memo = Hashtbl.create 8 in
+    ignore (Build_cache.interface_fp bc ~memo ~store:s entry);
+    List.map (fun m -> fst (Build_cache.interface_fp bc ~memo ~store:s m)) [ "CycA"; "CycB" ]
+  in
+  let at_a = fps s "CycA" in
+  Alcotest.(check (list string)) "entered at CycA or at CycB" at_a (fps s "CycB");
+  let edited = with_def s "CycA" (Option.get (Source_store.def_src s "CycA") ^ "(* edited *)\n") in
+  List.iter2
+    (fun m (before, after) -> Alcotest.(check bool) (m ^ " moves") true (before <> after))
+    [ "CycA"; "CycB" ]
+    (List.combine at_a (fps edited "CycB"))
+
+(* After a comment edit of CycA.def, both members are re-analysed and
+   kept, so every module still hits by key. *)
+let test_cyclic_comment_edit_keeps () =
+  let s = mutual_def () in
+  let cache = Project.cache () in
+  ignore (build cache s);
+  let edited = with_def s "CycA" (Option.get (Source_store.def_src s "CycA") ^ "(* edited *)\n") in
+  let r = build cache edited in
+  Alcotest.(check (list (pair string string))) "both members kept"
+    [ ("CycA", "kept"); ("CycB", "kept") ]
+    (List.sort compare (settled_verbs r));
+  List.iter
+    (fun (m, why) ->
+      Alcotest.(check string) (m ^ " hits by key")
+        "reused: unchanged inputs (whole-module key hit)" why)
+    r.Project.explain;
+  same_as_cold "comment edit" r edited
+
+(* CycB's constant changes and CycA's shape does not.  The previous
+   artifacts of a cycle name each other's types, so they are kept all
+   or none: CycA gets a new artifact too. *)
+let test_cyclic_all_or_none () =
+  let s = mutual_def () in
+  let cache = Project.cache () in
+  ignore (build cache s);
+  let edited =
+    with_def s "CycB"
+      "DEFINITION MODULE CycB;\nIMPORT CycA;\nCONST baseB = 7;\nPROCEDURE UseB(): INTEGER;\nEND CycB.\n"
+  in
+  let r = build cache edited in
+  Alcotest.(check bool) "CycA renewed, CycB changed" true
+    (List.sort compare r.Project.settled
+    = [
+        ("CycA", Project.Renewed "but another member of its import cycle changed");
+        ("CycB", Project.Changed [ "baseB" ]);
+      ]);
+  same_as_cold "constant edit" r edited
+
+(* CycA's variable has CycB's record type, so CycA's artifact names a
+   type uid of CycB's, and Main assigns across the two members. *)
+let typed_cycle ?(comment_a = "") ?(comment_b = "") ?(comment_main = "") () =
+  store ~name:"Main"
+    ~defs:
+      [
+        ("CycA", "DEFINITION MODULE CycA;\nIMPORT CycB;\nVAR v: CycB.T;\nEND CycA.\n" ^ comment_a);
+        ( "CycB",
+          "DEFINITION MODULE CycB;\nIMPORT CycA;\nTYPE T = RECORD x: INTEGER END;\nEND CycB.\n"
+          ^ comment_b );
+      ]
+    ~impls:[ ("CycA", "IMPLEMENTATION MODULE CycA;\nBEGIN\n  v.x := 4\nEND CycA.\n") ]
+    ("IMPLEMENTATION MODULE Main;\nIMPORT CycA, CycB;\nVAR t: CycB.T;\nBEGIN\n  t := CycA.v;\n  WriteInt(t.x)\nEND Main.\n"
+    ^ comment_main)
+
+(* A comment edit of either member keeps both previous artifacts: the
+   decision is the component's, made before any member is re-keyed. *)
+let test_typed_cycle_comment_edits_keep () =
+  let cache = Project.cache () in
+  let r0 = build cache (typed_cycle ()) in
+  Alcotest.(check bool) "the project compiles" true r0.Project.ok;
+  List.iter
+    (fun (what, edited) ->
+      let r = build cache edited in
+      Alcotest.(check (list (pair string string))) (what ^ ": both members kept")
+        [ ("CycA", "kept"); ("CycB", "kept") ]
+        (List.sort compare (settled_verbs r));
+      List.iter
+        (fun (m, why) ->
+          Alcotest.(check string) (what ^ ": " ^ m ^ " hits by key")
+            "reused: unchanged inputs (whole-module key hit)" why)
+        r.Project.explain;
+      same_as_cold what r edited)
+    [
+      ("CycA comment", typed_cycle ~comment_a:"(* a *)\n" ());
+      ("CycB comment", typed_cycle ~comment_a:"(* a *)\n" ~comment_b:"(* b *)\n" ());
+    ];
+  (* Main's assignment across the members is checked again against the
+     kept artifacts *)
+  let touched = typed_cycle ~comment_a:"(* a *)\n" ~comment_b:"(* b *)\n" ~comment_main:"(* m *)\n" () in
+  let r = build cache touched in
+  Alcotest.(check (list string)) "Main touched: Main recompiled" [ "Main" ] r.Project.recompiled;
+  Alcotest.(check bool) "Main touched: compiles" true r.Project.ok;
+  same_as_cold "Main touched" r touched
 
 (* The suite's three projects with the most interfaces. *)
 let largest_projects =
@@ -566,6 +670,13 @@ let () =
           Alcotest.test_case "uid coupling forces a new artifact" `Quick test_uid_coupling;
           Alcotest.test_case "type identity edit, both ways" `Quick test_type_identity_edit;
           Alcotest.test_case "cyclic closures hit by key" `Quick test_cyclic_noop_key_hits;
+          Alcotest.test_case "cyclic fingerprints are entry-free" `Quick
+            test_cyclic_fingerprints_entry_free;
+          Alcotest.test_case "cyclic comment edit keeps both" `Quick
+            test_cyclic_comment_edit_keeps;
+          Alcotest.test_case "a cycle keeps all or none" `Quick test_cyclic_all_or_none;
+          Alcotest.test_case "a typed cycle keeps both members" `Quick
+            test_typed_cycle_comment_edits_keep;
           Alcotest.test_case "largest projects: warm == cold" `Quick
             test_large_streams_equal_cold;
         ] );
