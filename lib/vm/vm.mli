@@ -1,13 +1,18 @@
-(** The execution engine for compiled programs: an interpreter for the
-    stack machine of [Mcc_codegen.Instr], standing in for the paper's
-    CVax hardware so compiled Modula-2+ programs actually run.
+(** The execution engine for compiled programs: runs the stack machine
+    of [Mcc_codegen.Instr], standing in for the paper's CVax hardware so
+    compiled Modula-2+ programs actually run.
 
     Every assignable slot lives in some value array (a procedure frame,
     a module global frame, an array/record body, or a heap cell);
-    locations designate one such slot.  Calls are OCaml recursion, so
-    Modula-2+ exception propagation unwinds interpreter frames; the
-    static chain implements uplevel addressing.  Execution is metered by
-    [fuel] so runaway programs fail cleanly. *)
+    locations designate one such slot.  Each code unit is translated
+    once per run, on its first call: its basic blocks' expression trees
+    are rebuilt by running the stack symbolically and compiled into
+    OCaml closures, and the shared evaluation stack carries only values
+    that cross an effect or a block boundary.  Calls are OCaml
+    recursion, so Modula-2+ exception propagation unwinds activations;
+    the static chain implements uplevel addressing.  Execution is
+    metered by [fuel], one step per instruction, so runaway programs
+    fail cleanly. *)
 
 type v =
   | VInt of int

@@ -140,6 +140,13 @@ let project_diff a b =
 let fail ~scenario ~oracle ~field ~expected ~actual =
   { f_scenario = scenario; f_oracle = oracle; f_field = field; f_expected = expected; f_actual = actual }
 
+(* Write a golden record unless the file already holds exactly it;
+   whether it wrote. *)
+let write_golden path rendered =
+  let changed = Golden.read_file path <> Some rendered in
+  if changed then Golden.write_file path rendered;
+  changed
+
 (* Warm project rebuild ≡ cold, and a no-op rebuild recompiles nothing.
    Returns the warmed cache for the incremental oracle to reuse. *)
 let warm_cold ~scenario store =
@@ -222,8 +229,7 @@ let incremental ~scenario ~dir ~cache ~golden ~update store =
             let path = Golden.rebuild_path dir ~variant_file:vfile in
             let rendered = Golden.render_rebuild (rebuild_record rebuilt) in
             if update then (
-              Golden.write_file path rendered;
-              updated := path :: !updated;
+              if write_golden path rendered then updated := path :: !updated;
               fs)
             else
               match Golden.read_file path with
@@ -267,9 +273,7 @@ let program_record ~input (p : Project.result) =
 let golden_program ~scenario ~dir ~input ~update (cold : Project.result) =
   let path = Golden.program_path dir in
   let rendered = Golden.render_program (program_record ~input cold) in
-  if update then (
-    Golden.write_file path rendered;
-    ([], [ path ]))
+  if update then ([], if write_golden path rendered then [ path ] else [])
   else
     match Golden.read_file path with
     | None ->

@@ -22,12 +22,14 @@ type outcome = {
   o_kind : string;  (** [corpus], [shape] or [repro] *)
   o_oracles : string list;  (** oracles applied, in order *)
   o_failures : failure list;  (** empty = clean *)
-  o_updated : string list;  (** golden files (re)written by [update_golden] *)
+  o_updated : string list;
+      (** golden files [update_golden] wrote because their content
+          changed; a record that was already current is left alone *)
 }
 
 (** Run one corpus scenario directory through its manifest's oracles.
-    [update_golden] rewrites the [expect/] records from the observed
-    behaviour instead of diffing against them (conformance and
+    [update_golden] writes each [expect/] record that differs from the
+    observed behaviour instead of diffing against it (conformance and
     incremental equivalences are still checked — goldens pin behaviour,
     they never excuse a divergence). *)
 val run_dir : ?update_golden:bool -> string -> outcome

@@ -300,6 +300,97 @@ let test_pinned_observations () =
       Alcotest.(check string) (field "store_digest") digest res.Mcc_vm.Vm.store_digest)
     (pinned ())
 
+(* The wider golden, test/vm_observations.expected: one line per run
+   (status, steps, output digest, store digest) for the six kernels at
+   two input sizes, the examples, every corpus program, and a fuel sweep
+   over four kernels (fuel 1-60, then every 97th step to completion).
+   On a mismatch the lines this build observed are written to
+   vm_observations.actual in the test's working directory. *)
+
+let observe name program ~input ~fuel =
+  let r = Mcc_vm.Vm.run ~fuel ~input program in
+  Printf.sprintf "%s [%s] fuel=%d | %s | steps=%d | out=%s | store=%s" name
+    (String.concat "," (List.map string_of_int input))
+    fuel
+    (Mcc_vm.Vm.status_to_string r.Mcc_vm.Vm.status)
+    r.Mcc_vm.Vm.steps
+    (Digest.to_hex (Digest.string r.Mcc_vm.Vm.output))
+    r.Mcc_vm.Vm.store_digest
+
+let compiled name store =
+  let r = Mcc_core.Project.compile store in
+  if not r.Mcc_core.Project.ok then Alcotest.failf "%s does not compile" name;
+  r.Mcc_core.Project.program
+
+let observation_fuel = 50_000_000
+
+(* kernel, small input (also swept over fuel), benchmark-sized input *)
+let observed_kernels =
+  [
+    ("Fib", [ 15; 1000 ], [ 22; 4711 ], true);
+    ("Sieve", [ 3000 ], [ 30150 ], false);
+    ("MatMul", [ 6; 12345 ], [ 32; 987654321 ], false);
+    ("Lists", [ 300; 777 ], [ 20100; 123456789 ], true);
+    ("Raise", [ 300; 17 ], [ 20100; 555 ], true);
+    ("Shapes", [ 10; 4242 ], [ 201; 1234567 ], true);
+  ]
+
+let observations () =
+  let lines = ref [] in
+  let add l = lines := l :: !lines in
+  List.iter
+    (fun (name, small, large, sweep) ->
+      let program = compiled name (kernel_store name) in
+      let full = observe name program ~fuel:observation_fuel in
+      add (full ~input:small);
+      add (full ~input:large);
+      if sweep then begin
+        let steps = (Mcc_vm.Vm.run ~input:small program).Mcc_vm.Vm.steps in
+        let fuels =
+          List.init 60 (fun i -> i + 1) @ List.init (steps / 97) (fun k -> 97 * (k + 1)) @ [ steps; steps + 1 ]
+        in
+        List.iter (fun fuel -> add (observe name program ~input:small ~fuel)) fuels
+      end)
+    observed_kernels;
+  add (observe "examples/Sieve" (compiled "examples/Sieve" (sieve_example_store ())) ~input:[]
+         ~fuel:observation_fuel);
+  let dir = Lazy.force corpus_dir in
+  List.iter
+    (fun scenario ->
+      let sdir = Filename.concat dir scenario in
+      match Mcc_zoo.Manifest.load ~dir:sdir with
+      | Error msg -> Alcotest.fail msg
+      | Ok m ->
+          let main_name = Option.get m.Mcc_zoo.Manifest.main in
+          let store =
+            Mcc_core.M2lib.augment (Mcc_core.Source_store.of_directory ~dir:sdir ~main_name)
+          in
+          add
+            (observe ("corpus/" ^ scenario) (compiled scenario store) ~input:m.Mcc_zoo.Manifest.input
+               ~fuel:observation_fuel))
+    (Mcc_zoo.Zoo.scenario_dirs ~dir);
+  List.rev !lines
+
+let test_observation_golden () =
+  let actual = observations () in
+  let expected =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (read_file (repo_path "test/vm_observations.expected")))
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "vm_observations.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first n = function
+      | e :: es, a :: as_ ->
+          if e = a then first (n + 1) (es, as_)
+          else Alcotest.failf "line %d:\n  expected %s\n  got      %s" n e a
+      | e :: _, [] -> Alcotest.failf "line %d: expected %s, got nothing" n e
+      | [], a :: _ -> Alcotest.failf "line %d: unexpected %s" n a
+      | [], [] -> ()
+    in
+    first 1 (expected, actual)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Stack discipline, on hand-assembled units: every activation owns only
    the operands it pushed, TRY records restore the right height, and
@@ -314,7 +405,8 @@ let call key n = I.Call (key, n, I.LinkNone)
 let write_int = I.Builtin (I.OWriteInt, 1)
 
 (* The module "M": its body is the unit "M", its global frame holds one
-   EXCEPTION ("M.e") in slot 0.  Each unit is (key, params, slots, code). *)
+   EXCEPTION ("M.e") in slot 0 and a scalar in slot 1.  Each unit is
+   (key, params, slots, code). *)
 let run_units units =
   let unit (key, nparams, nslots, code) =
     {
@@ -327,13 +419,14 @@ let run_units units =
   in
   Vm.run
     (Mcc_codegen.Cunit.link ~entry:"M"
-       ~frames:[ ("M", [ (0, Mcc_codegen.Tydesc.DExc "M.e") ], 1) ]
+       ~frames:[ ("M", [ (0, Mcc_codegen.Tydesc.DExc "M.e") ], 2) ]
        (List.map unit units))
 
-let expect name ~output ~status units =
+let expect ?steps name ~output ~status units =
   let r = run_units units in
   Alcotest.(check string) (name ^ ": status") status (Vm.status_to_string r.Vm.status);
-  Alcotest.(check string) (name ^ ": output") output r.Vm.output
+  Alcotest.(check string) (name ^ ": output") output r.Vm.output;
+  Option.iter (fun n -> Alcotest.(check int) (name ^ ": steps") n r.Vm.steps) steps
 
 let underflow_in key = "trap: evaluation stack underflow in " ^ key
 
@@ -467,6 +560,99 @@ let test_deep_recursion_grows_stack () =
         ] );
     ]
 
+(* Values that cross a block boundary travel on the shared stack; the
+   rest are evaluated where their instructions stand.  Each case pins
+   the step count too. *)
+
+let write_char c = [ I.Const (Mcc_sem.Value.VChar c); I.Builtin (I.OWriteChar, 1) ]
+let gload n = I.LoadGlobal ("M", n)
+
+(* M.T and M.F write a mark, then return TRUE and FALSE. *)
+let marked_bools =
+  [
+    ("M.T", 0, 0, write_char 't' @ [ bool true; I.RetVal ]);
+    ("M.F", 0, 0, write_char 'f' @ [ bool false; I.RetVal ]);
+  ]
+
+let test_short_circuit_call () =
+  (* [lhs; dup; j* 5; pop; call rhs; 5: jf 8; '1'; 8: ret] *)
+  let cond lhs jump rhs =
+    ( "M",
+      0,
+      0,
+      [ bool lhs; I.Dup; jump 5; I.Pop; call rhs 0; I.JumpIfNot 8 ] @ write_char '1' @ [ I.Ret ] )
+  in
+  expect "TRUE AND F()" ~output:"f" ~status:"finished" ~steps:11
+    (cond true (fun t -> I.JumpIfNot t) "M.F" :: marked_bools);
+  expect "FALSE AND F() skips the call" ~output:"" ~status:"finished" ~steps:5
+    (cond false (fun t -> I.JumpIfNot t) "M.F" :: marked_bools);
+  expect "FALSE OR T()" ~output:"t1" ~status:"finished" ~steps:13
+    (cond false (fun t -> I.JumpIf t) "M.T" :: marked_bools);
+  expect "TRUE OR T() skips the call" ~output:"1" ~status:"finished" ~steps:7
+    (cond true (fun t -> I.JumpIf t) "M.T" :: marked_bools)
+
+let test_dup_across_jump () =
+  expect "both copies cross" ~output:"10" ~status:"finished" ~steps:6
+    [ ("M", 0, 0, [ int 5; I.Dup; I.Jump 3; I.AddI; write_int; I.Ret ]) ];
+  expect "one copy consumed before the jump" ~output:"6" ~status:"finished" ~steps:8
+    [ ("M", 0, 0, [ int 3; I.Dup; I.AddI; I.Dup; I.Jump 5; I.Pop; write_int; I.Ret ]) ]
+
+let test_handler_value_after_jump () =
+  expect "exception value compared after a jump" ~output:"1" ~status:"finished" ~steps:10
+    [
+      ( "M",
+        0,
+        0,
+        [ I.Try 3; gload 0; I.RaiseI; I.Jump 4; gload 0; I.Cmp I.REq; I.JumpIfNot 9; int 1; write_int; I.Ret ] );
+    ]
+
+let test_range_check_previous_block () =
+  let prog range = [ ("M", 0, 0, [ int 7; I.Jump 2; range; write_int; I.Ret ]) ] in
+  expect "in range" ~output:"7" ~status:"finished" ~steps:5 (prog (I.RangeCheck (0, 9)));
+  expect "out of range" ~output:"" ~status:"trap: value 7 out of range [0..5]" ~steps:3
+    (prog (I.RangeCheck (0, 5)))
+
+let test_call_ptr () =
+  let add = ("M.Add", 2, 2, [ I.LoadLocal 0; I.LoadLocal 1; I.AddI; I.RetVal ]) in
+  expect "procedure value called with two arguments" ~output:"42" ~status:"finished" ~steps:10
+    [ ("M", 0, 0, [ I.ProcConst "M.Add"; int 20; int 22; I.CallPtr 2; write_int; I.Ret ]); add ];
+  expect "a pending value below the callee" ~output:"142" ~status:"finished" ~steps:12
+    [ ("M", 0, 0, [ int 100; I.ProcConst "M.Add"; int 20; int 22; I.CallPtr 2; I.AddI; write_int; I.Ret ]); add ]
+
+let test_mid_expression_underflow () =
+  expect "second addi" ~output:"" ~status:(underflow_in "M") ~steps:4
+    [ ("M", 0, 0, [ int 1; int 2; I.AddI; I.AddI; write_int; I.Ret ]) ];
+  expect "after an effect" ~output:"3" ~status:(underflow_in "M") ~steps:6
+    [ ("M", 0, 0, [ int 1; int 2; I.AddI; write_int; int 4; I.SubI; I.Ret ]) ];
+  expect "the upper operand is checked first" ~output:""
+    ~status:"trap: integer value expected, found REAL" ~steps:2
+    [ ("M", 0, 0, [ I.Const (Mcc_sem.Value.VReal 1.5); I.AddI; I.Ret ]) ];
+  expect "the caller's operand is out of reach" ~output:"" ~status:(underflow_in "M.P") ~steps:4
+    [ ("M", 0, 0, [ int 1; call "M.P" 0; I.Ret ]); ("M.P", 0, 0, [ int 5; I.MulI; I.RetVal ]) ];
+  expect "both operands out of reach" ~output:"" ~status:(underflow_in "M.P") ~steps:3
+    [ ("M", 0, 0, [ int 1; call "M.P" 0; I.Ret ]); ("M.P", 0, 0, [ I.SubI; I.RetVal ]) ]
+
+(* M.Set assigns x := 100 and returns 10; x + Set() must add the old x. *)
+let test_load_before_call () =
+  expect "old x" ~output:"11" ~status:"finished" ~steps:11
+    [
+      ("M", 0, 0, [ int 1; I.StoreGlobal ("M", 1); gload 1; call "M.Set" 0; I.AddI; write_int; I.Ret ]);
+      ("M.Set", 0, 0, [ int 100; I.StoreGlobal ("M", 1); int 10; I.RetVal ]);
+    ]
+
+(* x + (x := 100; x) with x = 1 reads 101: the first load is taken
+   before the store, whether x is a global, a local or reached through
+   its location. *)
+let test_load_before_store () =
+  let expect_101 name steps code =
+    expect name ~output:"101" ~status:"finished" ~steps [ ("M", 0, 1, code @ [ I.AddI; write_int; I.Ret ]) ]
+  in
+  let gstore = I.StoreGlobal ("M", 1) and gaddr = I.GlobalAddr ("M", 1) in
+  expect_101 "global" 9 [ int 1; gstore; gload 1; int 100; gstore; gload 1 ];
+  expect_101 "local" 9 [ int 1; I.StoreLocal 0; I.LoadLocal 0; int 100; I.StoreLocal 0; I.LoadLocal 0 ];
+  expect_101 "through a location" 12
+    [ int 1; gstore; gaddr; I.LoadInd; gaddr; int 100; I.StoreInd; gaddr; I.LoadInd ]
+
 let () =
   Alcotest.run "vm_more"
     [
@@ -509,7 +695,11 @@ let () =
           Alcotest.test_case "deep recursion" `Quick test_deep_call_chain;
           Alcotest.test_case "body sequencing" `Quick test_module_body_statements_order;
         ] );
-      ("observations", [ Alcotest.test_case "pinned programs" `Quick test_pinned_observations ]);
+      ( "observations",
+        [
+          Alcotest.test_case "pinned programs" `Quick test_pinned_observations;
+          Alcotest.test_case "observation golden" `Quick test_observation_golden;
+        ] );
       ( "stack discipline",
         [
           Alcotest.test_case "underflow names the unit" `Quick test_underflow_names_unit;
@@ -519,5 +709,14 @@ let () =
             test_exception_unwinds_pending_operands;
           Alcotest.test_case "RETURN inside TRY" `Quick test_return_inside_try;
           Alcotest.test_case "deep recursion grows the stack" `Quick test_deep_recursion_grows_stack;
+          Alcotest.test_case "AND/OR with a call on the right" `Quick test_short_circuit_call;
+          Alcotest.test_case "dup across a jump" `Quick test_dup_across_jump;
+          Alcotest.test_case "handler value used after a jump" `Quick test_handler_value_after_jump;
+          Alcotest.test_case "range check on the previous block's value" `Quick
+            test_range_check_previous_block;
+          Alcotest.test_case "call through a procedure value" `Quick test_call_ptr;
+          Alcotest.test_case "mid-expression underflow" `Quick test_mid_expression_underflow;
+          Alcotest.test_case "load before a call that stores" `Quick test_load_before_call;
+          Alcotest.test_case "load before a store" `Quick test_load_before_store;
         ] );
     ]

@@ -201,6 +201,7 @@ let test_golden_fixpoint () =
         (List.map Zoo.failure_to_string o2.Zoo.o_failures);
       Alcotest.(check bool) "goldens are a fixpoint (byte-identical rewrite)" true
         (first = snapshot ());
+      Alcotest.(check (list string)) "second update pass rewrites nothing" [] o2.Zoo.o_updated;
       let o3 = Zoo.run_dir dir in
       Alcotest.(check (list string))
         "plain replay against fresh goldens is clean" []
