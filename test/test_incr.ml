@@ -654,6 +654,109 @@ let test_slice_invalidation_across_processes () =
   Alcotest.(check (list string)) "Aux survives from disk" [ "Aux" ] r.Project.reused;
   Alcotest.(check bool) "and compiles" true r.Project.ok
 
+(* --- the keys and charges of [m2c build] steps, pinned --- *)
+
+(* test/build_keys.expected: per build step (load the on-disk cache,
+   compile, save) of a few edit streams, the init order, each
+   interface's stored fingerprint and identity, each module's key, the
+   reuse/refresh/total units and the cache counters.  Identities hash
+   type uids, so each stream starts from a fixed uid floor.  On a
+   mismatch the lines this build observed are written to
+   build_keys.actual in the test's working directory. *)
+
+let build_key_streams () =
+  let suite rank =
+    let s = Gen.with_impls (Mcc_synth.Suite.program ~seed:3 rank) in
+    ( Printf.sprintf "suite%d" rank,
+      s :: s :: List.map (fun e -> e.Gen.e_store) (Gen.edit_stream ~seed:3 ~n:12 s) )
+  in
+  let scale =
+    let s = Gen.with_impls (Mcc_zoo.Scale.flat_store ~seed:3 200) in
+    ("scale200", s :: s :: List.map (fun e -> e.Gen.e_store) (Gen.edit_stream ~seed:3 ~n:6 s))
+  in
+  let mutual =
+    let dir = Filename.concat (Lazy.force corpus_dir) "mutual-def" in
+    let s = M2lib.augment (Source_store.of_directory ~dir ~main_name:"Mutual") in
+    let comment name (s : Source_store.t) =
+      let defs =
+        List.map
+          (fun n ->
+            let src = Option.get (Source_store.def_src s n) in
+            (n, if n = name then src ^ "(* edited *)\n" else src))
+          (Source_store.def_names s)
+      in
+      let impls =
+        List.filter_map
+          (fun n ->
+            if n = Source_store.main_name s then None
+            else Option.map (fun src -> (n, src)) (Source_store.impl_src s n))
+          (Source_store.impl_names s)
+      in
+      Source_store.make ~impls ~main_name:(Source_store.main_name s)
+        ~main_src:(Source_store.main_src s) ~defs ()
+    in
+    let a = comment "CycA" s in
+    ("mutual-def", [ s; s; a; comment "CycB" a ])
+  in
+  [ suite 0; suite 9; suite 36; scale; mutual ]
+
+let build_key_lines () =
+  let tag = Project.config_tag Driver.default_config in
+  let lines = ref [] in
+  let add fmt = Printf.ksprintf (fun l -> lines := l :: !lines) fmt in
+  List.iteri
+    (fun k (label, stores) ->
+      Mcc_sem.Types.bump_uid_floor ((k + 1) * 1_000_000_000);
+      with_temp_dir @@ fun dir ->
+      List.iteri
+        (fun i store ->
+          let c = Project.cache ~dir () in
+          let r = Project.compile ~cache:c store in
+          Project.save c;
+          let step = Printf.sprintf "%s/%d" label i in
+          add "%s order %s" step (String.concat " " r.Project.modules);
+          List.iter
+            (fun n ->
+              match Build_cache.latest c.Project.bc n with
+              | None -> add "%s iface %s none" step n
+              | Some s ->
+                  add "%s iface %s fp=%s id=%s" step n (Build_cache.stored_fingerprint s)
+                    (Build_cache.stored_identity s))
+            (Source_store.def_names store);
+          List.iter
+            (fun n ->
+              match Build_cache.find_latest_module c.Project.memo ~name:(tag ^ "|" ^ n) with
+              | None -> add "%s module %s none" step n
+              | Some (key, _) -> add "%s module %s key=%s" step n key)
+            r.Project.modules;
+          let h, m, inv = Build_cache.counters c.Project.bc in
+          let mh, mm, minv = Build_cache.memo_counters c.Project.memo in
+          add "%s units reuse=%h refresh=%h total=%h iface=%d/%d/%d memo=%d/%d/%d" step
+            r.Project.reuse_units r.Project.refresh_units r.Project.total_units h m inv mh mm minv)
+        stores)
+    (build_key_streams ());
+  List.rev !lines
+
+let test_build_keys_golden () =
+  let actual = build_key_lines () in
+  let expected =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (read_file (repo_path "test/build_keys.expected")))
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "build_keys.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first n = function
+      | e :: es, a :: as_ ->
+          if e = a then first (n + 1) (es, as_)
+          else Alcotest.failf "line %d:\n  expected %s\n  got      %s" n e a
+      | e :: _, [] -> Alcotest.failf "line %d: expected %s, got nothing" n e
+      | [], a :: _ -> Alcotest.failf "line %d: unexpected %s" n a
+      | [], [] -> ()
+    in
+    first 1 (expected, actual)
+  end
+
 let () =
   Alcotest.run "incr"
     [
@@ -711,5 +814,6 @@ let () =
             test_memo_persists_across_processes;
           Alcotest.test_case "slice invalidation from disk" `Quick
             test_slice_invalidation_across_processes;
+          Alcotest.test_case "build keys and charges golden" `Quick test_build_keys_golden;
         ] );
     ]
