@@ -384,7 +384,7 @@ and spawn_def_stream comp name scope src ~fp =
         (match (comp.cache, fp) with
         | Some cache, Some fp ->
             Build_cache.store_interface ~checked:true cache ~fp
-              ~source:(Build_cache.source_digest cache src)
+              ~source:(Build_cache.def_digest cache name src)
               (Artifact.capture ~name ~imports:(List.rev !imports) ~scope
                  ~frame:{ Artifact.f_key = frame_key; f_slots = slots; f_size = size }
                  ~diags)

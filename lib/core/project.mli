@@ -43,22 +43,22 @@ type dep = {
   dep_slices : (string * string * int list) list;
 }
 
-(** A memoized per-module compilation, holding only what reuse
+(** A memoized per-module compilation, holding only what a key hit
     consumes: the module's code units and global frames, its
-    diagnostics and verdict, the digest of the implementation source it
-    was built from, and its fine-grained dependency record. *)
+    diagnostics and verdict, and the digest of the implementation
+    source it was built from. *)
 type entry = {
   e_units : Cunit.t list;
   e_frames : (string * (int * Tydesc.t) list * int) list;
   e_diags : Diag.d list;
   e_ok : bool;
   e_src_digest : string;
-  e_deps : dep list;
 }
 
 (** A project-level cache: the shared interface store plus the
-    per-module result memo. *)
-type cache = { bc : Build_cache.t; memo : entry Build_cache.memo }
+    per-module result memo, each entry's fine-grained dependency record
+    stored beside it and decoded only when its key misses. *)
+type cache = { bc : Build_cache.t; memo : (entry, dep list) Build_cache.memo }
 
 (** [cache ?dir ()] — with [dir], persisted interface artifacts and
     whole-module results are loaded now and {!save} writes them back, so

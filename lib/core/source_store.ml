@@ -27,15 +27,23 @@ let main_file t = t.main_name ^ ".mod"
 let def_src t name = Hashtbl.find_opt t.defs name
 let def_file name = name ^ ".def"
 let has_def t name = Hashtbl.mem t.defs name
-let def_names t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.defs [])
+let def_names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.defs [])
 
 (* Implementation source of any module in the program (the main module
    included). *)
 let impl_src t name =
   if name = t.main_name then Some t.main_src else Hashtbl.find_opt t.impls name
 
+let iter_defs t f = Hashtbl.iter f t.defs
+
+let iter_impls t f =
+  Hashtbl.iter (fun n s -> if n <> t.main_name then f n s) t.impls;
+  f t.main_name t.main_src
+
+let n_names t = Hashtbl.length t.defs + Hashtbl.length t.impls + 1
+
 let impl_names t =
-  List.sort compare
+  List.sort String.compare
     (t.main_name :: Hashtbl.fold (fun k _ acc -> k :: acc) t.impls [])
 
 (* A view of the same program with [name] as the compilation unit. *)

@@ -33,6 +33,17 @@ val def_names : t -> string list
     included). *)
 val impl_src : t -> string -> string option
 
+(** [iter_defs t f] calls [f name src] on every interface, in no
+    particular order. *)
+val iter_defs : t -> (string -> string -> unit) -> unit
+
+(** [iter_impls t f] calls [f name src] on every implementation, the
+    main module's included, in no particular order. *)
+val iter_impls : t -> (string -> string -> unit) -> unit
+
+(** An upper bound on the distinct module names of the store. *)
+val n_names : t -> int
+
 (** Modules with implementations, sorted (main included). *)
 val impl_names : t -> string list
 

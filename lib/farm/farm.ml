@@ -149,12 +149,11 @@ let probe_store store iface =
    of an import cycle in name order: a cycle member waits only for
    members earlier in this order and compiles the rest cold within its
    own probe. *)
-let closure_topo cache store =
+let closure_topo g store =
   let order = ref [] in
-  let imports n = Option.fold ~none:[] ~some:(Build_cache.imports_of cache) (Source_store.def_src store n) in
-  Build_cache.condense ~node:imports ~edges:Fun.id ~settled:(fun _ -> false)
+  Build_cache.condense ~node:(Build_cache.def_imports g) ~edges:Fun.id ~settled:(fun _ -> false)
     (fun ms -> order := List.rev_append (List.filter (Source_store.has_def store) (List.map fst ms)) !order)
-    (Build_cache.imports_of cache (Source_store.main_src store));
+    (Option.get (Build_cache.impl_imports g (Source_store.main_name store)));
   List.rev !order
 
 (* One farm run in the installed context: span ids count from its
@@ -170,21 +169,18 @@ let simulate ~trace cfg store =
   let open_task : (int, int) Hashtbl.t = Hashtbl.create 8 (* node -> open task span *) in
   let net = Netsim.create ~seed:cfg.seed cfg.net in
   let nodes = Array.init cfg.nodes Node.create in
-  let scratch = Build_cache.create () in
-  let topo = closure_topo scratch store in
+  let g = Build_cache.graph (Build_cache.create ()) store in
+  let topo = closure_topo g store in
   let rank = Hashtbl.create 16 in
   List.iteri (fun i name -> Hashtbl.replace rank name i) topo;
   (* forward deps only: back edges of import cycles are cut here *)
   let direct name =
-    match Source_store.def_src store name with
-    | None -> []
-    | Some src ->
-        List.filter
-          (fun d ->
-            match (Hashtbl.find_opt rank d, Hashtbl.find_opt rank name) with
-            | Some rd, Some rn -> rd < rn
-            | _ -> false)
-          (Build_cache.imports_of scratch src)
+    List.filter
+      (fun d ->
+        match (Hashtbl.find_opt rank d, Hashtbl.find_opt rank name) with
+        | Some rd, Some rn -> rd < rn
+        | _ -> false)
+      (Build_cache.def_imports g name)
   in
   (* transitive deps per closure, topo-sorted *)
   let trans = Hashtbl.create 16 in

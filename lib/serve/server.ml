@@ -35,7 +35,7 @@ module Slo = Mcc_obs.Slo
 module Costs = Mcc_sched.Costs
 module Des_engine = Mcc_sched.Des_engine
 
-type cache = { bc : Build_cache.t; memo : Driver.result Build_cache.memo }
+type cache = { bc : Build_cache.t; memo : (Driver.result, unit) Build_cache.memo }
 
 let cache ?cache_mb ?memo_cap () =
   {
@@ -126,8 +126,11 @@ let slo_class (j : Request.job) = Printf.sprintf "p%d" j.Request.j_priority
 let compile_job ~trace cfg cache (j : Request.job) =
   let base = cfg.compile in
   let tag = Project.config_tag base in
-  let fpmemo = Hashtbl.create 16 in
-  let key, key_units = Build_cache.module_key cache.bc ~memo:fpmemo ~config_tag:tag j.Request.j_store in
+  let key, key_units =
+    Build_cache.module_key
+      (Build_cache.graph cache.bc j.Request.j_store)
+      ~config_tag:tag (Source_store.main_name j.Request.j_store)
+  in
   let overhead = Costs.to_seconds (float_of_int (key_units + Costs.cache_probe)) in
   match Build_cache.find_module cache.memo key with
   | Some r -> (r, [ ("probe", overhead, None) ], true, false)

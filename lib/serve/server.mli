@@ -19,7 +19,7 @@
 open Mcc_core
 
 (** The shared warm state: interface store + whole-program result memo. *)
-type cache = { bc : Build_cache.t; memo : Driver.result Build_cache.memo }
+type cache = { bc : Build_cache.t; memo : (Driver.result, unit) Build_cache.memo }
 
 (** [cache ?cache_mb ?memo_cap ()] — [cache_mb] bounds the interface
     store (LRU eviction); [memo_cap] bounds the memo entry count
