@@ -11,8 +11,9 @@
     that cross an effect or a block boundary.  Calls are OCaml
     recursion, so Modula-2+ exception propagation unwinds activations;
     the static chain implements uplevel addressing.  Execution is
-    metered by [fuel], one step per instruction, so runaway programs
-    fail cleanly. *)
+    metered by [fuel], one step per instruction, and activations are
+    limited to a depth of 100,000, so runaway programs fail cleanly; a
+    frame slot outside its frame traps when its instruction runs. *)
 
 type v =
   | VInt of int
