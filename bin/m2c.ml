@@ -327,8 +327,7 @@ let build_cmd =
                          | Project.Rekeyed -> "re-keyed: text and imported artifacts unchanged"
                          | Project.Kept -> "re-analysed, kept: shape unchanged"
                          | Project.Changed slices ->
-                             "re-analysed, changed: " ^ String.concat ", " slices
-                         | Project.Renewed why -> "re-analysed, changed: shape unchanged, " ^ why))
+                             "re-analysed, changed: " ^ String.concat ", " slices))
                      r.Project.settled;
                    List.iter
                      (fun m ->

@@ -52,7 +52,7 @@ val first_diff : reference:t -> t -> (string * string * string) option
 (** Weakened comparison for name-changing morphs (alpha-rename):
     everything modulo names — success, diagnostic {e count}, unit
     count, the sorted multiset of per-unit instruction counts, and the
-    VM status/output/steps (renaming cannot change behaviour; the store
+    VM status/output/steps (an alpha-rename cannot change behaviour; the store
     digest is excluded because procedure and exception values render
     their keys, which embed names). *)
 val first_diff_modulo_names : reference:t -> t -> (string * string * string) option

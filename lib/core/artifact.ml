@@ -50,12 +50,12 @@ type t = {
 
    One *slice* is one exported declaration; its digest must be equal
    across compilations exactly when the declaration's interface is
-   unchanged.  Type uids are process-local (recompiling the same source
-   allocates fresh ones), so the rendering is purely structural — names,
-   shapes, bounds, field slots — never uids.  Named-pointer recursion is
-   broken by name, which is sound under Modula-2 name equivalence: two
-   interface types with the same name in the same module are the same
-   declaration. *)
+   unchanged.  The rendering covers each structured type's identity
+   (where it is declared, the same in every compilation) and its
+   structure — names, bounds, field slots — so it tells an alias from a
+   copy of a type's structure, and an edited type from the old one.
+   Pointer recursion is broken by identity: a pointer met again renders
+   as its identity alone. *)
 
 let rec render_ty seen buf (ty : Types.ty) =
   let p s = Buffer.add_string buf s in
@@ -81,6 +81,7 @@ let rec render_ty seen buf (ty : Types.ty) =
   | Types.TErr -> p "<err>"
   | Types.TEnum e ->
       p "enum:";
+      p e.Types.euid;
       p e.Types.ename;
       p "(";
       Array.iteri
@@ -95,7 +96,9 @@ let rec render_ty seen buf (ty : Types.ty) =
       p "]:";
       render_ty seen buf b
   | Types.TArr a ->
-      p "arr[";
+      p "arr:";
+      p a.Types.auid;
+      p "[";
       range a.Types.lo a.Types.hi;
       p ",";
       render_ty seen buf a.Types.index;
@@ -106,6 +109,7 @@ let rec render_ty seen buf (ty : Types.ty) =
       render_ty seen buf e
   | Types.TRec r ->
       p "rec:";
+      p r.Types.ruid;
       p r.Types.rname;
       p "{";
       List.iter
@@ -119,19 +123,22 @@ let rec render_ty seen buf (ty : Types.ty) =
         r.Types.fields;
       p "}"
   | Types.TPtr pt ->
-      if List.mem pt.Types.pname !seen then begin
+      if List.mem pt.Types.puid !seen then begin
         p "^";
-        p pt.Types.pname
+        p pt.Types.puid
       end
       else begin
-        seen := pt.Types.pname :: !seen;
+        seen := pt.Types.puid :: !seen;
         p "ptr:";
+        p pt.Types.puid;
         p pt.Types.pname;
         p "->";
         render_ty seen buf pt.Types.target
       end
   | Types.TSet s ->
-      p "set[";
+      p "set:";
+      p s.Types.suid;
+      p "[";
       range s.Types.slo s.Types.shi;
       p "]:";
       render_ty seen buf s.Types.sbase
@@ -244,8 +251,9 @@ let slice t name = List.assoc_opt name t.a_slices
    corruption.  The fingerprint the artifact is stored under is not part
    of it: the cache can move an artifact to a new fingerprint (a re-key)
    without touching its bytes, and the digest doubles as the artifact's
-   identity.  Symbols carry type uids, so two analyses of the same text
-   that allocate types have different identities. *)
+   identity.  Type identities are where types are declared, so two
+   analyses of one text against the same imported artifacts have one
+   identity. *)
 let payload_digest ~name ~imports ~symbols ~slices ~install ~shape ~frame ~diags =
   Digest.to_hex
     (Digest.string
@@ -285,63 +293,3 @@ let install t ~scope ~merger ~diags =
   Cunit.add_frame merger t.a_frame.f_key t.a_frame.f_slots t.a_frame.f_size;
   List.iter (Diag.add_d diags) t.a_diags;
   Symtab.mark_complete scope
-
-(* ------------------------------------------------------------------ *)
-(* Uid census.
-
-   For on-disk persistence: unmarshalled types carry uids allocated by
-   the process that wrote them; the loader bumps this process's counter
-   past the maximum so fresh types can never collide (uid equality is
-   name equivalence).  For the refresh prepass: an artifact may be kept
-   across a re-analysis only if it reaches no uid that a replaced
-   artifact took with it.  [walk] calls [visit] on every uid node it
-   meets, in a fixed structural order, and descends into a node only
-   when [first] says it is the node's first visit: pointer targets can
-   form cycles. *)
-
-let rec walk first visit (ty : Types.ty) =
-  let node uid children =
-    visit uid;
-    if first uid then List.iter (walk first visit) children
-  in
-  match ty with
-  | Types.TEnum e -> node e.Types.euid []
-  | Types.TSub (b, _, _) -> walk first visit b
-  | Types.TArr a -> node a.Types.auid [ a.Types.index; a.Types.elem ]
-  | Types.TOpenArr e -> walk first visit e
-  | Types.TRec r -> node r.Types.ruid (List.map (fun (_, f) -> f.Types.fty) r.Types.fields)
-  | Types.TPtr p -> node p.Types.puid [ p.Types.target ]
-  | Types.TSet s -> node s.Types.suid [ s.Types.sbase ]
-  | Types.TProc sg -> walk_signature first visit sg
-  | _ -> ()
-
-and walk_signature first visit (sg : Types.signature) =
-  List.iter (fun p -> walk first visit p.Types.pty) sg.Types.params;
-  Option.iter (walk first visit) sg.Types.result
-
-let walk_symbol first visit (s : Symbol.t) =
-  match s.Symbol.skind with
-  | Symbol.SConst (_, ty) | Symbol.SType ty | Symbol.SVar (_, ty) | Symbol.SEnumLit (ty, _) ->
-      walk first visit ty
-  | Symbol.SProc pi -> walk_signature first visit pi.Symbol.sig_
-  | Symbol.SModule _ | Symbol.SBuiltin _ | Symbol.SPlaceholder _ -> ()
-
-let uids t =
-  let seen = Hashtbl.create 64 in
-  let first uid = (not (Hashtbl.mem seen uid)) && (Hashtbl.replace seen uid (); true) in
-  List.iter (walk_symbol first ignore) t.a_symbols;
-  seen
-
-let max_uid t = Hashtbl.fold (fun uid () acc -> max uid acc) (uids t) 0
-
-(* The type nodes exported name [n] reaches, in walk order, a node met
-   twice listed twice.  One declaration reaches few nodes, so the
-   visited set is a list. *)
-let nodes_of t n =
-  let seen = ref [] and acc = ref [] in
-  let first uid = (not (List.mem uid !seen)) && (seen := uid :: !seen; true) in
-  List.iter
-    (fun (s : Symbol.t) ->
-      if String.equal s.Symbol.sname n then walk_symbol first (fun uid -> acc := uid :: !acc) s)
-    t.a_symbols;
-  List.rev !acc

@@ -25,7 +25,8 @@ type t = {
   a_slices : (string * string) list;
       (** per-declaration slice digests, name-sorted: equal across
           compilations exactly when the declaration's interface is
-          unchanged (structural rendering, never type uids) *)
+          unchanged (a rendering of each type's identity, where it is
+          declared, and its structure) *)
   a_install : string;
       (** stable digest over imports + frame + diagnostics: what
           installing the artifact does to a compilation regardless of
@@ -40,8 +41,10 @@ type t = {
       (** hex MD5 over the payload fields above, set at capture: the
           artifact's identity.  It leaves out the fingerprint the cache
           stores the artifact under, so one artifact can move to a new
-          fingerprint unchanged; it covers the symbols' type uids, so a
-          re-analysis that allocates types is a new identity. *)
+          fingerprint unchanged.  Type identities are where types are
+          declared, so analyses of one text against the same imported
+          artifacts have one identity, under any engine or schedule and
+          in any process. *)
 }
 
 (** The stable digest of one exported declaration's interface. *)
@@ -73,18 +76,3 @@ val capture :
     The caller must ensure [a_imports] first, so transitively reached
     interfaces contribute their frames as they would cold. *)
 val install : t -> scope:Symtab.t -> merger:Cunit.merger -> diags:Diag.t -> unit
-
-(** The type uids reachable from the artifact's symbols, as a set. *)
-val uids : t -> (int, unit) Hashtbl.t
-
-(** The largest type uid reachable from the artifact's symbols: what the
-    type-uid floor of a cache file holding the artifact must cover. *)
-val max_uid : t -> int
-
-(** [nodes_of t n] lists the type nodes (uids) exported name [n]
-    reaches, in a fixed structural order; a node met twice is listed
-    twice, its components once.  Slice digests are structural, so they
-    cannot tell [TYPE A2 = A1] from an [A2] declared with [A1]'s
-    structure; pairing the nodes of two versions of a declaration,
-    position by position, can. *)
-val nodes_of : t -> string -> int list

@@ -54,9 +54,7 @@
    marshaled, digested and verified once, and a store with nothing new
    is not rewritten.  Loading decodes nothing: the files carry each
    entry's index fields beside its bytes, and a value is unmarshaled at
-   its first use.  The interface file also records a type-uid floor,
-   which the loader raises the uid counter past so fresh types cannot
-   collide with stored ones. *)
+   its first use. *)
 
 open Mcc_m2
 open Mcc_sched
@@ -221,8 +219,7 @@ let scan_imports src =
    cache directory that it renames into place, so a crash during a save
    leaves the previous file intact.
 
-   interfaces.bin: the type-uid floor (decimal), then per artifact its
-   fingerprint, its interface name, the digest of the source it was
+   interfaces.bin: per artifact its fingerprint, its interface name, the digest of the source it was
    analysed from, its identity and its marshaled bytes.
    modules.bin: the entry count (decimal), then per entry its key, its
    module name, its marshaled result and its marshaled side record
@@ -232,8 +229,10 @@ let scan_imports src =
    marshaled into one (Artifact.t, Project's memo entries), changes.
    2: field bodies, decoded on first use.  3: each artifact's source
    digest and identity in the index.  4: each memo entry names its
-   module and keeps its side record in a field of its own. *)
-let format = "mcc-cache-4"
+   module and keeps its side record in a field of its own.  5: type
+   identities are declaration digests, and the interface file keeps no
+   type-uid floor. *)
+let format = "mcc-cache-5"
 
 let file_tag file = Printf.sprintf "%s %s %s\n" format file version
 
@@ -515,31 +514,27 @@ let reject t =
 let load t dir =
   match read_file dir iface_file with
   | Missing -> ()
-  | Fields fs when fs.count mod 5 = 1 -> (
-      match int_of_string_opt (fs.field 0) with
-      | Some floor ->
-          let n = fs.count / 5 in
-          t.defs <- Hashtbl.create n;
-          t.latest <- Hashtbl.create n;
-          for i = 0 to n - 1 do
-            let f k = fs.field ((5 * i) + 1 + k) in
-            let e =
-              {
-                fp = f 0;
-                name = f 1;
-                source = f 2;
-                id = f 3;
-                blob = fs.field_blob ((5 * i) + 5);
-                art = None;
-                checked = true;
-                tick = 0;
-              }
-            in
-            put t e;
-            touch t e
-          done;
-          Mcc_sem.Types.bump_uid_floor floor
-      | None -> reject t)
+  | Fields fs when fs.count mod 5 = 0 ->
+      let n = fs.count / 5 in
+      t.defs <- Hashtbl.create n;
+      t.latest <- Hashtbl.create n;
+      for i = 0 to n - 1 do
+        let f k = fs.field ((5 * i) + k) in
+        let e =
+          {
+            fp = f 0;
+            name = f 1;
+            source = f 2;
+            id = f 3;
+            blob = fs.field_blob ((5 * i) + 4);
+            art = None;
+            checked = true;
+            tick = 0;
+          }
+        in
+        put t e;
+        touch t e
+      done
   | Fields _ | Rejected -> reject t
 
 let create ?dir ?cap_bytes () =
@@ -589,13 +584,10 @@ let save t =
       t.dirty <- false;
       Mutex.unlock t.mu;
       if write then
-        (* every uid a stored artifact holds was allocated in this
-           process or lies under a floor it loaded *)
         let fields =
-          blob (string_of_int (Mcc_sem.Types.uid_floor ()))
-          :: List.concat_map
-               (fun e -> [ blob e.fp; blob e.name; blob e.source; blob e.id; e.blob ])
-               (List.sort (fun a b -> String.compare a.fp b.fp) defs)
+          List.concat_map
+            (fun e -> [ blob e.fp; blob e.name; blob e.source; blob e.id; e.blob ])
+            (List.sort (fun a b -> String.compare a.fp b.fp) defs)
         in
         try write_file dir iface_file fields
         with e ->
@@ -1199,6 +1191,28 @@ let find_latest_module m ~name =
   in
   Mutex.unlock m.mmu;
   r
+
+(* Module [name]'s latest result looked up by name, so that a module
+   with none costs no key: [key] runs only when there is one.  Counts a
+   hit or a miss as [find_module] does. *)
+let lookup_module m ~name ~key =
+  match find_latest_module m ~name with
+  | None ->
+      Mutex.lock m.mmu;
+      m.mmisses <- m.mmisses + 1;
+      Mutex.unlock m.mmu;
+      None
+  | Some (prev_key, v) ->
+      let key = key () in
+      Mutex.lock m.mmu;
+      (if String.equal key prev_key then begin
+         m.mhits <- m.mhits + 1;
+         if m.mcap <> None then
+           Option.iter (fun s -> s.pri <- m.ml +. s.cost) (Hashtbl.find_opt m.entries key)
+       end
+       else m.mmisses <- m.mmisses + 1);
+      Mutex.unlock m.mmu;
+      Some (key, prev_key, v)
 
 let latest_side m ~name =
   Mutex.lock m.mmu;

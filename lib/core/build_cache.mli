@@ -27,9 +27,9 @@ type t
 (** [create ?dir ?cap_bytes ()] makes an empty cache; with [dir],
     previously {!save}d interface artifacts are loaded from it.  Loading
     decodes nothing: the file stores each artifact's fingerprint, name,
-    source digest, identity and marshaled bytes plus a type-uid floor, so the load indexes the
-    artifacts by fingerprint and name and bumps the type-uid counter
-    past the floor; each artifact is unmarshaled at its first use
+    source digest, identity and marshaled bytes, so the load indexes the
+    artifacts by fingerprint and name; each artifact is unmarshaled at
+    its first use
     ({!find_interface}, {!latest_artifact}, {!interfaces}).  The file's
     header (format tag, body length, body digest) is checked before any
     field is read: a missing file loads nothing, and a torn, truncated,
@@ -43,8 +43,7 @@ type t
 val create : ?dir:string -> ?cap_bytes:int -> unit -> t
 
 (** Persist the interface store under the creation [dir]: each
-    artifact's fingerprint, name and kept marshaled bytes, and the
-    process's type-uid floor ({!Mcc_sem.Types.uid_floor}), behind a
+    artifact's fingerprint, name and kept marshaled bytes, behind a
     checked header, written to a temporary file renamed into place.
     Artifacts stored without [~checked] and never probed are verified
     first (loaded and captured ones already count as verified, and are
@@ -270,6 +269,15 @@ val find_module : ('r, 'd) memo -> string -> 'r option
 (** The module's most recently stored (key, result) regardless of key —
     the fine-grained check's previous-build baseline.  Counter-free. *)
 val find_latest_module : ('r, 'd) memo -> name:string -> (string * 'r) option
+
+(** [lookup_module m ~name ~key] looks module [name]'s result up by
+    name first: [None] when the memo holds none, else [Some (k, k', r)]
+    with [k] the key [key ()] computes, [k'] the key of the latest
+    result [r].  [key] runs only when there is a result, so a module
+    the memo has never seen costs no key.  Counts a hit when [k = k']
+    and a miss otherwise, as {!find_module} does. *)
+val lookup_module :
+  ('r, 'd) memo -> name:string -> key:(unit -> string) -> (string * string * 'r) option
 
 (** The side record stored with the module's most recently stored
     result, decoded at its first use; [None] when it has none, or when

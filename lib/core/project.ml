@@ -59,8 +59,7 @@ type dep = {
   dep_name : string;
   dep_install : string option;
   dep_identity : string option; (* the artifact's identity, if it had one *)
-  dep_slices : (string * string * int list) list;
-      (* probed exported name -> digest or marker, and the type nodes it reached *)
+  dep_slices : (string * string) list; (* probed exported name -> digest or marker *)
 }
 
 (* A memoized per-module compilation: only what a key hit consumes —
@@ -95,7 +94,6 @@ type settle =
   | Rekeyed
   | Kept
   | Changed of string list (* the exported names whose slices moved *)
-  | Renewed of string (* shape unchanged, previous artifact not kept: why *)
 
 type result = {
   program : Cunit.program;
@@ -155,56 +153,27 @@ let config_tag (c : Driver.config) =
 let marker_missing = "!missing" (* the whole interface had no source *)
 let marker_absent = "!absent" (* the name was probed but not exported *)
 
-(* Type identities.
-
-   Slice digests are structural, so they cannot tell [TYPE A2 = A1] from
-   an [A2] declared with [A1]'s structure, and uids, which can, change
-   with every analysis.  So a dependency record also keeps, per probed
-   name, the type nodes (uids) it reached (Artifact.nodes_of), and two
-   versions agree on type identities when their nodes pair up,
-   position by position, under one renaming: a bijection, so types that
-   were one stay one and types that were two stay two. *)
-let renaming () =
-  let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
-  let pair o n =
-    (match Hashtbl.find_opt fwd o with
-    | Some n' -> n' = n
-    | None ->
-        Hashtbl.replace fwd o n;
-        true)
-    &&
-    match Hashtbl.find_opt bwd n with
-    | Some o' -> o' = o
-    | None ->
-        Hashtbl.replace bwd n o;
-        true
-  in
-  fun olds news -> List.compare_lengths olds news = 0 && List.for_all2 pair olds news
-
 (* An interface as it is now: its install digest, its artifact's
-   identity and a lookup from exported name to slice digest (or marker)
-   and the type nodes the name reaches. *)
+   identity and a lookup from exported name to slice digest (or
+   marker). *)
 let dep_view bc store m =
   match Source_store.def_src store m with
-  | None -> (None, None, fun _ -> (marker_missing, []))
+  | None -> (None, None, fun _ -> marker_missing)
   | Some _ -> (
       match Build_cache.latest_artifact bc m with
       | None ->
           (* reached interfaces always leave an artifact behind; an
              evicted one fails the equality check and forces a rebuild *)
-          (Some marker_absent, None, fun _ -> (marker_absent, []))
+          (Some marker_absent, None, fun _ -> marker_absent)
       | Some a ->
           ( Some a.Artifact.a_install,
             Some a.Artifact.a_digest,
-            fun n ->
-              match Artifact.slice a n with
-              | None -> (marker_absent, [])
-              | Some d -> (d, Artifact.nodes_of a n) ))
+            fun n -> Option.value ~default:marker_absent (Artifact.slice a n) ))
 
 (* The dependency record of a just-compiled module: every interface the
    compilation reached (installed or compiled — their frames and
    replayed diagnostics are embedded in the result), each with the slice
-   digests and type nodes of the names the compilation probed there. *)
+   digests of the names the compilation probed there. *)
 let deps_of bc store (r : Driver.result) =
   let used = r.Driver.used_slices in
   (* first binding wins, as with List.assoc_opt *)
@@ -219,70 +188,49 @@ let deps_of bc store (r : Driver.result) =
         dep_name = m;
         dep_install = install;
         dep_identity = identity;
-        dep_slices =
-          List.map
-            (fun n ->
-              let d, nodes = slice n in
-              (n, d, nodes))
-            probed;
+        dep_slices = List.map (fun n -> (n, slice n)) probed;
       })
     (List.sort_uniq compare reached)
 
 (* Re-check a stored dependency record against the interfaces as they
    are now.  [Ok n] (n slices compared) means every reached interface
-   installs identically, every probed name resolves to the same
-   declaration (or is still absent/missing) and the types they reach
-   pair up under one renaming: the cached result is valid even though
-   fingerprints changed.  An interface whose artifact is still the one
-   the record was made against is not read: the index holds its
-   identity, and its nodes pair with themselves. *)
+   installs identically and every probed name resolves to the same
+   declaration, type identities included (or is still absent/missing):
+   the cached result is valid even though fingerprints changed.  An
+   interface whose artifact is still the one the record was made
+   against is not read: the index holds its identity. *)
 let check_deps bc store deps =
   let current m =
     if Source_store.has_def store m then
       Option.map Build_cache.stored_identity (Build_cache.latest bc m)
     else None
   in
-  let unchanged, changed =
-    List.partition (fun d -> d.dep_identity <> None && current d.dep_name = d.dep_identity) deps
-  in
-  let agree = renaming () and renamed = ref false in
   let n = ref 0 in
   let check d =
-    let install, _, slice = dep_view bc store d.dep_name in
-    if install <> d.dep_install then
-      Some
-        (Printf.sprintf "interface %s changed shape (imports, frame or diagnostics)" d.dep_name)
+    if d.dep_identity <> None && current d.dep_name = d.dep_identity then begin
+      n := !n + List.length d.dep_slices;
+      None
+    end
     else
-      List.find_map
-        (fun (name, old, olds) ->
-          incr n;
-          let now, news = slice name in
-          let verb =
-            if not (String.equal now old) then
+      let install, _, slice = dep_view bc store d.dep_name in
+      if install <> d.dep_install then
+        Some
+          (Printf.sprintf "interface %s changed shape (imports, frame or diagnostics)" d.dep_name)
+      else
+        List.find_map
+          (fun (name, old) ->
+            incr n;
+            let now = slice name in
+            if String.equal now old then None
+            else
               Some
-                (if String.equal old marker_absent then "appeared"
-                 else if String.equal now marker_absent then "was removed"
-                 else "changed")
-            else begin
-              if olds <> news then renamed := true;
-              if agree olds news then None else Some "changed type identity"
-            end
-          in
-          Option.map (Printf.sprintf "used slice %s.%s %s" d.dep_name name) verb)
-        d.dep_slices
+                (Printf.sprintf "used slice %s.%s %s" d.dep_name name
+                   (if String.equal old marker_absent then "appeared"
+                    else if String.equal now marker_absent then "was removed"
+                    else "changed")))
+          d.dep_slices
   in
-  match List.find_map check changed with
-  | Some why -> Error why
-  | None ->
-      (* an unchanged interface's nodes must pair with themselves *)
-      let clash =
-        !renamed
-        && List.exists
-             (fun d -> List.exists (fun (_, _, nodes) -> not (agree nodes nodes)) d.dep_slices)
-             unchanged
-      in
-      List.iter (fun d -> n := !n + List.length d.dep_slices) unchanged;
-      if clash then Error "the types of the used slices no longer pair up" else Ok !n
+  match List.find_map check deps with Some why -> Error why | None -> Ok !n
 
 (* Which exported names of an edited interface actually changed — the
    explain output's slice-level diff of old vs regenerated artifact. *)
@@ -318,29 +266,17 @@ let slice_delta (old : Artifact.t) (now : Artifact.t) =
    - re-analysed and kept: the other stale interfaces of a wave are
      analysed together in one probe compilation importing them (their
      settled imports install from the cache).  If the regenerated shape
-     equals the previous artifact's, the previous artifact reaches no
-     type uid that a replaced artifact took with it, and both artifacts
-     agree on type identities (each exported name's type nodes pair up
-     under one renaming of their own nodes), the previous artifact is
-     re-keyed and the fresh one dropped;
+     equals the previous artifact's, the previous artifact is re-keyed
+     and the fresh one dropped.  The shape renders every type's
+     identity, where it is declared, beside its structure, so the two
+     artifacts then differ at most in what no importer sees (the
+     declaration offsets in an interface);
    - re-analysed and changed: otherwise the fresh artifact stays.
 
    Keeping previous artifacts keeps artifact identities, so importers
    re-key in turn and module keys, which hash identities, still hit.
-   The uid rule keeps every installed artifact in agreement on type
-   uids: a kept artifact never names an old copy of a type whose
-   declaring interface was replaced (B declares [VAR x: A.T] and A got a
-   new artifact: B's previous artifact names A's old [T]).  The identity
-   rule keeps a kept artifact's types as the text declares them: after
-   [TYPE A2 = ARRAY [0..3] OF INTEGER] became [TYPE A2 = A1] the shape
-   is unchanged, yet the previous artifact has two types where the text
-   now has one.  An equal shape is an early cutoff whether or not the
-   artifact is kept.
-
-   An import cycle (Build_cache.condense) settles as one wave member.
-   Its previous artifacts name each other's uids, so they are kept all
-   or none, under one renaming shared by the members that moves no node
-   of an outside import. *)
+   An import cycle (Build_cache.condense) settles as one wave member,
+   each member kept or changed by its own shape. *)
 
 (* [fp] is the charged fingerprint of the build; returns the prepass's
    virtual time and per stale interface how it settled (settle order). *)
@@ -398,48 +334,12 @@ let refresh ~config bc store g ~fp =
   let unchanged i =
     match Hashtbl.find_opt status i with
     | Some (Rekeyed | Kept) -> true
-    | Some (Changed _ | Renewed _) -> false
+    | Some (Changed _) -> false
     | None ->
         (* not stale: cached under its current fingerprint, or missing
            now and with nothing cached from when it was present *)
         if Source_store.has_def store i then not (Hashtbl.mem uncached i)
         else Build_cache.latest bc i = None
-  in
-  (* the uids that replaced artifacts took with them *)
-  let dead = Hashtbl.create 16 in
-  let reaches_dead a =
-    Hashtbl.length dead > 0
-    && Hashtbl.fold (fun u () hit -> hit || Hashtbl.mem dead u) (Artifact.uids a) false
-  in
-  let replaced (old : Artifact.t) (now : Artifact.t option) =
-    let live = match now with Some a -> Artifact.uids a | None -> Hashtbl.create 1 in
-    Hashtbl.iter
-      (fun u () -> if not (Hashtbl.mem live u) then Hashtbl.replace dead u ())
-      (Artifact.uids old)
-  in
-  (* The previous artifacts of component [ms] agree with the fresh ones
-     on type identities when their nodes pair up under one renaming that
-     moves only their own nodes: an outside import's node stays. *)
-  let same_identities ms pairs =
-    let imported = Hashtbl.create 64 in
-    List.iter
-      (fun m ->
-        if not (List.mem m ms) then
-          Option.iter
-            (fun a -> Hashtbl.iter (fun u () -> Hashtbl.replace imported u ()) (Artifact.uids a))
-            (Build_cache.latest_artifact bc m))
-      (List.concat_map (fun (_, (now : Artifact.t)) -> now.Artifact.a_imports) pairs);
-    let moves_own o n = o = n || not (Hashtbl.mem imported o || Hashtbl.mem imported n) in
-    let agree = renaming () in
-    (* equal shapes export the same names *)
-    List.for_all
-      (fun ((prev : Artifact.t), now) ->
-        List.for_all
-          (fun (n, _) ->
-            let olds = Artifact.nodes_of prev n and news = Artifact.nodes_of now n in
-            agree olds news && List.for_all2 moves_own olds news)
-          prev.Artifact.a_slices)
-      pairs
   in
   let analyse targets =
     let uses = String.concat "" (List.map (fun n -> "IMPORT " ^ n ^ ";\n") targets) in
@@ -454,56 +354,23 @@ let refresh ~config bc store g ~fp =
     in
     let pr = Driver.compile ~config ~cache:bc probe in
     units := !units +. pr.Driver.sim.Des_engine.end_time;
-    let arts n =
-      let old, fp, _ = Hashtbl.find stale n in
-      ( Build_cache.stored_artifact bc old,
-        match Build_cache.latest bc n with
-        | Some s when String.equal (Build_cache.stored_fingerprint s) fp ->
-            Build_cache.stored_artifact bc s
-        | _ -> None )
-    in
-    (* Why the previous artifacts of component [ms] are not kept: decided
-       once, before any member is re-keyed and [arts] changes for it. *)
-    let verdicts = Hashtbl.create 16 in
-    let lost ms =
-      let same_shape m =
-        match if Hashtbl.mem stale m then arts m else (None, None) with
-        | Some prev, Some now when String.equal prev.Artifact.a_shape now.Artifact.a_shape ->
-            Some (prev, now)
-        | _ -> None
-      in
-      let pairs = List.filter_map same_shape ms in
-      if List.compare_lengths pairs ms <> 0 then
-        Some "but another member of its import cycle changed"
-      else if List.exists (fun (prev, _) -> reaches_dead prev) pairs then
-        Some "but it names a type of a replaced artifact"
-      else if not (same_identities ms pairs) then Some "but its type identities differ"
-      else None
-    in
     List.iter
       (fun n ->
         let old, fp, source = Hashtbl.find stale n in
-        let prev, fresh = arts n in
+        let prev = Build_cache.stored_artifact bc old in
+        let fresh =
+          match Build_cache.latest bc n with
+          | Some s when String.equal (Build_cache.stored_fingerprint s) fp ->
+              Build_cache.stored_artifact bc s
+          | _ -> None
+        in
         match (prev, fresh) with
-        | Some prev, Some now when String.equal prev.Artifact.a_shape now.Artifact.a_shape -> (
-            let ms = component n in
-            if not (Hashtbl.mem verdicts ms) then Hashtbl.replace verdicts ms (lost ms);
-            match Hashtbl.find verdicts ms with
-            | None ->
-                Build_cache.rekey bc old ~fp ~source;
-                settle n Kept
-            | Some why ->
-                replaced prev fresh;
-                settle n (Renewed why))
-        | prev, now ->
-            let delta =
-              match (prev, now) with
-              | Some prev, Some now -> slice_delta prev now
-              | _, None -> [ "(interface vanished)" ]
-              | None, Some _ -> [ "(previous artifact unreadable)" ]
-            in
-            Option.iter (fun p -> replaced p fresh) prev;
-            settle n (Changed delta))
+        | Some prev, Some now when String.equal prev.Artifact.a_shape now.Artifact.a_shape ->
+            Build_cache.rekey bc old ~fp ~source;
+            settle n Kept
+        | Some prev, Some now -> settle n (Changed (slice_delta prev now))
+        | _, None -> settle n (Changed [ "(interface vanished)" ])
+        | None, Some _ -> settle n (Changed [ "(previous artifact unreadable)" ]))
       targets
   in
   List.iter
@@ -584,45 +451,55 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
     match cache with
     | Some ({ bc; memo }, g) -> (
         let mname = tag ^ "|" ^ name in
-        let key, units = key_of g name in
-        reuse_units := !reuse_units + units + Costs.cache_probe;
+        (* The key is computed only if the memo holds a result for the
+           module, else after its compile.  Either way the model charges
+           one key's hashing and one probe per module. *)
+        let charged_key () =
+          let key, units = key_of g name in
+          reuse_units := !reuse_units + units;
+          key
+        in
+        reuse_units := !reuse_units + Costs.cache_probe;
         let src_digest = Build_cache.impl_digest g name in
         let verdict =
-          match Build_cache.find_module memo key with
-          | Some e -> `Reuse (e, "unchanged inputs (whole-module key hit)")
-          | None -> (
-              match Build_cache.find_latest_module memo ~name:mname with
-              | None -> `Rebuild "no previous build"
-              | Some (prev_key, prev) -> (
-                  if not (String.equal prev.e_src_digest src_digest) then
-                    `Rebuild "implementation changed"
-                  else if not fine then
-                    `Rebuild "an imported interface changed (whole-module invalidation)"
-                  else
-                    match Build_cache.latest_side memo ~name:mname with
-                    | None -> `Rebuild "its dependency record is unreadable"
-                    | Some deps -> (
-                        match check_deps bc store deps with
-                        | Ok nslices -> `Cutoff (prev_key, prev, nslices)
-                        | Error why -> `Rebuild why)))
+          match Build_cache.lookup_module memo ~name:mname ~key:charged_key with
+          | None -> `Rebuild (None, "no previous build")
+          | Some (key, prev_key, prev) -> (
+              if String.equal key prev_key then
+                `Reuse (prev, "unchanged inputs (whole-module key hit)")
+              else if not (String.equal prev.e_src_digest src_digest) then
+                `Rebuild (Some key, "implementation changed")
+              else if not fine then
+                `Rebuild (Some key, "an imported interface changed (whole-module invalidation)")
+              else
+                match Build_cache.latest_side memo ~name:mname with
+                | None -> `Rebuild (Some key, "its dependency record is unreadable")
+                | Some deps -> (
+                    match check_deps bc store deps with
+                    | Ok nslices -> `Cutoff (key, prev, nslices)
+                    | Error why -> `Rebuild (Some key, why)))
         in
         match verdict with
         | `Reuse (e, why) -> (name, e, None, Some (true, why))
-        | `Cutoff (prev_key, prev, nslices) ->
+        | `Cutoff (key, prev, nslices) ->
             (* re-key the entry under the new whole-module key so the
                next unchanged build hits without re-checking *)
-            if key <> prev_key then Build_cache.rekey_module memo ~name:mname ~key;
+            Build_cache.rekey_module memo ~name:mname ~key;
             ( name,
               prev,
               None,
               Some (true, Printf.sprintf "early cutoff: all %d used slices unchanged" nslices) )
-        | `Rebuild why ->
+        | `Rebuild (key, why) ->
             let focused = Source_store.focus store name in
             let r = Driver.compile ~config ~cache:bc focused in
             let e, summary = entry_of ~src_digest r in
             (* the compilation stored the artifacts its closure lacked:
                key the entry as the next build will look for it *)
-            let key = if fine then fst (key_of g name) else key in
+            let key =
+              match key with
+              | None -> charged_key ()
+              | Some key -> if fine then fst (key_of g name) else key
+            in
             (* prune per (configuration, module): an edit invalidates a
                module's stale result without evicting the same module's
                still-valid results under other configurations *)

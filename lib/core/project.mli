@@ -20,8 +20,8 @@
     wherever the interface shape is unchanged.  A stale interface whose
     text and imports' artifacts are unchanged is {e re-keyed} (its
     artifact moves to its new fingerprint, unanalysed); a re-analysed
-    one keeps its previous artifact when its shape and type identities
-    are unchanged and it names no type of a replaced artifact.  A
+    one keeps its previous artifact when its shape, which covers the
+    identities of its types, is unchanged.  A
     module's key then hashes the identities of the artifacts in its
     interface closure ({!Build_cache.identity_key}), so an edit that
     leaves every artifact in place leaves every key in place. *)
@@ -32,15 +32,14 @@ open Mcc_codegen
 (** One dependency of a cached module result on an interface it reached:
     the interface's install digest ([None] if the interface was missing)
     and its artifact's identity, plus per exported name the compilation
-    probed there its slice digest and the type nodes it reached
-    ({!Artifact.nodes_of}), which a later check pairs with the nodes of
-    the interface as it is then.  Probes that missed are negative
+    probed there its slice digest, which covers the identities of the
+    types the name reaches.  Probes that missed are negative
     dependencies, recorded with a reserved absent marker. *)
 type dep = {
   dep_name : string;
   dep_install : string option;
   dep_identity : string option;
-  dep_slices : (string * string * int list) list;
+  dep_slices : (string * string) list;
 }
 
 (** A memoized per-module compilation, holding only what a key hit
@@ -81,14 +80,11 @@ type settle =
       (** its text and its imports' artifacts are unchanged: its
           previous artifact moved to its new fingerprint, unanalysed *)
   | Kept
-      (** re-analysed; shape and type identities unchanged, so the
-          previous artifact was kept *)
+      (** re-analysed; shape (type identities included) unchanged, so
+          the previous artifact was kept *)
   | Changed of string list
       (** re-analysed into a new shape: the exported names whose slice
           digests moved, or a parenthesised note when none did *)
-  | Renewed of string
-      (** re-analysed; the shape is unchanged, yet the fresh artifact
-          stays: why the previous one could not *)
 
 type result = {
   program : Cunit.program;

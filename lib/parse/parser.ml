@@ -807,9 +807,7 @@ let rec parse_decls ctx p ~in_def =
               if not in_def then
                 Ctx.error ctx id.A.iloc "opaque type %s is only legal in a definition module"
                   id.A.name;
-              let info = { Types.puid = Types.fresh_uid (); pname = id.A.name; target = Types.TErr } in
-              D.enter_sym ctx id.A.iloc
-                (S.make ~name:id.A.name ~def_off:id.A.iloc.Loc.off (S.SType (Types.TPtr info)))
+              D.opaque_decl ctx id
             end
             else begin
               expect_sym ctx p Token.Eq;

@@ -41,12 +41,34 @@ let enter_sym ctx loc (sym : S.t) =
 (* ------------------------------------------------------------------ *)
 (* Type resolution *)
 
-let rec resolve_type ctx ?(name = "") (te : A.type_expr) ~use_off : T.ty =
+(* Where a structured type is declared, which is its identity
+   (Types.uid): the scope (a definition module's apart from its
+   implementation's), the declaration that introduces the type and,
+   when that declaration does not name it, its ordinal among the types
+   the declaration introduces.  One task analyses a scope's
+   declarations in order, and a heading's formal types are qualified
+   identifiers, so alternative 3's re-derivation introduces no type:
+   identities are the same under every schedule, engine and process. *)
+type origin = { o_scope : string; o_decl : string; mutable o_anon : int }
+
+let origin ctx decl = { o_scope = ctx.Ctx.scope.Symtab.sname; o_decl = decl; o_anon = 0 }
+
+let named_uid o = T.uid (String.concat " " [ o.o_scope; o.o_decl ])
+
+let anon_uid o =
+  o.o_anon <- o.o_anon + 1;
+  T.uid (String.concat " " [ o.o_scope; o.o_decl; string_of_int o.o_anon ])
+
+(* The identity of a new type: [name] is set for the type a declaration
+   names, not for the types nested in it. *)
+let uid origin ~name = if name = "" then anon_uid origin else named_uid origin
+
+let rec resolve_type ctx ~origin ?(name = "") (te : A.type_expr) ~use_off : T.ty =
   match te with
   | A.TName q -> Ctx.lookup_type ctx q ~use_off
   | A.TEnum ids ->
       let info =
-        { T.euid = T.fresh_uid (); ename = name; elems = Array.of_list (List.map (fun (i : A.ident) -> i.name) ids) }
+        { T.euid = uid origin ~name; ename = name; elems = Array.of_list (List.map (fun (i : A.ident) -> i.name) ids) }
       in
       let ty = T.TEnum info in
       List.iteri
@@ -68,22 +90,27 @@ let rec resolve_type ctx ?(name = "") (te : A.type_expr) ~use_off : T.ty =
           else T.TSub (T.base ta, lo, hi)
       | _ -> T.TErr)
   | A.TArray (indexes, elem) ->
-      let elem_ty = resolve_type ctx elem ~use_off in
-      List.fold_right
-        (fun ix acc ->
-          let ix_ty = resolve_type ctx ix ~use_off in
-          match ix_ty with
-          | T.TErr -> T.TErr
-          | t when T.is_ordinal t && T.base t <> T.TInt && T.base t <> T.TCard ->
+      let elem_ty = resolve_type ctx ~origin elem ~use_off in
+      (* one array type per index, the first index's outermost: the one
+         a declaration names *)
+      let rec dims ~outer = function
+        | [] -> elem_ty
+        | ix :: rest -> (
+            let acc = dims ~outer:false rest in
+            let arr t =
               let lo, hi = T.bounds t in
-              T.TArr { T.auid = T.fresh_uid (); index = t; lo; hi; elem = acc }
-          | T.TSub _ as t ->
-              let lo, hi = T.bounds t in
-              T.TArr { T.auid = T.fresh_uid (); index = t; lo; hi; elem = acc }
-          | t ->
-              Ctx.error ctx use_loc_dummy "array index type %s must be a bounded ordinal" (T.name t);
-              T.TErr)
-        indexes elem_ty
+              let auid = if outer then uid origin ~name else anon_uid origin in
+              T.TArr { T.auid; index = t; lo; hi; elem = acc }
+            in
+            match resolve_type ctx ~origin ix ~use_off with
+            | T.TErr -> T.TErr
+            | t when T.is_ordinal t && T.base t <> T.TInt && T.base t <> T.TCard -> arr t
+            | T.TSub _ as t -> arr t
+            | t ->
+                Ctx.error ctx use_loc_dummy "array index type %s must be a bounded ordinal" (T.name t);
+                T.TErr)
+      in
+      dims ~outer:true indexes
   | A.TRecord sections ->
       (* variant parts are flattened: every field of every arm gets its
          own slot (the VM does not overlay storage), the tag field is an
@@ -102,7 +129,7 @@ let rec resolve_type ctx ?(name = "") (te : A.type_expr) ~use_off : T.ty =
       let rec section (sec : A.field_section) =
         match sec with
         | A.FFields { f_names; f_type } ->
-            let fty = resolve_type ctx f_type ~use_off in
+            let fty = resolve_type ctx ~origin f_type ~use_off in
             List.iter (fun id -> add id fty) f_names
         | A.FVariant { v_tag; v_tag_type; v_arms; v_else } ->
             let tag_ty = Ctx.lookup_type ctx v_tag_type ~use_off in
@@ -131,19 +158,19 @@ let rec resolve_type ctx ?(name = "") (te : A.type_expr) ~use_off : T.ty =
             List.iter section v_else
       in
       List.iter section sections;
-      T.TRec { T.ruid = T.fresh_uid (); rname = name; fields = List.rev !fields }
+      T.TRec { T.ruid = uid origin ~name; rname = name; fields = List.rev !fields }
   | A.TPointer (target, _loc) -> (
-      let info = { T.puid = T.fresh_uid (); pname = name; target = T.TErr } in
+      let info = { T.puid = uid origin ~name; pname = name; target = T.TErr } in
       match target with
       | A.TName q ->
           (* possibly a forward reference: defer to scope completion *)
           ctx.Ctx.fixups <- (info, q) :: ctx.Ctx.fixups;
           T.TPtr info
       | _ ->
-          info.T.target <- resolve_type ctx target ~use_off;
+          info.T.target <- resolve_type ctx ~origin target ~use_off;
           T.TPtr info)
   | A.TSet base -> (
-      let bty = resolve_type ctx base ~use_off in
+      let bty = resolve_type ctx ~origin base ~use_off in
       match bty with
       | T.TErr -> T.TErr
       | t when T.is_ordinal t -> (
@@ -153,7 +180,7 @@ let rec resolve_type ctx ?(name = "") (te : A.type_expr) ~use_off : T.ty =
               hi T.max_set_bits;
             T.TErr
           end
-          else T.TSet { T.suid = T.fresh_uid (); sbase = t; slo = lo; shi = hi })
+          else T.TSet { T.suid = uid origin ~name; sbase = t; slo = lo; shi = hi })
       | t ->
           Ctx.error ctx use_loc_dummy "set base type %s must be ordinal" (T.name t);
           T.TErr)
@@ -178,15 +205,28 @@ let const_decl ctx (id : A.ident) (e : A.expr) =
   | Some (v, ty) -> enter_sym ctx id.iloc (S.make ~name:id.name ~def_off:id.iloc.Loc.off (S.SConst (v, ty)))
   | None -> enter_sym ctx id.iloc (S.make ~name:id.name ~def_off:id.iloc.Loc.off (S.SConst (Value.VInt 0, T.TErr)))
 
+(* The type of declaration [decl]; a plain type name, the common case,
+   makes no origin. *)
+let decl_type ctx decl ?name (te : A.type_expr) ~use_off =
+  match te with
+  | A.TName q -> Ctx.lookup_type ctx q ~use_off
+  | _ -> resolve_type ctx ~origin:(origin ctx decl) ?name te ~use_off
+
 let type_decl ctx (id : A.ident) (te : A.type_expr) =
-  let ty = resolve_type ctx ~name:id.name te ~use_off:id.iloc.Loc.off in
+  let ty = decl_type ctx id.name ~name:id.name te ~use_off:id.iloc.Loc.off in
   enter_sym ctx id.iloc (S.make ~name:id.name ~def_off:id.iloc.Loc.off (S.SType ty))
+
+(* An opaque type of a definition module: a pointer-like type of its
+   own. *)
+let opaque_decl ctx (id : A.ident) =
+  let info = { T.puid = named_uid (origin ctx id.name); pname = id.name; target = T.TErr } in
+  enter_sym ctx id.iloc (S.make ~name:id.name ~def_off:id.iloc.Loc.off (S.SType (T.TPtr info)))
 
 let var_decl ctx (ids : A.ident list) (te : A.type_expr) =
   let ty =
     match ids with
     | [] -> T.TErr
-    | id :: _ -> resolve_type ctx te ~use_off:id.A.iloc.Loc.off
+    | id :: _ -> decl_type ctx id.A.name te ~use_off:id.A.iloc.Loc.off
   in
   List.iter
     (fun (id : A.ident) ->

@@ -14,15 +14,22 @@ open Mcc_ast
     per-symbol event overhead under optimistic handling). *)
 val enter_sym : Ctx.t -> Mcc_m2.Loc.t -> Symbol.t -> unit
 
-(** Resolve a type expression: names via lookup, enumerations (entering
-    their literals), subranges, (multi-dimensional) arrays, records
-    including variant parts (flattened; tag and arm fields all get
-    slots), pointers (named targets deferred to {!finish_scope} as
-    forward references), sets, procedure types. *)
-val resolve_type : Ctx.t -> ?name:string -> Ast.type_expr -> use_off:int -> Types.ty
-
 val const_decl : Ctx.t -> Ast.ident -> Ast.expr -> unit
+
+(** Resolve a type declaration's type expression and enter the name:
+    names via lookup, enumerations (entering their literals), subranges,
+    (multi-dimensional) arrays, records including variant parts
+    (flattened; tag and arm fields all get slots), pointers (named
+    targets deferred to {!finish_scope} as forward references), sets,
+    procedure types.  Each structured type's identity ({!Types.uid}) is
+    where it is declared: the scope, the declaration and, for a type
+    the declaration does not name, its ordinal among the declaration's
+    types. *)
 val type_decl : Ctx.t -> Ast.ident -> Ast.type_expr -> unit
+
+(** Enter an opaque type of a definition module ([TYPE T;]). *)
+val opaque_decl : Ctx.t -> Ast.ident -> unit
+
 val var_decl : Ctx.t -> Ast.ident list -> Ast.type_expr -> unit
 
 (** One formal parameter as the parent derived it. *)

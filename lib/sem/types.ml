@@ -1,11 +1,16 @@
 (* The compiler's type representations and compatibility rules.
 
    Structured types (enumerations, arrays, records, pointers, sets)
-   carry unique ids and obey name equivalence, as in Modula-2; basic
-   types and subranges are compared structurally.  Unique ids are only
-   used for equality tests inside one compilation — nothing derived from
-   them reaches the generated code, so concurrent allocation order does
-   not perturb compiler output. *)
+   carry an identity and obey name equivalence, as in Modula-2; basic
+   types and subranges are compared structurally.  An identity is the
+   digest of where the type is declared (Declare.origin): the scope,
+   the declaration and, for a type the declaration does not name, its
+   ordinal among those it introduces.  One task analyses each scope's
+   declarations in order, so identities do not depend on the schedule,
+   the engine or the process, and they are what interface artifacts
+   carry across compilations. *)
+
+type uid = string
 
 type ty =
   | TInt
@@ -28,28 +33,18 @@ type ty =
   | TMutex (* Modula-2+ MUTEX (LOCK target) *)
   | TErr (* error type: compatible with everything, silences cascades *)
 
-and enum_info = { euid : int; ename : string; elems : string array }
-and arr_info = { auid : int; index : ty; lo : int; hi : int; elem : ty }
+and enum_info = { euid : uid; ename : string; elems : string array }
+and arr_info = { auid : uid; index : ty; lo : int; hi : int; elem : ty }
 and field = { fty : ty; fslot : int }
-and rec_info = { ruid : int; rname : string; fields : (string * field) list }
-and ptr_info = { puid : int; pname : string; mutable target : ty }
-and set_info = { suid : int; sbase : ty; slo : int; shi : int }
+and rec_info = { ruid : uid; rname : string; fields : (string * field) list }
+and ptr_info = { puid : uid; pname : string; mutable target : ty }
+and set_info = { suid : uid; sbase : ty; slo : int; shi : int }
 and param = { mode_var : bool; pty : ty }
 and signature = { params : param list; result : ty option }
 
-let next_uid = Atomic.make 1
-let fresh_uid () = Atomic.fetch_and_add next_uid 1
-
-(* Unmarshalled artifacts carry uids allocated by a previous process;
-   raise the counter past them so fresh allocations cannot collide. *)
-let rec bump_uid_floor floor =
-  let cur = Atomic.get next_uid in
-  if cur <= floor && not (Atomic.compare_and_set next_uid cur (floor + 1))
-  then bump_uid_floor floor
-
-(* Every uid allocated so far, or ensured by [bump_uid_floor], is at
-   most this. *)
-let uid_floor () = Atomic.get next_uid - 1
+(* A fixed-length digest, so comparing two identities takes constant
+   time. *)
+let uid path = Digest.string path
 
 (* Maximum set element range: sets are compiled to a 62-bit mask. *)
 let max_set_bits = 62
@@ -110,11 +105,11 @@ let rec equal a b =
   | TInt, TInt | TCard, TCard | TBool, TBool | TChar, TChar | TReal, TReal -> true
   | TBitset, TBitset -> true
   | TNil, TNil | TExc, TExc | TMutex, TMutex -> true
-  | TEnum x, TEnum y -> x.euid = y.euid
-  | TArr x, TArr y -> x.auid = y.auid
-  | TRec x, TRec y -> x.ruid = y.ruid
-  | TPtr x, TPtr y -> x.puid = y.puid
-  | TSet x, TSet y -> x.suid = y.suid || (equal x.sbase y.sbase && x.slo = y.slo && x.shi = y.shi)
+  | TEnum x, TEnum y -> String.equal x.euid y.euid
+  | TArr x, TArr y -> String.equal x.auid y.auid
+  | TRec x, TRec y -> String.equal x.ruid y.ruid
+  | TPtr x, TPtr y -> String.equal x.puid y.puid
+  | TSet x, TSet y -> String.equal x.suid y.suid || (equal x.sbase y.sbase && x.slo = y.slo && x.shi = y.shi)
   | TStrLit m, TStrLit n -> m = n
   | TOpenArr x, TOpenArr y -> equal x y
   | TProc sa, TProc sb -> signature_equal sa sb

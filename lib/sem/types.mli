@@ -1,9 +1,15 @@
 (** The compiler's type representations and compatibility rules.
 
     Structured types (enumerations, arrays, records, pointers, sets)
-    carry unique ids and obey Modula-2 name equivalence; basic types and
-    subranges compare structurally.  Ids never reach generated code, so
-    concurrent allocation order cannot perturb compiler output. *)
+    carry an identity and obey Modula-2 name equivalence; basic types
+    and subranges compare structurally.  An identity is a digest of
+    where the type is declared, so it is the same in every compilation,
+    engine and process that analyses the same declaration; interface
+    artifacts carry identities across compilations. *)
+
+(** A structured type's identity: a 16-byte digest of its declaration
+    path. *)
+type uid = string
 
 type ty =
   | TInt
@@ -26,25 +32,19 @@ type ty =
   | TMutex  (** Modula-2+ MUTEX (LOCK target) *)
   | TErr  (** error type: compatible with everything, silences cascades *)
 
-and enum_info = { euid : int; ename : string; elems : string array }
-and arr_info = { auid : int; index : ty; lo : int; hi : int; elem : ty }
+and enum_info = { euid : uid; ename : string; elems : string array }
+and arr_info = { auid : uid; index : ty; lo : int; hi : int; elem : ty }
 and field = { fty : ty; fslot : int }
-and rec_info = { ruid : int; rname : string; fields : (string * field) list }
-and ptr_info = { puid : int; pname : string; mutable target : ty }
-and set_info = { suid : int; sbase : ty; slo : int; shi : int }
+and rec_info = { ruid : uid; rname : string; fields : (string * field) list }
+and ptr_info = { puid : uid; pname : string; mutable target : ty }
+and set_info = { suid : uid; sbase : ty; slo : int; shi : int }
 and param = { mode_var : bool; pty : ty }
 and signature = { params : param list; result : ty option }
 
-val fresh_uid : unit -> int
-
-(** Ensure future {!fresh_uid} results exceed [floor].  Called when
-    loading interface artifacts whose uids were allocated by a previous
-    process, so fresh types cannot collide with unmarshalled ones. *)
-val bump_uid_floor : int -> unit
-
-(** The largest uid allocated so far (or ensured by {!bump_uid_floor}):
-    the floor a saved cache file records for every type it holds. *)
-val uid_floor : unit -> int
+(** [uid path] is the identity of the type declared at [path]: equal
+    paths give equal identities, and distinct paths distinct ones up to
+    a digest collision. *)
+val uid : string -> uid
 
 (** Sets compile to a 62-bit mask: the maximum element range. *)
 val max_set_bits : int

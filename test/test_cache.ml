@@ -438,8 +438,9 @@ let format1 file body =
 (* [fields] behind the checked header of an older field format:
    mcc-cache-2 stored three fields per artifact (fingerprint, name,
    marshaled bytes) where later formats store five; mcc-cache-3 laid
-   out interfaces.bin as today, and modules.bin as key and payload per
-   entry, then each module name with the position of its entry. *)
+   out interfaces.bin as mcc-cache-4 did, a type-uid floor before the
+   artifacts' fields, and modules.bin as key and payload per entry, then
+   each module name with the position of its entry. *)
 let seal tag_line fields =
   let b = Buffer.create 256 in
   List.iter
@@ -464,9 +465,10 @@ let format_fields ?(tag = "mcc-cache-2") ?(version = "mcc-artifact-v3") file fie
 
 let format2 = format_fields ~tag:"mcc-cache-2" ~version:"mcc-artifact-v3"
 let format3 = format_fields ~tag:"mcc-cache-3" ~version:"mcc-artifact-v4"
+let format4 = format_fields ~tag:"mcc-cache-4" ~version:"mcc-artifact-v4"
 
 (* The two files of a freshly saved cache, and older encodings of their
-   contents: mcc-cache-3, mcc-cache-2 and mcc-cache-1 files, and
+   contents: mcc-cache-4 to mcc-cache-1 files, and
    headerless ones (a bare Marshal blob, the format tag being the
    artifact version). *)
 let pristine =
@@ -493,6 +495,21 @@ let pristine =
              [ "Lib"; "Main" ]
          in
          let payloads = List.map (fun (k, e) -> (k, Marshal.to_string e [])) entries in
+         let floored fmt =
+           fmt "interfaces.bin"
+             ("0"
+             :: List.concat_map
+                  (fun (fp, (a : Artifact.t)) ->
+                    let s = Option.get (Build_cache.latest c.Project.bc a.Artifact.a_name) in
+                    [
+                      fp;
+                      a.Artifact.a_name;
+                      Build_cache.stored_source s;
+                      Build_cache.stored_identity s;
+                      Marshal.to_string a [];
+                    ])
+                  arts)
+         in
          let old =
            [
              ("interfaces.bin", "old headerless format", Marshal.to_string (v, arts) []);
@@ -521,21 +538,8 @@ let pristine =
                  (string_of_int (List.length payloads)
                  :: List.concat_map (fun (k, p) -> [ k; p ]) payloads
                  @ List.concat (List.mapi (fun i (k, _) -> [ k; string_of_int i ]) payloads)) );
-             ( "interfaces.bin",
-               "format mcc-cache-3",
-               format3 "interfaces.bin"
-                 ("0"
-                 :: List.concat_map
-                      (fun (fp, (a : Artifact.t)) ->
-                        let s = Option.get (Build_cache.latest c.Project.bc a.Artifact.a_name) in
-                        [
-                          fp;
-                          a.Artifact.a_name;
-                          Build_cache.stored_source s;
-                          Build_cache.stored_identity s;
-                          Marshal.to_string a [];
-                        ])
-                      arts) );
+             ("interfaces.bin", "format mcc-cache-3", floored format3);
+             ("interfaces.bin", "format mcc-cache-4", floored format4);
              ( "modules.bin",
                "format mcc-cache-3",
                format3 "modules.bin"
@@ -725,72 +729,6 @@ let test_killed_saves () =
               (dis r.Project.program)
       done)
 
-(* --- decode on first use --- *)
-
-(* Interfaces that declare types, so their artifacts hold type uids. *)
-let typed_store () =
-  store ~name:"Main"
-    ~defs:
-      [
-        ( "Geo",
-          "DEFINITION MODULE Geo;\nTYPE Color = (Red, Green, Blue);\nTYPE Pt = RECORD x, y: INTEGER END;\nVAR origin: Pt;\nPROCEDURE Shift(VAR p: Pt; d: INTEGER);\nEND Geo.\n"
-        );
-      ]
-    ~impls:
-      [
-        ( "Geo",
-          "IMPLEMENTATION MODULE Geo;\nPROCEDURE Shift(VAR p: Pt; d: INTEGER);\nBEGIN p.x := p.x + d END Shift;\nEND Geo.\n"
-        );
-      ]
-    "IMPLEMENTATION MODULE Main;\nIMPORT Geo;\nVAR p: Geo.Pt;\nBEGIN\n  p.x := 1; Geo.Shift(p, 3); WriteInt(p.x)\nEND Main.\n"
-
-(* A load decodes no artifact, yet must raise the uid counter past every
-   uid the saved artifacts hold.  The checking process is forked before
-   the parent builds, so its counter lies below every uid the parent
-   then allocates; it loads the parent's cache once the parent has
-   saved it. *)
-let test_lazy_load_uid_floor () =
-  with_cache_dir (fun dir ->
-      let saved_r, saved_w = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-          Unix.close saved_w;
-          let code =
-            try
-              ignore (input_line (Unix.in_channel_of_descr saved_r));
-              let floor0 = Mcc_sem.Types.uid_floor () in
-              let c = Project.cache ~dir () in
-              let next = Mcc_sem.Types.fresh_uid () in
-              let warm = Project.compile ~cache:c (typed_store ()) in
-              let top =
-                List.fold_left
-                  (fun m a -> max m (Artifact.max_uid a))
-                  0 (Build_cache.interfaces c.Project.bc)
-              in
-              if floor0 >= top then 2
-              else if next <= top then 3
-              else if warm.Project.recompiled <> [] then 4
-              else if observation warm <> observation (Project.compile (typed_store ())) then 5
-              else 0
-            with _ -> 1
-          in
-          Unix._exit code
-      | pid -> (
-          Unix.close saved_r;
-          let c = Project.cache ~dir () in
-          let r = Project.compile ~cache:c (typed_store ()) in
-          Alcotest.(check bool) "the typed project compiles" true r.Project.ok;
-          Project.save c;
-          ignore (Unix.write_substring saved_w "saved\n" 0 6);
-          Unix.close saved_w;
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _, Unix.WEXITED 2 -> Alcotest.fail "the child's uid counter was not below the stored uids"
-          | _, Unix.WEXITED 3 -> Alcotest.fail "a fresh uid does not exceed a stored artifact's uids"
-          | _, Unix.WEXITED 4 -> Alcotest.fail "the warm build recompiled a module"
-          | _, Unix.WEXITED 5 -> Alcotest.fail "the warm build differs from a cold build"
-          | _ -> Alcotest.fail "the checking process failed"))
-
 (* --- the charge-free import scan agrees with the real importer --- *)
 
 let importer_scan src =
@@ -954,7 +892,6 @@ let () =
           Alcotest.test_case "memo fields that overrun" `Quick test_hostile_memo_fields;
           Tutil.qtest prop_byte_flips;
           Alcotest.test_case "saves killed partway through" `Quick test_killed_saves;
-          Alcotest.test_case "lazy load bumps the uid floor" `Quick test_lazy_load_uid_floor;
         ] );
       ("condense", [ Tutil.qtest prop_condense_matches_reachability ]);
       ( "scanner",

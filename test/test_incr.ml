@@ -126,8 +126,8 @@ let test_explain_covers_every_module () =
        r2.Project.explain)
 
 let test_slice_digests_uid_free () =
-  (* two independent compilations allocate different type uids; equal
-     slice and shape digests prove the rendering is structural *)
+  (* two independent compilations: equal slice and shape digests show
+     that the rendering depends on nothing but the declarations *)
   let artifact () =
     let bc = Build_cache.create () in
     ignore (Driver.compile ~cache:bc (project ()));
@@ -139,6 +139,27 @@ let test_slice_digests_uid_free () =
   Alcotest.(check (list (pair string string))) "slice digests stable"
     a1.Artifact.a_slices a2.Artifact.a_slices;
   Alcotest.(check string) "shape digest stable" a1.Artifact.a_shape a2.Artifact.a_shape
+
+(* An artifact is a function of its text and its imports' artifacts:
+   two DES compilations in one process and a compilation on two
+   domains, each into a fresh cache, give every interface of the
+   largest suite program one identity. *)
+let test_artifacts_reproducible () =
+  let s = Mcc_synth.Suite.program ~seed:3 36 in
+  let digests compile =
+    let bc = Build_cache.create () in
+    compile bc;
+    List.map
+      (fun (a : Artifact.t) -> (a.Artifact.a_name, a.Artifact.a_digest))
+      (Build_cache.interfaces bc)
+  in
+  let des () = digests (fun bc -> ignore (Driver.compile ~cache:bc s)) in
+  let first = des () in
+  Alcotest.(check int) "every interface has an artifact" (List.length (Source_store.def_names s))
+    (List.length first);
+  Alcotest.(check (list (pair string string))) "DES against DES" first (des ());
+  Alcotest.(check (list (pair string string))) "DES against two domains" first
+    (digests (fun bc -> ignore (Driver.compile_domains ~cache:bc ~domains:2 s)))
 
 let test_install_vs_slice_digests () =
   let artifact_of defs =
@@ -254,7 +275,7 @@ let test_fine_never_worse_than_coarse () =
         (List.for_all (fun m -> List.mem m rc.Project.recompiled) rf.Project.recompiled))
     edits
 
-(* --- the refresh prepass: waves, re-keys and the uid rule --- *)
+(* --- the refresh prepass: waves, re-keys and kept artifacts --- *)
 
 (* How the build settled each stale interface, reduced to its verb. *)
 let settled_verbs (r : Project.result) =
@@ -264,7 +285,7 @@ let settled_verbs (r : Project.result) =
         match how with
         | Project.Rekeyed -> "re-keyed"
         | Project.Kept -> "kept"
-        | Project.Changed _ | Project.Renewed _ -> "changed" ))
+        | Project.Changed _ -> "changed" ))
     r.Project.settled
 
 let settled_as pred r =
@@ -357,8 +378,9 @@ let test_sig_edit_waves () =
   same_as_cold "edit back" r2 back
 
 (* B declares [VAR x: A.T]; A's constant changes and B's shape does not.
-   B's previous artifact names A's old [T], so B must get a new
-   artifact, and C, which imports B, must be re-analysed. *)
+   [T] is where A declares it, in either version of A, so B's previous
+   artifact names the type A now declares: B is kept, and C, which
+   imports B, is re-keyed. *)
 let coupling_project ~k =
   store ~name:"Main"
     ~defs:
@@ -372,23 +394,22 @@ let coupling_project ~k =
     ~impls:[ ("B", "IMPLEMENTATION MODULE B;\nBEGIN\n  x.a := 4\nEND B.\n") ]
     "IMPLEMENTATION MODULE Main;\nIMPORT A, B, C;\nVAR y: A.T;\nBEGIN\n  y := B.x;\n  WriteInt(y.a + A.k + C.c)\nEND Main.\n"
 
-let test_uid_coupling () =
+let test_typed_import_keeps () =
   let cache = Project.cache () in
   let r0 = build cache (coupling_project ~k:1) in
   Alcotest.(check bool) "the project compiles" true r0.Project.ok;
   let edited = coupling_project ~k:2 in
   let r = build cache edited in
-  Alcotest.(check (list string)) "B and its importer C are re-analysed" [ "A"; "B"; "C" ]
-    (analysed r);
-  Alcotest.(check (list string)) "nothing is re-keyed" [] (rekeyed r);
-  Alcotest.(check bool) "B gets a new artifact although its shape is unchanged" true
-    (List.assoc "B" (settled_verbs r) = "changed" && List.mem "B" r.Project.cutoffs);
+  Alcotest.(check (list string)) "A and B are re-analysed" [ "A"; "B" ] (analysed r);
+  Alcotest.(check (list string)) "B's importer C is re-keyed" [ "C" ] (rekeyed r);
+  Alcotest.(check bool) "B keeps its artifact and is a cutoff" true
+    (List.assoc "B" (settled_verbs r) = "kept" && List.mem "B" r.Project.cutoffs);
   Alcotest.(check bool) "the edited build compiles" true r.Project.ok;
   same_as_cold "coupled edit" r edited
 
 (* Lib declares A1 and A2 with one structure.  Whether A2 is A1 or a
-   type of its own decides whether Main's assignment compiles, yet no
-   slice digest or shape tells the two apart: only type identities do. *)
+   type of its own decides whether Main's assignment compiles: A2's
+   slice renders the identity of the type it names, so it moves. *)
 let alias_project ~alias =
   store ~name:"Main"
     ~defs:
@@ -409,9 +430,8 @@ let test_type_identity_edit () =
       Alcotest.(check bool) (what ^ ": before the edit") alias r0.Project.ok;
       let edited = alias_project ~alias:(not alias) in
       let r = build cache edited in
-      Alcotest.(check bool) (what ^ ": Lib gets a new artifact") true
-        (List.assoc_opt "Lib" r.Project.settled
-        = Some (Project.Renewed "but its type identities differ"));
+      Alcotest.(check bool) (what ^ ": Lib's A2 changed") true
+        (List.assoc_opt "Lib" r.Project.settled = Some (Project.Changed [ "A2" ]));
       Alcotest.(check (list string)) (what ^ ": Main recompiles") [ "Main" ] r.Project.recompiled;
       Alcotest.(check bool) (what ^ ": after the edit") (not alias) r.Project.ok;
       same_as_cold what r edited;
@@ -486,10 +506,9 @@ let test_cyclic_comment_edit_keeps () =
     r.Project.explain;
   same_as_cold "comment edit" r edited
 
-(* CycB's constant changes and CycA's shape does not.  The previous
-   artifacts of a cycle name each other's types, so they are kept all
-   or none: CycA gets a new artifact too. *)
-let test_cyclic_all_or_none () =
+(* CycB's constant changes and CycA's shape does not.  Each member of a
+   cycle is kept or changed by its own shape: CycA keeps its artifact. *)
+let test_cycle_member_keeps () =
   let s = mutual_def () in
   let cache = Project.cache () in
   ignore (build cache s);
@@ -498,16 +517,13 @@ let test_cyclic_all_or_none () =
       "DEFINITION MODULE CycB;\nIMPORT CycA;\nCONST baseB = 7;\nPROCEDURE UseB(): INTEGER;\nEND CycB.\n"
   in
   let r = build cache edited in
-  Alcotest.(check bool) "CycA renewed, CycB changed" true
+  Alcotest.(check bool) "CycA kept, CycB changed" true
     (List.sort compare r.Project.settled
-    = [
-        ("CycA", Project.Renewed "but another member of its import cycle changed");
-        ("CycB", Project.Changed [ "baseB" ]);
-      ]);
+    = [ ("CycA", Project.Kept); ("CycB", Project.Changed [ "baseB" ]) ]);
   same_as_cold "constant edit" r edited
 
 (* CycA's variable has CycB's record type, so CycA's artifact names a
-   type uid of CycB's, and Main assigns across the two members. *)
+   type of CycB's, and Main assigns across the two members. *)
 let typed_cycle ?(comment_a = "") ?(comment_b = "") ?(comment_main = "") () =
   store ~name:"Main"
     ~defs:
@@ -521,8 +537,7 @@ let typed_cycle ?(comment_a = "") ?(comment_b = "") ?(comment_main = "") () =
     ("IMPLEMENTATION MODULE Main;\nIMPORT CycA, CycB;\nVAR t: CycB.T;\nBEGIN\n  t := CycA.v;\n  WriteInt(t.x)\nEND Main.\n"
     ^ comment_main)
 
-(* A comment edit of either member keeps both previous artifacts: the
-   decision is the component's, made before any member is re-keyed. *)
+(* A comment edit of either member keeps both previous artifacts. *)
 let test_typed_cycle_comment_edits_keep () =
   let cache = Project.cache () in
   let r0 = build cache (typed_cycle ()) in
@@ -582,8 +597,11 @@ let test_large_streams_equal_cold () =
 (* Slice digests are pinned: every interface of every multi-module
    project of the suite (default seed, with implementations) hashes its
    exported names' slice digests to the recorded value.  The digests
-   are structural renderings, so a change to the renderer, or to what a
-   declaration's analysis yields, shows here. *)
+   render type identities and structure, so a change to the renderer,
+   to how identities are formed, or to what a declaration's analysis
+   yields, shows here.  On a mismatch the lines this build observed
+   are written to slice_digests.actual in the test's working
+   directory. *)
 let test_slice_digests_pinned () =
   let expected =
     String.split_on_char '\n' (read_file (repo_path "test/slice_digests.expected"))
@@ -608,6 +626,9 @@ let test_slice_digests_pinned () =
                (Build_cache.interfaces cache.Project.bc)
            end))
   in
+  if actual <> expected then
+    Out_channel.with_open_bin "slice_digests.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
   Alcotest.(check int) "one line per interface" (List.length expected) (List.length actual);
   List.iter2 (fun e a -> Alcotest.(check string) "slice digests" e a) expected actual
 
@@ -659,8 +680,7 @@ let test_slice_invalidation_across_processes () =
 (* test/build_keys.expected: per build step (load the on-disk cache,
    compile, save) of a few edit streams, the init order, each
    interface's stored fingerprint and identity, each module's key, the
-   reuse/refresh/total units and the cache counters.  Identities hash
-   type uids, so each stream starts from a fixed uid floor.  On a
+   reuse/refresh/total units and the cache counters.  On a
    mismatch the lines this build observed are written to
    build_keys.actual in the test's working directory. *)
 
@@ -704,9 +724,8 @@ let build_key_lines () =
   let tag = Project.config_tag Driver.default_config in
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun l -> lines := l :: !lines) fmt in
-  List.iteri
-    (fun k (label, stores) ->
-      Mcc_sem.Types.bump_uid_floor ((k + 1) * 1_000_000_000);
+  List.iter
+    (fun (label, stores) ->
       with_temp_dir @@ fun dir ->
       List.iteri
         (fun i store ->
@@ -763,6 +782,7 @@ let () =
       ( "slices",
         [
           Alcotest.test_case "uid-free digests" `Quick test_slice_digests_uid_free;
+          Alcotest.test_case "artifacts are reproducible" `Quick test_artifacts_reproducible;
           Alcotest.test_case "install vs slice digests" `Quick test_install_vs_slice_digests;
           Alcotest.test_case "digests pinned over the suite" `Quick test_slice_digests_pinned;
         ] );
@@ -770,14 +790,15 @@ let () =
         [
           Alcotest.test_case "deep-chain comment edit re-keys" `Quick test_deep_chain_rekeys;
           Alcotest.test_case "sig edit settles in waves" `Quick test_sig_edit_waves;
-          Alcotest.test_case "uid coupling forces a new artifact" `Quick test_uid_coupling;
+          Alcotest.test_case "a typed import keeps its importer" `Quick test_typed_import_keeps;
           Alcotest.test_case "type identity edit, both ways" `Quick test_type_identity_edit;
           Alcotest.test_case "cyclic closures hit by key" `Quick test_cyclic_noop_key_hits;
           Alcotest.test_case "cyclic fingerprints are entry-free" `Quick
             test_cyclic_fingerprints_entry_free;
           Alcotest.test_case "cyclic comment edit keeps both" `Quick
             test_cyclic_comment_edit_keeps;
-          Alcotest.test_case "a cycle keeps all or none" `Quick test_cyclic_all_or_none;
+          Alcotest.test_case "a cycle member keeps by its own shape" `Quick
+            test_cycle_member_keeps;
           Alcotest.test_case "a typed cycle keeps both members" `Quick
             test_typed_cycle_comment_edits_keep;
           Alcotest.test_case "largest projects: warm == cold" `Quick

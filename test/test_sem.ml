@@ -15,10 +15,12 @@ module Ls = Lookup_stats
 let test_type_equal () =
   Alcotest.(check bool) "int=int" true (T.equal T.TInt T.TInt);
   Alcotest.(check bool) "int<>char" false (T.equal T.TInt T.TChar);
-  let e1 = T.TEnum { T.euid = T.fresh_uid (); ename = "E"; elems = [| "a" |] } in
-  let e2 = T.TEnum { T.euid = T.fresh_uid (); ename = "E"; elems = [| "a" |] } in
+  let e1 = T.TEnum { T.euid = T.uid "M.def E"; ename = "E"; elems = [| "a" |] } in
+  let e2 = T.TEnum { T.euid = T.uid "N.def E"; ename = "E"; elems = [| "a" |] } in
+  let e1' = T.TEnum { T.euid = T.uid "M.def E"; ename = "E"; elems = [| "a" |] } in
   Alcotest.(check bool) "distinct enums differ (name equivalence)" false (T.equal e1 e2);
   Alcotest.(check bool) "enum equals itself" true (T.equal e1 e1);
+  Alcotest.(check bool) "one declaration, one type" true (T.equal e1 e1');
   Alcotest.(check bool) "subrange equals base" true (T.equal (T.TSub (T.TInt, 0, 9)) T.TInt);
   Alcotest.(check bool) "error compatible with all" true (T.equal T.TErr e1)
 
@@ -27,16 +29,16 @@ let test_assignable () =
   Alcotest.(check bool) "char := strlit1" true (T.assignable ~dst:T.TChar ~src:(T.TStrLit 1));
   Alcotest.(check bool) "char := strlit2" false (T.assignable ~dst:T.TChar ~src:(T.TStrLit 2));
   Alcotest.(check bool) "real := int" false (T.assignable ~dst:T.TReal ~src:T.TInt);
-  let p = T.TPtr { T.puid = T.fresh_uid (); pname = "p"; target = T.TInt } in
+  let p = T.TPtr { T.puid = T.uid "M p"; pname = "p"; target = T.TInt } in
   Alcotest.(check bool) "ptr := NIL" true (T.assignable ~dst:p ~src:T.TNil);
-  let arr = T.TArr { T.auid = T.fresh_uid (); index = T.TSub (T.TInt, 0, 4); lo = 0; hi = 4; elem = T.TChar } in
+  let arr = T.TArr { T.auid = T.uid "M s 1"; index = T.TSub (T.TInt, 0, 4); lo = 0; hi = 4; elem = T.TChar } in
   Alcotest.(check bool) "char array := string (fits)" true (T.assignable ~dst:arr ~src:(T.TStrLit 3));
   Alcotest.(check bool) "char array := string (too long)" false
     (T.assignable ~dst:arr ~src:(T.TStrLit 9))
 
 let test_param_compat () =
   let open_arr = { T.mode_var = false; pty = T.TOpenArr T.TInt } in
-  let arr = T.TArr { T.auid = T.fresh_uid (); index = T.TSub (T.TInt, 0, 4); lo = 0; hi = 4; elem = T.TInt } in
+  let arr = T.TArr { T.auid = T.uid "M a 1"; index = T.TSub (T.TInt, 0, 4); lo = 0; hi = 4; elem = T.TInt } in
   Alcotest.(check bool) "array to open array" true (T.param_compat ~formal:open_arr ~actual:arr);
   let var_int = { T.mode_var = true; pty = T.TInt } in
   Alcotest.(check bool) "VAR int takes int" true (T.param_compat ~formal:var_int ~actual:T.TInt);
@@ -51,7 +53,10 @@ let test_bounds () =
   Alcotest.(check (pair int int)) "char" (0, 255) (T.bounds T.TChar);
   Alcotest.(check (pair int int)) "subrange" (3, 7) (T.bounds (T.TSub (T.TInt, 3, 7)))
 
-(* random type generator for algebraic properties *)
+(* random type generator for algebraic properties; identities come from
+   a small pool, so some structured types share one *)
+let uid_gen prefix = QCheck.Gen.map (fun k -> T.uid (Printf.sprintf "M %s%d" prefix k)) (QCheck.Gen.int_bound 3)
+
 let ty_gen =
   QCheck.Gen.(
     sized
@@ -65,13 +70,12 @@ let ty_gen =
                [
                  base;
                  map (fun b -> T.TSub (b, 0, 7)) (oneofl [ T.TInt; T.TChar; T.TBool ]);
-                 map
-                   (fun e ->
-                     T.TArr { T.auid = T.fresh_uid (); index = T.TSub (T.TInt, 0, 3); lo = 0; hi = 3; elem = e })
-                   (self (n / 2));
-                 map (fun t -> T.TPtr { T.puid = T.fresh_uid (); pname = "p"; target = t }) (self (n / 2));
+                 map2
+                   (fun auid e -> T.TArr { T.auid; index = T.TSub (T.TInt, 0, 3); lo = 0; hi = 3; elem = e })
+                   (uid_gen "a") (self (n / 2));
+                 map2 (fun puid t -> T.TPtr { T.puid; pname = "p"; target = t }) (uid_gen "p") (self (n / 2));
                  map (fun t -> T.TOpenArr t) (self (n / 2));
-                 return (T.TEnum { T.euid = T.fresh_uid (); ename = "e"; elems = [| "a"; "b" |] });
+                 map (fun euid -> T.TEnum { T.euid; ename = "e"; elems = [| "a"; "b" |] }) (uid_gen "e");
                ]))
 
 let prop_equal_reflexive =
