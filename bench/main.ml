@@ -396,7 +396,9 @@ let incr () =
   say " compile with the cache off and are unaffected)";
   let stores = Suite.all () in
   let compile ?cache ~procs st =
-    Driver.compile ~config:{ Driver.default_config with Driver.procs } ?cache st
+    Driver.compile ~config:{ Driver.default_config with Driver.procs }
+      ?cache:(Option.map (fun bc -> Build_cache.graph bc st) cache)
+      st
   in
   let total rs = List.fold_left (fun acc r -> acc +. end_time r) 0.0 rs in
   (* cache-off baselines (what every speedup figure is built from) *)

@@ -196,13 +196,14 @@ let compile_cmd =
             (Build_cache.eviction_count bc)
             (List.length (Build_cache.interfaces bc))
     in
+    let graph = Option.map (fun bc -> Build_cache.graph bc store) cache in
     match domains with
     | Some n ->
         if trace_json <> None then
           prerr_endline "m2c: warning: --trace-json only applies to the simulator; ignored";
         if faults <> [] then
           prerr_endline "m2c: warning: --inject only applies to the simulator; ignored";
-        let r = Driver.compile_domains ~config:base_config ?cache ~domains:n store in
+        let r = Driver.compile_domains ~config:base_config ?cache:graph ~domains:n store in
         report_diags r.Driver.d_diags;
         finish_cache ();
         Printf.printf "compiled on %d domains in %.4f s wall; %d tasks; ok=%b\n" n
@@ -213,7 +214,7 @@ let compile_cmd =
         let config = { base_config with Driver.faults; Driver.fault_seed } in
         (* --watch and --trace-json draw the processor activity the
            event log records: asking for either implies capturing *)
-        let r = Driver.compile ~config ~capture:(watch || trace_json <> None) ?cache store in
+        let r = Driver.compile ~config ~capture:(watch || trace_json <> None) ?cache:graph store in
         report_diags r.Driver.diags;
         finish_cache ();
         Printf.printf
@@ -490,7 +491,8 @@ let profile_cmd =
     with_config ~procs ~strategy ~heading @@ fun config ->
     let cache = Option.map (fun dir -> Build_cache.create ~dir ()) cache_dir in
     (* profiling implies both the event log and the metrics registry *)
-    let r = Driver.compile ~config ~capture:true ~telemetry:true ?cache store in
+    let graph = Option.map (fun bc -> Build_cache.graph bc store) cache in
+    let r = Driver.compile ~config ~capture:true ~telemetry:true ?cache:graph store in
     report_diags r.Driver.diags;
     (match cache with
     | None -> ()

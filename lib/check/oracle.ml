@@ -70,7 +70,8 @@ let run_cell ?input ?plant ~run ~reference store c =
     match c.cache with
     | No_cache -> Observation.of_driver ?input ~run (Driver.compile ~config store)
     | Warm ->
-        let cache = Build_cache.create () in
+        let bc = Build_cache.create () in
+        let cache = Build_cache.graph bc store in
         (* Prime fault-free so the cache holds pristine artifacts; the
            measured warm compile below carries the cell's fault plan. *)
         ignore
@@ -79,8 +80,8 @@ let run_cell ?input ?plant ~run ~reference store c =
              ~cache store);
         (match plant with
         | Some (Tamper_cache name) ->
-            Build_cache.tamper cache ~name;
-            Build_cache.disable_verification cache
+            Build_cache.tamper bc ~name;
+            Build_cache.disable_verification bc
         | None -> ());
         Observation.of_driver ?input ~run (Driver.compile ~config ~cache store)
   in

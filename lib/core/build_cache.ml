@@ -29,22 +29,15 @@
      dependency record), stored and decoded on its own, so a key hit
      never decodes it.
 
-   Fingerprinting must run inside engine tasks without yielding (the
-   caller holds a memo lock, and a cooperative-engine yield under a lock
-   would block every other task on it), so this module never calls
-   Eff.work: the hashing work is returned as units for the caller to
-   charge explicitly.  For the same reason the import scan used here is
-   a charge-free re-implementation of Stream.run_importer's FSM on a
-   zero-cost word scanner.  An interface's text is digested and scanned
-   once while it stays the same: the cache keeps, per interface name,
-   the text it last saw with its digest and imports.
-
    A build derives its inputs once ([graph]): one table maps each name
    of the program to its interface and implementation records (digest
    and imports), one pass over the interface graph fingerprints every
-   interface, and the init order, staleness and module keys are read
-   from that table.  Each interface's hashing is charged to the first
-   key or fingerprint of the build that reaches it.
+   interface, and the init order, staleness, module keys and each
+   compile's probes read that table.  This module never calls Eff.work:
+   hashing is returned as units for the caller to charge (to the first
+   key or fingerprint of the build that reaches an interface, and to
+   each compile whose closure holds it), and its import scan is a
+   charge-free re-implementation of Stream.run_importer's FSM.
 
    Persistence: both stores can be saved under a cache directory, one
    file each, behind a header checked before anything is read (see
@@ -390,7 +383,7 @@ type entry = {
   mutable tick : int;
 }
 
-(* An interface text with its digest (hex) and direct imports. *)
+(* A source text with its digest (hex) and direct imports. *)
 type source = { text : string; digest : string; imports : string list }
 
 type t = {
@@ -399,7 +392,6 @@ type t = {
   cap_bytes : int option; (* store size bound; None = unbounded *)
   mutable defs : (string, entry) Hashtbl.t; (* fingerprint -> artifact *)
   mutable latest : (string, entry) Hashtbl.t; (* name -> its last stored artifact *)
-  sources : (string, source) Hashtbl.t; (* interface name -> its text last seen *)
   mutable tick : int;
   mutable bytes : int; (* summed entry sizes *)
   mutable hits : int;
@@ -545,7 +537,6 @@ let create ?dir ?cap_bytes () =
       cap_bytes;
       defs = Hashtbl.create 64;
       latest = Hashtbl.create 64;
-      sources = Hashtbl.create 64;
       tick = 0;
       bytes = 0;
       hits = 0;
@@ -596,74 +587,37 @@ let save t =
           Mutex.unlock t.mu;
           raise e
 
-(* Interface [name]'s text with its digest and imports, computed when
-   the cache first sees that text for the name. *)
-let def_source t name text =
-  Mutex.lock t.mu;
-  let known = Hashtbl.find_opt t.sources name in
-  Mutex.unlock t.mu;
-  match known with
-  | Some s when s.text == text || String.equal s.text text -> s
-  | _ ->
-      let s = { text; digest = md5_hex text; imports = scan_imports text } in
-      Mutex.lock t.mu;
-      Hashtbl.replace t.sources name s;
-      Mutex.unlock t.mu;
-      s
-
-let def_digest t name text = (def_source t name text).digest
-
 (* ------------------------------------------------------------------ *)
 (* Fingerprints *)
 
 let digest parts = md5_hex (String.concat "|" parts)
 
 let condense ~node ~edges ~settled emit roots =
-  if not (List.for_all settled roots) then begin
-    (* per node entered, its low link; [max_int] once it is emitted.
-       Made at the first node that is not settled by its emission. *)
-    let table = ref None and stack = ref [] in
-    let low () =
-      match !table with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 16 in
-          table := Some t;
-          t
-    in
-    let rec enter w =
-      if not (settled w || match !table with Some t -> Hashtbl.mem t w | None -> false) then
-        let data = node w in
-        (* with nothing unsettled below it, a node is a component of its own *)
-        if List.for_all settled (edges data) then begin
-          emit [ (w, data) ];
-          if not (settled w) then Hashtbl.replace (low ()) w max_int
-        end
-        else visit w data
-    and visit v data =
-      let low = low () in
-      let i = Hashtbl.length low in
-      Hashtbl.replace low v i;
-      stack := (v, data) :: !stack;
-      List.iter
-        (fun w ->
-          enter w;
-          match Hashtbl.find_opt low w with
-          | Some l when l < Hashtbl.find low v -> Hashtbl.replace low v l
-          | _ -> ())
-        (edges data);
-      if Hashtbl.find low v = i then begin
-        let rec pop acc =
-          let ((w, _) as top) = List.hd !stack in
-          stack := List.tl !stack;
-          Hashtbl.replace low w max_int;
-          if w = v then top :: acc else pop (top :: acc)
-        in
-        emit (List.sort (fun (a, _) (b, _) -> String.compare a b) (pop []))
-      end
-    in
-    List.iter enter roots
-  end
+  (* per node entered, its low link; [max_int] once it is emitted *)
+  let low = Hashtbl.create 16 and stack = ref [] in
+  let rec enter w = if not (settled w || Hashtbl.mem low w) then visit w (node w)
+  and visit v data =
+    let i = Hashtbl.length low in
+    Hashtbl.replace low v i;
+    stack := (v, data) :: !stack;
+    List.iter
+      (fun w ->
+        enter w;
+        match Hashtbl.find_opt low w with
+        | Some l when l < Hashtbl.find low v -> Hashtbl.replace low v l
+        | _ -> ())
+      (edges data);
+    if Hashtbl.find low v = i then begin
+      let rec pop acc =
+        let ((w, _) as top) = List.hd !stack in
+        stack := List.tl !stack;
+        Hashtbl.replace low w max_int;
+        if w = v then top :: acc else pop (top :: acc)
+      in
+      emit (List.sort (fun (a, _) (b, _) -> String.compare a b) (pop []))
+    end
+  in
+  List.iter enter roots
 
 let source_imports = function Some s -> s.imports | None -> []
 
@@ -681,30 +635,6 @@ let component_fps ~outside ms =
       let own = List.concat_map (fun (m, s) -> [ m; (Option.get s).digest ]) ms in
       let cycle = digest ((version :: "cycle" :: own) @ subs) in
       List.map (fun (m, _) -> (m, digest [ version; m; cycle ])) ms
-
-(* [memo] is owned by one compilation and guarded by its owner; sources
-   cannot change under it.  Returns the fingerprint and the uncharged
-   hashing units this call performed. *)
-let interface_fp t ~memo ~store name =
-  match Hashtbl.find_opt memo name with
-  | Some fp -> (fp, 0)
-  | None ->
-      let units = ref 0 in
-      let node m =
-        Option.map
-          (fun text ->
-            units := !units + hash_units (String.length text);
-            def_source t m text)
-          (Source_store.def_src store m)
-      in
-      condense ~node ~edges:source_imports ~settled:(Hashtbl.mem memo)
-        (fun ms ->
-          (* the members are not in [memo] yet *)
-          List.iter
-            (fun (m, fp) -> Hashtbl.replace memo m fp)
-            (component_fps ~outside:(Hashtbl.find_opt memo) ms))
-        [ name ];
-      (Hashtbl.find memo name, !units)
 
 (* Probe-time digest verification can be disabled on one cache — only
    by the conformance harness, which plants a tampered artifact and
@@ -898,24 +828,28 @@ let corrupt_count t =
 
    One node per name of the program: its interface and implementation
    records, and what the build derives from them — the interface's
-   fingerprint (every interface's, in one pass at [graph]), whether its
-   hashing has been charged yet, and its closure identity for module
-   keys.  A graph belongs to one build and is used by one thread. *)
+   fingerprint (every interface's, in one pass at [graph]) and its
+   closure identity for module keys.  A graph belongs to one build and
+   one thread, except that compiles read its records and fingerprints,
+   fixed at [graph], from any domain. *)
 
 type node = {
   name : string;
   def : source option;
   mutable impl : source option;
   mutable fp : string; (* "" until fingerprinted *)
-  mutable charged : bool; (* its hashing charged to this build *)
   mutable closure : string; (* "" until computed *)
   mutable unsure : bool; (* the closure rests on an interface without an artifact *)
 }
 
-type graph = { cache : t; nodes : (string, node) Hashtbl.t; def_names : string list }
+type graph = {
+  cache : t;
+  nodes : (string, node) Hashtbl.t;
+  def_names : string list;
+  charged : (string, unit) Hashtbl.t; (* interfaces whose hashing this build charged *)
+}
 
-let new_node name def impl =
-  { name; def; impl; fp = ""; charged = false; closure = ""; unsure = false }
+let new_node name def impl = { name; def; impl; fp = ""; closure = ""; unsure = false }
 
 (* The node of [name]; one that is neither an interface nor an
    implementation of the program is missing. *)
@@ -931,15 +865,16 @@ let node_imports n = source_imports n.def
 
 let graph t store =
   let nodes = Hashtbl.create (2 * Source_store.n_names store) and defs = ref [] in
+  let source text = Some { text; digest = md5_hex text; imports = scan_imports text } in
   Source_store.iter_defs store (fun name text ->
       defs := name :: !defs;
-      Hashtbl.replace nodes name (new_node name (Some (def_source t name text)) None));
+      Hashtbl.replace nodes name (new_node name (source text) None));
   Source_store.iter_impls store (fun name text ->
-      let impl = Some { text; digest = md5_hex text; imports = scan_imports text } in
+      let impl = source text in
       match Hashtbl.find_opt nodes name with
       | Some n -> n.impl <- impl
       | None -> Hashtbl.replace nodes name (new_node name None impl));
-  let g = { cache = t; nodes; def_names = !defs } in
+  let g = { cache = t; nodes; def_names = !defs; charged = Hashtbl.create 64 } in
   let outside m =
     let fp = (node g m).fp in
     if fp = "" then None else Some fp
@@ -954,27 +889,38 @@ let graph t store =
     g.def_names;
   g
 
+let graph_cache g = g.cache
 let graph_defs g = g.def_names
-let def_imports g name = node_imports (node g name)
 let impl_imports g name = Option.map (fun s -> s.imports) (node g name).impl
-let graph_def_digest g name = Option.map (fun s -> s.digest) (node g name).def
+
+(* The record of interface [name]; inserts no node. *)
+let def_record g name = Option.bind (Hashtbl.find_opt g.nodes name) (fun n -> n.def)
+
+let def_imports g name = source_imports (def_record g name)
+let interface_digest g name = Option.map (fun s -> s.digest) (def_record g name)
+
+let def_fingerprint g name text =
+  match Hashtbl.find_opt g.nodes name with
+  | Some { def = Some s; fp; _ } when s.text == text || String.equal s.text text -> Some fp
+  | _ -> None
+
+(* The hashing of the interfaces reached from [name] along their
+   imports that [seen] does not hold yet; they join it.  Reads what is
+   fixed when the graph is built. *)
+let closure_units g ~seen name =
+  let rec walk units m =
+    match def_record g m with
+    | Some s when not (Hashtbl.mem seen m) ->
+        Hashtbl.replace seen m ();
+        List.fold_left walk (units + hash_units (String.length s.text)) s.imports
+    | _ -> units
+  in
+  walk 0 name
 
 let impl_digest g name =
   match (node g name).impl with
   | Some s -> s.digest
   | None -> invalid_arg ("Build_cache.impl_digest: no implementation for " ^ name)
-
-(* The hashing of [n]'s interface closure that no earlier fingerprint
-   of this build charged. *)
-let rec charge g n =
-  if n.charged then 0
-  else begin
-    n.charged <- true;
-    match n.def with
-    | None -> 0
-    | Some s ->
-        List.fold_left (fun u i -> u + charge g (node g i)) (hash_units (String.length s.text)) s.imports
-  end
 
 let fp_of n =
   if n.fp = "" then n.fp <- digest [ version; "missing"; n.name ];
@@ -982,7 +928,18 @@ let fp_of n =
 
 let fingerprint g name =
   let n = node g name in
-  (fp_of n, charge g n)
+  (fp_of n, closure_units g ~seen:g.charged name)
+
+(* On a [memo] miss, one graph of [store] fills [memo] with every
+   interface's fingerprint; the units are the hashing of all of them. *)
+let interface_fp t ~memo ~store name =
+  match Hashtbl.find_opt memo name with
+  | Some fp -> (fp, 0)
+  | None ->
+      let g = graph t store and seen = Hashtbl.create 64 in
+      let units = List.fold_left (fun u m -> u + closure_units g ~seen m) 0 g.def_names in
+      List.iter (fun m -> Hashtbl.replace memo m (fp_of (node g m))) (name :: g.def_names);
+      (Hashtbl.find memo name, units)
 
 (* A module's implementation record, the nodes of its own definition
    and direct imports, and the hashing its key charges: its own text
@@ -993,7 +950,8 @@ let module_inputs g name =
   | None -> invalid_arg ("Build_cache: no implementation for " ^ name)
   | Some impl ->
       let roots = n :: List.map (node g) impl.imports in
-      let units = List.fold_left (fun u r -> u + charge g r) (hash_units (String.length impl.text)) roots in
+      let charge u r = u + closure_units g ~seen:g.charged r.name in
+      let units = List.fold_left charge (hash_units (String.length impl.text)) roots in
       (impl, roots, units)
 
 (* A whole-module key: configuration tag (cached results embed simulated

@@ -15,10 +15,10 @@
     simulated timings) to per-module compilation results, for
     [Project]'s incremental layer.
 
-    No function here calls [Eff.work]: fingerprinting runs inside
-    engine tasks under the caller's memo lock, where a yield would
-    block the cooperative engine.  The hashing work is returned as
-    units for the caller to charge. *)
+    Fingerprints are computed once per build, by {!graph}; a
+    compilation's engine tasks read them there.  No function here calls
+    [Eff.work]: the hashing work is returned as units for the caller to
+    charge. *)
 
 (** {1 The interface store} *)
 
@@ -58,16 +58,6 @@ val save : t -> unit
     ([Stream.run_importer]): it never calls [Eff.work]. *)
 val scan_imports : string -> string list
 
-(** [def_digest t name text] is the hex MD5 of interface [name]'s
-    source [text].  The cache keeps, per interface name, the text it
-    last saw with its digest and {!scan_imports}, which fingerprints
-    read too: a text is digested and scanned again only when it
-    changes. *)
-val def_digest : t -> string -> string -> string
-
-(** The hashing work for [len] source bytes, in virtual units. *)
-val hash_units : int -> int
-
 (** [condense ~node ~edges ~settled emit roots] calls [emit] on each
     strongly connected component (Tarjan) reachable from [roots] of the graph
     whose node [v] has data [node v] and successors [edges (node v)],
@@ -77,12 +67,10 @@ val condense :
   node:(string -> 'a) -> edges:('a -> string list) -> settled:(string -> bool) ->
   ((string * 'a) list -> unit) -> string list -> unit
 
-(** [interface_fp t ~memo ~store name] returns the interface's content
-    fingerprint and the uncharged hashing units this call performed.
-    [memo] (module name to fingerprint) is owned by one compilation and
-    guarded by its owner; a missing interface fingerprints as a
-    distinct "missing" marker, and each member of an import cycle
-    digests its name and the whole cycle. *)
+(** [interface_fp t ~memo ~store name] returns the interface's
+    {!fingerprint} and the hashing units this call performed.  [memo]
+    maps the names of one [store] to fingerprints: on a miss, one
+    {!graph} of [store] fills it and digests every interface. *)
 val interface_fp :
   t -> memo:(string, string) Hashtbl.t -> store:Source_store.t -> string -> string * int
 
@@ -100,8 +88,8 @@ val interface_fp :
 val find_interface : t -> fp:string -> Artifact.t option
 
 (** [store_interface t ~fp ~source a] stores [a] under fingerprint
-    [fp], recording [source], the {!def_digest} of the text it was
-    analysed from; if the interface's previous fingerprint differs,
+    [fp], recording [source], the {!interface_digest} of the text it
+    was analysed from; if the interface's previous fingerprint differs,
     counts an invalidation and drops the stale artifact.  [~checked:true]
     vouches that [a] was just captured by {!Artifact.capture} in this
     process, so neither its first probe nor {!save} re-digests it; any
@@ -134,7 +122,7 @@ val latest : t -> string -> stored option
 
 val stored_fingerprint : stored -> string
 
-(** The {!def_digest} of the text the entry's artifact was analysed
+(** The {!interface_digest} of the text the entry's artifact was analysed
     from (or, after a {!rekey}, last vouched for). *)
 val stored_source : stored -> string
 
@@ -194,13 +182,20 @@ val tamper : t -> name:string -> unit
 (** What one build derives from its sources, once: per name of the
     program its interface and implementation records (text digest and
     {!scan_imports}), every interface's fingerprint (one pass over the
-    interface graph, as {!interface_fp} computes them), and the closure
-    identities of {!identity_key}.  Each interface's hashing is charged
-    once per graph, to the first {!fingerprint} or key that reaches it.
-    A graph belongs to one build and one thread. *)
+    interface graph: a missing interface fingerprints as a "missing"
+    marker, each member of an import cycle digests its name and the
+    whole cycle), and the closure identities of {!identity_key}.  Each
+    interface's hashing is charged once per graph, to the first
+    {!fingerprint} or key that reaches it.  A graph belongs to one build
+    and one thread, except that its records and fingerprints are fixed
+    when it is built: the build's compiles read them from any domain
+    ({!def_fingerprint}, {!closure_units}, {!interface_digest}). *)
 type graph
 
 val graph : t -> Source_store.t -> graph
+
+(** The cache the graph was built over. *)
+val graph_cache : graph -> t
 
 (** The interface names of the store, in no particular order. *)
 val graph_defs : graph -> string list
@@ -212,7 +207,7 @@ val def_imports : graph -> string -> string list
 val impl_imports : graph -> string -> string list option
 
 (** The hex MD5 of an interface's source, [None] when it has none. *)
-val graph_def_digest : graph -> string -> string option
+val interface_digest : graph -> string -> string option
 
 (** The hex MD5 of a module's implementation source.
     @raise Invalid_argument when it has none. *)
@@ -221,6 +216,15 @@ val impl_digest : graph -> string -> string
 (** An interface's fingerprint, and the hashing units of its closure
     that no earlier fingerprint or key of this graph charged. *)
 val fingerprint : graph -> string -> string * int
+
+(** [def_fingerprint g name text] is interface [name]'s fingerprint
+    when [text] is its source in [g], [None] when [g] holds another text
+    or none: a graph of another store gives no fingerprint. *)
+val def_fingerprint : graph -> string -> string -> string option
+
+(** The hashing units of the interfaces reached from [name] along
+    {!def_imports} that [seen] does not hold; they are added to it. *)
+val closure_units : graph -> seen:(string, unit) Hashtbl.t -> string -> int
 
 (** [module_key g ~config_tag name] is the whole-module cache key of
     module [name], plus the hashing units it charges (its

@@ -132,11 +132,12 @@ type comp = {
   stats : Lookup_stats.t;
   registry : Modreg.t;
   merger : Cunit.merger;
-  cache : Build_cache.t option;
-  (* per-compilation fingerprint memo; [fp_mu] guards the whole recursive
-     computation (which never yields), so concurrent importers agree *)
-  fp_memo : (string, string) Hashtbl.t;
+  cache : Build_cache.graph option; (* the build's graph, over its cache *)
+  (* the interfaces whose hashing this compilation charged; [fp_mu]
+     guards the whole walk (which never yields) *)
+  fp_seen : (string, unit) Hashtbl.t;
   fp_mu : Mutex.t;
+  foreign : string option Atomic.t; (* an interface the graph holds another text of *)
   mutable cache_hits : string list; (* interfaces installed from the cache *)
   mutable cache_misses : string list; (* interfaces fingerprinted but compiled *)
   missing : (string, unit) Hashtbl.t; (* interfaces with no source *)
@@ -294,18 +295,22 @@ let rec ensure_def comp name : Symtab.t option =
         None
     | Some src ->
         (* the hold is released when the interface's analysis finishes *)
-        (match comp.cache with
+        (match Option.map (fun g -> (g, Build_cache.def_fingerprint g name src)) comp.cache with
         | None -> spawn_def_stream comp name scope src ~fp:None
-        | Some cache -> (
-            (* the fingerprint computation never yields, so holding the
-               memo lock across it cannot block the cooperative engine *)
+        | Some (_, None) ->
+            (* the graph is another store's: the compile raises when it
+               ends, and the interface stays empty until then *)
+            Atomic.set comp.foreign (Some name);
+            Symtab.mark_complete scope;
+            drop comp
+        | Some (g, Some fp) -> (
+            (* the walk never yields, so holding the lock across it
+               cannot block the cooperative engine *)
             Mutex.lock comp.fp_mu;
-            let fp, units =
-              Build_cache.interface_fp cache ~memo:comp.fp_memo ~store:comp.store name
-            in
+            let units = Build_cache.closure_units g ~seen:comp.fp_seen name in
             Mutex.unlock comp.fp_mu;
             Eff.work (units + Costs.cache_probe);
-            match Build_cache.find_interface cache ~fp with
+            match Build_cache.find_interface (Build_cache.graph_cache g) ~fp with
             | Some art ->
                 Mutex.lock comp.tasks_mu;
                 comp.cache_hits <- name :: comp.cache_hits;
@@ -382,9 +387,9 @@ and spawn_def_stream comp name scope src ~fp =
         let diags = Diag.sorted local in
         List.iter (Diag.add_d comp.diags) diags;
         (match (comp.cache, fp) with
-        | Some cache, Some fp ->
-            Build_cache.store_interface ~checked:true cache ~fp
-              ~source:(Build_cache.def_digest cache name src)
+        | Some g, Some fp when Atomic.get comp.foreign = None ->
+            Build_cache.store_interface ~checked:true (Build_cache.graph_cache g) ~fp
+              ~source:(Option.get (Build_cache.interface_digest g name))
               (Artifact.capture ~name ~imports:(List.rev !imports) ~scope
                  ~frame:{ Artifact.f_key = frame_key; f_slots = slots; f_size = size }
                  ~diags)
@@ -492,8 +497,9 @@ let prepare config cache (store : Source_store.t) =
       registry = Modreg.create ();
       merger = Cunit.merger ();
       cache;
-      fp_memo = Hashtbl.create 16;
+      fp_seen = Hashtbl.create 16;
       fp_mu = Mutex.create ();
+      foreign = Atomic.make None;
       cache_hits = [];
       cache_misses = [];
       missing = Hashtbl.create 8;
@@ -587,6 +593,12 @@ let finish_program comp ~entry =
   | Some p -> p
   | None -> Cunit.link ~entry ~frames:[] [] (* deadlock: empty program *)
 
+(* A compile given another store's graph ends here. *)
+let check_graph comp =
+  Option.iter
+    (fun name -> invalid_arg ("Driver: the build graph holds another text of interface " ^ name))
+    (Atomic.get comp.foreign)
+
 (* Both engines' diagnostic for a run that ended with tasks stuck. *)
 let deadlock_error comp store stuck =
   Diag.error comp.diags ~file:(Source_store.main_file store) ~loc:Loc.none
@@ -603,6 +615,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     (store : Source_store.t) : result =
   let m = Source_store.main_name store in
   let comp, init_tasks = prepare config cache store in
+  let cache = Option.map Build_cache.graph_cache cache in
   let corrupt0 = match cache with Some c -> Build_cache.corrupt_count c | None -> 0 in
   let evict0 = match cache with Some c -> Build_cache.eviction_count c | None -> 0 in
   let obs = Evlog.ctx ~log:capture ~metrics:telemetry () in
@@ -616,6 +629,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
         Des_engine.run ~beta:config.beta ~fifo:config.fifo_sched ?perturb:config.perturb
           ~procs:config.procs init_tasks)
   in
+  check_graph comp;
   (* Partition task failures: injected ones are the fault plan's doing
      and are recovered from (contained, or repaired below); real
      exceptions keep their compiler-bug diagnostics. *)
@@ -737,6 +751,7 @@ let compile_domains ?(config = default_config) ?cache ~domains (store : Source_s
   let m = Source_store.main_name store in
   let comp, init_tasks = prepare config cache store in
   let r = Domain_engine.run ~domains init_tasks in
+  check_graph comp;
   let deadlocked =
     match r.Domain_engine.outcome with
     | Domain_engine.Deadlocked stuck ->

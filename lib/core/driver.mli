@@ -102,11 +102,12 @@ type result = {
 val long_threshold : int
 
 (** Compile on the simulated multiprocessor — deterministic; all
-    benchmark figures come from this path.  With [cache], interfaces
-    whose content fingerprint is already stored are installed from
-    their artifacts (paying explicit hash + probe + install charges)
-    instead of spawning Lexor/Importer/DefParse streams; interfaces
-    compiled cold are captured into the cache.  The compile runs in an
+    benchmark figures come from this path.  With [cache], a
+    {!Build_cache.graph} of [store], interfaces whose fingerprint there
+    is already stored in its cache are installed from their artifacts
+    (paying explicit hash + probe + install charges) instead of spawning
+    Lexor/Importer/DefParse streams; interfaces compiled cold are
+    captured into the cache.  The compile runs in an
     observation context of its own ({!Mcc_obs.Evlog.ctx}), so it never
     writes into an enclosing capture or registry.  [~capture:true]
     records the structured concurrency event log into [result.log] for
@@ -127,12 +128,14 @@ val long_threshold : int
 
     [~telemetry:true] additionally keeps a {!Mcc_obs.Metrics} registry
     in that context and returns its deterministic snapshot in
-    [result.telemetry]; like capture, metrics never charge work. *)
+    [result.telemetry]; like capture, metrics never charge work.
+    @raise Invalid_argument when [cache] holds another text of an
+    interface the compile reads; no artifact is stored after that. *)
 val compile :
   ?config:config ->
   ?capture:bool ->
   ?telemetry:bool ->
-  ?cache:Build_cache.t ->
+  ?cache:Build_cache.graph ->
   Source_store.t ->
   result
 
@@ -153,6 +156,7 @@ type domain_result = {
 }
 
 (** The same task graph on [domains] OCaml domains.  Produces a program
-    byte-identical to {!compile}'s and {!Seq_driver.compile}'s. *)
+    byte-identical to {!compile}'s and {!Seq_driver.compile}'s.
+    @raise Invalid_argument as {!compile} does. *)
 val compile_domains :
-  ?config:config -> ?cache:Build_cache.t -> domains:int -> Source_store.t -> domain_result
+  ?config:config -> ?cache:Build_cache.graph -> domains:int -> Source_store.t -> domain_result

@@ -300,7 +300,7 @@ let refresh ~config bc store g ~fp =
             let now = fp n in
             if String.equal now (Build_cache.stored_fingerprint old) then None
             else begin
-              let source = Option.get (Build_cache.graph_def_digest g n) in
+              let source = Option.get (Build_cache.interface_digest g n) in
               Hashtbl.replace stale n (old, now, source);
               if String.equal source (Build_cache.stored_source old) then
                 Hashtbl.replace same_text n ();
@@ -352,7 +352,7 @@ let refresh ~config bc store g ~fp =
              defs)
         ()
     in
-    let pr = Driver.compile ~config ~cache:bc probe in
+    let pr = Driver.compile ~config ~cache:g probe in
     units := !units +. pr.Driver.sim.Des_engine.end_time;
     List.iter
       (fun n ->
@@ -491,7 +491,7 @@ let compile ?(config = Driver.default_config) ?(fine = true) ?cache
               Some (true, Printf.sprintf "early cutoff: all %d used slices unchanged" nslices) )
         | `Rebuild (key, why) ->
             let focused = Source_store.focus store name in
-            let r = Driver.compile ~config ~cache:bc focused in
+            let r = Driver.compile ~config ~cache:g focused in
             let e, summary = entry_of ~src_digest r in
             (* the compilation stored the artifacts its closure lacked:
                key the entry as the next build will look for it *)

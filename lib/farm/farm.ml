@@ -169,7 +169,10 @@ let simulate ~trace cfg store =
   let open_task : (int, int) Hashtbl.t = Hashtbl.create 8 (* node -> open task span *) in
   let net = Netsim.create ~seed:cfg.seed cfg.net in
   let nodes = Array.init cfg.nodes Node.create in
-  let g = Build_cache.graph (Build_cache.create ()) store in
+  (* per node, the graph its compiles read, over its own cache; any of
+     them gives the run's closure order and probe fingerprints *)
+  let graphs = Array.map (fun n -> Build_cache.graph n.Node.cache store) nodes in
+  let g = graphs.(0) in
   let topo = closure_topo g store in
   let rank = Hashtbl.create 16 in
   List.iteri (fun i name -> Hashtbl.replace rank name i) topo;
@@ -318,8 +321,8 @@ let simulate ~trace cfg store =
           let keys = Hashtbl.fold (fun k _ acc -> k :: acc) open_legs [] in
           List.iter (fun k -> close k (base +. outcome.Remote.elapsed) "timeout") (List.sort compare keys)
         in
-        let fpmemo = Hashtbl.create 8 in
-        let fp, units = Build_cache.interface_fp n.Node.cache ~memo:fpmemo ~store iface in
+        let fp = fst (Build_cache.fingerprint g iface) in
+        let units = Build_cache.closure_units g ~seen:(Hashtbl.create 8) iface in
         let overhead = Costs.to_seconds (float_of_int (units + Costs.cache_probe)) in
         match Build_cache.find_interface n.Node.cache ~fp with
         | Some _ ->
@@ -525,7 +528,7 @@ let simulate ~trace cfg store =
                 fetch_deps n ~at:!now ~note:note_later ?spans:tsp (Hashtbl.find trans iface)
               in
               let probe =
-                Driver.compile ~config:compile_config ~capture:trace ~cache:n.Node.cache
+                Driver.compile ~config:compile_config ~capture:trace ~cache:graphs.(i)
                   (probe_store store iface)
               in
               let slowf = if n.Node.slow then Costs.node_slow_factor else 1.0 in
@@ -665,7 +668,7 @@ let simulate ~trace cfg store =
           in
           let fetch_elapsed = fetch_deps home ~at:!now ~note:buffer ?spans:asp topo in
           let final =
-            Driver.compile ~config:compile_config ~capture:trace ~cache:home.Node.cache store
+            Driver.compile ~config:compile_config ~capture:trace ~cache:graphs.(home.Node.id) store
           in
           let slowf = if home.Node.slow then Costs.node_slow_factor else 1.0 in
           let makespan =

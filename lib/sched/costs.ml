@@ -69,7 +69,10 @@ let merge_unit = 30 (* per code unit concatenated by the merge task *)
    per block of source hashed, a store probe pays a fixed lookup, and
    installing a cached artifact pays per symbol re-entered plus per
    global frame restored.  All of it is far cheaper than recompiling an
-   interface, which is the point — but it is not free. *)
+   interface, which is the point — but it is not free.  The hashing
+   charged per compilation (its interface closure) and per module key
+   is the model's cost only: the implementation hashes each source once
+   per build (Build_cache.graph) and compiles read the result. *)
 let hash_block_bytes = 64 (* fingerprint hashing granularity *)
 let hash_block = 4 (* per [hash_block_bytes] of source fingerprinted *)
 let cache_probe = 30 (* one content-addressed store lookup *)

@@ -126,10 +126,9 @@ let slo_class (j : Request.job) = Printf.sprintf "p%d" j.Request.j_priority
 let compile_job ~trace cfg cache (j : Request.job) =
   let base = cfg.compile in
   let tag = Project.config_tag base in
+  let g = Build_cache.graph cache.bc j.Request.j_store in
   let key, key_units =
-    Build_cache.module_key
-      (Build_cache.graph cache.bc j.Request.j_store)
-      ~config_tag:tag (Source_store.main_name j.Request.j_store)
+    Build_cache.module_key g ~config_tag:tag (Source_store.main_name j.Request.j_store)
   in
   let overhead = Costs.to_seconds (float_of_int (key_units + Costs.cache_probe)) in
   match Build_cache.find_module cache.memo key with
@@ -139,7 +138,7 @@ let compile_job ~trace cfg cache (j : Request.job) =
       let run config =
         (* the inner compile runs in its own context; when tracing, its
            log becomes a sub-log of the job's compile span *)
-        Driver.compile ~config ~capture:trace ~cache:cache.bc j.Request.j_store
+        Driver.compile ~config ~capture:trace ~cache:g j.Request.j_store
       in
       let memoize (r : Driver.result) =
         (* only fault-free results enter the shared memo: a result

@@ -103,8 +103,8 @@ let run ?(seed = 0) ?counts ?(procs = 8) ?(farm_cap = 1000) ?(sample = false)
      swept count. *)
   let cap_modules = max 1 (2 * max_n / 5) in
   let per_iface =
-    let bc = Build_cache.create () in
-    ignore (Driver.compile ~config ~cache:bc (flat_store ~seed min_n));
+    let bc = Build_cache.create () and store = flat_store ~seed min_n in
+    ignore (Driver.compile ~config ~cache:(Build_cache.graph bc store) store);
     max 1 (Build_cache.total_bytes bc / min_n)
   in
   let cap_bytes = per_iface * cap_modules in
@@ -128,8 +128,9 @@ let run ?(seed = 0) ?counts ?(procs = 8) ?(farm_cap = 1000) ?(sample = false)
         let build_units = conc.Driver.sim.Mcc_sched.Des_engine.end_time in
         (* cache: cold then warm against the size-bounded store *)
         let bc = Build_cache.create ~cap_bytes () in
-        let cold = Driver.compile ~config ~cache:bc store in
-        let warm = Driver.compile ~config ~cache:bc store in
+        let g = Build_cache.graph bc store in
+        let cold = Driver.compile ~config ~cache:g store in
+        let warm = Driver.compile ~config ~cache:g store in
         let warm_cold_ok =
           Obs.first_diff
             ~reference:(Obs.of_driver ~run:false cold)

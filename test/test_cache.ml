@@ -48,8 +48,8 @@ let test_warm_equals_cold () =
           let config = config ~strategy ~procs in
           let cold = Driver.compile ~config (sample_store ()) in
           let cache = Build_cache.create () in
-          let warm1 = Driver.compile ~config ~cache (sample_store ()) in
-          let warm2 = Driver.compile ~config ~cache (sample_store ()) in
+          let warm1 = compile_cached ~config cache (sample_store ()) in
+          let warm2 = compile_cached ~config cache (sample_store ()) in
           let tag = Printf.sprintf "%s/%d" (Symtab.dky_name strategy) procs in
           Alcotest.(check (list string)) (tag ^ ": first run misses") [ "Lib" ]
             warm1.Driver.cache_misses;
@@ -71,8 +71,8 @@ let test_warm_equals_cold () =
 let test_warm_is_cheaper () =
   let config = Driver.default_config in
   let cache = Build_cache.create () in
-  let cold = Driver.compile ~config ~cache (sample_store ()) in
-  let warm = Driver.compile ~config ~cache (sample_store ()) in
+  let cold = compile_cached ~config cache (sample_store ()) in
+  let warm = compile_cached ~config cache (sample_store ()) in
   Alcotest.(check bool) "warm end time strictly smaller" true
     (warm.Driver.sim.Des.end_time < cold.Driver.sim.Des.end_time)
 
@@ -106,8 +106,8 @@ let prop_warm_equals_cold =
             (fun procs ->
               let config = config ~strategy ~procs in
               let cache = Build_cache.create () in
-              ignore (Driver.compile ~config ~cache st);
-              let warm = Driver.compile ~config ~cache st in
+              ignore (compile_cached ~config cache st);
+              let warm = compile_cached ~config cache st in
               warm.Driver.cache_misses = []
               && warm.Driver.cache_hits <> []
               && String.equal (dis cold.Driver.program) (dis warm.Driver.program)
@@ -130,12 +130,12 @@ let chain_src =
 let test_edit_invalidates_exactly_dependents () =
   let cache = Build_cache.create () in
   let st c = store ~defs:(chain_defs ~c_const:c) ~name:"T" chain_src in
-  let r1 = Driver.compile ~cache (st 10) in
+  let r1 = compile_cached cache (st 10) in
   Alcotest.(check (list string)) "cold: all miss" [ "A"; "B"; "C" ] r1.Driver.cache_misses;
-  let r2 = Driver.compile ~cache (st 10) in
+  let r2 = compile_cached cache (st 10) in
   Alcotest.(check (list string)) "warm: all hit" [ "A"; "B"; "C" ] r2.Driver.cache_hits;
   (* edit C: C itself and its dependent B must miss; A must still hit *)
-  let r3 = Driver.compile ~cache (st 11) in
+  let r3 = compile_cached cache (st 11) in
   Alcotest.(check (list string)) "A unaffected" [ "A" ] r3.Driver.cache_hits;
   Alcotest.(check (list string)) "C and its dependent B recompiled" [ "B"; "C" ]
     r3.Driver.cache_misses;
@@ -146,14 +146,28 @@ let test_edit_invalidates_exactly_dependents () =
   Alcotest.(check bool) "edited program identical to cold" true
     (String.equal (dis cold.Driver.program) (dis r3.Driver.program))
 
+(* A graph built from another store gives no fingerprint: the compile
+   raises, and neither the interface whose text differs nor the one
+   importing it gets an artifact.  (test_driver.ml checks the domain
+   engine: this file forks, which domains would forbid.) *)
+let test_foreign_graph_refused () =
+  let st c = store ~defs:(chain_defs ~c_const:c) ~name:"T" chain_src in
+  let cache = Build_cache.create () in
+  (match Driver.compile ~cache:(Build_cache.graph cache (st 10)) (st 11) with
+  | _ -> Alcotest.fail "a graph of another store was read"
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun m -> Alcotest.(check bool) ("no artifact for " ^ m) true (Build_cache.latest cache m = None))
+    [ "B"; "C" ]
+
 (* --- diagnostics replay: erroneous interfaces cache faithfully --- *)
 
 let test_erroneous_interface_replays_diags () =
   let defs = [ ("Bad", "DEFINITION MODULE Bad;\nVAR v: NoSuchType;\nEND Bad.\n") ] in
   let src = modsrc ~imports:"IMPORT Bad;" ~decls:"" ~body:"" () in
   let cache = Build_cache.create () in
-  let cold = Driver.compile ~cache (store ~defs ~name:"T" src) in
-  let warm = Driver.compile ~cache (store ~defs ~name:"T" src) in
+  let cold = compile_cached cache (store ~defs ~name:"T" src) in
+  let warm = compile_cached cache (store ~defs ~name:"T" src) in
   Alcotest.(check bool) "cold rejects" false cold.Driver.ok;
   Alcotest.(check (list string)) "warm hit" [ "Bad" ] warm.Driver.cache_hits;
   Alcotest.(check (list string)) "identical diagnostics from the artifact"
@@ -173,9 +187,9 @@ let test_warm_runs_deterministic () =
     (fun strategy ->
       let config = config ~strategy ~procs:5 in
       let cache = Build_cache.create () in
-      ignore (Driver.compile ~config ~cache (sample_store ()));
-      let w1 = Driver.compile ~config ~capture:true ~cache (sample_store ()) in
-      let w2 = Driver.compile ~config ~capture:true ~cache (sample_store ()) in
+      ignore (compile_cached ~config cache (sample_store ()));
+      let w1 = compile_cached ~config ~capture:true cache (sample_store ()) in
+      let w2 = compile_cached ~config ~capture:true cache (sample_store ()) in
       let tag = Symtab.dky_name strategy in
       Alcotest.(check (float 0.0)) (tag ^ ": same end time") w1.Driver.sim.Des.end_time
         w2.Driver.sim.Des.end_time;
@@ -292,12 +306,12 @@ let test_disk_round_trip () =
   with_cache_dir (fun dir ->
       let cold = Driver.compile (sample_store ()) in
       let c1 = Build_cache.create ~dir () in
-      ignore (Driver.compile ~cache:c1 (sample_store ()));
+      ignore (compile_cached c1 (sample_store ()));
       Build_cache.save c1;
       (* a fresh process would load the artifacts from disk *)
       let c2 = Build_cache.create ~dir () in
       Alcotest.(check int) "one artifact loaded" 1 (List.length (Build_cache.interfaces c2));
-      let warm = Driver.compile ~cache:c2 (sample_store ()) in
+      let warm = compile_cached c2 (sample_store ()) in
       Alcotest.(check (list string)) "loaded artifact hits" [ "Lib" ] warm.Driver.cache_hits;
       Alcotest.(check bool) "identical program from disk artifacts" true
         (String.equal (dis cold.Driver.program) (dis warm.Driver.program));
@@ -407,7 +421,7 @@ let test_two_processes () =
 let test_save_drops_unverified () =
   with_cache_dir (fun dir ->
       let c = Build_cache.create ~dir () in
-      ignore (Driver.compile ~cache:c (sample_store ()));
+      ignore (compile_cached c (sample_store ()));
       let a = List.hd (Build_cache.interfaces c) in
       let entry = Option.get (Build_cache.latest c a.Artifact.a_name) in
       Build_cache.store_interface c ~fp:(Build_cache.stored_fingerprint entry)
@@ -869,6 +883,7 @@ let () =
         [
           Alcotest.test_case "edit invalidates exactly dependents" `Quick
             test_edit_invalidates_exactly_dependents;
+          Alcotest.test_case "a graph of another store is refused" `Quick test_foreign_graph_refused;
         ] );
       ( "determinism",
         [ Alcotest.test_case "warm runs: identical traces" `Quick test_warm_runs_deterministic ] );

@@ -88,12 +88,12 @@ let test_canary_heals_with_verification () =
   let config =
     { Mcc_core.Driver.default_config with Mcc_core.Driver.strategy = Mcc_sem.Symtab.Skeptical }
   in
-  ignore (Mcc_core.Driver.compile ~config ~cache store);
+  ignore (Tutil.compile_cached ~config cache store);
   (match Oracle.plant_for store with
   | Some (Oracle.Tamper_cache name) -> Mcc_core.Build_cache.tamper cache ~name
   | None -> Alcotest.fail "no interface to tamper");
   let obs =
-    Observation.of_driver ~run:true (Mcc_core.Driver.compile ~config ~cache store)
+    Observation.of_driver ~run:true (Tutil.compile_cached ~config cache store)
   in
   (match Observation.first_diff ~reference obs with
   | None -> ()

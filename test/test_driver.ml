@@ -149,6 +149,16 @@ let test_domains_match_seq () =
   Alcotest.(check bool) "no deadlock" false d.Driver.d_deadlocked;
   check_equal_programs "domain-compiled program identical" seq.Seq_driver.program d.Driver.d_program
 
+(* The domain engine refuses a graph of another store as the DES does
+   (test_cache.ml): the compile raises and stores no artifact for it. *)
+let test_domains_refuse_foreign_graph () =
+  let cache = Build_cache.create () in
+  let other = store ~defs:[ ("Lib", "DEFINITION MODULE Lib;\nEND Lib.\n") ] ~name:"T" sample_src in
+  match Driver.compile_domains ~cache:(Build_cache.graph cache other) ~domains:2 (sample_store ()) with
+  | _ -> Alcotest.fail "a graph of another store was read"
+  | exception Invalid_argument _ ->
+      Alcotest.(check bool) "no artifact for Lib" true (Build_cache.latest cache "Lib" = None)
+
 let test_domains_erroneous_match () =
   let seq = compile_seq erroneous in
   let d = Driver.compile_domains ~domains:3 (store ~name:"T" erroneous) in
@@ -334,6 +344,8 @@ let () =
             test_conc_matches_seq_all_configs;
           Alcotest.test_case "compiled program runs" `Quick test_compiled_program_runs;
           Alcotest.test_case "domain engine matches" `Quick test_domains_match_seq;
+          Alcotest.test_case "a graph of another store is refused" `Quick
+            test_domains_refuse_foreign_graph;
           Alcotest.test_case "domain engine stress" `Slow test_domain_stress;
           Tutil.qtest prop_generated_equivalence;
           Tutil.qtest prop_runnable_same_output;

@@ -23,7 +23,9 @@ let compile ?(procs = 8) ?(capture = false) ?telemetry ?cache ?(seed = 1) specs 
       fault_seed = seed;
     }
   in
-  Driver.compile ~config ~capture ?telemetry ?cache st
+  Driver.compile ~config ~capture ?telemetry
+    ?cache:(Option.map (fun c -> Build_cache.graph c st) cache)
+    st
 
 let diag_mentions r sub =
   List.exists
@@ -144,8 +146,8 @@ let test_corrupt_artifact_rebuilt () =
   (* prime, then take a fault-free warm baseline from a second cache
      primed identically *)
   let cache = Build_cache.create () in
-  let _prime = Driver.compile ~config:Driver.default_config ~cache st in
-  let warm = Driver.compile ~config:Driver.default_config ~cache st in
+  let _prime = Tutil.compile_cached cache st in
+  let warm = Tutil.compile_cached cache st in
   Alcotest.(check bool) "warm run hits" true (warm.Driver.cache_hits <> []);
   let r = compile ~cache [ "corrupt-artifact@1" ] st in
   Alcotest.(check bool) "ok" true r.Driver.ok;
@@ -157,7 +159,7 @@ let test_corrupt_artifact_rebuilt () =
 let test_cache_rejects_tampered_artifact () =
   let st = Suite.program 1 in
   let cache = Build_cache.create () in
-  let _ = Driver.compile ~config:Driver.default_config ~cache st in
+  let _ = Tutil.compile_cached cache st in
   match Build_cache.interfaces cache with
   | [] -> Alcotest.fail "priming stored no artifacts"
   | a :: _ ->

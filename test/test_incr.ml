@@ -130,7 +130,7 @@ let test_slice_digests_uid_free () =
      that the rendering depends on nothing but the declarations *)
   let artifact () =
     let bc = Build_cache.create () in
-    ignore (Driver.compile ~cache:bc (project ()));
+    ignore (compile_cached bc (project ()));
     match Build_cache.latest_artifact bc "Lib" with
     | Some a -> a
     | None -> Alcotest.fail "no Lib artifact"
@@ -153,19 +153,20 @@ let test_artifacts_reproducible () =
       (fun (a : Artifact.t) -> (a.Artifact.a_name, a.Artifact.a_digest))
       (Build_cache.interfaces bc)
   in
-  let des () = digests (fun bc -> ignore (Driver.compile ~cache:bc s)) in
+  let des () = digests (fun bc -> ignore (compile_cached bc s)) in
   let first = des () in
   Alcotest.(check int) "every interface has an artifact" (List.length (Source_store.def_names s))
     (List.length first);
   Alcotest.(check (list (pair string string))) "DES against DES" first (des ());
   Alcotest.(check (list (pair string string))) "DES against two domains" first
-    (digests (fun bc -> ignore (Driver.compile_domains ~cache:bc ~domains:2 s)))
+    (digests (fun bc ->
+         ignore (Driver.compile_domains ~cache:(Build_cache.graph bc s) ~domains:2 s)))
 
 let test_install_vs_slice_digests () =
   let artifact_of defs =
     let bc = Build_cache.create () in
     ignore
-      (Driver.compile ~cache:bc
+      (compile_cached bc
          (store ~name:"Main" ~defs
             "IMPLEMENTATION MODULE Main;\nIMPORT Lib;\nBEGIN\nEND Main.\n"));
     Option.get (Build_cache.latest_artifact bc "Lib")
@@ -470,15 +471,15 @@ let test_cyclic_noop_key_hits () =
         "reused: unchanged inputs (whole-module key hit)" why)
     r.Project.explain
 
-(* A cycle's fingerprints do not depend on the member a walk enters by,
+(* A cycle's fingerprints do not depend on the member a read enters by,
    and each covers every member's text. *)
 let test_cyclic_fingerprints_entry_free () =
   let s = mutual_def () in
   let bc = Build_cache.create () in
   let fps s entry =
-    let memo = Hashtbl.create 8 in
-    ignore (Build_cache.interface_fp bc ~memo ~store:s entry);
-    List.map (fun m -> fst (Build_cache.interface_fp bc ~memo ~store:s m)) [ "CycA"; "CycB" ]
+    let g = Build_cache.graph bc s in
+    ignore (Build_cache.fingerprint g entry);
+    List.map (fun m -> fst (Build_cache.fingerprint g m)) [ "CycA"; "CycB" ]
   in
   let at_a = fps s "CycA" in
   Alcotest.(check (list string)) "entered at CycA or at CycB" at_a (fps s "CycB");

@@ -15,6 +15,10 @@ let compile_seq ?defs ?name:(n = "T") src = Seq_driver.compile (store ?defs ~nam
 let compile_conc ?(config = Driver.default_config) ?defs ?name:(n = "T") src =
   Driver.compile ~config (store ?defs ~name:n src)
 
+(* [Driver.compile] over [cache], reading a graph of [store] as a build does. *)
+let compile_cached ?config ?capture cache store =
+  Driver.compile ?config ?capture ~cache:(Build_cache.graph cache store) store
+
 let dis p = Mcc_codegen.Cunit.disassemble p
 
 (* Compile sequentially and run in the VM; returns (output, status). *)
