@@ -244,7 +244,6 @@ let check (log : Evlog.record array) : report =
           Hashtbl.remove blocked task;
           Hashtbl.remove waits task
       | Evlog.Gate_release _ -> ()
-      | Evlog.Scope_intern _ -> ()
       | Evlog.Frame_add { key } -> (
           match !merge_start with
           | Some merge_seq -> flag (Frame_after_merge { key; frame_seq = r.Evlog.seq; merge_seq })
@@ -314,10 +313,6 @@ let check (log : Evlog.record array) : report =
           | Some n when n > 0 -> Hashtbl.replace crash_pending name (n - 1)
           | _ -> ())
       | Evlog.Watchdog_fire _ -> incr n_watchdog
-      (* compile-server job lifecycle: no intra-compile ordering to
-         check — the server suspends emission around engine runs *)
-      | Evlog.Job_enqueue _ | Evlog.Job_admit _ | Evlog.Job_shed _ | Evlog.Job_batch _
-      | Evlog.Job_done _ -> ()
       (* farm lifecycle: every serve must consume an outstanding fetch
          on the same (requester, server, interface) link, and every
          closure ever placed on a node must complete exactly once *)
@@ -353,12 +348,11 @@ let check (log : Evlog.record array) : report =
           match Hashtbl.find_opt closure_done iface with
           | Some first -> flag (Task_done_twice { iface; first; second = r.Evlog.seq })
           | None -> Hashtbl.replace closure_done iface r.Evlog.seq)
-      | Evlog.Node_start _ | Evlog.Node_detect _ | Evlog.Heartbeat _ | Evlog.Rpc_timeout _
-      | Evlog.Farm_replicate _ | Evlog.Net_partition _ | Evlog.Net_heal
-      (* trace spans annotate the same lifecycle this checker derives
-         its orderings from, and processor activity only places it in
-         time; neither carries happens-before edges *)
-      | Evlog.Span_start _ | Evlog.Span_end _ | Evlog.Busy _ -> ())
+      (* a timeout only delays a fetch, trace spans annotate the same
+         lifecycle this checker derives its orderings from, and
+         processor activity only places it in time; none carries
+         happens-before edges *)
+      | Evlog.Rpc_timeout _ | Evlog.Span_start _ | Evlog.Span_end _ | Evlog.Busy _ -> ())
     log;
   (* no-task-lost-on-crash: every closure ever assigned (initially, by
      steal or by re-shard) completed *)

@@ -58,7 +58,6 @@ type kind =
   | Ev_block of { ev : int; name : string; producer : int (* task id; -1 unknown *) }
   | Ev_wake of { ev : int; task : int (* the woken task *) }
   | Gate_release of { ev : int; task : int (* the released gated task *) }
-  | Scope_intern of { scope : int; name : string }
   | Frame_add of { key : string }
       (* a global frame reached the merger ([Cunit.add_frame]) *)
   | Publish of { scope : int; scope_name : string; sym : string }
@@ -77,25 +76,10 @@ type kind =
       (* retries exhausted (or unsafe): the task is permanently failed *)
   | Watchdog_fire of { ev : int; task : int }
       (* the stall watchdog re-delivered a lost wake for [task] *)
-  (* Compile-server lifecycle ([Mcc_serve]): [job] is the server-wide
-     job id, [session] the submitting client.  Server captures stamp
-     the clock with the server's virtual arrival/completion times. *)
-  | Job_enqueue of { job : int; session : string }
-  | Job_admit of { job : int; session : string }
-  | Job_shed of { job : int; session : string }
-      (* admission rejected the job (queue full): it is never served *)
-  | Job_batch of { job : int; leader : int; size : int }
-      (* the job rides leader's batch (shared interface closure) *)
-  | Job_done of { job : int; warm : bool }
-      (* served; [warm] = answered from the shared module memo *)
   (* Build-farm lifecycle ([Mcc_farm]): one record stream for the whole
      multi-node run, stamped with the farm's virtual clock.  [node] is
      the acting node; RPC records carry both ends of the link. *)
-  | Node_start of { node : int; procs : int }
   | Node_dead of { node : int } (* a node-crash fault fired at a heartbeat *)
-  | Node_detect of { node : int }
-      (* the coordinator noticed the missed heartbeats and re-shards *)
-  | Heartbeat of { node : int }
   | Rpc_fetch of { node : int; peer : int; iface : string; attempt : int }
       (* [node] asks [peer] for an interface artifact; attempt 1 = first try *)
   | Rpc_timeout of { node : int; peer : int; iface : string; attempt : int }
@@ -110,10 +94,6 @@ type kind =
   | Farm_reshard of { node : int; iface : string }
       (* a dead node's unfinished closure, reassigned to [node] *)
   | Farm_task_done of { node : int; iface : string }
-  | Farm_replicate of { node : int; replica : int; iface : string }
-      (* the freshly built artifact was pushed to its replica *)
-  | Net_partition of { spec : string } (* the network split ("even|odd") *)
-  | Net_heal
   (* Distributed-tracing spans ([Trace_ctx] ids): serve and farm runs
      bracket every unit of a request's life — queue, service, probe,
      compile, fetch, compute — with a Span_start/Span_end pair.
@@ -166,7 +146,8 @@ type ctx = {
 let ctx ?(log = false) ?(metrics = false) () =
   {
     log =
-      (if log then Some (Vec.create { seq = -1; time = 0.0; task = -1; kind = Net_heal })
+      (if log then
+         Some (Vec.create { seq = -1; time = 0.0; task = -1; kind = Task_start { task = -1 } })
        else None);
     registry = (if metrics then Some (Hashtbl.create 64) else None);
     now = 0.0;

@@ -6,10 +6,15 @@
     signal/block/wake, gated-task releases, task spawn/start/finish —
     and of processor activity: one [Busy] record per stretch a
     simulated processor ran a task or held it through a barrier wait.
-    It is the one recording of what ran when.  Its readers:
+    A farm run adds its node, RPC and closure records, and serve and
+    farm runs record each job's and node's life as [Span_start]/
+    [Span_end] pairs.  It is the one recording of what ran when, and
+    every kind has a reader:
     - the happens-before checker ([Mcc_analysis.Hb]) replays it to
       verify the DKY ordering invariants of paper §2.3.3 across
-      perturbed schedules;
+      perturbed schedules, and the farm's fetch/serve pairing and
+      exactly-once closure completion ([Node_dead], [Rpc_*],
+      [Farm_*]);
     - {!Span} and {!Critpath} reconstruct per-task timelines and the
       end-to-end critical path;
     - [Mcc_sched.Trace.of_log] rebuilds the per-processor segments
@@ -17,7 +22,8 @@
       export ([Mcc_analysis.Trace_json]) draw; task names and classes
       come from the [Task_spawn] records;
     - {!Dtrace} folds serve/farm captures, with their inner engines'
-      logs, into span forests.
+      logs, into span forests ([Span_start]/[Span_end]), and the farm
+      reads [Rpc_*] planner outcomes back into its RPC spans.
 
     One run's observation state is one {!ctx}: the log, its virtual
     clock and current task, the {!Metrics} registry and the
@@ -48,7 +54,6 @@ type kind =
   | Ev_block of { ev : int; name : string; producer : int  (** expected signaler, -1 unknown *) }
   | Ev_wake of { ev : int; task : int  (** the woken task *) }
   | Gate_release of { ev : int; task : int  (** the released gated task *) }
-  | Scope_intern of { scope : int; name : string }
   | Frame_add of { key : string }  (** a global frame reached the merger ([Cunit.add_frame]) *)
   | Publish of { scope : int; scope_name : string; sym : string }
   | Complete of { scope : int; scope_name : string }
@@ -66,22 +71,9 @@ type kind =
       (** retries exhausted (or resume-crash): the task is permanently failed *)
   | Watchdog_fire of { ev : int; task : int }
       (** the stall watchdog re-delivered a lost wake for [task] *)
-  | Job_enqueue of { job : int; session : string }
-      (** a compile-server job arrived and was offered to admission *)
-  | Job_admit of { job : int; session : string }
-      (** admission accepted the job into the bounded queue *)
-  | Job_shed of { job : int; session : string }
-      (** admission rejected the job (queue full): it is never served *)
-  | Job_batch of { job : int; leader : int; size : int }
-      (** the job rides [leader]'s batch (shared interface closure) *)
-  | Job_done of { job : int; warm : bool }
-      (** served; [warm] = answered from the shared module memo *)
-  | Node_start of { node : int; procs : int }
-      (** a farm node came up ([Mcc_farm]; one stream per farm run) *)
-  | Node_dead of { node : int }  (** a node-crash fault fired at a heartbeat *)
-  | Node_detect of { node : int }
-      (** the coordinator noticed the missed heartbeats and re-shards *)
-  | Heartbeat of { node : int }
+  | Node_dead of { node : int }
+      (** a node-crash fault fired at a heartbeat ([Mcc_farm]; one
+          stream per farm run) *)
   | Rpc_fetch of { node : int; peer : int; iface : string; attempt : int }
       (** [node] asks [peer] for an interface artifact; attempt 1 = first try *)
   | Rpc_timeout of { node : int; peer : int; iface : string; attempt : int }
@@ -96,10 +88,6 @@ type kind =
   | Farm_reshard of { node : int; iface : string }
       (** a dead node's unfinished closure, reassigned to [node] *)
   | Farm_task_done of { node : int; iface : string }
-  | Farm_replicate of { node : int; replica : int; iface : string }
-      (** the freshly built artifact was pushed to its replica *)
-  | Net_partition of { spec : string }  (** the network split ("even|odd") *)
-  | Net_heal
   | Span_start of {
       span : int;  (** [Trace_ctx.fresh] id, unique within the capture *)
       parent : int;  (** owning span id; -1 = a trace root *)
@@ -134,8 +122,8 @@ val ctx : ?log:bool -> ?metrics:bool -> unit -> ctx
 val log : ctx -> record array
 
 (** [capture f] runs [f] in a fresh logging context and returns
-    [(f (), log)].  A traced serve/farm run captures its job-lifecycle
-    log this way while each inner [Driver.compile ~capture:true] takes
+    [(f (), log)].  A traced serve/farm run captures its span log this
+    way while each inner [Driver.compile ~capture:true] takes
     its own context, whose log becomes a [Dtrace] sub-trace of the
     owning span. *)
 val capture : (unit -> 'a) -> 'a * record array

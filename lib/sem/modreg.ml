@@ -24,12 +24,6 @@ let intern t name =
         (scope, true)
   in
   Mutex.unlock t.mu;
-  (match r with
-  | scope, true ->
-      if Mcc_obs.Evlog.enabled () then
-        Mcc_obs.Evlog.emit
-          (Mcc_obs.Evlog.Scope_intern { scope = scope.Symtab.sid; name = scope.Symtab.sname })
-  | _ -> ());
   r
 
 let find t name =

@@ -209,14 +209,15 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
   in
   (* open (job span, queue span, trace id) per in-flight job id *)
   let spans : (int, Trace_ctx.t * Trace_ctx.t * string) Hashtbl.t = Hashtbl.create 64 in
-  let emit_at seconds kind =
-    if Evlog.enabled () then begin
+  (* every record the server writes is a span, and only a traced run
+     writes them (into its own capture) *)
+  let emit_span seconds kind =
+    if trace then begin
       Evlog.set_task (-1);
       Evlog.set_time (seconds /. Costs.seconds_per_unit);
       Evlog.emit kind
     end
   in
-  let emit_span seconds kind = if trace then emit_at seconds kind in
   (* close an in-flight job's queue + job spans, e.g. on a shed *)
   let close_spans ~at ~status (j : Request.job) =
     match Hashtbl.find_opt spans j.Request.j_id with
@@ -233,8 +234,6 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
       match !arrivals with
       | j :: rest when j.Request.j_arrival <= limit ->
           arrivals := rest;
-          emit_at j.Request.j_arrival
-            (Evlog.Job_enqueue { job = j.Request.j_id; session = j.Request.j_session });
           if trace then begin
             let tid = tid_of j in
             let jsp = Trace_ctx.root ~trace:tid in
@@ -262,14 +261,9 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
                  })
           end;
           (match Admission.offer adm j with
-          | Admission.Admitted ->
-              emit_at j.Request.j_arrival
-                (Evlog.Job_admit { job = j.Request.j_id; session = j.Request.j_session })
+          | Admission.Admitted -> ()
           | Admission.Shed victim ->
               shed := victim :: !shed;
-              emit_at j.Request.j_arrival
-                (Evlog.Job_shed
-                   { job = victim.Request.j_id; session = victim.Request.j_session });
               close_spans ~at:j.Request.j_arrival ~status:"shed" victim;
               Slo.trip slo ~job:victim.Request.j_id ~cls:(slo_class victim)
                 ~trace:(tid_of victim) ~reason:Slo.Shed ~at:j.Request.j_arrival
@@ -345,7 +339,6 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
     end
     else admit_until finish;
     now := finish;
-    emit_at finish (Evlog.Job_done { job = j.Request.j_id; warm });
     Slo.observe slo ~job:j.Request.j_id ~cls:(slo_class j) ~trace:(tid_of j)
       ~sojourn:(finish -. j.Request.j_arrival) ~at:finish;
     if retried then
@@ -370,7 +363,6 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
   in
   let shed_overdue (j : Request.job) =
     incr deadline_shed;
-    emit_at !now (Evlog.Job_shed { job = j.Request.j_id; session = j.Request.j_session });
     close_spans ~at:!now ~status:"deadline" j;
     Slo.trip slo ~job:j.Request.j_id ~cls:(slo_class j) ~trace:(tid_of j)
       ~reason:Slo.Deadline_shed ~at:!now
@@ -394,17 +386,7 @@ let serve ?(trace = false) ~cache cfg (jobs : Request.job list) =
         if mates <> [] then begin
           incr batches;
           batched_jobs := !batched_jobs + List.length mates;
-          max_batch := max !max_batch (1 + List.length mates);
-          List.iter
-            (fun (m : Request.job) ->
-              emit_at !now
-                (Evlog.Job_batch
-                   {
-                     job = m.Request.j_id;
-                     leader = leader.Request.j_id;
-                     size = 1 + List.length mates;
-                   }))
-            mates
+          max_batch := max !max_batch (1 + List.length mates)
         end;
         serve_one ~batched:false leader;
         List.iter (serve_one ~batched:true) mates;

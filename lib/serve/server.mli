@@ -99,12 +99,11 @@ type report = {
 }
 
 (** Run the server over a job trace (sorted internally by arrival).
-    Pass the same [cache] again to serve warm.  [trace] records the
-    job-lifecycle event log ([Job_enqueue]/[Job_admit]/[Job_shed]/
-    [Job_batch]/[Job_done]) into [r_events], brackets every job with
-    distributed-trace spans — job / queue / service / probe / compile /
-    retry — captures each inner engine run into [r_subs], and stamps
-    trips with trace ids; feed [r_events] and [r_subs] to [Mcc_obs.Dtrace.assemble].
+    Pass the same [cache] again to serve warm.  [trace] brackets every
+    job with distributed-trace spans — job / queue / service / probe /
+    compile / retry — recorded into [r_events], captures each inner
+    engine run into [r_subs], and stamps trips with trace ids; feed
+    [r_events] and [r_subs] to [Mcc_obs.Dtrace.assemble].
     Virtual times and results are identical with tracing on or off.
     @raise Invalid_argument when the base compile config carries a
     fault plan (put it in the server config). *)
