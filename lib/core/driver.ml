@@ -102,16 +102,13 @@ type result = {
   task_list : (string * string) list; (* (class, name) per instantiated task, Fig. 5 *)
   cache_hits : string list; (* interfaces installed from the build cache, sorted *)
   cache_misses : string list; (* interfaces fingerprinted but compiled cold, sorted *)
-  cache_evictions : int; (* size-bound evictions in the shared cache during this run *)
   used_slices : (string * string list) list;
       (* per imported interface, the exported names this compilation
          actually resolved (or failed to resolve) there — the
          fine-grained dependency record Project's slice-level
          invalidation keys on; sorted, deterministic *)
   log : Evlog.record array; (* captured event log ([||] unless ~capture:true) *)
-  events_logged : int;
   telemetry : Metrics.snapshot option; (* metrics registry dump (None unless ~telemetry:true) *)
-  perturb_seed : int option; (* the config's exploration seed, echoed back *)
   robustness : robustness;
   deadlock : string list;
       (* the engine's deadlock report (blocked-task wait graph) when the
@@ -617,7 +614,6 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
   let comp, init_tasks = prepare config cache store in
   let cache = Option.map Build_cache.graph_cache cache in
   let corrupt0 = match cache with Some c -> Build_cache.corrupt_count c | None -> 0 in
-  let evict0 = match cache with Some c -> Build_cache.eviction_count c | None -> 0 in
   let obs = Evlog.ctx ~log:capture ~metrics:telemetry () in
   (* the configured fault plan is armed for the engine run only; with
      none configured the enclosing run's plan (the farm's) stays armed *)
@@ -701,13 +697,9 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     task_list = List.rev comp.task_names;
     cache_hits = List.sort compare comp.cache_hits;
     cache_misses = List.sort compare comp.cache_misses;
-    cache_evictions =
-      (match cache with Some c -> Build_cache.eviction_count c - evict0 | None -> 0);
     used_slices = Lookup_stats.used_slices comp.stats;
     log;
-    events_logged = Array.length log;
     telemetry = (if telemetry then Some (Metrics.snapshot obs) else None);
-    perturb_seed = config.perturb;
     robustness;
     deadlock =
       (match sim.Des_engine.outcome with
@@ -743,7 +735,6 @@ type domain_result = {
   d_wall_seconds : float;
   d_tasks_run : int;
   d_deadlocked : bool;
-  d_stats : Lookup_stats.t;
 }
 
 let compile_domains ?(config = default_config) ?cache ~domains (store : Source_store.t) :
@@ -771,5 +762,4 @@ let compile_domains ?(config = default_config) ?cache ~domains (store : Source_s
     d_wall_seconds = r.Domain_engine.wall_seconds;
     d_tasks_run = r.Domain_engine.tasks_run;
     d_deadlocked = deadlocked;
-    d_stats = comp.stats;
   }

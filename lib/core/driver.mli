@@ -76,9 +76,6 @@ type result = {
   cache_misses : string list;
       (** interfaces fingerprinted but compiled cold (and then stored),
           sorted (empty without a cache) *)
-  cache_evictions : int;
-      (** entries the cache's size bound evicted during this run (0
-          without a cache or without a bound) *)
   used_slices : (string * string list) list;
       (** per imported interface, the exported names this compilation
           resolved (or failed to resolve) there — the fine-grained
@@ -86,11 +83,9 @@ type result = {
   log : Mcc_obs.Evlog.record array;
       (** the structured concurrency event log ([[||]] unless compiled
           with [~capture:true]) *)
-  events_logged : int;  (** [Array.length log] *)
   telemetry : Mcc_obs.Metrics.snapshot option;
       (** the virtual-time metrics registry dump ([None] unless compiled
           with [~telemetry:true]) *)
-  perturb_seed : int option;  (** the config's exploration seed, echoed back *)
   robustness : robustness;
   deadlock : string list;
       (** the engine's deadlock report (blocked-task wait graph) when
@@ -152,7 +147,6 @@ type domain_result = {
   d_wall_seconds : float;
   d_tasks_run : int;
   d_deadlocked : bool;
-  d_stats : Lookup_stats.t;
 }
 
 (** The same task graph on [domains] OCaml domains.  Produces a program

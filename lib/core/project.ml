@@ -342,16 +342,7 @@ let refresh ~config bc store g ~fp =
         else Build_cache.latest bc i = None
   in
   let analyse targets =
-    let uses = String.concat "" (List.map (fun n -> "IMPORT " ^ n ^ ";\n") targets) in
-    let probe =
-      Source_store.make ~main_name:"MccRefresh"
-        ~main_src:("IMPLEMENTATION MODULE MccRefresh;\n" ^ uses ^ "BEGIN\nEND MccRefresh.\n")
-        ~defs:
-          (List.filter_map
-             (fun n -> Option.map (fun s -> (n, s)) (Source_store.def_src store n))
-             defs)
-        ()
-    in
+    let probe = Source_store.probe store ~prefix:"MccRefresh" targets in
     let pr = Driver.compile ~config ~cache:g probe in
     units := !units +. pr.Driver.sim.Des_engine.end_time;
     List.iter

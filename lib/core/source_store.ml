@@ -52,6 +52,22 @@ let focus t name =
   | None -> invalid_arg ("Source_store.focus: no implementation for " ^ name)
   | Some src -> { t with main_name = name; main_src = src }
 
+(* An empty main module named [prefix] (numbered past any name the
+   store uses) that imports [imports], over the store's interfaces. *)
+let probe t ~prefix imports =
+  let rec fresh n =
+    let name = if n = 0 then prefix else Printf.sprintf "%s%d" prefix n in
+    if Hashtbl.mem t.defs name || t.main_name = name then fresh (n + 1) else name
+  in
+  let name = fresh 0 in
+  let uses = String.concat "" (List.map (fun i -> "IMPORT " ^ i ^ ";\n") imports) in
+  {
+    main_name = name;
+    main_src = Printf.sprintf "IMPLEMENTATION MODULE %s;\n%sBEGIN\nEND %s.\n" name uses name;
+    defs = t.defs;
+    impls = Hashtbl.create 1;
+  }
+
 (* Total source bytes: the module plus every interface it could load —
    used for the Table 1 "module size" attribute. *)
 let total_bytes t =

@@ -51,6 +51,13 @@ val impl_names : t -> string list
     @raise Invalid_argument when [name] has no implementation. *)
 val focus : t -> string -> t
 
+(** [probe t ~prefix imports]: a program over [t]'s interfaces whose
+    main module, named [prefix] (or [prefix] and the first number that
+    no interface or main module of [t] is named), has an empty body and
+    imports [imports] in order.  Compiling it compiles exactly their
+    interface closures. *)
+val probe : t -> prefix:string -> string list -> t
+
 (** Total source bytes of the module plus every interface present. *)
 val total_bytes : t -> int
 
