@@ -9,7 +9,7 @@
     the farm-level service time.  Interface artifacts ship between node
     caches over {!Remote.fetch} (digest-verified by content
     addressing, timeout + capped backoff retry, hedged to a replica).
-    Heartbeats in virtual time detect dead nodes; their unfinished
+    Missed virtual-time heartbeats mark dead nodes; their unfinished
     closures re-shard onto survivors; a fetch that fails every path
     recompiles locally; total node loss degrades to one sequential
     compile.  Every path lands on the same artifacts, and {!verify} is

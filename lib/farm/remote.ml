@@ -15,7 +15,9 @@
    The planner does not touch the agenda; it returns the elapsed time
    to artifact-in-hand (or to final failure) plus the Evlog events of
    the exchange as offsets from dispatch, which the farm DES schedules
-   as future notes.  That keeps it a pure function of (net seed, fault
+   as future notes.  The exchange ends with the artifact in hand: a
+   raced primary attempt whose timeout would fall later is abandoned,
+   and records nothing more.  That keeps it a pure function of (net seed, fault
    plan, arguments) — unit-testable, and byte-deterministic. *)
 
 open Mcc_sched
@@ -116,6 +118,7 @@ let fetch ~net ~requester ~primary ?replica ?(primary_extra = 0.0) ?(replica_ext
   match winner with
   | Some (server, done_at) ->
       note done_at (Evlog.Rpc_serve { node = server; peer = requester; iface });
+      let events = List.filter (fun (t, _) -> t <= done_at) !events in
       {
         ok = true;
         elapsed = done_at;
@@ -125,7 +128,7 @@ let fetch ~net ~requester ~primary ?replica ?(primary_extra = 0.0) ?(replica_ext
         drops = !drops;
         hedged;
         hedge_won = (hedged && server <> primary);
-        events = List.sort compare (List.rev !events);
+        events = List.sort compare (List.rev events);
       }
   | None ->
       let last_failed =

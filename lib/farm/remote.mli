@@ -20,7 +20,8 @@ type outcome = {
   hedged : bool;  (** a duplicate request raced the replica *)
   hedge_won : bool;  (** ...and the replica answered first *)
   events : (float * Mcc_obs.Evlog.kind) list;
-      (** RPC lifecycle events, offsets from dispatch, ascending *)
+      (** RPC lifecycle events, offsets from dispatch, ascending, none
+          past [elapsed] *)
 }
 
 (** [link ~from ~to_ iface] is the fault-plan target name for a message
