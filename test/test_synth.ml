@@ -190,6 +190,146 @@ let test_mutations_reach_floor () =
         (Gen.mutate !cur m = !cur))
     Gen.mutations
 
+(* ------------------------------------------------------------------ *)
+(* Synthesis golden: digests of every source the synthesis path makes.
+   One line per store: its label, counts and one digest over every
+   source's kind, name and text digest (interfaces, then
+   implementations, each sorted by name); an edit's line also carries
+   its class, target and slice.  Covered: [Suite.all] at seeds 0 and 3,
+   [with_impls] of each program and its 12-edit stream (seeded as the
+   project-edit benchmark seeds them), and the project-scale inputs
+   ([Scale.flat_store ~seed:3 3000] through [with_impls], and its 6-edit
+   stream).  On a mismatch the lines this build observed are written to
+   synth_digests.actual in the test's working directory. *)
+
+let store_digest s =
+  let b = Buffer.create 4096 in
+  let add kind name text =
+    Buffer.add_string b kind;
+    Buffer.add_char b ' ';
+    Buffer.add_string b name;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (Digest.to_hex (Digest.string text));
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun n -> add "def" n (Option.get (Source_store.def_src s n)))
+    (Source_store.def_names s);
+  List.iter
+    (fun n -> add "mod" n (Option.get (Source_store.impl_src s n)))
+    (Source_store.impl_names s);
+  Printf.sprintf "main=%s defs=%d mods=%d %s" (Source_store.main_name s)
+    (List.length (Source_store.def_names s))
+    (List.length (Source_store.impl_names s))
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let edit_line label k (e : Gen.edit) =
+  Printf.sprintf "%s edit %d %s %s %s %s" label k (Gen.class_name e.Gen.e_class) e.Gen.e_target
+    (Option.value ~default:"-" e.Gen.e_slice)
+    (store_digest e.Gen.e_store)
+
+let synth_lines () =
+  let project label ~seed ~n base =
+    (label ^ " impls " ^ store_digest (Gen.with_impls base))
+    :: List.mapi (edit_line label) (Gen.edit_stream ~seed ~n base)
+  in
+  let suite seed =
+    List.concat
+      (List.mapi
+         (fun rank s ->
+           let label = Printf.sprintf "seed %d rank %d" seed rank in
+           (label ^ " base " ^ store_digest s)
+           :: project label ~seed:((seed * 1009) + rank) ~n:12 s)
+         (Suite.all ~seed ()))
+  in
+  let scale =
+    let base = Gen.with_impls (Mcc_zoo.Scale.flat_store ~seed:3 3000) in
+    ("scale 3000 base " ^ store_digest base)
+    :: List.mapi (edit_line "scale 3000") (Gen.edit_stream ~seed:3 ~n:6 base)
+  in
+  suite 0 @ suite 3 @ scale
+
+let test_synth_golden () =
+  let actual = synth_lines () in
+  let expected =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (Tutil.read_file (Tutil.repo_path "test/synth_digests.expected")))
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "synth_digests.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first n = function
+      | e :: es, a :: as_ ->
+          if e = a then first (n + 1) (es, as_)
+          else Alcotest.failf "line %d:\n  expected %s\n  got      %s" n e a
+      | e :: _, [] -> Alcotest.failf "line %d: expected %s, got nothing" n e
+      | [], a :: _ -> Alcotest.failf "line %d: unexpected %s" n a
+      | [], [] -> ()
+    in
+    first 1 (expected, actual)
+  end
+
+(* Every source of a store, keyed by kind and name. *)
+let sources s =
+  List.map (fun n -> (("def", n), Option.get (Source_store.def_src s n))) (Source_store.def_names s)
+  @ List.map (fun n -> (("mod", n), Option.get (Source_store.impl_src s n))) (Source_store.impl_names s)
+
+(* [with_impls] is idempotent, and each edit's store differs from the
+   store before it (the first from [with_impls] of the input) only in
+   the text of the edit's target: the same sources by kind and name,
+   equal except one or both of [e_target]'s, at least one of which
+   changed. *)
+let check_stream base edits =
+  let impls = Gen.with_impls base in
+  if sources (Gen.with_impls impls) <> sources impls then
+    Alcotest.failf "with_impls is not idempotent on %s" (Source_store.main_name base);
+  ignore
+    (List.fold_left
+       (fun (k, prev) (e : Gen.edit) ->
+         let a = sources prev and b = sources e.Gen.e_store in
+         if List.map fst a <> List.map fst b then
+           Alcotest.failf "edit %d (%s) changed the set of sources" k e.Gen.e_target;
+         let changed =
+           List.filter_map (fun ((key, x), (_, y)) -> if x = y then None else Some key) (List.combine a b)
+         in
+         if changed = [] then Alcotest.failf "edit %d (%s) changed nothing" k e.Gen.e_target;
+         List.iter
+           (fun (kind, n) ->
+             if n <> e.Gen.e_target then
+               Alcotest.failf "edit %d targets %s but changed %s %s" k e.Gen.e_target kind n)
+           changed;
+         (k + 1, e.Gen.e_store))
+       (0, impls) edits)
+
+let test_edits_touch_only_target () =
+  List.iteri
+    (fun rank s -> check_stream s (Gen.edit_stream ~seed:rank ~n:12 s))
+    (Suite.all ~seed:3 ())
+
+let prop_edits_touch_only_target =
+  QCheck.Test.make ~count:40 ~name:"edits touch only their target"
+    QCheck.(triple (int_bound 10_000) (int_bound 6) (int_bound 3))
+    (fun (seed, n_defs, depth) ->
+      let shape =
+        {
+          Gen.seed;
+          name = "ED";
+          n_defs;
+          depth = depth + 1;
+          n_procs = 2;
+          nested_per_proc = 1;
+          stmts_lo = 2;
+          stmts_hi = 6;
+          module_vars = 2;
+          def_size = 1;
+          pad = 0;
+          runnable = seed mod 2 = 0;
+        }
+      in
+      let s = Gen.generate shape in
+      check_stream s (Gen.edit_stream ~seed ~n:8 s);
+      true)
+
 let () =
   Alcotest.run "synth"
     [
@@ -212,5 +352,11 @@ let () =
           Alcotest.test_case "whole suite compiles" `Slow test_whole_suite_compiles;
           Alcotest.test_case "attribute ranges" `Quick test_suite_attribute_ranges;
           Alcotest.test_case "Synth.mod best case" `Quick test_synth_best_properties;
+        ] );
+      ( "synthesis",
+        [
+          Alcotest.test_case "synthesis golden" `Quick test_synth_golden;
+          Alcotest.test_case "edits touch only their target" `Quick test_edits_touch_only_target;
+          QCheck_alcotest.to_alcotest prop_edits_touch_only_target;
         ] );
     ]
