@@ -14,11 +14,16 @@ type t = {
   impls : (string, string) Hashtbl.t; (* other modules' implementations *)
 }
 
+(* A table of [entries] (distinct names), created at the size growing
+   from empty would reach, so that filling it never resizes and it
+   iterates in the same order as a grown one. *)
+let table_of entries =
+  let t = Hashtbl.create ((List.length entries + 1) / 2) in
+  List.iter (fun (n, s) -> Hashtbl.replace t n s) entries;
+  t
+
 let make ?(impls = []) ~main_name ~main_src ~defs () =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (n, s) -> Hashtbl.replace tbl n s) defs;
-  let itbl = Hashtbl.create 4 in
-  List.iter (fun (n, s) -> Hashtbl.replace itbl n s) impls;
+  let tbl = table_of defs and itbl = table_of impls in
   { main_name; main_src; defs = tbl; impls = itbl }
 
 let main_name t = t.main_name
