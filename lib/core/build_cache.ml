@@ -889,6 +889,13 @@ let graph t store =
     g.def_names;
   g
 
+(* No node is shared: closure identities are read against the graph's
+   own cache. *)
+let graph_over t g =
+  let nodes = Hashtbl.copy g.nodes in
+  Hashtbl.filter_map_inplace (fun _ n -> Some { n with closure = ""; unsure = false }) nodes;
+  { cache = t; nodes; def_names = g.def_names; charged = Hashtbl.create 64 }
+
 let graph_cache g = g.cache
 let graph_defs g = g.def_names
 let impl_imports g name = Option.map (fun s -> s.imports) (node g name).impl

@@ -194,6 +194,12 @@ type graph
 
 val graph : t -> Source_store.t -> graph
 
+(** [graph_over t g]: a graph of [g]'s program over cache [t], sharing
+    [g]'s records and fingerprints, so it digests and scans nothing.
+    Its closure identities are computed afresh against [t], and it
+    charges as a new graph does. *)
+val graph_over : t -> graph -> graph
+
 (** The cache the graph was built over. *)
 val graph_cache : graph -> t
 
