@@ -160,6 +160,30 @@ let test_foreign_graph_refused () =
     (fun m -> Alcotest.(check bool) ("no artifact for " ^ m) true (Build_cache.latest cache m = None))
     [ "B"; "C" ]
 
+(* A graph over a second cache shares the first graph's fingerprints,
+   while its closure identities are the second cache's: the keys equal
+   those of a graph built over that cache from the sources, and differ
+   from the first graph's, whose cache holds artifacts; the first graph
+   keeps its own. *)
+let test_graph_over_other_cache () =
+  let s = Mcc_synth.Gen.with_impls (Mcc_synth.Suite.program 3) in
+  let warm = Build_cache.create () and empty = Build_cache.create () in
+  ignore (compile_cached warm s);
+  let modules = Source_store.impl_names s in
+  let keys g = List.map (fun m -> fst (Build_cache.identity_key g ~config_tag:"t" m)) modules in
+  let gw = Build_cache.graph warm s in
+  let kw = keys gw in
+  let over = Build_cache.graph_over empty gw and fresh = Build_cache.graph empty s in
+  List.iter
+    (fun d ->
+      Alcotest.(check string) ("fingerprint of " ^ d)
+        (fst (Build_cache.fingerprint fresh d))
+        (fst (Build_cache.fingerprint over d)))
+    (Build_cache.graph_defs fresh);
+  Alcotest.(check (list string)) "keys of the second cache" (keys fresh) (keys over);
+  Alcotest.(check bool) "other keys than the warm cache's" false (keys over = kw);
+  Alcotest.(check (list string)) "the first graph keeps its keys" kw (keys gw)
+
 (* --- diagnostics replay: erroneous interfaces cache faithfully --- *)
 
 let test_erroneous_interface_replays_diags () =
@@ -884,6 +908,7 @@ let () =
           Alcotest.test_case "edit invalidates exactly dependents" `Quick
             test_edit_invalidates_exactly_dependents;
           Alcotest.test_case "a graph of another store is refused" `Quick test_foreign_graph_refused;
+          Alcotest.test_case "a graph over another cache" `Quick test_graph_over_other_cache;
         ] );
       ( "determinism",
         [ Alcotest.test_case "warm runs: identical traces" `Quick test_warm_runs_deterministic ] );
