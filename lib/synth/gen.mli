@@ -73,7 +73,8 @@ val mutate : shape -> mutation -> shape
 (** Give every definition module that lacks one a synthetic
     implementation (each declared procedure gets a deterministic body),
     so the whole project — not just the main module — is compiled and
-    cached.  Existing implementations are kept. *)
+    cached.  Existing implementations are kept.  Linear in the sources
+    (one table lookup per interface), apart from sorting the names. *)
 val with_impls : Source_store.t -> Source_store.t
 
 (** The three edit classes, by what they may invalidate:
@@ -98,5 +99,11 @@ type edit = {
     to the previous edit's store), deterministic in [seed].  The store
     is passed through {!with_impls} first; edits degenerate gracefully
     (a class with no viable target falls back to [Body_only]) so any
-    generated program yields a full-length stream. *)
+    generated program yields a full-length stream.
+
+    Cost: one {!with_impls} of [store]; then per edit, the edited text,
+    work in the number of interfaces edited so far, and one
+    [Source_store.make] of the project for [e_store]; and once, on the
+    first [Sig_changing] draw, a scan of every interface for its
+    constants. *)
 val edit_stream : ?seed:int -> n:int -> Source_store.t -> edit list
