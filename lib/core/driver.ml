@@ -601,9 +601,10 @@ let deadlock_error comp store stuck =
   Diag.error comp.diags ~file:(Source_store.main_file store) ~loc:Loc.none
     (Printf.sprintf "compilation deadlocked (circular imports?): %s" (String.concat "; " stuck))
 
-(* Compile on the deterministic simulated multiprocessor.  The engine
+(* Compile on the deterministic simulated multiprocessor.  The compile
    runs in an observation context of its own (see Mcc_obs.Evlog), so
-   nothing it emits reaches an enclosing capture.  [~capture] records
+   nothing it emits reaches an enclosing capture, and its event, task
+   and scope ids count from 0 whatever ran before.  [~capture] records
    the structured concurrency event log for the happens-before
    analyzer; [~telemetry] accumulates the virtual-time metrics registry
    over the run.  The default context records nothing, and neither
@@ -611,19 +612,22 @@ let deadlock_error comp store stuck =
 let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?cache
     (store : Source_store.t) : result =
   let m = Source_store.main_name store in
-  let comp, init_tasks = prepare config cache store in
-  let cache = Option.map Build_cache.graph_cache cache in
-  let corrupt0 = match cache with Some c -> Build_cache.corrupt_count c | None -> 0 in
+  let bc = Option.map Build_cache.graph_cache cache in
+  let corrupt0 = match bc with Some c -> Build_cache.corrupt_count c | None -> 0 in
   let obs = Evlog.ctx ~log:capture ~metrics:telemetry () in
   (* the configured fault plan is armed for the engine run only; with
      none configured the enclosing run's plan (the farm's) stays armed *)
   let faults =
     if config.faults = [] then None else Some (Fault.plan ~seed:config.fault_seed config.faults)
   in
-  let sim =
+  (* [prepare] runs in the compile's context too, so every event, task
+     and scope id of the compile comes from one set of counters *)
+  let comp, sim =
     Evlog.within ~obs ?faults (fun () ->
-        Des_engine.run ~beta:config.beta ~fifo:config.fifo_sched ?perturb:config.perturb
-          ~procs:config.procs init_tasks)
+        let comp, init_tasks = prepare config cache store in
+        ( comp,
+          Des_engine.run ~beta:config.beta ~fifo:config.fifo_sched ?perturb:config.perturb
+            ~procs:config.procs init_tasks ))
   in
   check_graph comp;
   (* Partition task failures: injected ones are the fault plan's doing
@@ -647,11 +651,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
      fault-free concurrent run.  A deadlock with no faults in play
      keeps its genuine diagnostic. *)
   let fallback = comp.program = None && sim.Des_engine.injected > 0 in
-  let seq_result =
-    (* in an empty context, so its lookups reach no enclosing log *)
-    if fallback then Some (Evlog.within ~obs:(Evlog.ctx ()) (fun () -> Seq_driver.compile store))
-    else None
-  in
+  let seq_result = if fallback then Some (Seq_driver.compile store) else None in
   (match sim.Des_engine.outcome with
   | Des_engine.Completed -> ()
   | Des_engine.Deadlocked _ when fallback || sim.Des_engine.injected > 0 ->
@@ -675,7 +675,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
       r_watchdog_fires = sim.Des_engine.watchdog_fires;
       r_recovered_wakes = sim.Des_engine.recovered_wakes;
       r_corrupt_rebuilds =
-        (match cache with Some c -> Build_cache.corrupt_count c - corrupt0 | None -> 0);
+        (match bc with Some c -> Build_cache.corrupt_count c - corrupt0 | None -> 0);
       r_source_retries = comp.source_retries;
       r_contained = List.length injected_failures;
       r_seq_fallbacks = (if fallback then 1 else 0);
@@ -740,8 +740,11 @@ type domain_result = {
 let compile_domains ?(config = default_config) ?cache ~domains (store : Source_store.t) :
     domain_result =
   let m = Source_store.main_name store in
-  let comp, init_tasks = prepare config cache store in
-  let r = Domain_engine.run ~domains init_tasks in
+  let comp, r =
+    Evlog.within ~obs:(Evlog.ctx ()) (fun () ->
+        let comp, init_tasks = prepare config cache store in
+        (comp, Domain_engine.run ~domains init_tasks))
+  in
   check_graph comp;
   let deadlocked =
     match r.Domain_engine.outcome with

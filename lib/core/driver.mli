@@ -104,7 +104,9 @@ val long_threshold : int
     Lexor/Importer/DefParse streams; interfaces compiled cold are
     captured into the cache.  The compile runs in an
     observation context of its own ({!Mcc_obs.Evlog.ctx}), so it never
-    writes into an enclosing capture or registry.  [~capture:true]
+    writes into an enclosing capture or registry, and its event, task
+    and scope ids, which diagnostics and the log name, count from 0
+    whatever the process compiled before.  [~capture:true]
     records the structured concurrency event log into [result.log] for
     the happens-before analyzer ({!Mcc_analysis.Hb}), with the
     processor activity WatchTool and the Chrome export draw
@@ -150,7 +152,9 @@ type domain_result = {
 }
 
 (** The same task graph on [domains] OCaml domains.  Produces a program
-    byte-identical to {!compile}'s and {!Seq_driver.compile}'s.
+    byte-identical to {!compile}'s and {!Seq_driver.compile}'s.  Like
+    {!compile}, it runs in a fresh (unlogged) context, so its ids count
+    from 0.
     @raise Invalid_argument as {!compile} does. *)
 val compile_domains :
   ?config:config -> ?cache:Build_cache.graph -> domains:int -> Source_store.t -> domain_result

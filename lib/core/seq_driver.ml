@@ -105,8 +105,9 @@ let compile (store : Source_store.t) : result =
       frames = [];
     }
   in
-  (* a fresh run: nothing charged by an earlier compile or scan counts *)
-  Eff.within Eff.Direct (fun () ->
+  (* a fresh run in an empty context: nothing charged by an earlier
+     compile or scan counts, and ids count from 0 *)
+  Eff.within ~obs:(Mcc_obs.Evlog.ctx ()) Eff.Direct (fun () ->
       let own_def = if Source_store.has_def store m then ensure_def comp m else None in
       let main_scope = Symtab.create ?parent:own_def (Symtab.KMain m) in
       let mod_ctx =

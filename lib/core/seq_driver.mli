@@ -9,7 +9,9 @@
     time Table 1 reports.
 
     Produces byte-identical programs and diagnostics to the concurrent
-    compiler for the same source — the property the test suite checks. *)
+    compiler for the same source — the property the test suite checks.
+    Each compile runs in an empty observation context of its own: it
+    records nothing, and its scope and event ids count from 0. *)
 
 open Mcc_m2
 open Mcc_sem

@@ -26,20 +26,37 @@
    legal schedule.
 
    All of one run's observation state — the log with its clock, floor
-   and current task, the [Metrics] registry and the [Trace_ctx] span
-   counter — is one [ctx] value, held by the run's [run] record next to
-   the engine state that run mutates.  A run is installed with
-   [within]; emitters write to whichever context is installed, so a
-   nested run never touches its encloser's log, and nesting costs one
-   save/restore of the slot.  A context records nothing unless it was
-   made with [~log] (or [~metrics]), and every emission site is guarded
-   by [enabled ()] *before* the record is allocated, so an unobserved
-   compile performs no logging work at all — and no record ever charges
-   [Eff.work], so even a captured run's virtual timings are identical to
-   an uncaptured one.  The log is only meaningful under the single-
-   threaded DES engine (the domain engine runs in an empty context):
+   and current task, the [Metrics] registry, the [Trace_ctx] span
+   counter and the event, task and scope id counters — is one [ctx]
+   value, held by the run's [run] record next to the engine state that
+   run mutates.  A run is installed with [within]; emitters write to
+   whichever context is installed, so a nested run never touches its
+   encloser's log, and nesting costs one save/restore of the slot.
+   Ids are numbered per context: a fresh context counts each kind from
+   0, so a compile (which makes its own) names the same ids whatever
+   the process ran before, and a nested run that keeps its encloser's
+   context ([Des_engine.run]'s) keeps counting in the same sequence.
+   Every id of one compile comes from one counter per kind, because the
+   engines key parked waiters and gates by event id.
+
+   A context records nothing unless it was made with [~log] (or
+   [~metrics]), and every emission site is guarded by [enabled ()]
+   *before* the record is allocated, so an unobserved compile performs
+   no logging work at all — and no record ever charges [Eff.work], so
+   even a captured run's virtual timings are identical to an uncaptured
+   one.  The log is only meaningful under the single-
+   threaded DES engine (the domain engine runs in an [unlogged] copy
+   of its encloser's context, which shares only the id counters):
    records are appended in true execution order, which is exactly the
-   total order the checker needs. *)
+   total order the checker needs.
+
+   Two module-level cells are left in [lib/]: [installed] here, and
+   [Eff.mode].  [installed] is the one slot that makes a run current;
+   putting it in domain-local storage would let runs on two domains
+   run apart, but it costs a lookup on every emission and charge, and
+   that cost is to be weighed when a build first runs its modules on
+   several domains.  [Eff.mode] stays because code outside [lib/]
+   assigns it directly. *)
 
 type kind =
   | Task_spawn of {
@@ -133,7 +150,8 @@ type registry = (string * (string * string) list, cell) Hashtbl.t
 
 (* One run's observation state.  [log] and [registry] are [None] when
    the run does not record them, so an empty context allocates no
-   buffer. *)
+   buffer.  The id counters are atomic: domain-engine tasks create
+   events and scopes concurrently. *)
 type ctx = {
   log : record Vec.t option;
   registry : registry option;
@@ -141,6 +159,9 @@ type ctx = {
   mutable floor : float; (* time of the last appended record *)
   mutable task : int; (* task whose code is executing; -1 scheduler *)
   mutable spans : int; (* last [Trace_ctx] span id allocated *)
+  events : int Atomic.t; (* next [Event] id *)
+  tasks : int Atomic.t; (* next [Task] id *)
+  scopes : int Atomic.t; (* next [Symtab] scope id *)
 }
 
 let ctx ?(log = false) ?(metrics = false) () =
@@ -154,7 +175,13 @@ let ctx ?(log = false) ?(metrics = false) () =
     floor = 0.0;
     task = -1;
     spans = 0;
+    events = Atomic.make 0;
+    tasks = Atomic.make 0;
+    scopes = Atomic.make 0;
   }
+
+(* Records nothing, but shares [c]'s id counters, which are boxed. *)
+let unlogged c = { c with log = None; registry = None }
 
 (* One run: its observation context and the engine state it mutates —
    the work accumulator and direct-mode total ([Eff]), the accounting
@@ -167,7 +194,8 @@ type run = {
   mutable direct_total : float;
 }
 
-(* The installed run: the only module-level cell of the run state. *)
+(* The installed run: the only module-level cell of the run state (see
+   the header for why it stays one). *)
 let installed =
   ref { obs = ctx (); faults = None; accounting = true; acc = 0; direct_total = 0.0 }
 
@@ -202,6 +230,10 @@ let next_span () =
   let c = !installed.obs in
   c.spans <- c.spans + 1;
   c.spans
+
+let next_event () = Atomic.fetch_and_add !installed.obs.events 1
+let next_task () = Atomic.fetch_and_add !installed.obs.tasks 1
+let next_scope () = Atomic.fetch_and_add !installed.obs.scopes 1
 
 let log c = match c.log with Some buf -> Vec.to_array buf | None -> [||]
 

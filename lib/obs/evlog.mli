@@ -26,16 +26,24 @@
       reads [Rpc_*] planner outcomes back into its RPC spans.
 
     One run's observation state is one {!ctx}: the log, its virtual
-    clock and current task, the {!Metrics} registry and the
-    {!Trace_ctx} span counter; it is one field of the installed
-    {!run}.  Emitters write to the installed context; a run installs
-    its own with {!within}, so runs nest and a nested run never writes
-    into its encloser's log.  A context records nothing unless made
+    clock and current task, the {!Metrics} registry, the {!Trace_ctx}
+    span counter and the event, task and scope id counters; it is one
+    field of the installed {!run}.  Emitters write to the installed
+    context; a run installs its own with {!within}, so runs nest and a
+    nested run never writes into its encloser's log.  Ids are numbered
+    per context: a compile makes its own, so the ids its diagnostics
+    and log name do not depend on what the process ran before.  A
+    context records nothing unless made
     with [~log] (or [~metrics]); emission sites
     guard on {!enabled} before allocating a record, and no record
     charges [Eff.work], so default compile timings are unaffected.
     DES-only: the single-threaded engine appends records in true
-    execution order (the domain engine runs in an empty context). *)
+    execution order (the domain engine runs in an {!unlogged} context).
+
+    The installed-run slot is one of the two module-level cells left in
+    the library; the other is [Eff.mode], which code outside the
+    library assigns.  The slot stays global because a domain-local one
+    costs a lookup on every emission and charge. *)
 
 type kind =
   | Task_spawn of {
@@ -114,9 +122,16 @@ type record = {
 type ctx
 
 (** A fresh context: virtual clock at 0, no current task, span ids
-    from 1.  [~log] records the event log, [~metrics] keeps a
-    {!Metrics} registry; with neither it records nothing. *)
+    from 1, event, task and scope ids from 0.  [~log] records the
+    event log, [~metrics] keeps a {!Metrics} registry; with neither it
+    records nothing. *)
 val ctx : ?log:bool -> ?metrics:bool -> unit -> ctx
+
+(** [unlogged c] records nothing, but draws its event, task and scope
+    ids from [c]'s counters: a run whose records could not be ordered
+    (the domain engine's) numbers its objects in its encloser's
+    sequence. *)
+val unlogged : ctx -> ctx
 
 (** The context's records in append order ([[||]] without [~log]). *)
 val log : ctx -> record array
@@ -194,3 +209,14 @@ val registry : ctx -> registry option
 
 (** Allocate the installed context's next span id. *)
 val next_span : unit -> int
+
+(** {1 Object ids}
+
+    The installed context's next event, task and scope id: each kind
+    counts from 0 in a fresh context, so one compile's ids do not
+    depend on what the process ran before.  Safe to call from several
+    domains at once. *)
+
+val next_event : unit -> int
+val next_task : unit -> int
+val next_scope : unit -> int

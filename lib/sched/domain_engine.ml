@@ -124,9 +124,11 @@ let run ~domains tasks =
       stop = false;
     }
   in
-  (* a fresh run in an empty context (no domain appends to an enclosing
-     log) that charges no work *)
-  Eff.within ~obs:(Mcc_obs.Evlog.ctx ()) ~accounting:false Eff.Engine (fun () ->
+  (* a fresh run that charges no work and records nothing (no domain
+     appends to an enclosing log), numbering in the enclosing counters
+     so no event it creates shares an id with one [tasks] hold *)
+  let obs = Mcc_obs.Evlog.unlogged (Mcc_obs.Evlog.run ()).Mcc_obs.Evlog.obs in
+  Eff.within ~obs ~accounting:false Eff.Engine (fun () ->
       List.iter (Interp.spawn st.it) tasks;
       let t0 = Unix.gettimeofday () in
       let workers = List.init (domains - 1) (fun _ -> Domain.spawn (worker st)) in

@@ -6,9 +6,11 @@
     DES ({!Interp}) under one mutex.  A blocked task's continuation
     parks on the awaited event and the worker takes other work;
     continuations migrate freely between domains (the capability the
-    paper's Topaz threads lacked).  Each run is a fresh run in an empty
-    observation context with work accounting off — real time is real —
-    so it records nothing yet. *)
+    paper's Topaz threads lacked).  Each run is a fresh run with work
+    accounting off — real time is real — in a context that records
+    nothing yet ({!Mcc_obs.Evlog.unlogged}) but draws its ids from the
+    enclosing counters, so an event the tasks create cannot share an id
+    with one they were given. *)
 
 type outcome = Interp.outcome = Completed | Deadlocked of string list
 

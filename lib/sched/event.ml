@@ -31,11 +31,9 @@ type t = {
   mutable producer : int; (* task id expected to signal this event; -1 unknown *)
 }
 
-let next_id = Atomic.make 0
-
 let create ?(producer = -1) ~kind name =
   {
-    id = Atomic.fetch_and_add next_id 1;
+    id = Mcc_obs.Evlog.next_event ();
     name;
     kind;
     occurred_flag = Atomic.make false;

@@ -17,7 +17,7 @@
 type kind = Avoided | Handled | Barrier
 
 type t = {
-  id : int;
+  id : int;  (** from the installed run's counter ({!Mcc_obs.Evlog.next_event}) *)
   name : string;
   kind : kind;
   occurred_flag : bool Atomic.t;

@@ -74,11 +74,9 @@ type t = {
   mutable state : state;
 }
 
-let next_id = Atomic.make 0
-
 let create ?(size_hint = 0) ?gate ~cls ~name body =
   {
-    id = Atomic.fetch_and_add next_id 1;
+    id = Mcc_obs.Evlog.next_task ();
     name;
     cls;
     size_hint;

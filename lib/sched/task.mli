@@ -31,7 +31,7 @@ val cls_name : cls -> string
 type state = Pending | Running | Blocked | Done
 
 type t = {
-  id : int;
+  id : int;  (** from the installed run's counter ({!Mcc_obs.Evlog.next_task}) *)
   name : string;
   cls : cls;
   size_hint : int;  (** estimated work; orders code-generation tasks longest-first *)

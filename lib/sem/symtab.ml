@@ -73,14 +73,12 @@ type t = {
   mu : Mutex.t;
 }
 
-let next_sid = Atomic.make 0
-
 let scope_name = function KBuiltin -> "<builtin>" | KDef m -> m ^ ".def" | KMain m -> m | KProc p -> p
 
 let create ?parent kind =
   let sname = scope_name kind in
   {
-    sid = Atomic.fetch_and_add next_sid 1;
+    sid = Evlog.next_scope ();
     kind;
     sname;
     parent;

@@ -41,7 +41,7 @@ type kind = KBuiltin | KDef of string | KMain of string | KProc of string
 module Names : Hashtbl.S with type key = string
 
 type t = {
-  sid : int;
+  sid : int;  (** from the installed run's counter ({!Mcc_obs.Evlog.next_scope}) *)
   kind : kind;
   sname : string;  (** [scope_name kind], cached *)
   parent : t option;

@@ -73,7 +73,7 @@ let generate cfg =
          is the traffic that starves others under FIFO *)
       let draw = Mcc_util.Prng.skewed rng ~cap:(Array.length pool - 1) ~p:0.45 in
       let idx = if chatty then Array.length pool - 1 - draw else draw in
-      proto := (!clock, c, priority, pool.(idx)) :: !proto
+      proto := (!clock, c, priority, idx) :: !proto
     done
   done;
   let proto =
@@ -81,9 +81,11 @@ let generate cfg =
       (fun (t1, c1, _, _) (t2, c2, _, _) -> compare (t1, c1) (t2, c2))
       !proto
   in
+  (* each rank of the pool is drawn many times: generate it once *)
+  let stores = Array.map (fun rank -> lazy (Suite.program ~seed:cfg.suite_seed rank)) pool in
   List.mapi
-    (fun i (arrival, c, priority, rank) ->
-      let store = Suite.program ~seed:cfg.suite_seed rank in
+    (fun i (arrival, c, priority, idx) ->
+      let rank = pool.(idx) and store = Lazy.force stores.(idx) in
       {
         Request.j_id = i;
         j_session = session_name c;

@@ -57,20 +57,13 @@ let shape_of_target ~rank ~seconds : Gen.shape =
 let shapes : Gen.shape list =
   List.mapi (fun rank seconds -> shape_of_target ~rank ~seconds) targets
 
-(* Generation is deterministic but not free; memoize the stores.  The
-   suite-wide [seed] perturbs every shape's generator seed; [seed = 0]
-   reproduces the canonical suite exactly. *)
-let cache : (int * int, Source_store.t) Hashtbl.t = Hashtbl.create 64
-
+(* Generated afresh on every call: the whole suite takes a few tens of
+   milliseconds.  The suite-wide [seed] perturbs every shape's generator
+   seed; [seed = 0] reproduces the canonical suite exactly. *)
 let program ?(seed = 0) rank =
-  match Hashtbl.find_opt cache (seed, rank) with
-  | Some s -> s
-  | None ->
-      let shape = List.nth shapes rank in
-      let gen_seed = if seed = 0 then shape.Gen.seed else shape.Gen.seed + (seed * 1_000_003) in
-      let s = Gen.generate ~seed:gen_seed shape in
-      Hashtbl.replace cache (seed, rank) s;
-      s
+  let shape = List.nth shapes rank in
+  let gen_seed = if seed = 0 then shape.Gen.seed else shape.Gen.seed + (seed * 1_000_003) in
+  Gen.generate ~seed:gen_seed shape
 
 let all ?(seed = 0) () = List.init n_programs (fun rank -> program ~seed rank)
 

@@ -10,9 +10,11 @@ val n_programs : int
 (** The shape of each suite entry, in rank order. *)
 val shapes : Gen.shape list
 
-(** Generate (and memoize) suite program [rank], 0-based.  [?seed]
-    perturbs every shape's generator seed to produce a fresh but equally
-    shaped suite; [seed = 0] (the default) is the canonical suite. *)
+(** Generate suite program [rank], 0-based, afresh on every call: a
+    caller that asks for the same program again keeps its own copy.
+    [?seed] perturbs every shape's generator seed to produce a fresh but
+    equally shaped suite; [seed = 0] (the default) is the canonical
+    suite. *)
 val program : ?seed:int -> int -> Source_store.t
 
 (** All 37 programs. *)

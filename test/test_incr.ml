@@ -455,6 +455,25 @@ let mutual_def () =
   Source_store.of_directory ~dir:(Filename.concat (Lazy.force corpus_dir) "mutual-def")
     ~main_name:"Mutual"
 
+(* corpus/mutual-use under Avoidance deadlocks, and the diagnostic
+   names event and task ids.  Those count from 0 in every compile, so
+   a warm build (which replays the memoized text) and a second cold
+   build on a fresh cache in the same process print the first cold
+   build's text exactly. *)
+let test_warm_cold_diags_history_free () =
+  let s =
+    Source_store.of_directory ~dir:(Filename.concat (Lazy.force corpus_dir) "mutual-use")
+      ~main_name:"Mutual"
+  in
+  let config = { Driver.default_config with Driver.strategy = Mcc_sem.Symtab.Avoidance } in
+  let diags cache = diag_strings (Project.compile ~config ~cache s).Project.diags in
+  let cache = Project.cache () in
+  let cold = diags cache in
+  Alcotest.(check bool) "the cold build deadlocks" true
+    (List.exists (contains ~sub:"compilation deadlocked") cold);
+  Alcotest.(check (list string)) "warm == cold" cold (diags cache);
+  Alcotest.(check (list string)) "a second cold build == the first" cold (diags (Project.cache ()))
+
 (* A cold build analyses each member of the cycle once, and the first
    warm build hits every module by key. *)
 let test_cyclic_noop_key_hits () =
@@ -804,6 +823,8 @@ let () =
             test_typed_cycle_comment_edits_keep;
           Alcotest.test_case "largest projects: warm == cold" `Quick
             test_large_streams_equal_cold;
+          Alcotest.test_case "warm == cold diagnostics across process history" `Quick
+            test_warm_cold_diags_history_free;
         ] );
       ( "project",
         [

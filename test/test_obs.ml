@@ -150,6 +150,36 @@ let test_nest_telemetry () =
   Alcotest.(check (float 1e-9)) "and gets none of the compile's" 0.0
     (Metrics.counter_total outer "mcc_tasks_total")
 
+(* A compile's event, task and scope ids count from 0 in its own
+   context: corpus/mutual-use deadlocks under Avoidance, and the same
+   compile, run twice and then on a spawned domain, names the same ids
+   in its diagnostic and logs the same records. *)
+let test_nest_ids_per_compile () =
+  let store =
+    Mcc_core.Source_store.of_directory
+      ~dir:(Filename.concat (Lazy.force Tutil.corpus_dir) "mutual-use")
+      ~main_name:"Mutual"
+  in
+  let config = { Driver.default_config with Driver.strategy = Mcc_sem.Symtab.Avoidance } in
+  let run () =
+    let r = Driver.compile ~config ~capture:true store in
+    (Tutil.diag_strings r.Driver.diags, r.Driver.log)
+  in
+  let diags, log = run () in
+  Alcotest.(check bool) "the compile deadlocks" true
+    (List.exists (Tutil.contains ~sub:"compilation deadlocked") diags);
+  let same what (d, l) =
+    Alcotest.(check (list string)) (what ^ ": same diagnostics") diags d;
+    Alcotest.(check bool) (what ^ ": same log") true (l = log)
+  in
+  same "second run" (run ());
+  same "on a spawned domain" (Domain.join (Domain.spawn run));
+  let on_domains () =
+    Tutil.diag_strings (Driver.compile_domains ~config ~domains:1 store).Driver.d_diags
+  in
+  let d1 = on_domains () in
+  Alcotest.(check (list string)) "compile_domains: same diagnostics on repeat" d1 (on_domains ())
+
 (* --- span reconstruction and critical path on a canned log --- *)
 
 (* A producer/consumer schedule: the consumer DKY-blocks on the
@@ -417,6 +447,7 @@ let () =
             test_nest_uncaptured_compile;
           Alcotest.test_case "captured compile has its own clock" `Quick test_nest_captured_compile;
           Alcotest.test_case "telemetry compile has its own registry" `Quick test_nest_telemetry;
+          Alcotest.test_case "ids count per compile" `Quick test_nest_ids_per_compile;
         ] );
       ( "span",
         [ Alcotest.test_case "canned producer/consumer" `Quick test_span_canned ] );
