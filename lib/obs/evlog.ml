@@ -30,8 +30,9 @@
    counter and the event, task and scope id counters — is one [ctx]
    value, held by the run's [run] record next to the engine state that
    run mutates.  A run is installed with [within]; emitters write to
-   whichever context is installed, so a nested run never touches its
-   encloser's log, and nesting costs one save/restore of the slot.
+   whichever context is installed on their domain, so a nested run
+   never touches its encloser's log, and nesting costs one save/restore
+   of the slot.
    Ids are numbered per context: a fresh context counts each kind from
    0, so a compile (which makes its own) names the same ids whatever
    the process ran before, and a nested run that keeps its encloser's
@@ -50,13 +51,14 @@
    records are appended in true execution order, which is exactly the
    total order the checker needs.
 
-   Two module-level cells are left in [lib/]: [installed] here, and
-   [Eff.mode].  [installed] is the one slot that makes a run current;
-   putting it in domain-local storage would let runs on two domains
-   run apart, but it costs a lookup on every emission and charge, and
-   that cost is to be weighed when a build first runs its modules on
-   several domains.  [Eff.mode] stays because code outside [lib/]
-   assigns it directly. *)
+   The installed run sits in a [Domain.DLS] slot, one per domain, with
+   the execution mode among its fields: a domain starts outside every
+   run, and two compiles on two domains share no log, clock, id
+   counter, accumulator or mode.  The lookup has a cost: [Eff.work],
+   which reads the slot once, takes about 8.7 ns a call against 4.0 ns
+   with one global slot, and a DES pass of the 37-program suite reads
+   the slot 4.28 M times, so about 20 ms of a 0.45 s pass; alternating
+   benchmark pairs show no end-to-end change above their noise. *)
 
 type kind =
   | Task_spawn of {
@@ -183,39 +185,49 @@ let ctx ?(log = false) ?(metrics = false) () =
 (* Records nothing, but shares [c]'s id counters, which are boxed. *)
 let unlogged c = { c with log = None; registry = None }
 
+(* How [Eff] performs a run's effects: [Engine] hands them to an
+   engine's handler, [Direct] (the sequential compiler, unit tests)
+   accumulates work into [direct_total] and insists waits are already
+   satisfied. *)
+type mode = Direct | Engine
+
 (* One run: its observation context and the engine state it mutates —
-   the work accumulator and direct-mode total ([Eff]), the accounting
-   switch (off on real domains) and the armed fault plan ([Fault]). *)
+   the execution mode, the work accumulator and direct-mode total
+   ([Eff]), the accounting switch (off on real domains) and the armed
+   fault plan ([Fault]). *)
 type run = {
   obs : ctx;
   faults : Fault_plan.plan option;
   accounting : bool;
+  mode : mode;
   mutable acc : int;
   mutable direct_total : float;
 }
 
-(* The installed run: the only module-level cell of the run state (see
-   the header for why it stays one). *)
-let installed =
-  ref { obs = ctx (); faults = None; accounting = true; acc = 0; direct_total = 0.0 }
+(* The installed run, one per domain.  A domain starts outside every
+   run: an empty context of its own, accounting on, [Direct]. *)
+let slot =
+  Domain.DLS.new_key (fun () ->
+      { obs = ctx (); faults = None; accounting = true; mode = Direct; acc = 0; direct_total = 0.0 })
 
-let run () = !installed
+let run () = Domain.DLS.get slot
 let registry c = c.registry
 
 (* Install a fresh run, with nothing charged, for the extent of [f]. *)
-let within ?obs ?faults ?(accounting = true) f =
-  let saved = !installed in
+let within ?obs ?faults ?(accounting = true) ?mode f =
+  let saved = run () in
   let obs = Option.value obs ~default:saved.obs in
   let faults = if Option.is_some faults then faults else saved.faults in
-  installed := { obs; faults; accounting; acc = 0; direct_total = 0.0 };
-  Fun.protect ~finally:(fun () -> installed := saved) f
+  let mode = Option.value mode ~default:saved.mode in
+  Domain.DLS.set slot { obs; faults; accounting; mode; acc = 0; direct_total = 0.0 };
+  Fun.protect ~finally:(fun () -> Domain.DLS.set slot saved) f
 
-let enabled () = !installed.obs.log != None
-let set_task id = !installed.obs.task <- id
-let set_time t = !installed.obs.now <- t
+let enabled () = (run ()).obs.log != None
+let set_task id = (run ()).obs.task <- id
+let set_time t = (run ()).obs.now <- t
 
 let emit kind =
-  let c = !installed.obs in
+  let c = (run ()).obs in
   match c.log with
   | None -> ()
   | Some buf ->
@@ -227,13 +239,13 @@ let emit kind =
       Vec.push buf { seq = Vec.length buf; time = c.now; task = c.task; kind }
 
 let next_span () =
-  let c = !installed.obs in
+  let c = (run ()).obs in
   c.spans <- c.spans + 1;
   c.spans
 
-let next_event () = Atomic.fetch_and_add !installed.obs.events 1
-let next_task () = Atomic.fetch_and_add !installed.obs.tasks 1
-let next_scope () = Atomic.fetch_and_add !installed.obs.scopes 1
+let next_event () = Atomic.fetch_and_add (run ()).obs.events 1
+let next_task () = Atomic.fetch_and_add (run ()).obs.tasks 1
+let next_scope () = Atomic.fetch_and_add (run ()).obs.scopes 1
 
 let log c = match c.log with Some buf -> Vec.to_array buf | None -> [||]
 

@@ -15,8 +15,8 @@
    every ready task.  Barrier events are treated like handled events here
    (parking is as cheap as spinning for us, and it cannot deadlock).
 
-   Work accounting is disabled: real time is real.  [run] returns wall-
-   clock seconds. *)
+   Work accounting is disabled: real time is real.  [run] returns the
+   seconds it took on the monotonic clock. *)
 
 type outcome = Interp.outcome = Completed | Deadlocked of string list
 
@@ -124,17 +124,25 @@ let run ~domains tasks =
       stop = false;
     }
   in
-  (* a fresh run that charges no work and records nothing (no domain
-     appends to an enclosing log), numbering in the enclosing counters
-     so no event it creates shares an id with one [tasks] hold *)
-  let obs = Mcc_obs.Evlog.unlogged (Mcc_obs.Evlog.run ()).Mcc_obs.Evlog.obs in
-  Eff.within ~obs ~accounting:false Eff.Engine (fun () ->
+  (* Every worker, the calling domain's included, enters a run of its
+     own that charges no work and records nothing (no domain appends
+     to an enclosing log), numbering in the enclosing counters so no
+     event it creates shares an id with one [tasks] hold.  No two
+     domains share a run record. *)
+  let enclosing = Mcc_obs.Evlog.run () in
+  let enter f =
+    Mcc_obs.Evlog.within ~obs:(Mcc_obs.Evlog.unlogged enclosing.obs) ?faults:enclosing.faults
+      ~accounting:false ~mode:Eff.Engine f
+  in
+  enter (fun () ->
       List.iter (Interp.spawn st.it) tasks;
-      let t0 = Unix.gettimeofday () in
-      let workers = List.init (domains - 1) (fun _ -> Domain.spawn (worker st)) in
+      let t0 = Monotonic_clock.now () in
+      let workers =
+        List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> enter (worker st)))
+      in
       worker st ();
       List.iter Domain.join workers;
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
       {
         wall_seconds = wall;
         outcome = Interp.outcome st.it;

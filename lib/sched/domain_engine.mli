@@ -6,16 +6,17 @@
     DES ({!Interp}) under one mutex.  A blocked task's continuation
     parks on the awaited event and the worker takes other work;
     continuations migrate freely between domains (the capability the
-    paper's Topaz threads lacked).  Each run is a fresh run with work
+    paper's Topaz threads lacked).  Each worker, the calling domain's
+    included, enters a fresh run of its own in mode [Engine] with work
     accounting off — real time is real — in a context that records
-    nothing yet ({!Mcc_obs.Evlog.unlogged}) but draws its ids from the
+    nothing ({!Mcc_obs.Evlog.unlogged}) but draws its ids from the
     enclosing counters, so an event the tasks create cannot share an id
-    with one they were given. *)
+    with one they were given.  No two domains share a run record. *)
 
 type outcome = Interp.outcome = Completed | Deadlocked of string list
 
 type result = {
-  wall_seconds : float;
+  wall_seconds : float;  (** elapsed, on the monotonic clock *)
   outcome : outcome;
   tasks_run : int;
   failures : (string * exn) list;

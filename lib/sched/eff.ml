@@ -17,13 +17,20 @@
      marks the event, and [wait] insists the event has already occurred —
      the sequential compiler's processing order guarantees it has.
 
-   Work charges are batched: [work] accumulates into a task-local counter
-   and only performs the [Work] effect once [Costs.quantum] units have
-   accumulated, so effect-handling overhead stays negligible while event
-   timing keeps sub-millisecond virtual resolution.  The accumulator must
-   be flushed before any scheduling operation, which [wait]/[signal]/
-   [spawn] do internally; a finishing task hands its residue back through
-   the [Finished] step. *)
+   Work charges are batched: [work] accumulates into the installed run's
+   counter and only performs the [Work] effect once [Costs.quantum]
+   units have accumulated, so effect-handling overhead stays negligible
+   while event timing keeps sub-millisecond virtual resolution.  The
+   accumulator must be flushed before any scheduling operation, which
+   [wait]/[signal]/[spawn] do internally; a finishing task hands its
+   residue back through the [Finished] step.
+
+   The mode (engine or direct) is a field of that run too, and each
+   domain has its own installed run ([Evlog.run], a [Domain.DLS] slot),
+   so a compile on one domain never charges into, or takes its mode
+   from, a compile on another.  Each call reads the slot once, which
+   costs [work] about 5 ns over a global slot (8.7 ns a call against
+   4.0 ns). *)
 
 type _ Effect.t +=
   | Work : int -> unit Effect.t
@@ -33,41 +40,39 @@ type _ Effect.t +=
 
 exception Deadlock_in_direct_mode of string
 
-type mode = Direct | Engine
-
-(* Read concurrently by domain-engine workers, but only ever written
-   while a single thread is active (engines set it before spawning
-   workers and restore it after joining them). *)
-let mode = ref Direct
-
-(* The accumulator, the direct-mode total and the accounting switch are
-   the installed run's ([Evlog.run]).  In [Engine] mode one task runs
-   between two effect performs (the DES is single-threaded; domain runs
-   charge nothing), so one accumulator per run is sound. *)
 module Evlog = Mcc_obs.Evlog
 
-let within ?obs ?accounting m f =
-  let saved = !mode in
-  mode := m;
-  Fun.protect ~finally:(fun () -> mode := saved) (fun () -> Evlog.within ?obs ?accounting f)
+type mode = Evlog.mode = Direct | Engine
 
+(* Inert: nothing in the library reads it (see the interface). *)
+let mode = ref Direct
+
+(* In [Engine] mode one task runs between two effect performs on a
+   domain (the DES is single-threaded; domain runs charge nothing), so
+   one accumulator per run is sound.  Each call below reads the run once
+   and keeps it across its own perform: only a charging run performs
+   [Work], and a charging run's tasks resume on the domain and in the
+   run that suspended them. *)
+
+let within ?obs ?accounting m f = Evlog.within ?obs ?accounting ~mode:m f
 let get_direct_total () = (Evlog.run ()).direct_total
 
-let flush () =
-  let r = Evlog.run () in
+let flush_run (r : Evlog.run) =
   if r.acc > 0 then begin
     let c = r.acc in
     r.acc <- 0;
-    match !mode with
+    match r.mode with
     | Engine -> Effect.perform (Work c)
     | Direct -> r.direct_total <- r.direct_total +. float_of_int c
   end
+
+let flush () = flush_run (Evlog.run ())
 
 let work n =
   let r = Evlog.run () in
   if r.accounting then begin
     r.acc <- r.acc + n;
-    if r.acc >= Costs.quantum then flush ()
+    if r.acc >= Costs.quantum then flush_run r
   end
 
 (* [n] unit charges at once.  A run of [work 1] calls flushes exactly
@@ -76,27 +81,30 @@ let work n =
    the same [Work] effects, at the same points, as [n] calls of [work 1]. *)
 let work_units n =
   let r = Evlog.run () in
-  if r.accounting && n > 0 && r.acc + n < Costs.quantum then r.acc <- r.acc + n
-  else begin
-    let rem = ref n in
-    while !rem > 0 do
-      let r = Evlog.run () in
-      if r.accounting then begin
+  if r.accounting && n > 0 then
+    if r.acc + n < Costs.quantum then r.acc <- r.acc + n
+    else begin
+      let rem = ref n in
+      while !rem > 0 do
         let take = if r.acc >= Costs.quantum then 1 else Int.min !rem (Costs.quantum - r.acc) in
         r.acc <- r.acc + take;
         rem := !rem - take;
-        if r.acc >= Costs.quantum then flush ()
-      end
-      else rem := 0
-    done
-  end
+        if r.acc >= Costs.quantum then flush_run r
+      done
+    end
+
+(* Charge [n] and flush before a scheduling operation: one [Work] of
+   everything pending, as [work n] followed by [flush ()] performs. *)
+let charge_and_flush (r : Evlog.run) n =
+  if r.accounting then r.acc <- r.acc + n;
+  flush_run r
 
 let wait ev =
   if Event.occurred ev then ()
   else begin
-    work Costs.wait_check_cost;
-    flush ();
-    match !mode with
+    let r = Evlog.run () in
+    charge_and_flush r Costs.wait_check_cost;
+    match r.mode with
     | Engine -> Effect.perform (Wait ev)
     | Direct ->
         raise
@@ -105,16 +113,16 @@ let wait ev =
   end
 
 let signal ev =
-  work Costs.signal_cost;
-  flush ();
-  match !mode with
+  let r = Evlog.run () in
+  charge_and_flush r Costs.signal_cost;
+  match r.mode with
   | Engine -> Effect.perform (Signal ev)
   | Direct -> Event.mark ev
 
 let spawn task =
-  work Costs.spawn_cost;
-  flush ();
-  match !mode with
+  let r = Evlog.run () in
+  charge_and_flush r Costs.spawn_cost;
+  match r.mode with
   | Engine -> Effect.perform (Spawn task)
   | Direct -> failwith "Eff.spawn: cannot spawn a task outside an engine"
 

@@ -9,8 +9,8 @@
     ({!Interp}), which parks and wakes continuations.  Outside any
     engine ("direct mode", the sequential compiler and unit tests) work
     accumulates into a running total and waits must already be
-    satisfied.  The accumulator, the total and
-    the accounting switch belong to the installed run
+    satisfied.  The mode, the accumulator, the total and the
+    accounting switch belong to the calling domain's installed run
     ({!Mcc_obs.Evlog.run}).
 
     Work charges are batched to [Costs.quantum] so effect-handling
@@ -29,16 +29,21 @@ type _ Effect.t +=
     wait a no-op, so this indicates a driver bug. *)
 exception Deadlock_in_direct_mode of string
 
-type mode = Direct | Engine
+(** The installed run's execution mode ({!Mcc_obs.Evlog.mode}). *)
+type mode = Mcc_obs.Evlog.mode = Direct | Engine
 
-(** Current execution mode; set by {!within} around a run.  Exposed for
-    engines and tests — compiler code never touches it. *)
+(** Inert: nothing in the library reads or assigns it; the execution
+    mode is a field of the installed run, set by {!within}.  It stays
+    exported only because the wall-clock benchmark's sequential tracer
+    assigns it, outside every run, where the mode already is [Direct],
+    so the assignment changes nothing. *)
 val mode : mode ref
 
-(** [within ?obs ?accounting m f] runs [f] as a fresh run
-    ({!Mcc_obs.Evlog.within}) in mode [m]: nothing charged yet, so no
-    earlier run's leftover work reaches this one.  Engine entry points
-    and the sequential compiler start their runs this way. *)
+(** [within ?obs ?accounting m f] runs [f] as a fresh run in mode [m]
+    on the calling domain ({!Mcc_obs.Evlog.within}): nothing charged
+    yet, so no earlier run's leftover work reaches this one.  Engine
+    entry points and the sequential compiler start their runs this
+    way. *)
 val within : ?obs:Mcc_obs.Evlog.ctx -> ?accounting:bool -> mode -> (unit -> 'a) -> 'a
 
 (** The installed run's direct-mode total: the sequential compiler's

@@ -180,6 +180,51 @@ let test_nest_ids_per_compile () =
   let d1 = on_domains () in
   Alcotest.(check (list string)) "compile_domains: same diagnostics on repeat" d1 (on_domains ())
 
+(* Two compiles at once, one on a spawned domain, do not share run
+   state: each side's diagnostics, disassembled program, end time and
+   log equal those of the same compile run alone.  A side is a DES
+   compile (captured), a sequential compile (its end time is its cost,
+   with no log) or a 2-domain compile (neither). *)
+let test_nest_two_at_once () =
+  let module Suite = Mcc_synth.Suite in
+  let dis = Mcc_codegen.Cunit.disassemble in
+  let des n () =
+    let r = Driver.compile ~capture:true (Suite.program n) in
+    ( Tutil.diag_strings r.Driver.diags,
+      dis r.Driver.program,
+      r.Driver.sim.Sched.Des_engine.end_time,
+      r.Driver.log )
+  in
+  let seq n () =
+    let r = Mcc_core.Seq_driver.compile (Suite.program n) in
+    (Tutil.diag_strings r.Mcc_core.Seq_driver.diags, dis r.program, r.cost_units, [||])
+  in
+  let domains n () =
+    let r = Driver.compile_domains ~domains:2 (Suite.program n) in
+    (Tutil.diag_strings r.Driver.d_diags, dis r.Driver.d_program, 0.0, [||])
+  in
+  let same what (d, p, t, l) (d', p', t', l') =
+    Alcotest.(check (list string)) (what ^ ": diagnostics") d d';
+    Alcotest.(check string) (what ^ ": program") p p';
+    Alcotest.(check (float 0.0)) (what ^ ": end time") t t';
+    Alcotest.(check bool) (what ^ ": log") true (l = l')
+  in
+  List.iter
+    (fun (case, spawned, here) ->
+      let alone_spawned = spawned () and alone_here = here () in
+      for round = 1 to 5 do
+        let d = Domain.spawn spawned in
+        let got_here = here () in
+        let got_spawned = Domain.join d in
+        same (Printf.sprintf "%s, round %d, spawned domain" case round) alone_spawned got_spawned;
+        same (Printf.sprintf "%s, round %d, main domain" case round) alone_here got_here
+      done)
+    [
+      ("two DES compiles", des 10, des 20);
+      ("DES beside sequential", des 15, seq 10);
+      ("2-domain beside DES", des 20, domains 15);
+    ]
+
 (* --- span reconstruction and critical path on a canned log --- *)
 
 (* A producer/consumer schedule: the consumer DKY-blocks on the
@@ -448,6 +493,7 @@ let () =
           Alcotest.test_case "captured compile has its own clock" `Quick test_nest_captured_compile;
           Alcotest.test_case "telemetry compile has its own registry" `Quick test_nest_telemetry;
           Alcotest.test_case "ids count per compile" `Quick test_nest_ids_per_compile;
+          Alcotest.test_case "two compiles at once" `Quick test_nest_two_at_once;
         ] );
       ( "span",
         [ Alcotest.test_case "canned producer/consumer" `Quick test_span_canned ] );
