@@ -308,7 +308,11 @@ let build_cmd =
                        "interfaces: %d hits, %d misses, %d invalidated, %d evicted (%d stored)\n"
                        hits misses invalidated
                        (Build_cache.eviction_count bc)
-                       (List.length (Build_cache.interfaces bc)));
+                       (List.length (Build_cache.interfaces bc));
+                     let corrupt = Build_cache.corrupt_count bc in
+                     if corrupt > 0 then
+                       Printf.printf "corrupt   : %d cache files, batches or records dropped\n"
+                         corrupt);
                  Printf.printf "reused    : %s\n" (names r.Project.reused);
                  Printf.printf "recompiled: %s\n" (names r.Project.recompiled);
                  Printf.printf

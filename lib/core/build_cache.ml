@@ -40,14 +40,15 @@
    charge-free re-implementation of Stream.run_importer's FSM.
 
    Persistence: both stores can be saved under a cache directory, one
-   file each, behind a header checked before anything is read (see
+   file each, a log of sealed batches that each save appends to (see
    "Cache files").  Each store is one table of entries holding the
-   value, the bytes it was last loaded or saved as, and its eviction
-   fields (read and updated only under a size bound).  Each value is
-   marshaled, digested and verified once, and a store with nothing new
-   is not rewritten.  Loading decodes nothing: the files carry each
-   entry's index fields beside its bytes, and a value is unmarshaled at
-   its first use. *)
+   value, the bytes it was last loaded or saved as, where the file holds
+   them, and its eviction fields (read and updated only under a size
+   bound).  Each value is marshaled, digested and verified once, and a
+   store with nothing new writes nothing.  Loading decodes nothing: the
+   files carry each entry's index fields and payload digest beside its
+   bytes, and a value is unmarshaled at its first use, once its bytes
+   match their digest. *)
 
 open Mcc_m2
 open Mcc_sched
@@ -198,25 +199,53 @@ let scan_imports src =
 (* ------------------------------------------------------------------ *)
 (* Cache files
 
-   A cache file is written whole and read back whole:
+   A cache file is a log: a tag line, then batches, each appended whole
+   by one save and holding what that save's store changed:
 
-     tag | body length (8 bytes, little-endian) | MD5 of the body | body
+     tag | batch | batch | ...
+     batch = seal (16) | previous seal (16) | index length (8) |
+             payload length (8) | index | payloads
 
-   The tag names the file format, the file and [version]; the body is a
-   sequence of fields, each its length as a base-128 varint (low group
-   first) and that many bytes.  [read_file] hands back no field until
-   the tag, the length and the digest all check out and the fields tile
-   the body exactly, so a torn, truncated, bit-flipped or foreign file
-   is rejected instead of decoded.  [write_file] lays the body out once,
-   in a buffer of its exact size, and writes a temporary file in the
-   cache directory that it renames into place, so a crash during a save
-   leaves the previous file intact.
+   The tag names the file format, the file and [version].  The index is
+   a sequence of records, each a key stored (its index fields and a
+   reference to its payload) or a key dropped; the payloads are the
+   marshaled values this batch is the first to write.  A payload
+   reference is the payload's place, its length and its MD5: a place in
+   this batch's payloads, or in the file when an earlier batch wrote it
+   (a re-keyed entry keeps its bytes).  Lengths are 8 bytes,
+   little-endian; a field is its length as a base-128 varint (low group
+   first) and that many bytes.
 
-   interfaces.bin: per artifact its fingerprint, its interface name, the digest of the source it was
-   analysed from, its identity and its marshaled bytes.
-   modules.bin: the entry count (decimal), then per entry its key, its
-   module name, its marshaled result and its marshaled side record
-   (empty when it has none). *)
+   The seal is the MD5 of the previous seal (the tag's MD5 before the
+   first batch), the two lengths and the index: it covers every payload
+   through its digest, not its bytes.  A payload is checked against its
+   digest at its first decode ([unmarshal]), before Marshal reads it; a
+   mismatch is corruption and a miss.  Chained seals let a batch's seal
+   vouch for every index before it, so a save can tell that the file is
+   still the one it loaded by reading one seal back.
+
+   [read_log] applies the records of each sealed batch in order, so the
+   last record for a key wins.  It stops at the first batch that is torn
+   (it runs past the end of the file: its save died or is still
+   writing) or unsealed (damage, counted as corruption); a file that
+   does not start with its tag is rejected whole.  A crash loses only
+   the batch it was writing.
+
+   [save_log] appends a batch under an exclusive lock on the file, in
+   one buffer after the last sealed batch, once it has checked that the
+   file is the one loaded and that whatever was appended since is
+   sealed on the same chain.  Otherwise (no file, a foreign, damaged,
+   torn or replaced one), or when the file's dead bytes (records and
+   payloads no key reaches any more) would exceed its live ones, it
+   compacts: it writes the live records, each payload with its stored
+   digest, as the one batch of a temporary file in the cache directory
+   and renames that into place.
+
+   interfaces.bin: per stored artifact its fingerprint, its interface
+   name, the digest of the source it was analysed from, its identity and
+   its marshaled bytes.
+   modules.bin: per memo entry its key, its module name, its marshaled
+   result and its marshaled side record (empty when it has none). *)
 
 (* Bump when the layout of a cache file, or the type of anything
    marshaled into one (Artifact.t, Project's memo entries), changes.
@@ -224,137 +253,317 @@ let scan_imports src =
    digest and identity in the index.  4: each memo entry names its
    module and keeps its side record in a field of its own.  5: type
    identities are declaration digests, and the interface file keeps no
-   type-uid floor. *)
-let format = "mcc-cache-5"
+   type-uid floor.  6: a log of sealed batches, each payload checked by
+   its own MD5 at its first decode. *)
+let format = "mcc-cache-6"
 
 let file_tag file = Printf.sprintf "%s %s %s\n" format file version
 
-(* Marshaled bytes: [len] bytes of [buf] from [off].  A value read from
-   a file keeps its field in place, in the file's contents. *)
-type blob = { buf : string; off : int; len : int }
+(* Marshaled bytes: [len] bytes of [buf] from [off], and their MD5
+   ([sum], raw; "" until a save needs it).  Bytes made in this process
+   are [vouched] for; bytes read from a file once they match [sum].  A
+   value read from a file keeps its payload in place, in the file's
+   contents. *)
+type blob = { buf : string; off : int; len : int; mutable sum : string; mutable vouched : bool }
 
-let blob s = { buf = s; off = 0; len = String.length s }
-let no_blob = blob ""
+let blob s = { buf = s; off = 0; len = String.length s; sum = ""; vouched = true }
+let no_blob = { (blob "") with sum = Digest.string "" }
 
-(* Marshal checks its header only against the whole of [buf]; a value
-   whose header claims more bytes than its field holds would read on
-   into the next fields, so it is refused here, like any bytes that do
-   not decode. *)
+let sum b =
+  if b.sum = "" then b.sum <- Digest.substring b.buf b.off b.len;
+  b.sum
+
+(* A payload must match its digest before Marshal reads it.  Marshal
+   checks its header only against the whole of [buf]; a value whose
+   header claims more bytes than its payload holds would read on into
+   what follows, so it is refused here, like any bytes that do not
+   decode. *)
 let unmarshal b =
+  if not b.vouched then begin
+    if not (String.equal (Digest.substring b.buf b.off b.len) b.sum) then
+      failwith "Build_cache.unmarshal: bytes do not match their digest";
+    b.vouched <- true
+  end;
   if b.len < Marshal.header_size || Marshal.total_size (Bytes.unsafe_of_string b.buf) b.off > b.len then
-    failwith "Build_cache.unmarshal: value overruns its field";
+    failwith "Build_cache.unmarshal: value overruns its payload";
   Marshal.from_string b.buf b.off
 
 let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+let field_size s = varint_size (String.length s) + String.length s
 
-let write_file dir file (fields : blob list) =
-  let size = List.fold_left (fun n f -> n + varint_size f.len + f.len) 0 fields in
-  let body = Bytes.create size in
-  let pos = ref 0 in
-  List.iter
-    (fun f ->
-      let rec varint n =
-        if n < 0x80 then begin
-          Bytes.unsafe_set body !pos (Char.unsafe_chr n);
-          incr pos
-        end
-        else begin
-          Bytes.unsafe_set body !pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-          incr pos;
-          varint (n lsr 7)
-        end
-      in
-      varint f.len;
-      Bytes.blit_string f.buf f.off body !pos f.len;
-      pos := !pos + f.len)
-    fields;
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  let len = Bytes.create 8 in
-  Bytes.set_int64_le len 0 (Int64.of_int size);
-  let tmp, oc = Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:dir file ".tmp" in
-  match
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (file_tag file);
-        output_bytes oc len;
-        output_string oc (Digest.bytes body);
-        output_bytes oc body;
-        close_out oc)
-  with
-  | () -> Sys.rename tmp (Filename.concat dir file)
-  | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
+(* A batch being written: its index and the payloads it is the first to
+   write, latest first. *)
+type batch = { index : Buffer.t; mutable fresh : blob list; mutable plen : int }
 
-(* A file's fields: [field i] copies the [i]th out, [field_blob i]
-   leaves it in place. *)
-type fields = { count : int; field : int -> string; field_blob : int -> blob }
-type contents = Missing | Rejected | Fields of fields
+let new_batch () = { index = Buffer.create 256; fresh = []; plen = 0 }
 
-(* The fields from [ofs] to the end of [s], or [None] if they do not
-   tile it exactly: one pass checks the tiling and counts them, a second
-   records where each starts and how long it is. *)
-let fields s ofs =
+let rec add_varint b n =
+  if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    add_varint b (n lsr 7)
+  end
+
+let add_field b s =
+  add_varint b.index (String.length s);
+  Buffer.add_string b.index s
+
+(* A payload reference: 'E' (no bytes), 'F' and its place in the file,
+   or 'B' and its place in this batch's payloads, then its length and
+   digest.  [at] is the payload's place in the file, -1 when it is not
+   in it; the result is its place in this batch's payloads, -1 when it
+   is not one of them. *)
+let payload_size = 1 + 8 + 8 + 16
+
+let add_payload b ~at p =
+  let place kind n =
+    Buffer.add_char b.index kind;
+    Buffer.add_int64_le b.index (Int64.of_int n);
+    Buffer.add_int64_le b.index (Int64.of_int p.len);
+    Buffer.add_string b.index (sum p)
+  in
+  if p.len = 0 then begin
+    Buffer.add_char b.index 'E';
+    -1
+  end
+  else if at >= 0 then begin
+    place 'F' at;
+    -1
+  end
+  else begin
+    let rel = b.plen in
+    place 'B' rel;
+    b.fresh <- p :: b.fresh;
+    b.plen <- b.plen + p.len;
+    rel
+  end
+
+let add_drop b key =
+  Buffer.add_char b.index 'D';
+  add_field b key
+
+(* Reading one sealed index: [s] from [pos] to [stop], where this
+   batch's payloads start and run to [finish]; the batch starts at
+   [start], the first batch at [base].  Anything out of bounds raises
+   [Exit]: the batch is not one this module wrote. *)
+type cursor = { s : string; mutable pos : int; stop : int; finish : int; start : int; base : int }
+
+let byte c =
+  if c.pos >= c.stop then raise Exit;
+  c.pos <- c.pos + 1;
+  String.unsafe_get c.s (c.pos - 1)
+
+let read_varint c =
+  let rec go shift n =
+    let b = Char.code (byte c) in
+    let n = n lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then n else if shift >= 49 then raise Exit else go (shift + 7) n
+  in
+  go 0 0
+
+let read_field c =
+  let n = read_varint c in
+  if n > c.stop - c.pos then raise Exit;
+  c.pos <- c.pos + n;
+  String.sub c.s (c.pos - n) n
+
+(* A payload reference, as its place in the file and its bytes (in
+   place, not vouched for yet).  A payload of this batch lies in its
+   payloads, one of an earlier batch between the tag and this batch. *)
+let read_payload c =
+  match byte c with
+  | 'E' -> (-1, no_blob)
+  | ('F' | 'B') as kind ->
+      if c.stop - c.pos < payload_size - 1 then raise Exit;
+      let n = Int64.to_int (String.get_int64_le c.s c.pos)
+      and len = Int64.to_int (String.get_int64_le c.s (c.pos + 8))
+      and sum = String.sub c.s (c.pos + 16) 16 in
+      c.pos <- c.pos + payload_size - 1;
+      let at, first, limit = if kind = 'B' then (c.stop + n, c.stop, c.finish) else (n, c.base, c.start) in
+      if n < 0 || len <= 0 || at < first || at > limit - len then raise Exit;
+      (at, { buf = c.s; off = at; len; sum; vouched = false })
+  | _ -> raise Exit
+
+let header = 48
+
+(* What a store knows of its file: where the last sealed batch it read
+   or wrote starts ([last]; -1 when there is none to append after, and
+   the next save compacts) and ends ([size]), and that batch's [seal];
+   and the keys whose record in the file no entry of the store matches
+   any more ([gone]), for the next batch to drop; [damaged] when the
+   load rejected the file or stopped at an unsealed batch, so that the
+   next save compacts even with nothing new. *)
+type log = {
+  mutable last : int;
+  mutable size : int;
+  mutable seal : string;
+  mutable gone : string list;
+  mutable damaged : bool;
+}
+
+let new_log () = { last = -1; size = 0; seal = ""; gone = []; damaged = false }
+
+(* An entry filed under [key] leaves its store. *)
+let leave log ~filed key = if filed then log.gone <- key :: log.gone
+
+(* The sealed batches of [s] from [pos], chained from [prev]: [f] reads
+   each one's index from a cursor (the first batch starts at [base]),
+   and the batch counts as unsealed if it raises [Exit].  Returns where
+   the walk stopped, the last sealed batch's start (-1 when none) and
+   seal, and why it stopped: at the end of [s], at a torn batch or at an
+   unsealed one. *)
+let walk ?(base = 0) s pos prev f =
   let n = String.length s in
-  (* the field after the one at [pos]: its length and where it starts,
-     or -1 when the lengths do not tile the body *)
-  let rec next pos shift len =
-    if pos >= n || shift > 56 then -1
+  let rec go pos last prev =
+    if pos = n then (pos, last, prev, `End)
+    else if n - pos < header then (pos, last, prev, `Torn)
     else
-      let c = Char.code (String.unsafe_get s pos) in
-      let len = len lor ((c land 0x7f) lsl shift) in
-      if c >= 0x80 then next (pos + 1) (shift + 7) len
-      else if len < 0 || len > n - pos - 1 then -1
-      else pos + 1
-  and length pos shift len =
-    let c = Char.code (String.unsafe_get s pos) in
-    let len = len lor ((c land 0x7f) lsl shift) in
-    if c >= 0x80 then length (pos + 1) (shift + 7) len else len
+      let ilen = Int64.to_int (String.get_int64_le s (pos + 32))
+      and plen = Int64.to_int (String.get_int64_le s (pos + 40)) in
+      if ilen < 0 || plen < 0 || ilen > n - pos - header || plen > n - pos - header - ilen then
+        (pos, last, prev, `Torn)
+      else
+        let seal = String.sub s pos 16 and stop = pos + header + ilen in
+        let c = { s; pos = pos + header; stop; finish = stop + plen; start = pos; base } in
+        if
+          String.equal (String.sub s (pos + 16) 16) prev
+          && String.equal seal (Digest.substring s (pos + 16) (32 + ilen))
+          && match f c with () -> true | exception Exit -> false
+        then go c.finish pos seal
+        else (pos, last, prev, `Unsealed)
   in
-  let rec count pos k =
-    if pos = n then k
-    else
-      match next pos 0 0 with
-      | -1 -> -1
-      | start -> count (start + length pos 0 0) (k + 1)
-  in
-  match count ofs 0 with
-  | -1 -> None
-  | k ->
-      let bounds = Array.make (2 * k) 0 in
-      let pos = ref ofs in
-      for i = 0 to k - 1 do
-        let start = next !pos 0 0 and len = length !pos 0 0 in
-        bounds.(2 * i) <- start;
-        bounds.((2 * i) + 1) <- len;
-        pos := start + len
-      done;
-      Some
-        {
-          count = k;
-          field = (fun i -> String.sub s bounds.(2 * i) bounds.((2 * i) + 1));
-          field_blob = (fun i -> { buf = s; off = bounds.(2 * i); len = bounds.((2 * i) + 1) });
-        }
+  go pos (-1) prev
 
-let read_file dir file =
+let seal_batch b ~prev =
+  let ilen = Buffer.length b.index in
+  let out = Bytes.create (header + ilen + b.plen) in
+  Bytes.blit_string prev 0 out 16 16;
+  Bytes.set_int64_le out 32 (Int64.of_int ilen);
+  Bytes.set_int64_le out 40 (Int64.of_int b.plen);
+  Buffer.blit b.index 0 out header ilen;
+  ignore
+    (List.fold_left
+       (fun pos p ->
+         Bytes.blit_string p.buf p.off out (pos - p.len) p.len;
+         pos - p.len)
+       (Bytes.length out) b.fresh);
+  let seal = Digest.subbytes out 16 (32 + ilen) in
+  Bytes.blit_string seal 0 out 0 16;
+  (out, seal)
+
+type 'a contents = Missing | Rejected | Log of { records : 'a list; unsealed : bool }
+
+(* The records of every sealed batch of [file], in order, each read by
+   [record]; [log] learns where the batches end. *)
+let read_log dir file log record =
   match
     In_channel.with_open_bin (Filename.concat dir file) (fun ic ->
         really_input_string ic (Int64.to_int (In_channel.length ic)))
   with
   | exception Sys_error _ -> Missing
   | exception End_of_file -> Rejected (* shrunk while read *)
-  | s -> (
+  | s when not (String.starts_with ~prefix:(file_tag file) s) -> Rejected
+  | s ->
       let tag = file_tag file in
-      let ofs = String.length tag + 8 + 16 in
-      let n = String.length s - ofs in
-      if
-        n >= 0
-        && String.starts_with ~prefix:tag s
-        && String.get_int64_le s (String.length tag) = Int64.of_int n
-        && String.equal (String.sub s (ofs - 16) 16) (Digest.substring s ofs n)
-      then match fields s ofs with Some fs -> Fields fs | None -> Rejected
-      else Rejected)
+      let base = String.length tag and batches = ref [] in
+      let size, last, seal, stop =
+        walk ~base s base (Digest.string tag) (fun c ->
+            let rec go acc = if c.pos = c.stop then List.rev acc else go (record c :: acc) in
+            batches := go [] :: !batches)
+      in
+      log.last <- last;
+      log.size <- size;
+      log.seal <- seal;
+      Log { records = List.concat (List.rev !batches); unsealed = stop = `Unsealed }
+
+let read_at fd pos len =
+  let b = Bytes.create len in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  let rec go k = if k < len then match Unix.read fd b k (len - k) with 0 -> raise Exit | r -> go (k + r) in
+  go 0;
+  Bytes.unsafe_to_string b
+
+(* Under the lock: where the next batch goes and the seal it chains
+   from, if [fd] is still the file at [path], the one [log] describes,
+   grown since by sealed batches only. *)
+let chained fd path log =
+  try
+    let st = Unix.fstat fd and at_path = Unix.stat path in
+    if
+      at_path.Unix.st_ino <> st.Unix.st_ino
+      || at_path.Unix.st_dev <> st.Unix.st_dev
+      || st.Unix.st_size < log.size
+      || not (String.equal (read_at fd log.last 16) log.seal)
+    then None
+    else
+      match walk (read_at fd log.size (st.Unix.st_size - log.size)) 0 log.seal ignore with
+      | _, _, seal, `End -> Some (st.Unix.st_size, seal)
+      | _ -> None
+  with Exit | Unix.Unix_error _ -> None
+
+(* Persist a store to [file]: [build ~all] lays out the batch of every
+   live record ([all]) or of those changed since the last load or save,
+   with a commit that, given where the batch's payloads begin in the
+   file, records where they landed.  [live] is the size of a compacted
+   file: an append that would leave the file larger than twice that
+   compacts instead. *)
+let save_log dir file log ~live build =
+  let path = Filename.concat dir file and tag = file_tag file in
+  let landed b ~at bytes seal commit =
+    log.last <- at;
+    log.size <- at + Bytes.length bytes;
+    log.seal <- seal;
+    log.gone <- [];
+    log.damaged <- false;
+    commit (at + header + Buffer.length b.index)
+  in
+  let compact () =
+    let b, commit = build ~all:true in
+    let bytes, seal = seal_batch b ~prev:(Digest.string tag) in
+    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+    let tmp, oc = Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:dir file ".tmp" in
+    (match
+       Fun.protect
+         ~finally:(fun () -> close_out_noerr oc)
+         (fun () ->
+           output_string oc tag;
+           output_bytes oc bytes;
+           close_out oc)
+     with
+    | () -> Sys.rename tmp path
+    | exception e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e);
+    landed b ~at:(String.length tag) bytes seal commit
+  in
+  let append fd =
+    match chained fd path log with
+    | None -> compact ()
+    | Some (size, prev) ->
+        let b, commit = build ~all:false in
+        let bytes, seal = seal_batch b ~prev in
+        if size + Bytes.length bytes > 2 * live then compact ()
+        else begin
+          ignore (Unix.lseek fd size Unix.SEEK_SET);
+          ignore (Unix.write fd bytes 0 (Bytes.length bytes));
+          landed b ~at:size bytes seal commit
+        end
+  in
+  try
+    if log.last < 0 || log.damaged then compact ()
+    else
+      match Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 with
+      | exception Unix.Unix_error _ -> compact ()
+      | fd ->
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              (* a compaction renames the new file over [path] before
+                 the lock on the old one goes *)
+              match Unix.lockf fd Unix.F_LOCK 0 with
+              | () -> append fd
+              | exception Unix.Unix_error _ -> compact ())
+  with Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
 
 (* ------------------------------------------------------------------ *)
 (* The interface store *)
@@ -365,13 +574,15 @@ let read_file dir file =
    the bound models a persistent store of that many bytes, and [save]
    writes it.  [art] is the decoded artifact, [None] for a loaded one
    until its first use.  [checked] records that the artifact passed
-   verification — at its first probe, at [save], by arriving in a file
-   whose header checked out, or by being captured in this process
-   ([store_interface] ~checked).  A replaced artifact is a new entry, so
-   it is verified again.  [source] and [id] are the index fields a
-   re-key reads: a re-key installs a copy of the entry with a new
-   [source] under a new fingerprint, sharing [blob].  [tick] is its last
-   use, kept only under a size bound. *)
+   verification — at its first probe, at [save], by arriving in a
+   sealed batch (its bytes are checked against their digest before they
+   decode), or by being captured in this process ([store_interface]
+   ~checked).  A replaced artifact is a new entry, so it is verified
+   again.  [source] and [id] are the index fields a re-key reads: a
+   re-key installs a copy of the entry with a new [source] under a new
+   fingerprint, sharing [blob].  [tick] is its last use, kept only under
+   a size bound.  [at] is where the file holds [blob] (-1: nowhere yet),
+   and [filed] that the file's record under [fp] is this entry. *)
 type entry = {
   fp : string;
   name : string; (* the interface, as recorded beside the bytes *)
@@ -381,6 +592,8 @@ type entry = {
   mutable art : Artifact.t option;
   mutable checked : bool;
   mutable tick : int;
+  mutable at : int;
+  mutable filed : bool;
 }
 
 (* A source text with its digest (hex) and direct imports. *)
@@ -398,9 +611,9 @@ type t = {
   mutable misses : int;
   mutable invalidations : int;
   mutable evictions : int; (* entries dropped by the size bound *)
-  mutable corrupt : int; (* artifacts or files rejected by verification *)
+  mutable corrupt : int; (* artifacts, batches or files rejected by verification *)
   mutable verify : bool; (* probe-time digest verification; see [disable_verification] *)
-  mutable dirty : bool; (* stored, evicted or dropped since the last load or save *)
+  mutable log : log; (* what the store knows of its file *)
 }
 
 let iface_file = "interfaces.bin"
@@ -416,7 +629,9 @@ let touch t (e : entry) =
 (* Install [e] under its fingerprint as its interface's latest artifact. *)
 let put t e =
   (match Hashtbl.find_opt t.defs e.fp with
-  | Some old -> t.bytes <- t.bytes - old.blob.len
+  | Some old ->
+      t.bytes <- t.bytes - old.blob.len;
+      leave t.log ~filed:old.filed old.fp
   | None -> ());
   Hashtbl.replace t.defs e.fp e;
   Hashtbl.replace t.latest e.name e;
@@ -431,7 +646,7 @@ let drop t fp =
       | _ -> ());
       Hashtbl.remove t.defs fp;
       t.bytes <- t.bytes - e.blob.len;
-      t.dirty <- true
+      leave t.log ~filed:e.filed fp
 
 (* The artifact of [e], unmarshaled at its first use; [None] if its
    bytes do not decode to an artifact of the recorded name. *)
@@ -456,11 +671,14 @@ let sound e =
       | None -> false);
   e.checked
 
+let count_corrupt t =
+  t.corrupt <- t.corrupt + 1;
+  if Metrics.enabled () then Metrics.incr "mcc_cache_corrupt_total"
+
 (* Drop an entry whose bytes failed to decode or verify, counting it as
    corruption. *)
 let drop_corrupt t fp =
-  t.corrupt <- t.corrupt + 1;
-  if Metrics.enabled () then Metrics.incr "mcc_cache_corrupt_total";
+  count_corrupt t;
   drop t fp
 
 (* Evict least-recently-used artifacts until the store fits the bound
@@ -494,40 +712,47 @@ let enforce_cap t ~keep =
 let hash_units len =
   Costs.hash_block * ((len + Costs.hash_block_bytes - 1) / Costs.hash_block_bytes)
 
-(* A rejected file leaves the store empty; it is counted, and the store
-   is dirty so that [save] replaces the file. *)
-let reject t =
-  t.corrupt <- t.corrupt + 1;
-  t.dirty <- true
+(* A rejected file or an unsealed batch is counted, and the next [save]
+   compacts. *)
+let reject t log =
+  count_corrupt t;
+  log.damaged <- true
 
-(* Index a file's artifacts by fingerprint and name in one sweep,
-   decoding none of them; the header vouches for every byte, so they
-   count as verified. *)
+let record_size e =
+  1 + field_size e.fp + field_size e.name + field_size e.source + field_size e.id + payload_size + e.blob.len
+
+let iface_record c =
+  match byte c with
+  | 'P' ->
+      let fp = read_field c in
+      let name = read_field c in
+      let source = read_field c in
+      let id = read_field c in
+      let at, blob = read_payload c in
+      if at < 0 then raise Exit;
+      `Put { fp; name; source; id; blob; art = None; checked = true; tick = 0; at; filed = true }
+  | 'D' -> `Drop (read_field c)
+  | _ -> raise Exit
+
+(* Replay a file's records into the store, decoding no artifact; each is
+   verified once its bytes match their digest, at its first decode. *)
 let load t dir =
-  match read_file dir iface_file with
+  match read_log dir iface_file t.log iface_record with
   | Missing -> ()
-  | Fields fs when fs.count mod 5 = 0 ->
-      let n = fs.count / 5 in
+  | Rejected -> reject t t.log
+  | Log { records; unsealed } ->
+      let n = List.length records in
       t.defs <- Hashtbl.create n;
       t.latest <- Hashtbl.create n;
-      for i = 0 to n - 1 do
-        let f k = fs.field ((5 * i) + k) in
-        let e =
-          {
-            fp = f 0;
-            name = f 1;
-            source = f 2;
-            id = f 3;
-            blob = fs.field_blob ((5 * i) + 4);
-            art = None;
-            checked = true;
-            tick = 0;
-          }
-        in
-        put t e;
-        touch t e
-      done
-  | Fields _ | Rejected -> reject t
+      List.iter
+        (function
+          | `Put e ->
+              put t e;
+              touch t e
+          | `Drop fp -> drop t fp)
+        records;
+      t.log.gone <- [];
+      if unsealed then reject t t.log
 
 let create ?dir ?cap_bytes () =
   let t =
@@ -545,7 +770,7 @@ let create ?dir ?cap_bytes () =
       evictions = 0;
       corrupt = 0;
       verify = true;
-      dirty = false;
+      log = new_log ();
     }
   in
   Option.iter (load t) dir;
@@ -556,45 +781,59 @@ let create ?dir ?cap_bytes () =
   t
 
 (* Artifacts never probed are verified here, so only verified artifacts
-   reach disk; one that fails is dropped and counted.  A clean store
-   leaves its file as it is. *)
+   reach disk; one that fails is dropped and counted.  A save appends the
+   records stored, re-keyed or dropped since the last load or save, and
+   leaves a clean store's file as it is. *)
 let save t =
   match t.dir with
   | None -> ()
   | Some dir ->
-      let exists = Sys.file_exists (Filename.concat dir iface_file) in
       Mutex.lock t.mu;
-      let bad = Hashtbl.fold (fun fp e acc -> if sound e then acc else fp :: acc) t.defs [] in
-      List.iter
-        (fun fp ->
-          drop t fp;
-          t.corrupt <- t.corrupt + 1)
-        bad;
-      let write = t.dirty || not exists in
-      let defs = if write then Hashtbl.fold (fun _ e acc -> e :: acc) t.defs [] else [] in
-      t.dirty <- false;
-      Mutex.unlock t.mu;
-      if write then
-        let fields =
-          List.concat_map
-            (fun e -> [ blob e.fp; blob e.name; blob e.source; blob e.id; e.blob ])
-            (List.sort (fun a b -> String.compare a.fp b.fp) defs)
-        in
-        try write_file dir iface_file fields
-        with e ->
-          Mutex.lock t.mu;
-          t.dirty <- true;
-          Mutex.unlock t.mu;
-          raise e
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.mu)
+        (fun () ->
+          let bad = Hashtbl.fold (fun fp e acc -> if sound e then acc else fp :: acc) t.defs [] in
+          List.iter
+            (fun fp ->
+              drop t fp;
+              t.corrupt <- t.corrupt + 1)
+            bad;
+          let fresh = Hashtbl.fold (fun _ e acc -> if e.filed then acc else e :: acc) t.defs [] in
+          let gone = List.filter (fun fp -> not (Hashtbl.mem t.defs fp)) t.log.gone in
+          if
+            fresh <> [] || gone <> [] || t.log.damaged
+            || not (Sys.file_exists (Filename.concat dir iface_file))
+          then
+            let live = Hashtbl.fold (fun _ e n -> n + record_size e) t.defs (header + String.length (file_tag iface_file)) in
+            save_log dir iface_file t.log ~live (fun ~all ->
+                let b = new_batch () in
+                if not all then List.iter (add_drop b) (List.sort_uniq String.compare gone);
+                let placed =
+                  List.map
+                    (fun e ->
+                      Buffer.add_char b.index 'P';
+                      List.iter (add_field b) [ e.fp; e.name; e.source; e.id ];
+                      (e, add_payload b ~at:(if all then -1 else e.at) e.blob))
+                    (List.sort
+                       (fun a b -> String.compare a.fp b.fp)
+                       (if all then Hashtbl.fold (fun _ e acc -> e :: acc) t.defs [] else fresh))
+                in
+                ( b,
+                  fun data ->
+                    List.iter
+                      (fun (e, rel) ->
+                        if rel >= 0 then e.at <- data + rel;
+                        e.filed <- true)
+                      placed )))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints *)
 
 let digest parts = md5_hex (String.concat "|" parts)
 
-let condense ~node ~edges ~settled emit roots =
+let condense ?(size = 16) ~node ~edges ~settled emit roots =
   (* per node entered, its low link; [max_int] once it is emitted *)
-  let low = Hashtbl.create 16 and stack = ref [] in
+  let low = Hashtbl.create size and stack = ref [] in
   let rec enter w = if not (settled w || Hashtbl.mem low w) then visit w (node w)
   and visit v data =
     let i = Hashtbl.length low in
@@ -664,8 +903,15 @@ let tamper t ~name =
             }
           in
           let art = { a with Artifact.a_diags = bogus :: a.Artifact.a_diags } in
-          put t { e with blob = blob (Marshal.to_string art []); art = Some art; checked = false };
-          t.dirty <- true));
+          put t
+            {
+              e with
+              blob = blob (Marshal.to_string art []);
+              art = Some art;
+              checked = false;
+              at = -1;
+              filed = false;
+            }));
   Mutex.unlock t.mu
 
 (* Probe, decoding the artifact at its first use and verifying it before
@@ -712,7 +958,6 @@ let install_entry t e =
   | _ -> ());
   put t e;
   touch t e;
-  t.dirty <- true;
   enforce_cap t ~keep:(Some e.fp)
 
 let store_interface ?(checked = false) t ~fp ~source (a : Artifact.t) =
@@ -727,6 +972,8 @@ let store_interface ?(checked = false) t ~fp ~source (a : Artifact.t) =
       art = Some a;
       checked;
       tick = 0;
+      at = -1;
+      filed = false;
     }
   in
   Mutex.lock t.mu;
@@ -753,6 +1000,9 @@ let stored_identity s = s.id
 let stored_artifact t s =
   Mutex.lock t.mu;
   let r = decode s in
+  (match Hashtbl.find_opt t.defs s.fp with
+  | Some e when e == s && Option.is_none r -> drop_corrupt t s.fp
+  | _ -> ());
   Mutex.unlock t.mu;
   r
 
@@ -760,14 +1010,14 @@ let stored_artifact t s =
    only the fingerprint it is found under and its source digest move. *)
 let rekey t s ~fp ~source =
   Mutex.lock t.mu;
-  install_entry t { s with fp; source };
+  install_entry t { s with fp; source; filed = false };
   Mutex.unlock t.mu
 
 (* The copy shares the bytes and the decoded artifact, not the mutable
-   record: each cache guards its own entries. *)
+   record: each cache guards its own entries and file. *)
 let copy_interface s ~into =
   Mutex.lock into.mu;
-  install_entry into { s with art = s.art };
+  install_entry into { s with art = s.art; at = -1; filed = false };
   Mutex.unlock into.mu
 
 (* The identity of the artifact stored under [fp], from the index. *)
@@ -874,12 +1124,12 @@ let graph t store =
       match Hashtbl.find_opt nodes name with
       | Some n -> n.impl <- impl
       | None -> Hashtbl.replace nodes name (new_node name None impl));
-  let g = { cache = t; nodes; def_names = !defs; charged = Hashtbl.create 64 } in
+  let g = { cache = t; nodes; def_names = !defs; charged = Hashtbl.create (Hashtbl.length nodes) } in
   let outside m =
     let fp = (node g m).fp in
     if fp = "" then None else Some fp
   in
-  condense ~node:(node g) ~edges:node_imports
+  condense ~size:(Hashtbl.length nodes) ~node:(node g) ~edges:node_imports
     ~settled:(fun m -> (node g m).fp <> "")
     (fun ms ->
       List.iter2
@@ -894,7 +1144,7 @@ let graph t store =
 let graph_over t g =
   let nodes = Hashtbl.copy g.nodes in
   Hashtbl.filter_map_inplace (fun _ n -> Some { n with closure = ""; unsure = false }) nodes;
-  { cache = t; nodes; def_names = g.def_names; charged = Hashtbl.create 64 }
+  { cache = t; nodes; def_names = g.def_names; charged = Hashtbl.create (Hashtbl.length nodes) }
 
 let graph_cache g = g.cache
 let graph_defs g = g.def_names
@@ -1027,7 +1277,9 @@ let identity_key g ~config_tag name =
    are still only in [payload]; [payload] is what it was last loaded or
    saved as (empty when there is none yet), and [side], [side_payload]
    the same for the side record, decoded only when asked for.  [cost] and [pri]
-   are its GreedyDual fields, updated only under an entry bound. *)
+   are its GreedyDual fields, updated only under an entry bound.  [at]
+   and [side_at] are where the file holds the two payloads (-1: nowhere
+   yet), and [filed] that the file's record under [key] is this entry. *)
 type ('r, 'd) slot = {
   mutable key : string;
   name : string;
@@ -1037,6 +1289,9 @@ type ('r, 'd) slot = {
   mutable side_payload : blob;
   mutable cost : float; (* recompute cost *)
   mutable pri : float; (* GreedyDual priority *)
+  mutable at : int;
+  mutable side_at : int;
+  mutable filed : bool;
 }
 
 type ('r, 'd) memo = {
@@ -1050,7 +1305,8 @@ type ('r, 'd) memo = {
   mutable mmisses : int;
   mutable minvalidations : int;
   mutable mevictions : int;
-  mutable mdirty : bool; (* stored, evicted or rejected since the last load or save *)
+  mutable mlog : log; (* what the memo knows of its file *)
+  mutable on_corrupt : unit -> unit; (* counts a payload that fails to decode *)
 }
 
 let memo ?cap () =
@@ -1064,7 +1320,8 @@ let memo ?cap () =
     mmisses = 0;
     minvalidations = 0;
     mevictions = 0;
-    mdirty = false;
+    mlog = new_log ();
+    on_corrupt = ignore;
   }
 
 (* All of these must run under [m.mmu]. *)
@@ -1074,21 +1331,28 @@ let holds tbl k s = match Hashtbl.find_opt tbl k with Some x -> x == s | None ->
 
 let memo_put m s =
   (match Hashtbl.find_opt m.entries s.key with
-  | Some old when old.name <> s.name && holds m.names old.name old ->
-      Hashtbl.remove m.names old.name
+  | Some old when old != s ->
+      if old.name <> s.name && holds m.names old.name old then Hashtbl.remove m.names old.name;
+      leave m.mlog ~filed:old.filed old.key
   | _ -> ());
   Hashtbl.replace m.entries s.key s;
   Hashtbl.replace m.names s.name s
 
 let memo_forget m s =
-  if holds m.entries s.key s then Hashtbl.remove m.entries s.key;
-  if holds m.names s.name s then Hashtbl.remove m.names s.name;
-  m.mdirty <- true
+  if holds m.entries s.key s then begin
+    Hashtbl.remove m.entries s.key;
+    leave m.mlog ~filed:s.filed s.key
+  end;
+  if holds m.names s.name s then Hashtbl.remove m.names s.name
 
-(* The result of [s], unmarshaled from its kept bytes at its first use;
-   a payload that no longer decodes is dropped, not fatal: the module
-   just rebuilds cold.  The payload is untyped (see "Memo persistence"
-   below). *)
+(* An entry whose payload fails to decode is dropped and counted, not
+   fatal: the module just rebuilds cold. *)
+let memo_corrupt m s =
+  memo_forget m s;
+  m.on_corrupt ()
+
+(* The result of [s], unmarshaled from its kept bytes at its first use.
+   The payload is untyped (see "Memo persistence" below). *)
 let memo_value m s : 'r option =
   match s.value with
   | Some _ as r -> r
@@ -1098,7 +1362,7 @@ let memo_value m s : 'r option =
           s.value <- Some r;
           s.value
       | exception _ ->
-          memo_forget m s;
+          memo_corrupt m s;
           None)
 
 (* GreedyDual eviction: every entry carries priority L + cost (cost =
@@ -1194,7 +1458,7 @@ let latest_side m ~name =
                 s.side <- Some d;
                 s.side
             | exception _ ->
-                memo_forget m s;
+                memo_corrupt m s;
                 None))
   in
   Mutex.unlock m.mmu;
@@ -1208,8 +1472,19 @@ let store_module ?(cost = 1.0) ?side m ~name ~key result =
       memo_forget m old
   | _ -> ());
   memo_put m
-    { key; name; value = Some result; payload = no_blob; side; side_payload = no_blob; cost; pri = m.ml +. cost };
-  m.mdirty <- true;
+    {
+      key;
+      name;
+      value = Some result;
+      payload = no_blob;
+      side;
+      side_payload = no_blob;
+      cost;
+      pri = m.ml +. cost;
+      at = -1;
+      side_at = -1;
+      filed = false;
+    };
   memo_enforce_cap m ~keep:(Some key);
   Mutex.unlock m.mmu
 
@@ -1220,11 +1495,11 @@ let rekey_module m ~name ~key =
   (match Hashtbl.find_opt m.names name with
   | Some s when s.key <> key ->
       m.minvalidations <- m.minvalidations + 1;
-      Hashtbl.remove m.entries s.key;
+      memo_forget m s;
       s.key <- key;
+      s.filed <- false;
       s.pri <- m.ml +. s.cost;
       memo_put m s;
-      m.mdirty <- true;
       memo_enforce_cap m ~keep:(Some key)
   | _ -> ());
   Mutex.unlock m.mmu
@@ -1250,94 +1525,144 @@ let memo_eviction_count m =
 
 let memo_file = "modules.bin"
 
+let memo_record c =
+  match byte c with
+  | 'P' ->
+      let key = read_field c in
+      let name = read_field c in
+      let at, payload = read_payload c in
+      let side_at, side_payload = read_payload c in
+      if at < 0 then raise Exit;
+      `Put (key, name, at, payload, side_at, side_payload)
+  | 'D' -> `Drop (read_field c)
+  | _ -> raise Exit
+
 let load_memo t (m : ('r, 'd) memo) =
   match t.dir with
   | None -> ()
   | Some dir -> (
       let reject () =
         Mutex.lock t.mu;
-        reject t;
-        Mutex.unlock t.mu;
-        m.mdirty <- true
+        reject t m.mlog;
+        Mutex.unlock t.mu
       in
-      match read_file dir memo_file with
-      | Missing -> ()
-      | Fields fs when fs.count mod 4 = 1 && int_of_string_opt (fs.field 0) = Some (fs.count / 4) ->
-          let n = fs.count / 4 in
-          Mutex.lock m.mmu;
+      m.on_corrupt <-
+        (fun () ->
+          Mutex.lock t.mu;
+          count_corrupt t;
+          Mutex.unlock t.mu);
+      Mutex.lock m.mmu;
+      let contents = read_log dir memo_file m.mlog memo_record in
+      (match contents with
+      | Missing | Rejected -> ()
+      | Log { records; _ } ->
           if Hashtbl.length m.entries = 0 then begin
             (* size the tables for the entries about to arrive *)
+            let n = List.length records in
             m.entries <- Hashtbl.create n;
             m.names <- Hashtbl.create n
           end;
-          for i = 0 to n - 1 do
-            let f k = (4 * i) + 1 + k in
-            (* costs are not persisted: loaded entries restart at the
-               uniform (LRU-like) cost *)
-            memo_put m
-              {
-                key = fs.field (f 0);
-                name = fs.field (f 1);
-                value = None;
-                payload = fs.field_blob (f 2);
-                side = None;
-                side_payload = fs.field_blob (f 3);
-                cost = 1.0;
-                pri = m.ml +. 1.0;
-              }
-          done;
-          memo_enforce_cap m ~keep:None;
-          Mutex.unlock m.mmu
-      | Fields _ | Rejected -> reject ())
+          List.iter
+            (function
+              | `Put (key, name, at, payload, side_at, side_payload) ->
+                  (* costs are not persisted: loaded entries restart at
+                     the uniform (LRU-like) cost *)
+                  memo_put m
+                    {
+                      key;
+                      name;
+                      value = None;
+                      payload;
+                      side = None;
+                      side_payload;
+                      cost = 1.0;
+                      pri = m.ml +. 1.0;
+                      at;
+                      side_at;
+                      filed = true;
+                    }
+              | `Drop key -> Option.iter (memo_forget m) (Hashtbl.find_opt m.entries key))
+            records;
+          m.mlog.gone <- [];
+          memo_enforce_cap m ~keep:None);
+      Mutex.unlock m.mmu;
+      match contents with Rejected | Log { unsealed = true; _ } -> reject () | _ -> ())
 
 let save_memo t (m : ('r, 'd) memo) =
   match t.dir with
   | None -> ()
   | Some dir ->
-      let exists = Sys.file_exists (Filename.concat dir memo_file) in
       Mutex.lock m.mmu;
-      let write = m.mdirty || not exists in
-      let slots = if write then Hashtbl.fold (fun _ s acc -> s :: acc) m.entries [] else [] in
-      m.mdirty <- false;
-      Mutex.unlock m.mmu;
-      if write then begin
-        (* an entry loaded or saved before keeps its payload bytes, so
-           only results stored since then are marshaled.  Fresh entries
-           are marshaled one by one so a result that contains an
-           unmarshalable value (a custom block, an exception payload)
-           costs only its own entry *)
-        let marshal kept v =
-          if kept.len > 0 then Some kept
-          else
-            match v with
-            | None -> Some no_blob
-            | Some v -> ( try Some (blob (Marshal.to_string v [])) with Invalid_argument _ -> None)
-        in
-        let written =
-          List.filter_map
-            (fun s ->
-              match (marshal s.payload s.value, marshal s.side_payload s.side) with
-              | Some b, Some d when b.len > 0 -> Some (s, b, d)
-              | _ -> None (* unmarshalable; an undecoded entry keeps its bytes *))
-            slots
-          |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a.key b.key)
-        in
-        let fields =
-          blob (string_of_int (List.length written))
-          :: List.concat_map (fun (s, b, d) -> [ blob s.key; blob s.name; b; d ]) written
-        in
-        (try write_file dir memo_file fields
-         with e ->
-           Mutex.lock m.mmu;
-           m.mdirty <- true;
-           Mutex.unlock m.mmu;
-           raise e);
-        (* an entry's result never changes, so its bytes stay valid *)
-        Mutex.lock m.mmu;
-        List.iter
-          (fun (s, b, d) ->
-            s.payload <- b;
-            s.side_payload <- d)
-          written;
-        Mutex.unlock m.mmu
-      end
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock m.mmu)
+        (fun () ->
+          (* an entry loaded or saved before keeps its payload bytes, so
+             only results stored since then are marshaled, and kept: an
+             entry's result never changes.  Fresh entries are marshaled
+             one by one so a result that contains an unmarshalable value
+             (a custom block, an exception payload) costs only its own
+             entry *)
+          let marshal kept v =
+            if kept.len > 0 then Some kept
+            else
+              match v with
+              | None -> Some no_blob
+              | Some v -> ( try Some (blob (Marshal.to_string v [])) with Invalid_argument _ -> None)
+          in
+          let fresh =
+            Hashtbl.fold
+              (fun _ s acc ->
+                if s.filed then acc
+                else
+                  match (marshal s.payload s.value, marshal s.side_payload s.side) with
+                  | Some b, Some d when b.len > 0 ->
+                      s.payload <- b;
+                      s.side_payload <- d;
+                      s :: acc
+                  | _ -> acc (* unmarshalable: not written *))
+              m.entries []
+          in
+          let written s = s.filed || s.payload.len > 0 in
+          let gone =
+            List.filter
+              (fun k -> match Hashtbl.find_opt m.entries k with Some s -> not (written s) | None -> true)
+              m.mlog.gone
+          in
+          if
+            fresh <> [] || gone <> [] || m.mlog.damaged
+            || not (Sys.file_exists (Filename.concat dir memo_file))
+          then
+            let live =
+              Hashtbl.fold
+                (fun _ s n ->
+                  if written s then
+                    n + 1 + field_size s.key + field_size s.name + (2 * payload_size) + s.payload.len
+                    + s.side_payload.len
+                  else n)
+                m.entries
+                (header + String.length (file_tag memo_file))
+            in
+            save_log dir memo_file m.mlog ~live (fun ~all ->
+                let b = new_batch () in
+                if not all then List.iter (add_drop b) (List.sort_uniq String.compare gone);
+                let placed =
+                  List.map
+                    (fun s ->
+                      Buffer.add_char b.index 'P';
+                      add_field b s.key;
+                      add_field b s.name;
+                      let r = add_payload b ~at:(if all then -1 else s.at) s.payload in
+                      (s, r, add_payload b ~at:(if all then -1 else s.side_at) s.side_payload))
+                    (List.sort
+                       (fun a b -> String.compare a.key b.key)
+                       (if all then Hashtbl.fold (fun _ s acc -> if written s then s :: acc else acc) m.entries []
+                        else fresh))
+                in
+                ( b,
+                  fun data ->
+                    List.iter
+                      (fun (s, r, d) ->
+                        if r >= 0 then s.at <- data + r;
+                        if d >= 0 then s.side_at <- data + d;
+                        s.filed <- true)
+                      placed )))

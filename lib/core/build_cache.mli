@@ -25,32 +25,39 @@
 type t
 
 (** [create ?dir ?cap_bytes ()] makes an empty cache; with [dir],
-    previously {!save}d interface artifacts are loaded from it.  Loading
-    decodes nothing: the file stores each artifact's fingerprint, name,
-    source digest, identity and marshaled bytes, so the load indexes the
-    artifacts by fingerprint and name; each artifact is unmarshaled at
-    its first use
-    ({!find_interface}, {!latest_artifact}, {!interfaces}).  The file's
-    header (format tag, body length, body digest) is checked before any
-    field is read: a missing file loads nothing, and a torn, truncated,
-    damaged or old-format one loads nothing and counts one
-    {!corrupt_count}.  Artifacts from a file that passed the check count
-    as verified.  With [cap_bytes], the store is size-bounded: whenever
+    previously {!save}d interface artifacts are loaded from it.  The file
+    is a log of batches, each sealed by an MD5 over its index (each
+    artifact's fingerprint, name, source digest, identity, and the place,
+    length and MD5 of its marshaled bytes) chained to the seal before
+    it.  Loading checks the seals only and replays the records in order,
+    so the last record for a fingerprint wins; it decodes nothing, and
+    each artifact is unmarshaled at its first use ({!find_interface},
+    {!latest_artifact}, {!interfaces}, {!stored_artifact}), once its
+    bytes match their MD5.  A missing file loads nothing; a file without
+    its format tag loads nothing and counts one {!corrupt_count}; the
+    load stops at a batch torn off the end of the file (uncounted: a
+    save died writing it) or at one whose seal fails (counted once), and
+    keeps the state before it.  Bytes that fail their MD5 count as
+    corruption and a miss, and never reach [Marshal].  Artifacts whose
+    bytes check out count as verified.  With [cap_bytes], the store is size-bounded: whenever
     the marshaled sizes of the stored artifacts exceed the bound,
     least-recently-used entries are evicted (counted by
     {!eviction_count}, never counted as invalidations) — except the
     entry just stored, so one oversized artifact still caches. *)
 val create : ?dir:string -> ?cap_bytes:int -> unit -> t
 
-(** Persist the interface store under the creation [dir]: each
-    artifact's fingerprint, name and kept marshaled bytes, behind a
-    checked header, written to a temporary file renamed into place.
-    Artifacts stored without [~checked] and never probed are verified
-    first (loaded and captured ones already count as verified, and are
-    written as they are); one that fails is dropped and counted in
-    {!corrupt_count}.  A store with
-    nothing stored, evicted or dropped since it was loaded leaves its
-    file untouched.  No-op without a [dir]. *)
+(** Persist the interface store under the creation [dir]: append one
+    sealed batch with the records stored, re-keyed or dropped since the
+    last load or save (a re-keyed artifact's record points at the bytes
+    already in the file), under an exclusive lock on the file.  When the
+    file is not the one loaded, or its dead bytes would exceed its live
+    ones, the save compacts instead: every live record, each payload
+    with its stored MD5, is written to a temporary file renamed into
+    place.  Artifacts stored without [~checked] and never probed are
+    verified first (loaded and captured ones already count as verified);
+    one that fails is dropped and counted in {!corrupt_count}.  A store
+    with nothing stored, evicted or dropped since it was loaded leaves
+    its file untouched.  No-op without a [dir]. *)
 val save : t -> unit
 
 (** Direct imports of a source text, in first-occurrence order without
@@ -62,9 +69,10 @@ val scan_imports : string -> string list
     strongly connected component (Tarjan) reachable from [roots] of the graph
     whose node [v] has data [node v] and successors [edges (node v)],
     not entering nodes [settled] holds for: the members with their data,
-    sorted by name, after every component they reach. *)
+    sorted by name, after every component they reach.  [size] (default
+    16) is the number of nodes the walk expects to enter. *)
 val condense :
-  node:(string -> 'a) -> edges:('a -> string list) -> settled:(string -> bool) ->
+  ?size:int -> node:(string -> 'a) -> edges:('a -> string list) -> settled:(string -> bool) ->
   ((string * 'a) list -> unit) -> string list -> unit
 
 (** [interface_fp t ~memo ~store name] returns the interface's
@@ -135,7 +143,8 @@ val stored_identity : stored -> string
 val stored_bytes : stored -> int
 
 (** The entry's artifact, decoded at its first use; [None] if its bytes
-    do not decode.  Counter-free. *)
+    do not decode, in which case an entry still in the store is dropped
+    and counted in {!corrupt_count}. *)
 val stored_artifact : t -> stored -> Artifact.t option
 
 (** [rekey t s ~fp ~source] makes [s]'s artifact its interface's latest
@@ -161,8 +170,9 @@ val eviction_count : t -> int
 val total_bytes : t -> int
 
 (** Artifacts dropped by verification (on {!find_interface} probes and
-    at {!save}) plus cache files rejected at load; each probe-time drop
-    is also counted in the invalidations of {!counters}. *)
+    at {!save}), payloads of either file that fail to decode, and cache
+    files or batches rejected at load; each probe-time drop is also
+    counted in the invalidations of {!counters}. *)
 val corrupt_count : t -> int
 
 (** {1 Conformance-canary hooks}
@@ -317,17 +327,19 @@ val memo_eviction_count : ('r, 'd) memo -> int
 
 (** Fill [memo] from the cache's directory (written by {!save_memo}); a
     no-op without a directory or on a missing file.  As for {!create},
-    the header is checked before any field is read, a rejected file
-    loads nothing and counts one {!corrupt_count}, and no result is
-    unmarshaled until its first use, nor any side record until asked
-    for; an entry that then fails to decode is dropped on its own.  The
+    the batches' seals are checked and their records replayed, a
+    rejected file or unsealed batch counts one {!corrupt_count}, and no
+    result is unmarshaled until its first use, nor any side record until
+    asked for; an entry whose bytes then fail their MD5 or do not decode
+    is dropped on its own and counted in the cache's {!corrupt_count}.  The
     payloads are marshaled untyped, so the persisted result and side
     types must only change together with the file format tag. *)
 val load_memo : t -> ('r, 'd) memo -> unit
 
-(** Persist [memo] next to the interface artifacts, as {!save} does; a
-    no-op without a directory, and without a rewrite when nothing was
-    stored or evicted since the memo was loaded or saved.  An entry
+(** Persist [memo] next to the interface artifacts, as {!save} does:
+    one appended batch, or a compaction; a no-op without a directory,
+    and without a write when nothing was stored, re-keyed or evicted
+    since the memo was loaded or saved.  An entry
     that fails to marshal is skipped, not fatal.  An entry loaded or
     saved before, and not replaced since (one moved by {!rekey_module}
     keeps them), is written back from its kept bytes, result and side

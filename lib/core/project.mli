@@ -65,8 +65,10 @@ type cache = { bc : Build_cache.t; memo : (entry, dep list) Build_cache.memo }
 val cache : ?dir:string -> unit -> cache
 
 (** Persist the interface store and the module memo to the cache's
-    directory (a no-op for an in-memory cache, and a file whose store is
-    unchanged since it was loaded is not rewritten). *)
+    directory: each file gets one appended batch of what changed since
+    it was loaded, or is compacted when its dead bytes would exceed its
+    live ones (a no-op for an in-memory cache, and a file whose store is
+    unchanged since it was loaded is not written). *)
 val save : cache -> unit
 
 (** What a build keeps of a module it compiled: the compilation's

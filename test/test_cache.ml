@@ -387,13 +387,16 @@ let build_step ?main_body dir =
   Project.save c;
   r
 
-(* Saves replace a file by renaming a complete new one over it, and a
-   store with nothing new is not rewritten at all. *)
+(* A store with nothing new leaves its file as it is, and an edit step
+   appends its batch to the file in place: same inode, the old bytes a
+   prefix of the new. *)
 let test_atomic_saves () =
   with_cache_dir (fun dir ->
       let inodes () = List.map (fun f -> (Unix.stat (Filename.concat dir f)).Unix.st_ino) cache_files in
       ignore (build_step dir);
       let before = inodes () in
+      let memo_file = Filename.concat dir "modules.bin" in
+      let memo_before = Tutil.read_file memo_file in
       let r = build_step dir in
       Alcotest.(check (list string)) "no-op build recompiles nothing" [] r.Project.recompiled;
       Alcotest.(check (list int)) "clean saves leave both files in place" before (inodes ());
@@ -402,14 +405,19 @@ let test_atomic_saves () =
       (match (before, inodes ()) with
       | [ i0; m0 ], [ i1; m1 ] ->
           Alcotest.(check int) "interfaces.bin unchanged: not rewritten" i0 i1;
-          Alcotest.(check bool) "modules.bin rewritten: a new file renamed into place" true (m0 <> m1)
+          Alcotest.(check int) "modules.bin appended in place" m0 m1;
+          let memo_after = Tutil.read_file memo_file in
+          Alcotest.(check bool) "modules.bin grown by a batch after its old bytes" true
+            (String.length memo_after > String.length memo_before
+            && String.starts_with ~prefix:memo_before memo_after)
       | _ -> assert false);
       Alcotest.(check (list string)) "no temporary file left behind" cache_files
         (List.sort compare (Array.to_list (Sys.readdir dir))))
 
 (* Two processes building over one cache directory at once: each save
-   renames a complete file into place, so every load, in either process
-   and after both, finds whole files. *)
+   appends its batch under a lock on the file or renames a complete file
+   into place, so every load, in either process and after both, finds
+   sealed batches and at most a torn last one. *)
 let test_two_processes () =
   with_cache_dir (fun dir ->
       let builder op =
@@ -589,24 +597,44 @@ let pristine =
          (files, old)))
 
 (* A cache directory holding the pristine files with [file] replaced by
-   [bytes]: loading it must not raise and must count one rejection, the
-   next build must equal a cold build, and its save must heal the
-   directory. *)
+   [bytes].  Every load must keep its damage out: a file without its tag
+   or a batch whose seal fails is counted once at load; a batch torn
+   off the end is lost, leaving the state before it (here, empty: each
+   pristine file is one batch); a damaged payload is counted at its
+   first decode.  Decoding every entry of a load must therefore find
+   the damage counted exactly once, or nothing loaded at all.  The next
+   build must equal a cold build, and its save must heal the directory. *)
 let load_damaged ~what file bytes =
   with_cache_dir (fun dir ->
       Sys.mkdir dir 0o755;
-      List.iter
-        (fun (f, s) ->
-          Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-              output_string oc (if f = file then bytes else s)))
-        (fst (Lazy.force pristine));
+      let lay () =
+        List.iter
+          (fun (f, s) ->
+            Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+                output_string oc (if f = file then bytes else s)))
+          (fst (Lazy.force pristine))
+      in
+      lay ();
+      let probe = Project.cache ~dir () in
+      let arts = Build_cache.interfaces probe.Project.bc in
+      let results =
+        List.filter_map
+          (fun m ->
+            let name = Project.config_tag Driver.default_config ^ "|" ^ m in
+            ignore (Build_cache.latest_side probe.Project.memo ~name);
+            Build_cache.find_latest_module probe.Project.memo ~name)
+          [ "Lib"; "Main" ]
+      in
+      let counted = Build_cache.corrupt_count probe.Project.bc in
+      let lost = if file = "modules.bin" then results = [] else arts = [] in
+      if not (counted = 1 || (counted = 0 && lost)) then
+        Alcotest.failf "%s: %s: damage counted %d times" what file counted;
+      lay ();
       let c = Project.cache ~dir () in
-      let rejected = Build_cache.corrupt_count c.Project.bc = 1 in
       let r = Project.compile ~cache:c (project_store ()) in
       Project.save c;
       let healed = Project.cache ~dir () in
       let again = Project.compile ~cache:healed (project_store ()) in
-      if not rejected then Alcotest.failf "%s: %s not rejected" what file;
       observation r = Lazy.force cold
       && Build_cache.corrupt_count healed.Project.bc = 0
       && again.Project.recompiled = [])
@@ -640,55 +668,146 @@ let test_hostile_files () =
         cases)
     files
 
-(* A modules.bin whose header checks out but one of whose marshaled
-   result fields is empty, cut short or only a header: Marshal alone
-   would read on into the following fields.  Each such entry loads as
-   a miss: the build equals a cold build and recompiles that module. *)
+(* modules.bin's records, as the test reads a one-batch file: per entry
+   its key, module name, result bytes and side record bytes (see "Cache
+   files" in build_cache.ml). *)
+let memo_records good =
+  let tag = String.sub good 0 (String.index good '\n' + 1) in
+  let pos = String.length tag in
+  let ilen = Int64.to_int (String.get_int64_le good (pos + 32)) in
+  let data = pos + 48 + ilen in
+  let rec varint p shift n =
+    let c = Char.code good.[p] in
+    let n = n lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then (p + 1, n) else varint (p + 1) (shift + 7) n
+  in
+  let field p =
+    let p, n = varint p 0 0 in
+    (p + n, String.sub good p n)
+  in
+  let payload p =
+    match good.[p] with
+    | 'E' -> (p + 1, "")
+    | 'B' ->
+        let at = Int64.to_int (String.get_int64_le good (p + 1))
+        and len = Int64.to_int (String.get_int64_le good (p + 9)) in
+        (p + 33, String.sub good (data + at) len)
+    | _ -> Alcotest.fail "a compacted file references only its own payloads"
+  in
+  let rec go p acc =
+    if p = data then (tag, List.rev acc)
+    else begin
+      Alcotest.(check char) "a stored entry" 'P' good.[p];
+      let p, key = field (p + 1) in
+      let p, name = field p in
+      let p, result = payload p in
+      let p, side = payload p in
+      go p ((key, name, result, side) :: acc)
+    end
+  in
+  go (pos + 48) []
+
+(* A one-batch modules.bin holding [records], sealed as a save seals it:
+   each payload's own MD5 in the index, the seal over the tag's MD5, the
+   two lengths and the index. *)
+let memo_file tag records =
+  let index = Buffer.create 256 and payloads = Buffer.create 4096 in
+  let field f =
+    let rec varint n =
+      if n < 0x80 then Buffer.add_char index (Char.chr n)
+      else begin
+        Buffer.add_char index (Char.chr (0x80 lor (n land 0x7f)));
+        varint (n lsr 7)
+      end
+    in
+    varint (String.length f);
+    Buffer.add_string index f
+  in
+  let payload b =
+    if b = "" then Buffer.add_char index 'E'
+    else begin
+      Buffer.add_char index 'B';
+      Buffer.add_int64_le index (Int64.of_int (Buffer.length payloads));
+      Buffer.add_int64_le index (Int64.of_int (String.length b));
+      Buffer.add_string index (Digest.string b);
+      Buffer.add_string payloads b
+    end
+  in
+  List.iter
+    (fun (key, name, result, side) ->
+      Buffer.add_char index 'P';
+      field key;
+      field name;
+      payload result;
+      payload side)
+    records;
+  let lengths = Bytes.create 16 in
+  Bytes.set_int64_le lengths 0 (Int64.of_int (Buffer.length index));
+  Bytes.set_int64_le lengths 8 (Int64.of_int (Buffer.length payloads));
+  let sealed = Digest.string tag ^ Bytes.to_string lengths ^ Buffer.contents index in
+  tag ^ Digest.string sealed ^ sealed ^ Buffer.contents payloads
+
+(* A modules.bin whose batch is sealed and each of whose payloads
+   matches its digest, but one of whose results is empty, cut short or
+   only a header: Marshal alone would read on into the following bytes.
+   Each such entry loads as a miss: the build equals a cold build and
+   recompiles that module. *)
 let test_hostile_memo_fields () =
   let good = List.assoc "modules.bin" (fst (Lazy.force pristine)) in
-  let tag_line = String.sub good 0 (String.index good '\n' + 1) in
-  let fields =
-    let rec go pos acc =
-      if pos >= String.length good then List.rev acc
-      else
-        let rec varint pos shift n =
-          let c = Char.code good.[pos] in
-          let n = n lor ((c land 0x7f) lsl shift) in
-          if c < 0x80 then (pos + 1, n) else varint (pos + 1) (shift + 7) n
-        in
-        let pos, n = varint pos 0 0 in
-        go (pos + n) (String.sub good pos n :: acc)
-    in
-    go (String.length tag_line + 8 + 16) []
-  in
-  Alcotest.(check int) "count, then four fields per entry" 1 (List.length fields mod 4);
+  let tag, records = memo_records good in
+  Alcotest.(check string) "the test's writer reproduces a save" good (memo_file tag records);
   List.iteri
-    (fun i name ->
-      if i mod 4 = 2 then
-        let payload = List.nth fields (i + 1) in
-        let short = String.sub payload 0 (String.length payload / 2) in
-        let header = String.sub payload 0 Marshal.header_size in
-        List.iter
-          (fun (what, bytes) ->
-            let file =
-              seal tag_line (List.mapi (fun j f -> if j = i + 1 then bytes else f) fields)
-            in
-            with_cache_dir (fun dir ->
-                Sys.mkdir dir 0o755;
-                List.iter
-                  (fun (f, s) ->
-                    Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-                        output_string oc (if f = "modules.bin" then file else s)))
-                  (fst (Lazy.force pristine));
-                let c = Project.cache ~dir () in
-                let r = Project.compile ~cache:c (project_store ()) in
-                let m = List.hd (List.rev (String.split_on_char '|' name)) in
-                Alcotest.(check bool) (name ^ " " ^ what ^ ": cold output") true
-                  (observation r = Lazy.force cold);
-                Alcotest.(check bool) (name ^ " " ^ what ^ ": a miss") true
-                  (List.mem m r.Project.recompiled)))
-          [ ("empty result", ""); ("result cut short", short); ("result header only", header) ])
-    fields
+    (fun i (_, n, payload, _) ->
+      let short = String.sub payload 0 (String.length payload / 2) in
+      let header = String.sub payload 0 Marshal.header_size in
+      List.iter
+        (fun (what, bytes) ->
+          let file =
+            memo_file tag
+              (List.mapi (fun j ((k, n, _, d) as e) -> if j = i then (k, n, bytes, d) else e) records)
+          in
+          with_cache_dir (fun dir ->
+              Sys.mkdir dir 0o755;
+              List.iter
+                (fun (f, s) ->
+                  Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+                      output_string oc (if f = "modules.bin" then file else s)))
+                (fst (Lazy.force pristine));
+              let c = Project.cache ~dir () in
+              let r = Project.compile ~cache:c (project_store ()) in
+              let m = List.hd (List.rev (String.split_on_char '|' n)) in
+              Alcotest.(check bool) (n ^ " " ^ what ^ ": cold output") true
+                (observation r = Lazy.force cold);
+              Alcotest.(check bool) (n ^ " " ^ what ^ ": a miss") true
+                (List.mem m r.Project.recompiled)))
+        [ ("empty result", ""); ("result cut short", short); ("result header only", header) ])
+    records
+
+(* One flipped byte inside one memo payload: the flipped bytes still
+   unmarshal (to "result of b"), so a hit on them would show that
+   Marshal read them.  Exactly that entry misses and is counted; the
+   others load as they were saved. *)
+let test_flipped_payload () =
+  with_cache_dir (fun dir ->
+      let bc = Build_cache.create ~dir () and m = Build_cache.memo () in
+      List.iter (fun n -> Build_cache.store_module m ~name:n ~key:("k" ^ n) ("result of " ^ n)) [ "A"; "B"; "C" ];
+      Build_cache.save_memo bc m;
+      let file = Filename.concat dir "modules.bin" in
+      let good = Marshal.to_string "result of B" [] and bad = Marshal.to_string "result of b" [] in
+      let s = Tutil.read_file file in
+      let rec find i = if String.sub s i (String.length good) = good then i else find (i + 1) in
+      let at = find 0 in
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc
+            (String.sub s 0 at ^ bad ^ String.sub s (at + String.length bad) (String.length s - at - String.length bad)));
+      let bc = Build_cache.create ~dir () and m = Build_cache.memo () in
+      Build_cache.load_memo bc m;
+      Alcotest.(check int) "the seals still hold" 0 (Build_cache.corrupt_count bc);
+      Alcotest.(check (list (option string)))
+        "only the flipped entry misses"
+        [ Some "result of A"; None; Some "result of C" ]
+        (List.map (fun n -> Build_cache.find_module m ("k" ^ n)) [ "A"; "B"; "C" ]);
+      Alcotest.(check int) "the flipped payload is counted" 1 (Build_cache.corrupt_count bc))
 
 let prop_byte_flips =
   QCheck.Test.make ~name:"any single byte flip is rejected and healed" ~count:40
@@ -715,8 +834,10 @@ let really_read fd n =
    save, the second to the fourth (the first may find the files
    current), the parent waits a seeded delay of up to 1 ms, about as
    long as writing both files takes, and kills the child with SIGKILL.
-   Whatever the kill interrupted, the directory loads cleanly: a file
-   is only ever replaced by renaming a complete one over it.  Temporary
+   Whatever the kill interrupted, the directory loads cleanly: an
+   append cut short leaves a torn last batch, which loads as the state
+   before it, uncounted, and a compaction renames a complete file over
+   the old one.  Temporary
    files a kill leaves behind stay in the directory for the later
    loads, which must ignore them. *)
 let test_killed_saves () =
@@ -930,6 +1051,7 @@ let () =
           Alcotest.test_case "save drops unverified artifacts" `Quick test_save_drops_unverified;
           Alcotest.test_case "hostile files rejected" `Quick test_hostile_files;
           Alcotest.test_case "memo fields that overrun" `Quick test_hostile_memo_fields;
+          Alcotest.test_case "a flipped payload misses alone" `Quick test_flipped_payload;
           Tutil.qtest prop_byte_flips;
           Alcotest.test_case "saves killed partway through" `Quick test_killed_saves;
         ] );
