@@ -809,6 +809,60 @@ let test_flipped_payload () =
         (List.map (fun n -> Build_cache.find_module m ("k" ^ n)) [ "A"; "B"; "C" ]);
       Alcotest.(check int) "the flipped payload is counted" 1 (Build_cache.corrupt_count bc))
 
+(* A cache file cut at every byte offset of its last batch loads as the
+   state before that batch, uncounted (a save died writing it), and a
+   build over it equals a cold build. *)
+let test_torn_last_batch () =
+  let st k =
+    store ~name:"Main"
+      ~defs:
+        [
+          ("Lib", Printf.sprintf "DEFINITION MODULE Lib;\nCONST k = %d;\nPROCEDURE Bump(): INTEGER;\nEND Lib.\n" k);
+          ("Aux", "DEFINITION MODULE Aux;\nCONST a = 1; b = 2; c = 3; d = 4;\nVAR x, y, z: INTEGER;\nPROCEDURE P(n: INTEGER): INTEGER;\nPROCEDURE Q(n: INTEGER): INTEGER;\nEND Aux.\n");
+        ]
+      ~impls:
+        [
+          ("Lib", "IMPLEMENTATION MODULE Lib;\nPROCEDURE Bump(): INTEGER;\nBEGIN RETURN k END Bump;\nEND Lib.\n");
+          ("Aux", "IMPLEMENTATION MODULE Aux;\nPROCEDURE P(n: INTEGER): INTEGER;\nBEGIN RETURN n + a END P;\nPROCEDURE Q(n: INTEGER): INTEGER;\nBEGIN RETURN P(n) * b END Q;\nBEGIN x := c; y := d; z := x + y\nEND Aux.\n");
+        ]
+      "IMPLEMENTATION MODULE Main;\nIMPORT Lib, Aux;\nVAR a: INTEGER;\nBEGIN\n  a := Lib.Bump() + Aux.Q(1); WriteInt(a)\nEND Main.\n"
+  in
+  let tag = Project.config_tag Driver.default_config in
+  let state dir =
+    let c = Project.cache ~dir () in
+    ( Build_cache.corrupt_count c.Project.bc,
+      List.map (fun n -> Option.map Build_cache.stored_fingerprint (Build_cache.latest c.Project.bc n)) [ "Lib"; "Aux" ],
+      List.map
+        (fun m -> Option.map fst (Build_cache.find_latest_module c.Project.memo ~name:(tag ^ "|" ^ m)))
+        [ "Lib"; "Aux"; "Main" ] )
+  in
+  let cold = dis (Project.compile (st 2)).Project.program in
+  with_cache_dir (fun dir ->
+      let files () = List.map (fun f -> (f, Tutil.read_file (Filename.concat dir f))) cache_files in
+      let lay fs = List.iter (fun (f, s) -> Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc s)) fs in
+      let step k =
+        let c = Project.cache ~dir () in
+        ignore (Project.compile ~cache:c (st k));
+        Project.save c
+      in
+      step 1;
+      let first = files () in
+      let before = state dir in
+      step 2;
+      let second = files () in
+      List.iter
+        (fun (f, old) ->
+          let full = List.assoc f second in
+          Alcotest.(check bool) (f ^ ": the edit appended a batch") true
+            (String.length full > String.length old && String.starts_with ~prefix:old full);
+          for cut = String.length old to String.length full - 1 do
+            lay (List.map (fun (g, s) -> (g, if g = f then String.sub full 0 cut else s)) first);
+            if state dir <> before then Alcotest.failf "%s cut at %d: not the state before its last batch" f cut;
+            let r = Project.compile ~cache:(Project.cache ~dir ()) (st 2) in
+            if dis r.Project.program <> cold then Alcotest.failf "%s cut at %d: warm differs from cold" f cut
+          done)
+        first)
+
 let prop_byte_flips =
   QCheck.Test.make ~name:"any single byte flip is rejected and healed" ~count:40
     QCheck.(triple bool (int_bound 1_000_000) (int_range 1 255))
@@ -1052,6 +1106,7 @@ let () =
           Alcotest.test_case "hostile files rejected" `Quick test_hostile_files;
           Alcotest.test_case "memo fields that overrun" `Quick test_hostile_memo_fields;
           Alcotest.test_case "a flipped payload misses alone" `Quick test_flipped_payload;
+          Alcotest.test_case "a torn last batch loads the state before it" `Quick test_torn_last_batch;
           Tutil.qtest prop_byte_flips;
           Alcotest.test_case "saves killed partway through" `Quick test_killed_saves;
         ] );
