@@ -414,10 +414,31 @@ let test_atomic_saves () =
       Alcotest.(check (list string)) "no temporary file left behind" cache_files
         (List.sort compare (Array.to_list (Sys.readdir dir))))
 
+(* A cache file's batches (see "Cache files" in build_cache.ml): true
+   when each one's seal is the MD5 of the seal before it, its two
+   lengths and its index, and the last one ends where the file does. *)
+let sealed_to_end s =
+  let tag = String.index s '\n' + 1 and n = String.length s in
+  let rec go pos prev =
+    pos = n
+    || n - pos >= 48
+       &&
+       let ilen = Int64.to_int (String.get_int64_le s (pos + 32))
+       and plen = Int64.to_int (String.get_int64_le s (pos + 40)) in
+       ilen >= 0 && plen >= 0
+       && ilen + plen <= n - pos - 48
+       && String.equal (String.sub s (pos + 16) 16) prev
+       && String.equal (String.sub s pos 16) (Digest.substring s (pos + 16) (32 + ilen))
+       && go (pos + 48 + ilen + plen) (String.sub s pos 16)
+  in
+  go tag (Digest.string (String.sub s 0 tag))
+
 (* Two processes building over one cache directory at once: each save
    appends its batch under a lock on the file or renames a complete file
    into place, so every load, in either process and after both, finds
-   sealed batches and at most a torn last one. *)
+   sealed batches and at most a torn last one: a state some prefix of
+   the batches left, over which each build equals a cold build.  After
+   both, no batch landed inside another. *)
 let test_two_processes () =
   with_cache_dir (fun dir ->
       let builder op =
@@ -428,7 +449,9 @@ let test_two_processes () =
                 let c = Project.cache ~dir () in
                 if Build_cache.corrupt_count c.Project.bc <> 0 then Unix._exit 2;
                 let main_body = Printf.sprintf "a := Lib.Bump() %s %d; WriteInt(a)" op i in
-                ignore (Project.compile ~cache:c (project_store ~main_body ()));
+                let r = Project.compile ~cache:c (project_store ~main_body ()) in
+                if dis r.Project.program <> dis (Project.compile (project_store ~main_body ())).Project.program
+                then Unix._exit 3;
                 Project.save c
               done;
               Unix._exit 0
@@ -441,6 +464,11 @@ let test_two_processes () =
           | _, Unix.WEXITED 0 -> ()
           | _ -> Alcotest.fail "a builder process failed")
         [ builder "+"; builder "-" ];
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ ": every batch sealed on one chain to the end") true
+            (sealed_to_end (Tutil.read_file (Filename.concat dir f))))
+        cache_files;
       let c = Project.cache ~dir () in
       Alcotest.(check int) "both files load cleanly" 0 (Build_cache.corrupt_count c.Project.bc);
       let r = Project.compile ~cache:c (project_store ()) in
